@@ -4,7 +4,7 @@
 //	nova-trace run.trace                  # textual timeline
 //	nova-trace -format attrib run.trace   # Figure 8/9 cost attribution
 //	nova-trace -format chrome run.trace   # Chrome trace_event JSON
-//	nova-trace -format metrics run.trace  # counters and histograms
+//	nova-trace -format metrics run.trace  # exit counts and histograms
 //
 // The chrome output loads into chrome://tracing or Perfetto; VM
 // exit-to-resume spans become complete ("X") events, everything else an
@@ -58,8 +58,8 @@ func main() {
 
 // warnTruncation prints exactly one stderr notice per CPU whose ring
 // wrapped: event-derived views (attrib spans, chrome timeline) then
-// cover only the tail of the run, though the counters and histograms in
-// the metrics section still cover everything. The overwrite counts are
+// cover only the tail of the run, though the exit counts and histograms
+// in the metrics section still cover everything. The overwrite counts are
 // record-granular (one per overwritten record, not per emission call);
 // the ring headers and the metrics section report the same counter, so
 // take the max rather than warning from each source separately.
@@ -159,7 +159,7 @@ func detail(d *trace.TraceData, e trace.Event) string {
 		if e.A0 == 2 {
 			op = "write"
 		}
-		return fmt.Sprintf("op=%s lba=%d count=%d slot=%d", op, e.A1, e.A2, e.A3)
+		return fmt.Sprintf("op=%s lba=%d count=%d slot=%d", op, e.A1, e.A2, e.A3&0xff)
 	case trace.KindDiskComplete:
 		return fmt.Sprintf("slot=%d ok=%d", e.A0, e.A1)
 	case trace.KindDiskDone:

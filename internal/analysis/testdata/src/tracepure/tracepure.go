@@ -1,7 +1,8 @@
 // Package fixture seeds tracepure violations: trace-layer code that
 // perturbs the simulation, and emission call sites whose arguments do
 // work. The analyzer matches the trace layer by receiver-type name
-// (Tracer, Ring, Histogram, CounterSet, ..., DecodeCache, Superblock),
+// (Tracer, Ring, Histogram, ..., DecodeCache, Superblock) and the
+// record path by receiver and method name (Kernel.Record, VMM.record),
 // so this package models it the same way the chargecheck fixture
 // models Clock.
 package fixture
@@ -161,6 +162,22 @@ type Registry struct {
 	mem     *Mem
 	index   map[string]*Metric
 	ordered []*Metric
+	byID    []Counter
+}
+
+// GoodFold is the event-fold idiom: index the handle table by the
+// object id the event carries and record.
+func (r *Registry) GoodFold(now Cycles, kind uint8, id uint64) {
+	if kind == 1 && id < uint64(len(r.byID)) {
+		r.byID[id].Add(now, 1)
+	}
+}
+
+// BadFold charges virtual time while folding an event.
+func (r *Registry) BadFold(now Cycles, kind uint8) { // want "charges simulated cycles"
+	if kind == 1 {
+		r.clk.Charge(1)
+	}
 }
 
 // Counter mirrors the stat.Counter handle.
@@ -365,4 +382,49 @@ func (p *Port) GoodPropagate() uint64 {
 // arguments.
 func (p *Port) BadPropagateCharging(d *Device) {
 	p.rec.Open(d.step()) // want "charges simulated cycles"
+}
+
+// Kernel mirrors hypervisor.Kernel: its Record is the one probe every
+// probe site calls, and its fold derives Stats from the event. Both are
+// the record path, matched by receiver and method name.
+type Kernel struct {
+	clk   *Clock
+	tr    *Tracer
+	Stats struct{ Exits uint64 }
+}
+
+// Record folds the event and hands it to the tracer: fine.
+func (k *Kernel) Record(kind uint8, a0 uint64) {
+	k.fold(kind)
+	k.tr.Emit(k.clk.Now(), a0)
+}
+
+// fold counts the event in Stats: fine.
+func (k *Kernel) fold(kind uint8) {
+	if kind == 1 {
+		k.Stats.Exits++
+	}
+}
+
+// BadProbe models a probe-site argument that charges: the traced run
+// would diverge from the untraced one.
+func (k *Kernel) BadProbe(d *Device) {
+	k.Record(1, uint64(d.step())) // want "charges simulated cycles"
+}
+
+// VMM mirrors vmm.VMM.
+type VMM struct {
+	K   *Kernel
+	clk *Clock
+}
+
+// record counts the VMM's own Stats and charges while doing so.
+func (m *VMM) record(kind uint8, a0 uint64) { // want "charges simulated cycles"
+	m.clk.Charge(1)
+	m.K.Record(kind, a0)
+}
+
+// GoodProbe is the probe idiom: one call with pure arguments.
+func (m *VMM) GoodProbe(eip uint64) {
+	m.K.Record(2, eip)
 }

@@ -11,10 +11,11 @@ import (
 //
 //  1. Trace-layer functions — everything declared in a package named
 //     "trace", "prof", "stat" or "span", plus methods on the trace types
-//     (Tracer, Ring, Histogram, CounterSet, Profiler, Buf, the
+//     (Tracer, Ring, Histogram, Profiler, Buf, the
 //     metric registry's Registry/Metric/Counter/Gauge, and the
 //     interpreter's host-side DecodeCache/Superblock acceleration
-//     state) wherever they are declared — must not reach a
+//     state) wherever they are declared, and the record path (the
+//     probeFuncs) — must not reach a
 //     cycle-charge sink (Clock.Charge,
 //     Kernel.charge/ChargeUser), a platform mutator (PortWrite,
 //     MMIOWrite, ...), or a wall-clock read (time.Now, ...).
@@ -22,7 +23,7 @@ import (
 //     indirection doesn't hide a violation.
 //
 //  2. Emission call sites: arguments of a call to a trace-type method
-//     must not contain nested calls that charge, mutate platform
+//     or to the record path must not contain nested calls that charge, mutate platform
 //     state, or read the wall clock — `tr.Emit(k.Now(), ...)` is the
 //     idiom; `tr.Emit(doWorkAndCharge(), ...)` would make the traced
 //     run diverge from the untraced one.
@@ -43,7 +44,7 @@ var Tracepure = &Analyzer{
 // traceTypeNames are the receiver types that make up the trace layer,
 // matched by name so fixture packages can model them.
 var traceTypeNames = map[string]bool{
-	"Tracer": true, "Ring": true, "Histogram": true, "CounterSet": true,
+	"Tracer": true, "Ring": true, "Histogram": true,
 	"Profiler": true, "Buf": true,
 	// internal/stat's registry layer rides the same contract: recording
 	// a metric must never charge, mutate, or read the wall clock.
@@ -57,6 +58,17 @@ var traceTypeNames = map[string]bool{
 	// transitioning, or closing a span must never charge, mutate, or
 	// read the wall clock, and its encoding must not range over a map.
 	"Recorder": true,
+}
+
+// probeFuncs is the record path, by receiver type and method name: the
+// kernel's one probe and its Stats fold, and the probes of the VMM and
+// the device servers, which count their own Stats and hand the event
+// to the kernel. Every probe site calls one of them.
+var probeFuncs = map[string]map[string]bool{
+	"Kernel":     {"Record": true, "fold": true},
+	"VMM":        {"record": true},
+	"DiskServer": {"record": true},
+	"NetServer":  {"record": true},
 }
 
 func runTracepure(pass *Pass) {
@@ -139,19 +151,20 @@ func reportMapRanges(pass *Pass, pkg *Package, fd *ast.FuncDecl) {
 }
 
 // isTraceLayerFunc reports whether fn belongs to the trace layer: any
-// function in a package named "trace", "prof", "stat" or "span", or a
-// method on one of the trace types regardless of package.
+// function in a package named "trace", "prof", "stat" or "span", a
+// method on one of the trace types regardless of package, or the record
+// path.
 func isTraceLayerFunc(pkg *Package, fn *types.Func) bool {
 	switch pkg.Types.Name() {
 	case "trace", "prof", "stat", "span":
 		return true
 	}
-	return recvIsTraceType(fn)
+	return isTraceMethod(fn)
 }
 
-// recvIsTraceType reports whether fn is a method on one of the
-// traceTypeNames receivers.
-func recvIsTraceType(fn *types.Func) bool {
+// isTraceMethod reports whether fn is a method on one of the
+// traceTypeNames receivers or one of the probeFuncs.
+func isTraceMethod(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
 		return false
@@ -161,18 +174,22 @@ func recvIsTraceType(fn *types.Func) bool {
 		recv = p.Elem()
 	}
 	named, ok := recv.(*types.Named)
-	return ok && traceTypeNames[named.Obj().Name()]
+	if !ok {
+		return false
+	}
+	name := named.Obj().Name()
+	return traceTypeNames[name] || probeFuncs[name][fn.Name()]
 }
 
-// isTraceMethodCall reports whether the call invokes a method on a
-// trace type (an emission or metrics-recording site).
+// isTraceMethodCall reports whether the call invokes a trace-type method
+// or the record path (an emission or metrics-recording site).
 func isTraceMethodCall(pkg *Package, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
 	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-	return ok && recvIsTraceType(fn)
+	return ok && isTraceMethod(fn)
 }
 
 // isPlatformMutatorFunc reports whether fn is a method carrying one of

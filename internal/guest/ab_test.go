@@ -1,0 +1,262 @@
+package guest
+
+import (
+	"fmt"
+	"hash/fnv"
+	"strings"
+	"testing"
+
+	"nova/internal/hw"
+	"nova/internal/stat"
+)
+
+// The A/B identity matrix. The host-only layers (decode cache,
+// superblocks) and the observability sinks (trace, stat, span, prof)
+// must be invisible to the simulation: every cell of
+//
+//	sinks {none, trace, obs, all} × decode cache × superblocks × abCases
+//
+// must finish with the same cycle total, the same physical memory and
+// the same final vCPU state, and cells that share a sink must encode
+// byte-identical output from it. Only "all" attaches the profiler, so
+// comparing it with "obs" also holds the trace, stats and spans of a
+// single-stepped run to those of a fused one. Each cell runs once per test binary; the tests below are views
+// that compare pairs of cells.
+
+// abCase is one workload of the matrix.
+type abCase struct {
+	name   string
+	cfg    RunnerConfig
+	img    []byte
+	params []uint32
+}
+
+// abCases is the one case table: the native baseline (interpreter
+// StepHook path), EPT (exits, disk server), vTLB (fills, flushes) and a
+// disk-backed boot (injections, DMA completions, per-client accounting).
+func abCases() []abCase {
+	compute := MustBuild(ComputeKernelWithSwitches(true, false, 8))
+	return []abCase{
+		{"native-compute", RunnerConfig{Model: hw.BLM, Mode: ModeNative}, compute, []uint32{3, 64 << 10}},
+		{"ept-compute", RunnerConfig{Model: hw.BLM, Mode: ModeVirtEPT, UseVPID: true}, compute, []uint32{3, 64 << 10}},
+		{"vtlb-compute", RunnerConfig{Model: hw.BLM, Mode: ModeVirtVTLB}, compute, []uint32{3, 64 << 10}},
+		{"ept-disk-boot", RunnerConfig{Model: hw.BLM, Mode: ModeVirtEPT, UseVPID: true, WithDiskServer: true},
+			MustBuild(DiskChecksumKernel()), []uint32{8, 4, 2000}},
+	}
+}
+
+// Sink sets of the matrix, each a superset of the one before.
+const (
+	sinksNone = iota
+	// sinksTrace attaches the tracer alone.
+	sinksTrace
+	// sinksObs adds the stat registry and the span recorder: every sink
+	// that sets no StepHook, so superblocks still fuse.
+	sinksObs
+	// sinksAll adds the profiler, whose StepHook forces single-stepping.
+	sinksAll
+)
+
+// abCell is one configuration of the matrix.
+type abCell struct {
+	sinks   int
+	noCache bool
+	noSB    bool
+}
+
+// abResult is everything a cell must reproduce. Sink outputs are FNV
+// hashes of the encoded outputs (0 when the sink is off).
+type abResult struct {
+	cycles                   hw.Cycles
+	ram                      uint64
+	state                    string
+	trace, stats, spans, prf uint64
+}
+
+var abMemo = map[string]abResult{}
+
+// abRun runs one cell of the matrix, once per test binary.
+func abRun(t *testing.T, tc abCase, c abCell) abResult {
+	t.Helper()
+	key := fmt.Sprintf("%s/%+v", tc.name, c)
+	if res, ok := abMemo[key]; ok {
+		return res
+	}
+	cfg := tc.cfg
+	cfg.DisableDecodeCache = c.noCache
+	cfg.DisableSuperblocks = c.noSB
+	virt := cfg.Mode != ModeNative
+	if c.sinks >= sinksTrace && virt {
+		cfg.TraceCapacity = 4096
+	}
+	if c.sinks >= sinksObs {
+		cfg.StatEpoch = stat.DefaultEpochLen
+		if virt {
+			cfg.SpanCapacity = 4096
+		}
+	}
+	if c.sinks == sinksAll {
+		cfg.ProfilePeriod = 10_000
+	}
+	r, err := NewRunner(cfg, tc.img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Chunk = 100_000
+	writeParams(r, tc.params...)
+	cycles, err := r.RunUntilDone(10_000_000_000)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	res := abResult{cycles: cycles, ram: fnvHash(r.Plat.Mem.RAM())}
+	if v := r.VCPU(); v != nil {
+		res.state = v.State.String()
+	} else {
+		res.state = r.BM.State.String()
+	}
+	if r.Tracer != nil {
+		res.trace = r.Tracer.Hash()
+	}
+	if r.Stat != nil {
+		// The interp_sb_* samplers measure the host layers themselves,
+		// so they are the one part of a snapshot allowed to differ.
+		d := r.Stat.Snapshot(cycles)
+		kept := d.Metrics[:0]
+		for _, m := range d.Metrics {
+			if !strings.HasPrefix(m.Name, "interp_sb_") {
+				kept = append(kept, m)
+			}
+		}
+		d.Metrics = kept
+		res.stats = fnvHash(mustEncode(t)(d.JSON()))
+	}
+	if r.Spans != nil {
+		res.spans = r.Spans.Hash()
+	}
+	if r.Prof != nil {
+		res.prf = fnvHash(mustEncode(t)(r.EncodeProfile(16)))
+	}
+	abMemo[key] = res
+	return res
+}
+
+func fnvHash(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
+}
+
+func mustEncode(t *testing.T) func([]byte, error) []byte {
+	return func(b []byte, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		return b
+	}
+}
+
+// abSame requires cells a and b of one case to be indistinguishable:
+// same simulation results, and the same output from every sink both
+// cells attach.
+func abSame(t *testing.T, tc abCase, a, b abCell) {
+	t.Helper()
+	ra, rb := abRun(t, tc, a), abRun(t, tc, b)
+	label := fmt.Sprintf("%+v vs %+v", a, b)
+	if ra.cycles != rb.cycles {
+		t.Errorf("%s: cycle totals differ: %d vs %d (Δ=%d)", label, ra.cycles, rb.cycles, int64(rb.cycles)-int64(ra.cycles))
+	}
+	if ra.ram != rb.ram {
+		t.Errorf("%s: final physical memory differs: %#x vs %#x", label, ra.ram, rb.ram)
+	}
+	if ra.state != rb.state {
+		t.Errorf("%s: final vCPU state differs:\n %s\n %s", label, ra.state, rb.state)
+	}
+	both := min(a.sinks, b.sinks)
+	if both >= sinksTrace && ra.trace != rb.trace {
+		t.Errorf("%s: trace hashes differ: %#x vs %#x", label, ra.trace, rb.trace)
+	}
+	if both >= sinksObs && (ra.stats != rb.stats || ra.spans != rb.spans) {
+		t.Errorf("%s: sink outputs differ: stats %#x/%#x spans %#x/%#x",
+			label, ra.stats, rb.stats, ra.spans, rb.spans)
+	}
+	if both == sinksAll && ra.prf != rb.prf {
+		t.Errorf("%s: profiles differ: %#x vs %#x", label, ra.prf, rb.prf)
+	}
+}
+
+// abView is a named group of cell comparisons; an unnamed view runs in
+// the case's own subtest.
+type abView struct {
+	name  string
+	pairs [][2]abCell
+}
+
+// abMatrix runs the views for every case.
+func abMatrix(t *testing.T, views ...abView) {
+	for _, tc := range abCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, v := range views {
+				check := func(t *testing.T) {
+					for _, p := range v.pairs {
+						abSame(t, tc, p[0], p[1])
+					}
+				}
+				if v.name == "" {
+					check(t)
+				} else {
+					t.Run(v.name, check)
+				}
+			}
+		})
+	}
+}
+
+var (
+	abTrace = abCell{sinks: sinksTrace}
+	abObs   = abCell{sinks: sinksObs}
+	abAll   = abCell{sinks: sinksAll}
+)
+
+// TestDecodeCacheABIdentity: the decoded-instruction cache on and off,
+// with superblocks fused (tracer) and single-stepped (all sinks).
+func TestDecodeCacheABIdentity(t *testing.T) {
+	abMatrix(t, abView{"", [][2]abCell{
+		{abTrace, {sinks: sinksTrace, noCache: true}},
+		{abAll, {sinks: sinksAll, noCache: true}},
+	}})
+}
+
+// TestSuperblockABIdentity: fused superblocks on and off. The plain view
+// also compares stat and span output between fused and stepped runs;
+// the profiled view pins the degrade contract: an attached StepHook
+// forces single-stepping, so the sample stream and every other sink
+// output must match exactly.
+func TestSuperblockABIdentity(t *testing.T) {
+	abMatrix(t,
+		abView{"plain", [][2]abCell{
+			{abTrace, {sinks: sinksTrace, noSB: true}},
+			{abObs, {sinks: sinksObs, noSB: true}},
+		}},
+		abView{"profiled", [][2]abCell{{abAll, {sinks: sinksAll, noSB: true}}}})
+}
+
+// TestProfilerABIdentity: attaching the profiler changes nothing, and
+// the trace, stats and spans of its single-stepped run equal those of
+// the fused run without it.
+func TestProfilerABIdentity(t *testing.T) {
+	abMatrix(t, abView{"", [][2]abCell{{abTrace, abAll}, {abObs, abAll}}})
+}
+
+// TestStatsABIdentity: attaching the stat registry and span recorder
+// to a fused run changes neither the simulation nor the trace.
+func TestStatsABIdentity(t *testing.T) {
+	abMatrix(t, abView{"", [][2]abCell{{{}, abObs}, {abTrace, abObs}}})
+}
+
+// TestSpanABIdentity: the same with superblocks on and off.
+func TestSpanABIdentity(t *testing.T) {
+	abMatrix(t,
+		abView{"sb-on", [][2]abCell{{abTrace, abObs}}},
+		abView{"sb-off", [][2]abCell{{{sinks: sinksTrace, noSB: true}, {sinks: sinksObs, noSB: true}}}})
+}

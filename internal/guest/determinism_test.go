@@ -2,7 +2,6 @@ package guest
 
 import (
 	"fmt"
-	"hash/fnv"
 	"testing"
 
 	"nova/internal/hw"
@@ -87,103 +86,6 @@ func TestDeterministicBootDoubleRun(t *testing.T) {
 				t.Errorf("trace hashes differ between identical runs: %#x vs %#x", h1, h2)
 			}
 			t.Logf("%s: %d cycles, %d exits, trace %s", tc.name, c1, n1, fmt.Sprintf("%#x", h1))
-		})
-	}
-}
-
-// cacheABRun boots one workload and returns the final cycle count, the
-// trace hash (0 in native mode, which has no tracer), an FNV hash of all
-// physical RAM, and the final vCPU state rendering.
-func cacheABRun(t *testing.T, cfg RunnerConfig, img []byte, params []uint32) (hw.Cycles, uint64, uint64, string) {
-	t.Helper()
-	if cfg.Mode != ModeNative {
-		cfg.TraceCapacity = 4096
-	}
-	r, err := NewRunner(cfg, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Chunk = 100_000
-	writeParams(r, params...)
-	cycles, err := r.RunUntilDone(10_000_000_000)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	var traceHash uint64
-	if r.Tracer != nil {
-		traceHash = r.Tracer.Hash()
-	}
-	h := fnv.New64a()
-	h.Write(r.Plat.Mem.RAM())
-	var state string
-	if v := r.VCPU(); v != nil {
-		state = v.State.String()
-	} else {
-		state = r.BM.State.String()
-	}
-	return cycles, traceHash, h.Sum64(), state
-}
-
-// TestDecodeCacheABIdentity runs the determinism workloads with the
-// decoded-instruction cache force-disabled and force-enabled and
-// requires bit-identical outcomes: same cycle totals, same encoded-trace
-// hash, same final physical memory, same final vCPU state. The cache is
-// host-side performance machinery only; any divergence here means it
-// leaked into the simulation (a charge, an event, or guest-visible
-// state).
-func TestDecodeCacheABIdentity(t *testing.T) {
-	cases := []struct {
-		name   string
-		cfg    RunnerConfig
-		img    []byte
-		params []uint32
-	}{
-		{
-			name:   "native-compute",
-			cfg:    RunnerConfig{Model: hw.BLM, Mode: ModeNative},
-			img:    MustBuild(ComputeKernelWithSwitches(true, false, 8)),
-			params: []uint32{3, 64 << 10},
-		},
-		{
-			name:   "ept-compute",
-			cfg:    RunnerConfig{Model: hw.BLM, Mode: ModeVirtEPT, UseVPID: true},
-			img:    MustBuild(ComputeKernelWithSwitches(true, false, 8)),
-			params: []uint32{3, 64 << 10},
-		},
-		{
-			name:   "vtlb-compute",
-			cfg:    RunnerConfig{Model: hw.BLM, Mode: ModeVirtVTLB},
-			img:    MustBuild(ComputeKernelWithSwitches(true, false, 8)),
-			params: []uint32{3, 64 << 10},
-		},
-		{
-			name:   "ept-disk-boot",
-			cfg:    RunnerConfig{Model: hw.BLM, Mode: ModeVirtEPT, UseVPID: true, WithDiskServer: true},
-			img:    MustBuild(DiskChecksumKernel()),
-			params: []uint32{8, 4, 2000},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			on := tc.cfg
-			on.DisableDecodeCache = false
-			off := tc.cfg
-			off.DisableDecodeCache = true
-			cOn, thOn, rhOn, stOn := cacheABRun(t, on, tc.img, tc.params)
-			cOff, thOff, rhOff, stOff := cacheABRun(t, off, tc.img, tc.params)
-			if cOn != cOff {
-				t.Errorf("cycle totals differ: cache-on %d vs cache-off %d (Δ=%d)", cOn, cOff, int64(cOn)-int64(cOff))
-			}
-			if thOn != thOff {
-				t.Errorf("trace hashes differ: cache-on %#x vs cache-off %#x", thOn, thOff)
-			}
-			if rhOn != rhOff {
-				t.Errorf("final physical memory differs: cache-on %#x vs cache-off %#x", rhOn, rhOff)
-			}
-			if stOn != stOff {
-				t.Errorf("final vCPU state differs:\n cache-on  %s\n cache-off %s", stOn, stOff)
-			}
-			t.Logf("%s: %d cycles, trace %#x, ram %#x", tc.name, cOn, thOn, rhOn)
 		})
 	}
 }

@@ -3,120 +3,10 @@ package guest
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 	"testing"
 
-	"nova/internal/hw"
 	"nova/internal/prof"
 )
-
-// profABRun boots one workload (optionally profiled) and returns the
-// final cycle count, the trace hash (0 in native mode), an FNV hash of
-// all physical RAM, and the final vCPU state rendering — everything the
-// zero-perturbation rule says the profiler must not move.
-func profABRun(t *testing.T, cfg RunnerConfig, img []byte, params []uint32) (hw.Cycles, uint64, uint64, string) {
-	t.Helper()
-	if cfg.Mode != ModeNative {
-		cfg.TraceCapacity = 4096
-	}
-	r, err := NewRunner(cfg, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Chunk = 100_000
-	writeParams(r, params...)
-	cycles, err := r.RunUntilDone(10_000_000_000)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	var traceHash uint64
-	if r.Tracer != nil {
-		traceHash = r.Tracer.Hash()
-	}
-	h := fnv.New64a()
-	h.Write(r.Plat.Mem.RAM())
-	var state string
-	if v := r.VCPU(); v != nil {
-		state = v.State.String()
-	} else {
-		state = r.BM.State.String()
-	}
-	return cycles, traceHash, h.Sum64(), state
-}
-
-// profABCases are the profiler's A/B workloads: the native baseline
-// (interpreter StepHook path), EPT (exit attribution + disk server),
-// and vTLB (fill attribution), covering every profiler hook.
-func profABCases() []struct {
-	name   string
-	cfg    RunnerConfig
-	img    []byte
-	params []uint32
-} {
-	return []struct {
-		name   string
-		cfg    RunnerConfig
-		img    []byte
-		params []uint32
-	}{
-		{
-			name:   "native-compute",
-			cfg:    RunnerConfig{Model: hw.BLM, Mode: ModeNative},
-			img:    MustBuild(ComputeKernelWithSwitches(true, false, 8)),
-			params: []uint32{3, 64 << 10},
-		},
-		{
-			name:   "ept-compute",
-			cfg:    RunnerConfig{Model: hw.BLM, Mode: ModeVirtEPT, UseVPID: true},
-			img:    MustBuild(ComputeKernelWithSwitches(true, false, 8)),
-			params: []uint32{3, 64 << 10},
-		},
-		{
-			name:   "vtlb-compute",
-			cfg:    RunnerConfig{Model: hw.BLM, Mode: ModeVirtVTLB},
-			img:    MustBuild(ComputeKernelWithSwitches(true, false, 8)),
-			params: []uint32{3, 64 << 10},
-		},
-		{
-			name: "ept-disk-boot",
-			cfg: RunnerConfig{Model: hw.BLM, Mode: ModeVirtEPT, UseVPID: true,
-				WithDiskServer: true},
-			img:    MustBuild(DiskChecksumKernel()),
-			params: []uint32{8, 4, 2000},
-		},
-	}
-}
-
-// TestProfilerABIdentity runs each workload with the sampling profiler
-// off and on and requires bit-identical outcomes: same cycle totals,
-// same encoded-trace hash, same final physical memory, same final vCPU
-// state. The profiler is host-side observability only; any divergence
-// means a sample charged cycles, touched guest state, or perturbed the
-// event order.
-func TestProfilerABIdentity(t *testing.T) {
-	for _, tc := range profABCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			off := tc.cfg
-			on := tc.cfg
-			on.ProfilePeriod = 10_000
-			cOff, thOff, rhOff, stOff := profABRun(t, off, tc.img, tc.params)
-			cOn, thOn, rhOn, stOn := profABRun(t, on, tc.img, tc.params)
-			if cOn != cOff {
-				t.Errorf("cycle totals differ: prof-on %d vs prof-off %d (Δ=%d)", cOn, cOff, int64(cOn)-int64(cOff))
-			}
-			if thOn != thOff {
-				t.Errorf("trace hashes differ: prof-on %#x vs prof-off %#x", thOn, thOff)
-			}
-			if rhOn != rhOff {
-				t.Errorf("final physical memory differs: prof-on %#x vs prof-off %#x", rhOn, rhOff)
-			}
-			if stOn != stOff {
-				t.Errorf("final vCPU state differs:\n prof-on  %s\n prof-off %s", stOn, stOff)
-			}
-			t.Logf("%s: %d cycles, trace %#x, ram %#x", tc.name, cOn, thOn, rhOn)
-		})
-	}
-}
 
 // profEncodeRun performs one profiled run and returns the encoded
 // profile bytes.
@@ -145,7 +35,7 @@ func profEncodeRun(t *testing.T, cfg RunnerConfig, img []byte, params []uint32) 
 // attributions and the captured code bytes all derive from
 // deterministic simulation state, so nothing may vary between runs.
 func TestProfileDoubleRunByteIdentity(t *testing.T) {
-	for _, tc := range profABCases() {
+	for _, tc := range abCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			b1 := profEncodeRun(t, tc.cfg, tc.img, tc.params)
 			b2 := profEncodeRun(t, tc.cfg, tc.img, tc.params)

@@ -8,78 +8,6 @@ import (
 	"nova/internal/span"
 )
 
-// TestSpanABIdentity runs the determinism workloads with request-span
-// recording off and on — with superblock fusion enabled and disabled —
-// and requires bit-identical outcomes: same cycle totals, same
-// encoded-trace hash, same final physical memory, same final vCPU
-// state. Span recording is pure observation; any divergence here means
-// a span call charged cycles or touched guest-visible state.
-func TestSpanABIdentity(t *testing.T) {
-	cases := []struct {
-		name   string
-		cfg    RunnerConfig
-		img    []byte
-		params []uint32
-	}{
-		{
-			name:   "native-compute",
-			cfg:    RunnerConfig{Model: hw.BLM, Mode: ModeNative},
-			img:    MustBuild(ComputeKernelWithSwitches(true, false, 8)),
-			params: []uint32{3, 64 << 10},
-		},
-		{
-			name:   "ept-compute",
-			cfg:    RunnerConfig{Model: hw.BLM, Mode: ModeVirtEPT, UseVPID: true},
-			img:    MustBuild(ComputeKernelWithSwitches(true, false, 8)),
-			params: []uint32{3, 64 << 10},
-		},
-		{
-			name:   "vtlb-compute",
-			cfg:    RunnerConfig{Model: hw.BLM, Mode: ModeVirtVTLB},
-			img:    MustBuild(ComputeKernelWithSwitches(true, false, 8)),
-			params: []uint32{3, 64 << 10},
-		},
-		{
-			name:   "ept-disk-boot",
-			cfg:    RunnerConfig{Model: hw.BLM, Mode: ModeVirtEPT, UseVPID: true, WithDiskServer: true},
-			img:    MustBuild(DiskChecksumKernel()),
-			params: []uint32{8, 4, 2000},
-		},
-	}
-	fusion := []struct {
-		name    string
-		disable bool
-	}{
-		{"sb-on", false},
-		{"sb-off", true},
-	}
-	for _, tc := range cases {
-		for _, fu := range fusion {
-			t.Run(tc.name+"/"+fu.name, func(t *testing.T) {
-				off := tc.cfg
-				off.DisableSuperblocks = fu.disable
-				on := off
-				on.SpanCapacity = 4096
-				cOn, thOn, rhOn, stOn := cacheABRun(t, on, tc.img, tc.params)
-				cOff, thOff, rhOff, stOff := cacheABRun(t, off, tc.img, tc.params)
-				if cOn != cOff {
-					t.Errorf("cycle totals differ: spans-on %d vs spans-off %d (Δ=%d)", cOn, cOff, int64(cOn)-int64(cOff))
-				}
-				if thOn != thOff {
-					t.Errorf("trace hashes differ: spans-on %#x vs spans-off %#x", thOn, thOff)
-				}
-				if rhOn != rhOff {
-					t.Errorf("final physical memory differs: spans-on %#x vs spans-off %#x", rhOn, rhOff)
-				}
-				if stOn != stOff {
-					t.Errorf("final vCPU state differs:\n spans-on  %s\n spans-off %s", stOn, stOff)
-				}
-				t.Logf("%s/%s: %d cycles, trace %#x, ram %#x", tc.name, fu.name, cOn, thOn, rhOn)
-			})
-		}
-	}
-}
-
 // spanRun executes the disk-checksum workload with spans attached and
 // returns the recorder's encoded bytes.
 func spanRun(t *testing.T) []byte {

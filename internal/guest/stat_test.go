@@ -8,39 +8,6 @@ import (
 	"nova/internal/stat"
 )
 
-// TestStatsABIdentity runs each A/B workload with resource accounting
-// off and on and requires bit-identical outcomes: same cycle totals,
-// same encoded-trace hash, same final physical memory, same final vCPU
-// state. The registry is host-side observability only; any divergence
-// means a metric charged cycles, touched guest state, or perturbed the
-// event order. The cases cover native (BareMetal.AttachStats), EPT,
-// vTLB (fill/flush counters) and the disk-boot path (per-client server
-// accounting).
-func TestStatsABIdentity(t *testing.T) {
-	for _, tc := range profABCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			off := tc.cfg
-			on := tc.cfg
-			on.StatEpoch = stat.DefaultEpochLen
-			cOff, thOff, rhOff, stOff := profABRun(t, off, tc.img, tc.params)
-			cOn, thOn, rhOn, stOn := profABRun(t, on, tc.img, tc.params)
-			if cOn != cOff {
-				t.Errorf("cycle totals differ: stats-on %d vs stats-off %d (Δ=%d)", cOn, cOff, int64(cOn)-int64(cOff))
-			}
-			if thOn != thOff {
-				t.Errorf("trace hashes differ: stats-on %#x vs stats-off %#x", thOn, thOff)
-			}
-			if rhOn != rhOff {
-				t.Errorf("final physical memory differs: stats-on %#x vs stats-off %#x", rhOn, rhOff)
-			}
-			if stOn != stOff {
-				t.Errorf("final vCPU state differs:\n stats-on  %s\n stats-off %s", stOn, stOff)
-			}
-			t.Logf("%s: %d cycles, trace %#x, ram %#x", tc.name, cOn, thOn, rhOn)
-		})
-	}
-}
-
 // statRun boots one workload with accounting on and returns the encoded
 // snapshot.
 func statRun(t *testing.T, cfg RunnerConfig, img []byte, params []uint32) []byte {
@@ -67,7 +34,7 @@ func statRun(t *testing.T, cfg RunnerConfig, img []byte, params []uint32) []byte
 // byte-identical — the determinism half of the contract: the metrics
 // time series is itself a reproducible simulation output.
 func TestStatsDoubleRunByteIdentity(t *testing.T) {
-	for _, tc := range profABCases() {
+	for _, tc := range abCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			b1 := statRun(t, tc.cfg, tc.img, tc.params)
 			b2 := statRun(t, tc.cfg, tc.img, tc.params)

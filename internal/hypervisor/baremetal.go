@@ -58,27 +58,11 @@ func (b *BareMetal) AttachProfiler(period uint64, capacity int) *prof.Profiler {
 // nocharge: observability plumbing; attaching the registry models no
 // hardware work and must not move the clock (zero-perturbation rule).
 func (b *BareMetal) AttachStats(epochLen hw.Cycles) *stat.Registry {
-	cost := b.Plat.Cost
-	r := stat.New(stat.Meta{
-		Model:   cost.Model.String(),
-		FreqMHz: cost.FreqMHz,
-		NumCPUs: len(b.Plat.CPUs),
-	}, epochLen)
+	r := newStatRegistry(b.Plat, epochLen)
 	b.Stat = r
 	r.RegisterSampler(stat.Name("guest_instructions", "vm", "native", "vcpu", "0"),
 		func() uint64 { return b.Interp.InstRet })
 	statSuperblocks(r, b.Interp, "native", "0")
-	if ahci := b.Plat.AHCI; ahci != nil {
-		r.RegisterSampler("hw_ahci_commands", func() uint64 { return ahci.Stats.Commands })
-		r.RegisterSampler("hw_ahci_dma_bytes", func() uint64 { return ahci.Stats.DMABytes })
-		r.RegisterSampler("hw_ahci_irqs", func() uint64 { return ahci.Stats.IRQs })
-	}
-	if nic := b.Plat.NIC; nic != nil {
-		r.RegisterSampler("hw_nic_rx_packets", func() uint64 { return nic.Stats.PacketsReceived })
-		r.RegisterSampler("hw_nic_rx_bytes", func() uint64 { return nic.Stats.BytesReceived })
-		r.RegisterSampler("hw_nic_irqs", func() uint64 { return nic.Stats.IRQs })
-		r.RegisterSampler("hw_nic_dropped", func() uint64 { return nic.Stats.PacketsDropped })
-	}
 	return r
 }
 

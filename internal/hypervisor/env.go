@@ -335,7 +335,6 @@ func (e *vtlbEnv) translate(st *x86.CPUState, va uint32, write bool) (uint64, er
 	}
 	if se, ok := v.Shadow.entries[vpn]; ok && se.memVer == e.ec.PD.Mem.Version {
 		if !write || se.guestW && se.hostW {
-			e.k.Tracer.CountVTLBHit()
 			e.k.charge(2 * cost.PageWalkLevel) // MMU walk of the shadow table
 			e.tlb().InsertSmall(e.tag(), va, se.hpaPage, se.guestW && se.hostW, true, false)
 			return se.hpaPage<<12 | uint64(va&0xfff), nil
@@ -385,12 +384,8 @@ func (e *vtlbEnv) translate(st *x86.CPUState, va uint32, write bool) (uint64, er
 		large: w.Large, memVer: e.ec.PD.Mem.Version,
 	}
 	v.Shadow.Fills++
-	e.k.Stats.VTLBFills++
 	end := e.k.Now()
-	e.k.Tracer.Emit(e.k.cpu, end, trace.KindVTLBFill, uint64(va), uint64(end-t0), uint64(e.ec.ID), 0)
-	e.k.Tracer.ObserveVTLBFill(uint64(end - t0))
-	e.k.Tracer.CountVTLBMiss()
-	v.stats.fill(end)
+	e.k.Record(trace.KindVTLBFill, uint64(va), uint64(end-t0), uint64(e.ec.ID), 0)
 	e.k.profVTLBFill(st, end-t0)
 	e.tlb().InsertSmall(e.tag(), va, hpa>>12, w.Writable && hostW, true, false)
 	return hpa, nil

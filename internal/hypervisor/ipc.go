@@ -61,14 +61,12 @@ func (k *Kernel) Call(caller *PD, sel cap.Selector, msg *UTCB) error {
 // the hypercall path and VM-exit delivery. words is the payload size
 // for the per-word cost.
 func (k *Kernel) portalCall(from *PD, pt *Portal, msg *UTCB, words int) error {
-	k.Stats.IPCCalls++
-	k.Stats.IPCWords += uint64(words)
 	t0 := k.Now()
 	crossAS := uint64(0)
 	if pt.PD != from {
 		crossAS = 1
 	}
-	k.Tracer.Emit(k.cpu, t0, trace.KindIPCCall, pt.UID, uint64(words), crossAS, 0)
+	k.Record(trace.KindIPCCall, pt.UID, uint64(words), crossAS, uint64(from.ID))
 
 	// The CPU's current request span (if any) enters the kernel-IPC
 	// segment for the portal traversal; the caller's segment is restored
@@ -87,7 +85,6 @@ func (k *Kernel) portalCall(from *PD, pt *Portal, msg *UTCB, words int) error {
 		// guest-tagged entries are governed by VPID on the world
 		// switch, not here.
 		cost += k.Plat.Cost.TLBRefill
-		k.Stats.ContextSwitch++
 	}
 	if k.Cfg.DisableDirectSwitch {
 		// Ablation: instead of switching directly to the handler on the
@@ -135,15 +132,11 @@ func (k *Kernel) portalCall(from *PD, pt *Portal, msg *UTCB, words int) error {
 	reply := k.Plat.Cost.SyscallEntryExit + hw.Cycles(portalLookupCost) + hw.Cycles(words*ipcPerWord)
 	if pt.PD != from {
 		reply += k.Plat.Cost.TLBRefill
-		k.Stats.ContextSwitch++
 	}
 	k.charge(reply)
 	end := k.Now()
 	k.Spans.Transition(k.cpu, end, sp, prevSeg)
-	k.Tracer.Emit(k.cpu, end, trace.KindIPCReply, pt.UID, uint64(end-t0), crossAS, 0)
-	k.Tracer.ObserveIPC(uint64(end - t0))
-	from.stats.ipc(end, uint64(words))
-	k.statIPCLatency.Observe(end, uint64(end-t0))
+	k.Record(trace.KindIPCReply, pt.UID, uint64(end-t0), crossAS, 0)
 	return nil
 }
 

@@ -33,7 +33,9 @@ func (m PagingMode) String() string {
 	return "ept"
 }
 
-// Stats aggregates kernel activity across all domains.
+// Stats aggregates kernel activity across all domains. All fields but
+// GuestPageFault and Preemptions (facts without an event) are folded
+// from the recorded events.
 type Stats struct {
 	Hypercalls     uint64
 	IPCCalls       uint64
@@ -132,15 +134,11 @@ type Kernel struct {
 
 	// Stat, when set, aggregates per-object resource accounting
 	// (exits, IPC, vTLB activity, scheduler consumption) into
-	// virtual-time epochs. Same zero-perturbation contract as Tracer
-	// and Prof: all recording is nil-safe, charges nothing, and two
-	// accounted runs of the same workload produce byte-identical
-	// snapshots. The cached handles below keep the hot paths free of
-	// name formatting.
-	Stat           *stat.Registry
-	statIPCLatency stat.Histogram
-	statReadyWait  stat.Histogram
-	statRunqDepth  []stat.Gauge
+	// virtual-time epochs, folded from the recorded events. Same
+	// zero-perturbation contract as Tracer and Prof: all recording is
+	// nil-safe, charges nothing, and two accounted runs of the same
+	// workload produce byte-identical snapshots.
+	Stat *stat.Registry
 
 	// Spans, when set, records request-scoped causal spans: a span ID is
 	// assigned at each request origin (vAHCI doorbell, NIC RX harvest,
@@ -296,9 +294,79 @@ func (k *Kernel) AttachSpans(capacity int) *span.Recorder {
 	return k.Spans
 }
 
-// CurCPU returns the CPU whose run loop is active, for trace emission
+// CurCPU returns the CPU whose run loop is active, for span recording
 // from user-level components (VMM, servers) running on it.
 func (k *Kernel) CurCPU() int { return k.cpu }
+
+// Record is the one probe of the kernel, the VMMs and the device
+// servers: each observable fact is one call, with the trace.Kind
+// payload layout, at the active CPU's virtual time. Stats, Tracer.Emit
+// and stat.Registry.Fold each fold the event once.
+//
+// nocharge: observability; recording must not move the clocks.
+func (k *Kernel) Record(kind trace.Kind, a0, a1, a2, a3 uint64) {
+	cur := k.current[k.cpu]
+	k.fold(cur, kind, a0, a1, a2)
+	now := k.Now()
+	k.Tracer.Emit(k.cpu, now, kind, a0, a1, a2, a3)
+	if k.Stat != nil {
+		ctx := -1
+		if cur != nil {
+			ctx = cur.ID
+		}
+		k.Stat.Fold(k.cpu, now, ctx, kind, a0, a1, a2, a3)
+	}
+}
+
+// fold counts one event in Stats and in the counters of the vCPU it
+// names; cur is the EC dispatched on the recording CPU, which is the
+// exiting or interrupted vCPU for exit and injection events. A semaphore
+// down is a hypercall, thread dispatches and cross-AS portal calls and
+// replies are context switches, INVLPG prunes are not flushes, and
+// direct (exit-less) deliveries are not kernel injections.
+func (k *Kernel) fold(cur *EC, kind trace.Kind, a0, a1, a2 uint64) {
+	s := &k.Stats
+	switch kind {
+	case trace.KindHypercall, trace.KindSemDown:
+		s.Hypercalls++
+	case trace.KindIPCCall:
+		s.IPCCalls++
+		s.IPCWords += a1
+		s.ContextSwitch += a2
+	case trace.KindIPCReply:
+		s.ContextSwitch += a2
+	case trace.KindSchedDispatch:
+		if cur != nil && cur.Kind == ECThread {
+			s.ContextSwitch++
+		}
+	case trace.KindVMExit:
+		if a0 < uint64(len(s.VMExits)) {
+			s.VMExits[a0]++
+			if v := cur.vcpuNamed(a2); v != nil {
+				v.Exits[a0]++
+			}
+		}
+	case trace.KindVTLBFill:
+		s.VTLBFills++
+	case trace.KindVTLBFlush:
+		if a0 != trace.CauseINVLPG {
+			s.VTLBFlushes++
+		}
+	case trace.KindHostIRQ:
+		s.HostInterrupts++
+	case trace.KindInject:
+		if a2 == 0 {
+			s.Injections++
+		}
+		if v := cur.vcpuNamed(a1); v != nil {
+			v.InjectedIRQs++
+		}
+	case trace.KindRecall:
+		s.Recalls++
+	default:
+		// The other kinds have no kernel counter.
+	}
+}
 
 // clock returns the active CPU's clock.
 func (k *Kernel) clock() *hw.Clock { return &k.Plat.CPUs[k.cpu].Clock }
@@ -351,9 +419,7 @@ func (k *Kernel) syscallEnter(caller *PD) error {
 	if caller.IsVM {
 		return ErrVMNoHypercalls
 	}
-	k.Stats.Hypercalls++
-	k.Tracer.Emit(k.cpu, k.Now(), trace.KindHypercall, uint64(caller.ID), 0, 0, 0)
-	caller.stats.hypercall(k.Now())
+	k.Record(trace.KindHypercall, uint64(caller.ID), 0, 0, 0)
 	k.charge(k.Plat.Cost.SyscallEntryExit)
 	return nil
 }
@@ -622,8 +688,7 @@ func (k *Kernel) Recall(caller *PD, ec *EC) error {
 	if ec.Kind != ECVCPU {
 		return fmt.Errorf("hypervisor: recall target %s is not a vCPU", ec.Name)
 	}
-	k.Stats.Recalls++
-	k.Tracer.Emit(k.cpu, k.Now(), trace.KindRecall, uint64(ec.ID), 0, 0, 0)
+	k.Record(trace.KindRecall, uint64(ec.ID), 0, 0, 0)
 	ec.VCPU.RecallPending = true
 	k.wakeVCPU(ec)
 	return nil
@@ -723,24 +788,23 @@ func (k *Kernel) semUp(sm *Semaphore) {
 	} else {
 		sm.Counter++
 	}
-	k.Tracer.Emit(k.cpu, k.Now(), trace.KindSemUp, uint64(sm.ID), woken, 0, 0)
+	k.Record(trace.KindSemUp, uint64(sm.ID), woken, 0, 0)
 }
 
 // SemDown blocks the calling EC until the semaphore is available. In
 // this event-driven model, thread ECs call SemDownAsync to register and
 // return; their Run body is re-invoked after the wakeup.
 func (k *Kernel) SemDownAsync(caller *PD, ec *EC, sm *Semaphore) bool {
-	k.Stats.Hypercalls++
 	k.charge(k.Plat.Cost.SyscallEntryExit)
 	sm.Downs++
 	if sm.Counter > 0 {
 		sm.Counter--
-		k.Tracer.Emit(k.cpu, k.Now(), trace.KindSemDown, uint64(sm.ID), 1, 0, 0)
+		k.Record(trace.KindSemDown, uint64(sm.ID), 1, 0, 0)
 		return true // immediately acquired; EC keeps running
 	}
 	ec.runnable = false
 	ec.waitingOn = sm
 	sm.waiters = append(sm.waiters, ec)
-	k.Tracer.Emit(k.cpu, k.Now(), trace.KindSemDown, uint64(sm.ID), 0, 0, 0)
+	k.Record(trace.KindSemDown, uint64(sm.ID), 0, 0, 0)
 	return false
 }

@@ -35,10 +35,6 @@ type PD struct {
 	// (Figure 5's small-vs-large host page comparison).
 	HostLargePages bool
 
-	// stats caches this domain's resource-accounting handles (set when
-	// a stat registry attaches; nil means accounting is off).
-	stats *pdStats
-
 	dead bool
 }
 
@@ -90,10 +86,6 @@ type EC struct {
 	// semaphore or wait for their next wakeup.
 	runnable  bool
 	waitingOn *Semaphore
-
-	// stats caches this EC's scheduler accounting handles (set when a
-	// stat registry attaches; nil means accounting is off).
-	stats *ecStats
 
 	dead bool
 }
@@ -224,10 +216,14 @@ type VCPU struct {
 	// stack walker uses for this vCPU (set when a profiler attaches;
 	// never touches guest-visible state).
 	profRead prof.MemReader
+}
 
-	// stats caches this vCPU's resource-accounting handles (set when a
-	// stat registry attaches; nil means accounting is off).
-	stats *vcpuStats
+// vcpuNamed returns ec's vCPU if ec is the EC with the given id.
+func (ec *EC) vcpuNamed(id uint64) *VCPU {
+	if ec == nil || uint64(ec.ID) != id {
+		return nil
+	}
+	return ec.VCPU
 }
 
 // TotalExits sums all exit reasons.

@@ -68,14 +68,10 @@ func (k *Kernel) Run(until hw.Cycles) string {
 		k.current[k.cpu] = ec
 		k.preempt = false
 		wait := clk.Now() - sc.enqueuedAt
-		k.Tracer.Emit(k.cpu, clk.Now(), trace.KindSchedDispatch, uint64(ec.ID), uint64(sc.Priority), uint64(wait), 0)
-		k.Tracer.ObserveDispatch(uint64(wait))
-		ec.stats.dispatch(clk.Now())
-		k.statRunq(clk.Now(), uint64(wait))
+		k.Record(trace.KindSchedDispatch, uint64(ec.ID), uint64(sc.Priority), uint64(wait), uint64(k.runq[k.cpu].count))
 
 		switch ec.Kind {
 		case ECThread:
-			k.Stats.ContextSwitch++
 			ec.runnable = false
 			if ec.Run != nil {
 				ec.Run()
@@ -98,7 +94,7 @@ func (k *Kernel) Run(until hw.Cycles) string {
 			start := clk.Now()
 			k.runVCPU(ec, deadline)
 			used := clk.Now() - start
-			ec.stats.ran(clk.Now(), uint64(used))
+			k.Record(trace.KindSchedRan, uint64(ec.ID), uint64(used), 0, 0)
 			if used >= sc.Left {
 				sc.Left = sc.Quantum // fresh quantum, back of the level
 			} else {
@@ -162,9 +158,7 @@ func (k *Kernel) runVCPU(ec *EC, deadline hw.Cycles) {
 				// controller; deliver without leaving guest mode.
 				if v.Interp.Interruptible() {
 					if vec, ok := k.Plat.PIC.Acknowledge(); ok {
-						v.InjectedIRQs++
-						k.Tracer.Emit(k.cpu, clk.Now(), trace.KindInject, uint64(vec), uint64(ec.ID), 0, 0)
-						v.stats.inject(clk.Now())
+						k.Record(trace.KindInject, uint64(vec), uint64(ec.ID), 1, 0)
 						if err := v.Interp.Interrupt(vec); err != nil {
 							k.handleGuestRunError(ec, err)
 						}
@@ -208,10 +202,7 @@ func (k *Kernel) runVCPU(ec *EC, deadline hw.Cycles) {
 				}
 				v.PendingValid = false
 				v.State.Halted = false
-				k.Stats.Injections++
-				v.InjectedIRQs++
-				k.Tracer.Emit(k.cpu, clk.Now(), trace.KindInject, uint64(v.PendingVector), uint64(ec.ID), 0, 0)
-				v.stats.inject(clk.Now())
+				k.Record(trace.KindInject, uint64(v.PendingVector), uint64(ec.ID), 0, 0)
 				k.charge(2 * cost.VMRead) // event-injection VMWRITEs
 				if err := v.Interp.Interrupt(v.PendingVector); err != nil {
 					k.handleGuestRunError(ec, err)

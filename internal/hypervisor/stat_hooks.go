@@ -1,10 +1,11 @@
 package hypervisor
 
-// Resource-accounting plumbing. Everything in this file is host-side
-// observability riding the same zero-perturbation contract as the
-// tracer and profiler: no cycle charges, no guest-visible state
-// changes, no wall-clock reads. All recording is nil-safe (a nil
-// registry or handle struct is a no-op), and the A/B identity test in
+// Resource-accounting plumbing. The registry derives its metrics from
+// the events Kernel.Record hands it (stat.Registry.Fold); this file
+// only registers the objects those events name and the pull-mode
+// samplers. Everything here rides the same zero-perturbation contract
+// as the tracer and profiler: no cycle charges, no guest-visible state
+// changes, no wall-clock reads, and the A/B identity matrix in
 // internal/guest proves stats-on and stats-off runs are bit-identical.
 
 import (
@@ -15,97 +16,11 @@ import (
 	"nova/internal/x86"
 )
 
-// pdStats caches the per-PD metric handles (attributed by PD name).
-type pdStats struct {
-	hypercalls stat.Counter
-	ipcCalls   stat.Counter
-	ipcWords   stat.Counter
-}
-
-func (s *pdStats) hypercall(now hw.Cycles) {
-	if s == nil {
-		return
-	}
-	s.hypercalls.Add(now, 1)
-}
-
-func (s *pdStats) ipc(now hw.Cycles, words uint64) {
-	if s == nil {
-		return
-	}
-	s.ipcCalls.Add(now, 1)
-	s.ipcWords.Add(now, words)
-}
-
-// ecStats caches the per-EC scheduler metric handles.
-type ecStats struct {
-	dispatches stat.Counter
-	ranCycles  stat.Counter
-}
-
-func (s *ecStats) dispatch(now hw.Cycles) {
-	if s == nil {
-		return
-	}
-	s.dispatches.Add(now, 1)
-}
-
-func (s *ecStats) ran(now hw.Cycles, used uint64) {
-	if s == nil {
-		return
-	}
-	s.ranCycles.Add(now, used)
-}
-
-// vcpuStats caches the per-vCPU metric handles: one exit counter per
-// reason (so dispatchExit indexes an array instead of formatting a
-// name), the exit-latency histogram, vTLB activity and injections.
-type vcpuStats struct {
-	exits       [x86.NumExitReasons]stat.Counter
-	exitLatency stat.Histogram
-	fills       stat.Counter
-	flushes     stat.Counter
-	injections  stat.Counter
-}
-
-func (s *vcpuStats) exit(reason x86.ExitReason, end hw.Cycles, dur uint64) {
-	if s == nil {
-		return
-	}
-	s.exits[reason].Add(end, 1)
-	s.exitLatency.Observe(end, dur)
-}
-
-func (s *vcpuStats) fill(now hw.Cycles) {
-	if s == nil {
-		return
-	}
-	s.fills.Add(now, 1)
-}
-
-func (s *vcpuStats) flush(now hw.Cycles) {
-	if s == nil {
-		return
-	}
-	s.flushes.Add(now, 1)
-}
-
-func (s *vcpuStats) inject(now hw.Cycles) {
-	if s == nil {
-		return
-	}
-	s.injections.Add(now, 1)
-}
-
-// attachStatPD builds the per-PD handles and registers the live
-// capability/object-count samplers for one protection domain.
+// attachStatPD registers one protection domain with the registry's
+// event fold and registers its live capability/object-count samplers.
 func (k *Kernel) attachStatPD(pd *PD) {
 	r := k.Stat
-	pd.stats = &pdStats{
-		hypercalls: r.Counter(stat.Name("kernel_hypercalls", "pd", pd.Name)),
-		ipcCalls:   r.Counter(stat.Name("kernel_ipc_calls", "pd", pd.Name)),
-		ipcWords:   r.Counter(stat.Name("kernel_ipc_words", "pd", pd.Name)),
-	}
+	r.AddPD(pd.ID, pd.Name, pd.IsVM)
 	r.RegisterSampler(stat.Name("kernel_pd_caps", "pd", pd.Name), func() uint64 {
 		if pd.dead {
 			return 0
@@ -120,32 +35,19 @@ func (k *Kernel) attachStatPD(pd *PD) {
 	})
 }
 
-// attachStatEC builds the per-EC scheduler handles and, for vCPUs, the
-// per-vCPU exit/vTLB/injection handles plus the retired-instruction
-// sampler.
+// attachStatEC registers one execution context with the registry's
+// event fold and, for vCPUs, registers the retired-instruction and
+// superblock samplers.
 func (k *Kernel) attachStatEC(ec *EC) {
 	r := k.Stat
-	ec.stats = &ecStats{
-		dispatches: r.Counter(stat.Name("kernel_sched_dispatches", "ec", ec.Name)),
-		ranCycles:  r.Counter(stat.Name("kernel_sched_cycles", "ec", ec.Name)),
-	}
 	if ec.Kind != ECVCPU {
+		r.AddEC(ec.ID, ec.Name, ec.PD.ID, -1)
 		return
 	}
 	v := ec.VCPU
+	r.AddEC(ec.ID, ec.Name, ec.PD.ID, v.Index)
 	vm := ec.PD.Name
 	vcpu := fmt.Sprintf("%d", v.Index)
-	vs := &vcpuStats{
-		exitLatency: r.Histogram(stat.Name("kernel_exit_latency_cycles", "vm", vm, "vcpu", vcpu)),
-		fills:       r.Counter(stat.Name("kernel_vtlb_fills", "vm", vm, "vcpu", vcpu)),
-		flushes:     r.Counter(stat.Name("kernel_vtlb_flushes", "vm", vm, "vcpu", vcpu)),
-		injections:  r.Counter(stat.Name("kernel_injections", "vm", vm, "vcpu", vcpu)),
-	}
-	reasons := x86.ExitReasonNames()
-	for i := range vs.exits {
-		vs.exits[i] = r.Counter(stat.Name("kernel_vmexits", "vm", vm, "vcpu", vcpu, "reason", reasons[i]))
-	}
-	v.stats = vs
 	r.RegisterSampler(stat.Name("guest_instructions", "vm", vm, "vcpu", vcpu), func() uint64 {
 		return v.Interp.InstRet
 	})
@@ -183,17 +85,6 @@ func statSuperblocks(r *stat.Registry, ip *x86.Interp, vm, vcpu string) {
 	}
 }
 
-// statRunq records the post-dispatch ready-queue depth and wait time.
-func (k *Kernel) statRunq(now hw.Cycles, wait uint64) {
-	if k.Stat == nil {
-		return
-	}
-	k.statReadyWait.Observe(now, wait)
-	if k.cpu < len(k.statRunqDepth) {
-		k.statRunqDepth[k.cpu].Set(now, uint64(k.runq[k.cpu].count))
-	}
-}
-
 // statObjects registers the kernel-wide live object-count samplers.
 func (k *Kernel) statObjects() {
 	r := k.Stat
@@ -217,21 +108,28 @@ func (k *Kernel) statObjects() {
 	})
 }
 
-// statDevices registers the hardware device-model accounting samplers:
-// DMA volume and command/packet counts straight off the hw models.
-func (k *Kernel) statDevices() {
-	r := k.Stat
-	if ahci := k.Plat.AHCI; ahci != nil {
+// newStatRegistry creates a registry for the platform and registers the
+// hardware device-model samplers: DMA volume and command/packet counts
+// straight off the hw models.
+func newStatRegistry(plat *hw.Platform, epochLen hw.Cycles) *stat.Registry {
+	cost := plat.Cost
+	r := stat.New(stat.Meta{
+		Model:   cost.Model.String(),
+		FreqMHz: cost.FreqMHz,
+		NumCPUs: len(plat.CPUs),
+	}, epochLen)
+	if ahci := plat.AHCI; ahci != nil {
 		r.RegisterSampler("hw_ahci_commands", func() uint64 { return ahci.Stats.Commands })
 		r.RegisterSampler("hw_ahci_dma_bytes", func() uint64 { return ahci.Stats.DMABytes })
 		r.RegisterSampler("hw_ahci_irqs", func() uint64 { return ahci.Stats.IRQs })
 	}
-	if nic := k.Plat.NIC; nic != nil {
+	if nic := plat.NIC; nic != nil {
 		r.RegisterSampler("hw_nic_rx_packets", func() uint64 { return nic.Stats.PacketsReceived })
 		r.RegisterSampler("hw_nic_rx_bytes", func() uint64 { return nic.Stats.BytesReceived })
 		r.RegisterSampler("hw_nic_irqs", func() uint64 { return nic.Stats.IRQs })
 		r.RegisterSampler("hw_nic_dropped", func() uint64 { return nic.Stats.PacketsDropped })
 	}
+	return r
 }
 
 // AttachStats enables resource accounting with the given virtual-time
@@ -243,19 +141,10 @@ func (k *Kernel) statDevices() {
 // nocharge: observability plumbing; attaching the registry models no
 // hardware work and must not move the clocks (zero-perturbation rule).
 func (k *Kernel) AttachStats(epochLen hw.Cycles) *stat.Registry {
-	cost := k.Plat.Cost
-	r := stat.New(stat.Meta{
-		Model:   cost.Model.String(),
-		FreqMHz: cost.FreqMHz,
-		NumCPUs: len(k.Plat.CPUs),
-	}, epochLen)
+	r := newStatRegistry(k.Plat, epochLen)
 	k.Stat = r
-	k.statIPCLatency = r.Histogram("kernel_ipc_latency_cycles")
-	k.statReadyWait = r.Histogram("kernel_ready_wait_cycles")
-	k.statRunqDepth = k.statRunqDepth[:0]
 	for cpu := range k.Plat.CPUs {
-		k.statRunqDepth = append(k.statRunqDepth,
-			r.Gauge(stat.Name("kernel_runq_depth", "cpu", fmt.Sprintf("%d", cpu))))
+		r.AddCPU(cpu)
 	}
 	for _, pd := range k.pds {
 		k.attachStatPD(pd)
@@ -264,6 +153,5 @@ func (k *Kernel) AttachStats(epochLen hw.Cycles) *stat.Registry {
 		k.attachStatEC(ec)
 	}
 	k.statObjects()
-	k.statDevices()
 	return r
 }

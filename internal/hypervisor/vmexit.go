@@ -32,27 +32,8 @@ func (k *Kernel) dispatchExit(ec *EC, exit *x86.VMExit) error {
 		return k.killVM(ec, fmt.Sprintf("malformed VM exit reason %d", exit.Reason))
 	}
 	v := ec.VCPU
-	v.Exits[exit.Reason]++
-	k.Stats.VMExits[exit.Reason]++
-	t0 := k.Now()
-	k.Tracer.Emit(k.cpu, t0, trace.KindVMExit, uint64(exit.Reason), uint64(v.State.EIP), uint64(ec.ID), 0)
-	k.Tracer.CountExit(exit.Reason)
+	w := k.exitBegin(ec, exit.Reason, 0)
 	cost := k.Plat.Cost
-
-	// Capture the faulting instruction's linear address before the
-	// VMM's reply can rewrite EIP: the profiler attributes the whole
-	// exit window to the instruction that took the exit.
-	var profRIP uint32
-	var profDef32 bool
-	if k.Prof != nil {
-		profRIP = v.State.Seg[x86.CS].Base + v.State.EIP
-		profDef32 = v.State.Seg[x86.CS].Def32
-	}
-
-	// World switch guest -> host (+ the TLB flush if untagged; the
-	// refill cost then emerges from subsequent misses).
-	k.charge(cost.VMTransitCost(k.tagged()))
-	v.Env.FlushOnWorldSwitch()
 
 	// vTLB-related intercepts never leave the kernel (§8.4: "all
 	// virtualization events, except for those related to the virtual
@@ -60,11 +41,7 @@ func (k *Kernel) dispatchExit(ec *EC, exit *x86.VMExit) error {
 	if v.Shadow != nil && k.handleVTLBExit(ec, exit) {
 		v.Env.FlushOnWorldSwitch()
 		k.charge(cost.VMTransitCost(k.tagged()) / 8) // resume tail
-		end := k.Now()
-		k.Tracer.Emit(k.cpu, end, trace.KindVMResume, uint64(exit.Reason), uint64(end-t0), uint64(ec.ID), 0)
-		k.Tracer.ObserveExit(uint64(end - t0))
-		v.stats.exit(exit.Reason, end, uint64(end-t0))
-		k.profExit(ec, profRIP, profDef32, end-t0)
+		k.exitEnd(w)
 		return nil
 	}
 
@@ -114,12 +91,45 @@ func (k *Kernel) dispatchExit(ec *EC, exit *x86.VMExit) error {
 		v.WindowWanted = true
 	}
 	v.Env.FlushOnWorldSwitch()
-	end := k.Now()
-	k.Tracer.Emit(k.cpu, end, trace.KindVMResume, uint64(exit.Reason), uint64(end-t0), uint64(ec.ID), 0)
-	k.Tracer.ObserveExit(uint64(end - t0))
-	v.stats.exit(exit.Reason, end, uint64(end-t0))
-	k.profExit(ec, profRIP, profDef32, end-t0)
+	k.exitEnd(w)
 	return nil
+}
+
+// exitWindow is one VM exit in flight. rip/def32 locate the exiting
+// instruction, captured before the VMM's reply can rewrite EIP: the
+// profiler attributes the whole window to it.
+type exitWindow struct {
+	ec     *EC
+	reason x86.ExitReason
+	t0     hw.Cycles
+	rip    uint32
+	def32  bool
+}
+
+// exitBegin opens a VM exit on every path (vTLB-consumed, portal, host
+// interrupt; vec is the host vector of an external-interrupt exit) and
+// charges the guest→host world switch. The exit runs on ec's dispatch,
+// so recording it also counts it in the vCPU's Exits.
+func (k *Kernel) exitBegin(ec *EC, reason x86.ExitReason, vec uint64) exitWindow {
+	v := ec.VCPU
+	w := exitWindow{ec: ec, reason: reason, t0: k.Now()}
+	if k.Prof != nil {
+		w.rip = v.State.Seg[x86.CS].Base + v.State.EIP
+		w.def32 = v.State.Seg[x86.CS].Def32
+	}
+	k.Record(trace.KindVMExit, uint64(reason), uint64(v.State.EIP), uint64(ec.ID), vec)
+	// World switch guest -> host (+ the TLB flush if untagged; the
+	// refill cost then emerges from subsequent misses).
+	k.charge(k.Plat.Cost.VMTransitCost(k.tagged()))
+	v.Env.FlushOnWorldSwitch()
+	return w
+}
+
+// exitEnd closes a VM exit: the guest resumes.
+func (k *Kernel) exitEnd(w exitWindow) {
+	dur := k.Now() - w.t0
+	k.Record(trace.KindVMResume, uint64(w.reason), uint64(dur), uint64(w.ec.ID), 0)
+	k.profExit(w.ec, w.rip, w.def32, dur)
 }
 
 // handleVTLBExit processes CR accesses and INVLPG for shadow-paging
@@ -140,25 +150,19 @@ func (k *Kernel) handleVTLBExit(ec *EC, exit *x86.VMExit) bool {
 				if flush {
 					v.Shadow.Flush()
 					tlb.FlushTag(ec.PD.Tag)
-					k.Stats.VTLBFlushes++
-					k.Tracer.Emit(k.cpu, k.Now(), trace.KindVTLBFlush, 0, uint64(ec.ID), 0, 0)
-					v.stats.flush(k.Now())
+					k.Record(trace.KindVTLBFlush, 0, uint64(ec.ID), 0, 0)
 				}
 			case 3:
 				v.State.CR3 = exit.CRVal
 				v.Shadow.Flush()
 				tlb.FlushTag(ec.PD.Tag)
-				k.Stats.VTLBFlushes++
-				k.Tracer.Emit(k.cpu, k.Now(), trace.KindVTLBFlush, 3, uint64(ec.ID), 0, 0)
-				v.stats.flush(k.Now())
+				k.Record(trace.KindVTLBFlush, 3, uint64(ec.ID), 0, 0)
 				k.charge(hw.Cycles(v.Shadow.Len()) / 4)
 			case 4:
 				v.State.CR4 = exit.CRVal
 				v.Shadow.Flush()
 				tlb.FlushTag(ec.PD.Tag)
-				k.Stats.VTLBFlushes++
-				k.Tracer.Emit(k.cpu, k.Now(), trace.KindVTLBFlush, 4, uint64(ec.ID), 0, 0)
-				v.stats.flush(k.Now())
+				k.Record(trace.KindVTLBFlush, 4, uint64(ec.ID), 0, 0)
 			case 2:
 				v.State.CR2 = exit.CRVal
 			}
@@ -184,7 +188,7 @@ func (k *Kernel) handleVTLBExit(ec *EC, exit *x86.VMExit) bool {
 		k.charge(6 * cost.VMRead)
 		v.Shadow.Invalidate(exit.Linear)
 		tlb.FlushVA(ec.PD.Tag, exit.Linear)
-		k.Tracer.Emit(k.cpu, k.Now(), trace.KindVTLBFlush, 0xff, uint64(ec.ID), uint64(exit.Linear), 0)
+		k.Record(trace.KindVTLBFlush, trace.CauseINVLPG, uint64(ec.ID), uint64(exit.Linear), 0)
 		v.State.EIP += uint32(exit.InstLen)
 		return true
 	default:
@@ -225,33 +229,19 @@ func (k *Kernel) handleHostInterrupts(guest *EC) {
 		if !ok {
 			return
 		}
-		k.Stats.HostInterrupts++
-		cost := k.Plat.Cost
-		t0 := k.Now()
+		var w exitWindow
 		preempted := ^uint64(0) // the kernel/idle loop was interrupted
-		var profRIP uint32
-		var profDef32 bool
 		if guest != nil {
 			preempted = uint64(guest.ID)
-			if k.Prof != nil {
-				st := &guest.VCPU.State
-				profRIP = st.Seg[x86.CS].Base + st.EIP
-				profDef32 = st.Seg[x86.CS].Def32
-			}
-			guest.VCPU.Exits[x86.ExitExternalInterrupt]++
-			k.Stats.VMExits[x86.ExitExternalInterrupt]++
 			// The exit record carries the host vector and the preempted
 			// vCPU's identity, so external-interrupt exits are
 			// distinguishable from each other and from synchronous ones.
-			k.Tracer.Emit(k.cpu, t0, trace.KindVMExit, uint64(x86.ExitExternalInterrupt), uint64(guest.VCPU.State.EIP), uint64(guest.ID), uint64(vec))
-			k.Tracer.CountExit(x86.ExitExternalInterrupt)
-			k.charge(cost.VMTransitCost(k.tagged()))
-			guest.VCPU.Env.FlushOnWorldSwitch()
+			w = k.exitBegin(guest, x86.ExitExternalInterrupt, uint64(vec))
 		}
 		// Kernel interrupt path: vector dispatch, EOI at the PIC.
-		k.charge(cost.SyscallEntryExit / 2)
+		k.charge(k.Plat.Cost.SyscallEntryExit / 2)
 		line := vectorToLine(vec)
-		k.Tracer.Emit(k.cpu, k.Now(), trace.KindHostIRQ, uint64(vec), uint64(int64(line)), preempted, 0)
+		k.Record(trace.KindHostIRQ, uint64(vec), uint64(int64(line)), preempted, 0)
 		if line >= 8 {
 			k.Plat.PIC.PortWrite(0xa0, 1, 0x20)
 		}
@@ -267,11 +257,7 @@ func (k *Kernel) handleHostInterrupts(guest *EC) {
 			}
 		}
 		if guest != nil {
-			end := k.Now()
-			k.Tracer.Emit(k.cpu, end, trace.KindVMResume, uint64(x86.ExitExternalInterrupt), uint64(end-t0), uint64(guest.ID), 0)
-			k.Tracer.ObserveExit(uint64(end - t0))
-			guest.VCPU.stats.exit(x86.ExitExternalInterrupt, end, uint64(end-t0))
-			k.profExit(guest, profRIP, profDef32, end-t0)
+			k.exitEnd(w)
 		}
 	}
 }

@@ -320,9 +320,9 @@ func attribKeyFields(k uint64) (kind AttribKind, rip uint32, def32 bool) {
 	return AttribKind(k >> 33), uint32(k), k&(1<<32) != 0
 }
 
-// attribSet aggregates attribution records in sorted parallel slices —
-// the trace.CounterSet idiom — so encoding never iterates a map and
-// output order is deterministic by construction.
+// attribSet aggregates attribution records in sorted parallel slices,
+// so encoding never iterates a map and output order is deterministic
+// by construction.
 type attribSet struct {
 	keys   []uint64
 	counts []uint64

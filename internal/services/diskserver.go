@@ -14,7 +14,6 @@ import (
 	"nova/internal/hw"
 	"nova/internal/hypervisor"
 	"nova/internal/span"
-	"nova/internal/stat"
 	"nova/internal/trace"
 )
 
@@ -54,18 +53,8 @@ type CompletionRecord struct {
 // dedicated communication channel for each VMM").
 type diskClient struct {
 	id          uint64
-	name        string
-	pd          *hypervisor.PD
 	completions []CompletionRecord // the shared-memory ring
 	doorbell    *hypervisor.Semaphore
-	throttled   bool
-	requests    uint64
-
-	// Precomputed per-client metric names (empty until a stat registry
-	// attaches is fine: recording is nil-safe at the registry).
-	statReqs     string
-	statSectors  string
-	statDMABytes string
 }
 
 // DiskServer owns the host AHCI controller and serves virtual-machine
@@ -218,12 +207,7 @@ func (ds *DiskServer) AddClient(clientPD *hypervisor.PD, name string) (*hypervis
 	}
 	ds.nextID++
 	id := ds.nextID
-	cl := &diskClient{
-		id: id, name: name, pd: clientPD, doorbell: bell,
-		statReqs:     stat.Name("disk_server_requests", "client", name),
-		statSectors:  stat.Name("disk_server_sectors", "client", name),
-		statDMABytes: stat.Name("disk_server_dma_bytes", "client", name),
-	}
+	cl := &diskClient{id: id, doorbell: bell}
 	ds.clients[id] = cl
 	pt, err := ds.K.CreatePortal(ds.PD, ds.PD.Caps.AllocSel(), "disk-"+name, id, 0, func(msg *hypervisor.UTCB) error {
 		return ds.handleRequest(cl, msg)
@@ -309,7 +293,6 @@ func (ds *DiskServer) serveRequest(cl *diskClient, msg *hypervisor.UTCB, sp span
 	if outstanding >= ds.MaxOutstanding {
 		// Throttle a client flooding the channel (§4.2).
 		ds.Stats.Throttled++
-		cl.throttled = true
 		msg.Words = []uint64{0}
 		return nil
 	}
@@ -324,19 +307,6 @@ func (ds *DiskServer) serveRequest(cl *diskClient, msg *hypervisor.UTCB, sp span
 		ds.Stats.Throttled++
 		msg.Words = []uint64{0}
 		return nil
-	}
-	cl.requests++
-	ds.Stats.Requests++
-	ds.Stats.Sectors += uint64(req.Count)
-	if r := ds.K.Stat; r != nil {
-		now := ds.K.Now()
-		r.Add(cl.statReqs, now, 1)
-		r.Add(cl.statSectors, now, uint64(req.Count))
-		dma := uint64(0)
-		for _, b := range req.Bufs {
-			dma += uint64(b.Len)
-		}
-		r.Add(cl.statDMABytes, now, dma)
 	}
 	ds.issue(slot, cl, req, sp)
 	msg.Words = []uint64{1}
@@ -376,7 +346,9 @@ func (ds *DiskServer) issue(slot int, cl *diskClient, req DiskRequest, sp span.I
 	binary.LittleEndian.PutUint16(cfis[12:], uint16(req.Count))
 	mem.WriteBytes(hw.PhysAddr(ctba), cfis[:])
 	// PRDT pointing at the client's buffers.
+	dma := uint64(0)
 	for i, b := range req.Bufs {
+		dma += uint64(b.Len)
 		base := ctba + 0x80 + uint64(i)*16
 		mem.Write32(hw.PhysAddr(base), uint32(b.HPA))
 		mem.Write32(hw.PhysAddr(base+4), uint32(b.HPA>>32))
@@ -388,16 +360,30 @@ func (ds *DiskServer) issue(slot int, cl *diskClient, req DiskRequest, sp span.I
 		}
 	}
 	ds.inflight[slot] = &pendingReq{client: cl, req: req, span: sp}
-	ds.K.Tracer.Emit(ds.K.CurCPU(), ds.K.Now(), trace.KindDiskIssue, uint64(req.Op), req.LBA, uint64(req.Count), uint64(slot))
+	ds.record(trace.KindDiskIssue, uint64(req.Op), req.LBA, uint64(req.Count), uint64(slot)|dma<<8)
 	ds.mmioWrite(portCI, 1<<uint(slot))
+}
+
+// record is the disk server's one probe: it counts the event in Stats
+// and hands it to the kernel's record path.
+func (ds *DiskServer) record(kind trace.Kind, a0, a1, a2, a3 uint64) {
+	switch kind {
+	case trace.KindDiskIssue:
+		ds.Stats.Requests++
+		ds.Stats.Sectors += a2
+	case trace.KindDiskIRQ:
+		ds.Stats.IRQs++
+	default:
+		// The other kinds have no server counter.
+	}
+	ds.K.Record(kind, a0, a1, a2, a3)
 }
 
 // handleIRQ is the interrupt EC body (Figure 4, steps 6-7): it drains
 // completed slots, writes completion records and rings each client's
 // doorbell.
 func (ds *DiskServer) handleIRQ() {
-	ds.Stats.IRQs++
-	ds.K.Stat.Add("disk_server_irqs", ds.K.Now(), 1)
+	ds.record(trace.KindDiskIRQ, 0, 0, 0, 0)
 	is := ds.mmioRead(portIS)
 	ds.mmioWrite(portIS, is) // acknowledge at the device
 	ds.mmioWrite(regIS, 1)
@@ -413,7 +399,7 @@ func (ds *DiskServer) handleIRQ() {
 		if ok {
 			okBit = 1
 		}
-		ds.K.Tracer.Emit(ds.K.CurCPU(), ds.K.Now(), trace.KindDiskDone, p.req.Cookie, okBit, p.client.id, 0)
+		ds.record(trace.KindDiskDone, p.req.Cookie, okBit, p.client.id, 0)
 		// The span surfaces in the server segment for the drain, then
 		// queues again until the client's completion EC is dispatched.
 		ds.K.Spans.Transition(ds.K.CurCPU(), ds.K.Now(), p.span, span.SegServer)

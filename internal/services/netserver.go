@@ -7,7 +7,6 @@ import (
 	"nova/internal/hw"
 	"nova/internal/hypervisor"
 	"nova/internal/span"
-	"nova/internal/stat"
 	"nova/internal/trace"
 )
 
@@ -54,16 +53,9 @@ type NetServer struct {
 }
 
 type netClient struct {
-	name     string
-	pd       *hypervisor.PD
 	doorbell *hypervisor.Semaphore
 	queue    [][]byte
 	spans    []span.ID // parallel to queue: the frame's RX span
-
-	// Precomputed per-client metric names (recording is nil-safe at the
-	// registry, so these are always set).
-	statPkts  string
-	statBytes string
 }
 
 const netBufSize = 2048
@@ -161,11 +153,7 @@ func (ns *NetServer) AddClient(pd *hypervisor.PD, name string) (uint64, *hypervi
 		return 0, nil, err
 	}
 	ns.nextID++
-	ns.clients[ns.nextID] = &netClient{
-		name: name, pd: pd, doorbell: bell,
-		statPkts:  stat.Name("net_server_delivered_packets", "client", name),
-		statBytes: stat.Name("net_server_delivered_bytes", "client", name),
-	}
+	ns.clients[ns.nextID] = &netClient{doorbell: bell}
 	return ns.nextID, bell, nil
 }
 
@@ -194,11 +182,26 @@ func (ns *NetServer) Receive(clientID uint64) [][]byte {
 	return pkts
 }
 
+// record is the network server's one probe: it counts the event in
+// Stats and hands it to the kernel's record path.
+func (ns *NetServer) record(kind trace.Kind, a0, a1, a2, a3 uint64) {
+	switch kind {
+	case trace.KindNetRX:
+		ns.Stats.Packets++
+		ns.Stats.Bytes += a0
+		ns.Stats.Delivered += a1
+	case trace.KindNetIRQ:
+		ns.Stats.IRQs++
+	default:
+		// The other kinds have no server counter.
+	}
+	ns.K.Record(kind, a0, a1, a2, a3)
+}
+
 // handleIRQ is the interrupt EC: harvest DD descriptors, copy out the
 // payloads, return the slots, ring client doorbells.
 func (ns *NetServer) handleIRQ() {
-	ns.Stats.IRQs++
-	ns.K.Stat.Add("net_server_irqs", ns.K.Now(), 1)
+	ns.record(trace.KindNetIRQ, 0, 0, 0, 0)
 	ns.mmioRead(0x00c0) // ICR read-to-clear
 	mem := ns.K.Plat.Mem
 	delivered := map[*netClient]bool{}
@@ -216,8 +219,6 @@ func (ns *NetServer) handleIRQ() {
 			ns.Stats.Truncated++
 		}
 		pkt := mem.ReadBytes(hw.PhysAddr(ns.bufBase+uint64(ns.head)*netBufSize), length)
-		ns.Stats.Packets++
-		ns.Stats.Bytes += uint64(length)
 		// The harvested frame is a request origin. One span per frame,
 		// assigned before the client fan-out loop (the map iteration
 		// order must never influence span ID assignment).
@@ -237,16 +238,10 @@ func (ns *NetServer) handleIRQ() {
 				cl.spans = append(cl.spans, sp)
 				ns.spanRefs[sp]++
 			}
-			ns.Stats.Delivered++
 			nDelivered++
 			delivered[cl] = true
-			if r := ns.K.Stat; r != nil {
-				now := ns.K.Now()
-				r.Add(cl.statPkts, now, 1)
-				r.Add(cl.statBytes, now, uint64(length))
-			}
 		}
-		ns.K.Tracer.Emit(ns.K.CurCPU(), ns.K.Now(), trace.KindNetRX, uint64(length), nDelivered, 0, 0)
+		ns.record(trace.KindNetRX, uint64(length), nDelivered, 0, 0)
 		if sp != 0 {
 			if nDelivered == 0 {
 				// Every client backlogged: the frame is dropped.

@@ -176,6 +176,8 @@ type Registry struct {
 	metrics  []*Metric          // registration order
 	index    map[string]*Metric // lookup only — never ranged
 	samplers []sampler          // registration order
+
+	fold foldState
 }
 
 // DefaultEpochLen is the epoch length used when none is given: one
@@ -189,11 +191,13 @@ func New(meta Meta, epochLen hw.Cycles) *Registry {
 		epochLen = DefaultEpochLen
 	}
 	meta.EpochLen = uint64(epochLen)
-	return &Registry{
+	r := &Registry{
 		Meta:     meta,
 		epochLen: epochLen,
 		index:    make(map[string]*Metric),
 	}
+	r.initFold()
+	return r
 }
 
 // EpochLen returns the registry's epoch length in virtual cycles.
@@ -240,15 +244,6 @@ func (r *Registry) Histogram(name string) Histogram {
 		return Histogram{}
 	}
 	return Histogram{m: r.metric(name, KindHistogram)}
-}
-
-// Add accumulates n into the named counter at virtual time now: the
-// convenience form for low-rate call sites that don't cache a handle.
-func (r *Registry) Add(name string, now hw.Cycles, n uint64) {
-	if r == nil {
-		return
-	}
-	Counter{m: r.metric(name, KindCounter)}.Add(now, n)
 }
 
 // RegisterSampler registers a pull-mode metric: fn is invoked once per

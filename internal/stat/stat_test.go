@@ -19,7 +19,6 @@ func TestNilSafety(t *testing.T) {
 	r.Counter("a").Add(1, 1)
 	r.Gauge("b").Set(2, 2)
 	r.Histogram("c").Observe(3, 3)
-	r.Add("d", 4, 4)
 	r.RegisterSampler("e", func() uint64 { return 5 })
 	if r.Snapshot(100) != nil {
 		t.Fatal("nil registry snapshot should be nil")
@@ -177,7 +176,7 @@ func TestDoubleSnapshotByteIdentity(t *testing.T) {
 	build := func() []byte {
 		r := New(testMeta(), 64)
 		for i := 0; i < 100; i++ {
-			r.Add(Name("c", "i", string(rune('a'+i%5))), hw.Cycles(i*13), uint64(i))
+			r.Counter(Name("c", "i", string(rune('a'+i%5)))).Add(hw.Cycles(i*13), uint64(i))
 		}
 		r.Histogram("h").Observe(700, 42)
 		b, err := r.Snapshot(1300).Encode()

@@ -125,25 +125,12 @@ type RingStatus struct {
 // Metrics is the counters-and-histograms section of a trace.
 type Metrics struct {
 	Exits           []NamedCount  `json:"exits,omitempty"` // reason order, non-zero only
-	VTLBHits        uint64        `json:"vtlb_hits"`
 	VTLBMisses      uint64        `json:"vtlb_misses"`
-	Counters        []NamedCount  `json:"counters,omitempty"` // name order
 	Rings           []RingStatus  `json:"rings,omitempty"` // CPU order
 	IPCLatency      HistogramData `json:"ipc_latency"`
 	DispatchLatency HistogramData `json:"dispatch_latency"`
 	ExitLatency     HistogramData `json:"exit_latency"`
 	VTLBFill        HistogramData `json:"vtlb_fill"`
-}
-
-// Truncated reports whether any per-CPU ring overwrote events: the
-// window the events cover is then shorter than the run, while the
-// counters and histograms still cover everything.
-func (m *Metrics) Truncated() uint64 {
-	var n uint64
-	for _, r := range m.Rings {
-		n += r.Overwritten
-	}
-	return n
 }
 
 // MetricsData snapshots the tracer's counters and histograms.
@@ -152,7 +139,6 @@ func (t *Tracer) MetricsData() Metrics {
 		return Metrics{}
 	}
 	m := Metrics{
-		VTLBHits:        t.VTLBHits,
 		VTLBMisses:      t.VTLBMisses,
 		IPCLatency:      t.IPCLatency.Data(),
 		DispatchLatency: t.DispatchLatency.Data(),
@@ -169,9 +155,6 @@ func (t *Tracer) MetricsData() Metrics {
 		}
 		m.Exits = append(m.Exits, NamedCount{Name: name, Count: n})
 	}
-	t.Counters.Each(func(name string, v uint64) {
-		m.Counters = append(m.Counters, NamedCount{Name: name, Count: v})
-	})
 	for cpu, r := range t.rings {
 		m.Rings = append(m.Rings, RingStatus{
 			CPU: cpu, Capacity: r.Cap(), Live: r.Len(), Overwritten: r.Overwritten(),

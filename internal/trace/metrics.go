@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
 // NumBuckets is the number of log2 histogram buckets: bucket 0 counts
 // the value 0, bucket i (i >= 1) counts values in [2^(i-1), 2^i - 1].
@@ -32,7 +29,7 @@ func BucketBounds(i int) (lo, hi uint64) {
 
 // Observe records one value.
 func (h *Histogram) Observe(v uint64) {
-	h.Buckets[BucketIndex(v)]++
+	h.Buckets[BucketIndex(v)]++ // sanitized: bits.Len64 is at most 64 and there are 65 buckets
 	if h.Count == 0 || v < h.Min {
 		h.Min = v
 	}
@@ -42,54 +39,3 @@ func (h *Histogram) Observe(v uint64) {
 	h.Count++
 	h.Sum += v
 }
-
-// Mean returns the average observed value (0 if empty).
-func (h *Histogram) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
-// CounterSet is a collection of named counters kept in sorted name
-// order, so serialization never iterates a map. The zero value is
-// ready to use.
-type CounterSet struct {
-	names  []string
-	values []uint64
-}
-
-// Add adds n to the named counter, creating it at its sorted position
-// on first use.
-func (c *CounterSet) Add(name string, n uint64) {
-	i := sort.SearchStrings(c.names, name)
-	if i < len(c.names) && c.names[i] == name {
-		c.values[i] += n
-		return
-	}
-	c.names = append(c.names, "")
-	copy(c.names[i+1:], c.names[i:])
-	c.names[i] = name
-	c.values = append(c.values, 0)
-	copy(c.values[i+1:], c.values[i:])
-	c.values[i] = n
-}
-
-// Get returns the named counter's value (0 if absent).
-func (c *CounterSet) Get(name string) uint64 {
-	i := sort.SearchStrings(c.names, name)
-	if i < len(c.names) && c.names[i] == name {
-		return c.values[i]
-	}
-	return 0
-}
-
-// Each calls f for every counter in name order.
-func (c *CounterSet) Each(f func(name string, value uint64)) {
-	for i, name := range c.names {
-		f(name, c.values[i])
-	}
-}
-
-// Len returns the number of distinct counters.
-func (c *CounterSet) Len() int { return len(c.names) }

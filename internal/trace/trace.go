@@ -46,13 +46,15 @@ const (
 	// A0=caller PD id.
 	KindHypercall
 	// KindIPCCall: a portal traversal began (SC donation, Figure 3).
-	// A0=portal uid, A1=payload words, A2=1 if cross-address-space.
+	// A0=portal uid, A1=payload words, A2=1 if cross-address-space,
+	// A3=caller PD id.
 	KindIPCCall
 	// KindIPCReply: the portal's reply capability was invoked.
 	// A0=portal uid, A1=call-to-reply cycles, A2=1 if cross-AS.
 	KindIPCReply
 	// KindSchedDispatch: the scheduler dispatched an SC.
-	// A0=EC id, A1=priority, A2=cycles the SC waited in the runqueue.
+	// A0=EC id, A1=priority, A2=cycles the SC waited in the runqueue,
+	// A3=ready-queue depth left behind.
 	KindSchedDispatch
 	// KindSemUp: semaphore up. A0=semaphore id, A1=1 if a waiter woke.
 	KindSemUp
@@ -63,7 +65,8 @@ const (
 	// (§7.5). A0=target EC id.
 	KindRecall
 	// KindInject: a virtual interrupt was delivered into the guest.
-	// A0=vector, A1=EC id.
+	// A0=vector, A1=EC id, A2=1 if delivered directly from the platform
+	// PIC without an exit (NoExitDelivery), 0 if injected by the kernel.
 	KindInject
 	// KindHostIRQ: a host interrupt was acknowledged and routed.
 	// A0=host vector, A1=IRQ line (two's complement -1 if spurious),
@@ -73,8 +76,9 @@ const (
 	// A0=guest-virtual address, A1=fill cycles, A2=EC id.
 	KindVTLBFill
 	// KindVTLBFlush: the shadow page table was flushed or pruned.
-	// A0=cause (CR number, or 0xff for INVLPG), A1=EC id, A2=linear
-	// address (INVLPG only).
+	// A0=cause (CR number, or CauseINVLPG), A1=EC id, A2=linear
+	// address (INVLPG only). Only CR causes count as flushes; an
+	// INVLPG prunes one page.
 	KindVTLBFlush
 
 	// VMM layer.
@@ -102,21 +106,46 @@ const (
 	// Server layer.
 
 	// KindDiskIssue: the disk server programmed the host controller
-	// (Figure 4, step 4). A0=op, A1=LBA, A2=sector count, A3=host slot.
+	// (Figure 4, step 4). A0=op, A1=LBA, A2=sector count, A3=host slot
+	// in the low 8 bits and the client's DMA buffer bytes above them.
 	KindDiskIssue
 	// KindDiskDone: the disk server's interrupt EC retired a slot and
 	// wrote the completion record (Figure 4, step 6). A0=client cookie,
 	// A1=1 if OK, A2=client id.
 	KindDiskDone
 	// KindNetRX: the network server harvested one received packet.
-	// A0=length in bytes, A1=1 if delivered to at least one client.
+	// A0=length in bytes, A1=number of clients it was delivered to.
 	KindNetRX
+
+	// Aggregate-only kinds: facts with no place on the timeline. Every
+	// sink folds them, but no ring stores them.
+
+	// KindSchedRan: a dispatched vCPU gave its CPU back to the
+	// scheduler. A0=EC id, A1=cycles it consumed.
+	KindSchedRan
+	// KindHalt: the VMM handled a guest HLT exit. A0=vCPU index.
+	KindHalt
+	// KindArmInject: the VMM queued a virtual interrupt for a vCPU.
+	// A0=vector, A1=1 if sent as an inter-processor interrupt (0 = on
+	// an exit reply).
+	KindArmInject
+	// KindDiskIRQ: the disk server's interrupt EC ran.
+	KindDiskIRQ
+	// KindNetIRQ: the network server's interrupt EC ran.
+	KindNetIRQ
 )
 
-// NumKinds sizes per-kind tables.
-const NumKinds = int(KindNetRX) + 1
+// CauseINVLPG is the KindVTLBFlush cause of a single-page INVLPG prune.
+const CauseINVLPG = 0xff
 
-var kindNames = [NumKinds]string{
+// NumKinds counts the ring kinds, the ones a trace file stores and
+// names; NumAllKinds adds the aggregate-only kinds.
+const (
+	NumKinds    = int(KindNetRX) + 1
+	NumAllKinds = int(KindNetIRQ) + 1
+)
+
+var kindNames = [NumAllKinds]string{
 	KindNone:          "none",
 	KindVMExit:        "vm-exit",
 	KindVMResume:      "vm-resume",
@@ -140,19 +169,24 @@ var kindNames = [NumKinds]string{
 	KindDiskIssue:     "disk-issue",
 	KindDiskDone:      "disk-done",
 	KindNetRX:         "net-rx",
+	KindSchedRan:      "sched-ran",
+	KindHalt:          "halt",
+	KindArmInject:     "arm-inject",
+	KindDiskIRQ:       "disk-irq",
+	KindNetIRQ:        "net-irq",
 }
 
 func (k Kind) String() string {
-	if int(k) < NumKinds {
+	if int(k) < NumAllKinds {
 		return kindNames[k]
 	}
 	return "kind?"
 }
 
-// KindNames returns the kind-name table in kind order (for Meta).
+// KindNames returns the ring kinds' name table in kind order (for Meta).
 func KindNames() []string {
 	names := make([]string, NumKinds)
-	copy(names, kindNames[:])
+	copy(names, kindNames[:NumKinds])
 	return names
 }
 
@@ -198,15 +232,18 @@ func (r *Ring) Cap() int { return len(r.buf) }
 func (r *Ring) Len() int { return r.n }
 
 // Overwritten returns how many RECORDS were dropped to make room. The
-// counter is bumped once per overwritten record inside push, not once
+// counter is bumped once per overwritten record inside Push, not once
 // per emission call, so multi-record emissions (a span open emits an
 // open record plus its initial segment record) account every dropped
 // record individually. The invariant Overwritten() == seq - Len() is
 // checked by the ring regression test.
 func (r *Ring) Overwritten() uint64 { return r.over }
 
-// push appends an event, overwriting the oldest if full.
-func (r *Ring) push(now hw.Cycles, k Kind, a0, a1, a2, a3 uint64) {
+// Push appends one record, overwriting the oldest if full. The span
+// recorder in internal/span reuses rings with its own kind space and
+// calls it once per record, so overwrite accounting stays
+// record-granular.
+func (r *Ring) Push(now hw.Cycles, k Kind, a0, a1, a2, a3 uint64) {
 	if r.n == len(r.buf) {
 		r.over++
 	}
@@ -219,15 +256,6 @@ func (r *Ring) push(now hw.Cycles, k Kind, a0, a1, a2, a3 uint64) {
 	if r.n < len(r.buf) {
 		r.n++
 	}
-}
-
-// Push appends one record to the ring. It exists for external recorders
-// that reuse the ring machinery with their own kind space (the
-// request-span recorder in internal/span); emissions of several records
-// call it once per record, so overwrite accounting stays
-// record-granular.
-func (r *Ring) Push(now hw.Cycles, k Kind, a0, a1, a2, a3 uint64) {
-	r.push(now, k, a0, a1, a2, a3)
 }
 
 // Events returns the live events oldest-first.
@@ -246,18 +274,16 @@ func (r *Ring) Events() []Event {
 // Tracer is the per-platform trace and metrics sink. All methods are
 // nil-safe so instrumented code needs no enablement checks: a nil
 // *Tracer means tracing is off and every call is a two-instruction
-// no-op.
+// no-op. The aggregates below are folded from the emitted events, so
+// they stay exact when a ring wraps.
 type Tracer struct {
 	Meta  Meta
 	rings []*Ring
 
 	// ExitCounts counts VM exits by reason (indexed by x86.ExitReason).
 	ExitCounts [x86.NumExitReasons]uint64
-	// VTLBHits/VTLBMisses count shadow-page-table hits and fills.
-	VTLBHits   uint64
+	// VTLBMisses counts vTLB misses (shadow fills).
 	VTLBMisses uint64
-	// Counters holds ad-hoc named counters (per-device MMIO counts …).
-	Counters CounterSet
 
 	// Latency histograms, log2-bucketed, in cycles.
 	IPCLatency      Histogram // portal call to reply
@@ -277,76 +303,32 @@ func New(meta Meta, cpus, capacity int) *Tracer {
 	return t
 }
 
-// Emit records one event on cpu's ring at virtual time now.
+// Emit folds one event into the tracer's aggregates and, for ring
+// kinds, records it on cpu's ring at virtual time now.
 func (t *Tracer) Emit(cpu int, now hw.Cycles, k Kind, a0, a1, a2, a3 uint64) {
 	if t == nil || cpu < 0 || cpu >= len(t.rings) {
 		return
 	}
-	t.rings[cpu].push(now, k, a0, a1, a2, a3)
-}
-
-// CountExit bumps the typed per-reason VM-exit counter.
-func (t *Tracer) CountExit(reason x86.ExitReason) {
-	if t == nil || reason < 0 || int(reason) >= x86.NumExitReasons {
-		return
+	switch k {
+	case KindVMExit:
+		if a0 < uint64(len(t.ExitCounts)) {
+			t.ExitCounts[a0]++
+		}
+	case KindVMResume:
+		t.ExitLatency.Observe(a1)
+	case KindIPCReply:
+		t.IPCLatency.Observe(a1)
+	case KindSchedDispatch:
+		t.DispatchLatency.Observe(a2)
+	case KindVTLBFill:
+		t.VTLBMisses++
+		t.VTLBFill.Observe(a1)
+	default:
+		// The other kinds feed no tracer aggregate.
 	}
-	t.ExitCounts[reason]++
-}
-
-// CountVTLBHit counts a shadow-page-table hit.
-func (t *Tracer) CountVTLBHit() {
-	if t == nil {
-		return
+	if int(k) < NumKinds {
+		t.rings[cpu].Push(now, k, a0, a1, a2, a3)
 	}
-	t.VTLBHits++
-}
-
-// CountVTLBMiss counts a vTLB miss (shadow fill).
-func (t *Tracer) CountVTLBMiss() {
-	if t == nil {
-		return
-	}
-	t.VTLBMisses++
-}
-
-// Count adds n to the named counter.
-func (t *Tracer) Count(name string, n uint64) {
-	if t == nil {
-		return
-	}
-	t.Counters.Add(name, n)
-}
-
-// ObserveIPC records one portal-call round-trip latency.
-func (t *Tracer) ObserveIPC(cycles uint64) {
-	if t == nil {
-		return
-	}
-	t.IPCLatency.Observe(cycles)
-}
-
-// ObserveDispatch records one runqueue-wait latency.
-func (t *Tracer) ObserveDispatch(cycles uint64) {
-	if t == nil {
-		return
-	}
-	t.DispatchLatency.Observe(cycles)
-}
-
-// ObserveExit records one VM-exit handling latency.
-func (t *Tracer) ObserveExit(cycles uint64) {
-	if t == nil {
-		return
-	}
-	t.ExitLatency.Observe(cycles)
-}
-
-// ObserveVTLBFill records one vTLB fill duration.
-func (t *Tracer) ObserveVTLBFill(cycles uint64) {
-	if t == nil {
-		return
-	}
-	t.VTLBFill.Observe(cycles)
 }
 
 // Rings returns the per-CPU rings (index = CPU).

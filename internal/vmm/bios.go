@@ -94,11 +94,9 @@ func (m *VMM) LoadImage(gpa uint64, image []byte) error {
 // biosCall dispatches a BIOS service trap. The vector is recovered from
 // the stub's position: CS=F000, IP = vector*4.
 func (m *VMM) biosCall(msg *hypervisor.UTCB) {
-	m.Stats.BIOSCalls++
-	m.count(m.statNames.bios, 1)
 	vector := uint8(msg.State.EIP / 4)
 	st := &msg.State
-	m.K.Tracer.Emit(m.K.CurCPU(), m.K.Now(), trace.KindBIOSCall, uint64(vector), uint64(st.GPR[x86.EAX]>>8&0xff), 0, 0)
+	m.record(trace.KindBIOSCall, uint64(vector), uint64(st.GPR[x86.EAX]>>8&0xff), 0, 0)
 	switch vector {
 	case 0x10:
 		m.bios10(st)

@@ -21,8 +21,6 @@ const VIPIPort = 0xf2
 // handleIO emulates an intercepted IN/OUT by updating the owning
 // virtual device's state machine (§7.2).
 func (m *VMM) handleIO(msg *hypervisor.UTCB) error {
-	m.Stats.PortIO++
-	m.count(m.statNames.pio, 1)
 	m.K.ChargeUser(m.K.Plat.Cost.DeviceModelUpdate)
 	if m.SabotageIO {
 		// Attack-scenario hook: a compromised VMM crashing in its
@@ -32,10 +30,10 @@ func (m *VMM) handleIO(msg *hypervisor.UTCB) error {
 	e := &msg.Exit
 	if e.In {
 		val := m.portRead(e.Port, e.Size)
-		m.K.Tracer.Emit(m.K.CurCPU(), m.K.Now(), trace.KindPIO, uint64(e.Port), 1, uint64(val), uint64(e.Size))
+		m.record(trace.KindPIO, uint64(e.Port), 1, uint64(val), uint64(e.Size))
 		msg.State.SetReg(x86.EAX, e.Size, val)
 	} else {
-		m.K.Tracer.Emit(m.K.CurCPU(), m.K.Now(), trace.KindPIO, uint64(e.Port), 0, uint64(e.OutVal), uint64(e.Size))
+		m.record(trace.KindPIO, uint64(e.Port), 0, uint64(e.OutVal), uint64(e.Size))
 		switch e.Port {
 		case BIOSTrapPort:
 			m.biosCall(msg)
@@ -57,8 +55,7 @@ func (m *VMM) sendIPI(val uint32) {
 	if target >= len(m.ECs) {
 		return
 	}
-	m.Stats.Injected++
-	m.count(m.statNames.injected, 1)
+	m.record(trace.KindArmInject, uint64(vector), 1, 0, 0)
 	m.K.InjectIRQ(m.PD, m.ECs[target], vector) //nolint:errcheck
 }
 
@@ -110,11 +107,8 @@ func (m *VMM) portWrite(port uint16, size int, val uint32) {
 // mmioRead dispatches an emulated load from a virtual device window.
 func (m *VMM) mmioRead(gpa uint64, size int) (uint32, bool) {
 	if m.vAHCI != nil && gpa >= VAHCIBase && gpa < VAHCIBase+0x1000 {
-		m.Stats.MMIO++
-		m.count(m.statNames.mmio, 1)
 		val := m.vAHCI.MMIORead(uint32(gpa-VAHCIBase), size)
-		m.K.Tracer.Emit(m.K.CurCPU(), m.K.Now(), trace.KindMMIO, gpa, 1, uint64(val), uint64(size))
-		m.K.Tracer.Count("mmio.vahci", 1)
+		m.record(trace.KindMMIO, gpa, 1, uint64(val), uint64(size))
 		return val, true
 	}
 	return 0, false
@@ -123,10 +117,7 @@ func (m *VMM) mmioRead(gpa uint64, size int) (uint32, bool) {
 // mmioWrite dispatches an emulated store to a virtual device window.
 func (m *VMM) mmioWrite(gpa uint64, size int, val uint32) bool {
 	if m.vAHCI != nil && gpa >= VAHCIBase && gpa < VAHCIBase+0x1000 {
-		m.Stats.MMIO++
-		m.count(m.statNames.mmio, 1)
-		m.K.Tracer.Emit(m.K.CurCPU(), m.K.Now(), trace.KindMMIO, gpa, 0, uint64(val), uint64(size))
-		m.K.Tracer.Count("mmio.vahci", 1)
+		m.record(trace.KindMMIO, gpa, 0, uint64(val), uint64(size))
 		m.vAHCI.MMIOWrite(uint32(gpa-VAHCIBase), size, val)
 		return true
 	}

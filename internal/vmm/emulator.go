@@ -103,9 +103,7 @@ func (e *emuEnv) InvalidateTLB(st *x86.CPUState, all bool, va uint32) {}
 // fetch, decode, execute with fixup, write back, advance). It is the
 // handler for EPT-violation (MMIO) exits.
 func (m *VMM) emulate(msg *hypervisor.UTCB) error {
-	m.Stats.Emulated++
-	m.count(m.statNames.emulated, 1)
-	m.K.Tracer.Emit(m.K.CurCPU(), m.K.Now(), trace.KindEmulate, uint64(msg.State.EIP), 0, 0, 0)
+	m.record(trace.KindEmulate, uint64(msg.State.EIP), 0, 0, 0)
 	m.K.ChargeUser(m.K.Plat.Cost.EmulateInstruction)
 	m.K.ProfEmulate(msg.State.Seg[x86.CS].Base+msg.State.EIP, msg.State.Seg[x86.CS].Def32,
 		m.K.Plat.Cost.EmulateInstruction)

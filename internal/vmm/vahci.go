@@ -208,9 +208,7 @@ func (a *VAHCI) issue(slot int) {
 		}
 		a.inflight |= 1 << uint(slot)
 		a.tfd |= 0x80
-		m.Stats.DiskRequests++
-		m.count(m.statNames.diskReqs, 1)
-		m.K.Tracer.Emit(m.K.CurCPU(), m.K.Now(), trace.KindDiskRequest, uint64(op), lba, uint64(count), uint64(slot))
+		m.record(trace.KindDiskRequest, uint64(op), lba, uint64(count), uint64(slot))
 		// The doorbell decode is the request origin: the span opens in
 		// the emulation segment, rides the portal call to the disk
 		// server, and closes when the completion interrupt is armed for
@@ -348,7 +346,7 @@ func (m *VMM) handleDiskCompletions() {
 		if rec.OK {
 			ok = 1
 		}
-		m.K.Tracer.Emit(m.K.CurCPU(), m.K.Now(), trace.KindDiskComplete, rec.Cookie, ok, 0, 0)
+		m.record(trace.KindDiskComplete, rec.Cookie, ok, 0, 0)
 		m.vAHCI.Complete(int(rec.Cookie), rec.OK)
 	}
 }

@@ -20,11 +20,12 @@ import (
 	"nova/internal/hypervisor"
 	"nova/internal/services"
 	"nova/internal/span"
-	"nova/internal/stat"
+	"nova/internal/trace"
 	"nova/internal/x86"
 )
 
-// Stats counts VMM-level activity.
+// Stats counts VMM-level activity, folded from the events the VMM
+// records.
 type Stats struct {
 	Emulated     uint64 // instructions run through the emulator
 	PortIO       uint64
@@ -107,37 +108,35 @@ type VMM struct {
 
 	Stats Stats
 
-	// statNames holds the precomputed per-VM metric names so the hot
-	// emulation paths never format strings; recording through them is
-	// nil-safe (no registry attached → no-op).
-	statNames statNames
-
 	// Sabotage hooks for the attack-scenario examples: when set, the
 	// named handler misbehaves (returns an error, as a crashed VMM
 	// would).
 	SabotageIO bool
 }
 
-// statNames holds the per-VM metric names used by VMM.count, formatted
-// once at construction so emulation hot paths never build strings.
-type statNames struct {
-	emulated string
-	pio      string
-	mmio     string
-	hlts     string
-	injected string
-	diskReqs string
-	bios     string
-}
-
-// count bumps one of the VMM's per-VM resource counters at the current
-// virtual time. Nil-safe: with no stat registry attached to the kernel
-// the call is a no-op, so instrumented paths need no enablement checks.
-func (m *VMM) count(name string, n uint64) {
-	if m.K.Stat == nil {
-		return
+// record is the VMM's one probe: it counts the event in Stats and hands
+// it to the kernel's record path.
+func (m *VMM) record(kind trace.Kind, a0, a1, a2, a3 uint64) {
+	s := &m.Stats
+	switch kind {
+	case trace.KindEmulate:
+		s.Emulated++
+	case trace.KindPIO:
+		s.PortIO++
+	case trace.KindMMIO:
+		s.MMIO++
+	case trace.KindHalt:
+		s.HLTs++
+	case trace.KindArmInject:
+		s.Injected++
+	case trace.KindDiskRequest:
+		s.DiskRequests++
+	case trace.KindBIOSCall:
+		s.BIOSCalls++
+	default:
+		// Completions are not VMM activity counted in Stats.
 	}
-	m.K.Stat.Add(name, m.K.Now(), n)
+	m.K.Record(kind, a0, a1, a2, a3)
 }
 
 // guestExitMTDs selects per-event minimal state transfer (§5.2/§7: the
@@ -181,15 +180,6 @@ func New(k *hypervisor.Kernel, cfg Config) (*VMM, error) {
 		base: uint64(cfg.BasePage) << 12,
 		size: uint64(cfg.MemPages) * hw.PageSize,
 		MSRs: make(map[uint32]uint64),
-		statNames: statNames{
-			emulated: stat.Name("vmm_emulated_instructions", "vm", cfg.Name),
-			pio:      stat.Name("vmm_pio", "vm", cfg.Name),
-			mmio:     stat.Name("vmm_mmio", "vm", cfg.Name),
-			hlts:     stat.Name("vmm_hlts", "vm", cfg.Name),
-			injected: stat.Name("vmm_injections", "vm", cfg.Name),
-			diskReqs: stat.Name("vmm_disk_requests", "vm", cfg.Name),
-			bios:     stat.Name("vmm_bios_calls", "vm", cfg.Name),
-		},
 	}
 
 	// Memory: root -> VMM -> VM at guest-physical 0. The VMM keeps the
@@ -354,8 +344,7 @@ func (m *VMM) armInjection(msg *hypervisor.UTCB) {
 		msg.InjectValid = true
 		msg.InjectVector = vec
 		msg.WindowRequest = true
-		m.Stats.Injected++
-		m.count(m.statNames.injected, 1)
+		m.record(trace.KindArmInject, uint64(vec), 0, 0, 0)
 		m.closeInjectedSpans(vec)
 	}
 }
@@ -398,8 +387,7 @@ func (m *VMM) handleExit(r x86.ExitReason, vcpu int, msg *hypervisor.UTCB) error
 	case x86.ExitIO:
 		err = m.handleIO(msg)
 	case x86.ExitHLT:
-		m.Stats.HLTs++
-		m.count(m.statNames.hlts, 1)
+		m.record(trace.KindHalt, uint64(vcpu), 0, 0, 0)
 		if m.vPIC.HasPending() && msg.State.IF() {
 			m.armInjection(msg)
 			msg.State.EIP += uint32(msg.Exit.InstLen)
