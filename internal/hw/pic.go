@@ -73,6 +73,9 @@ func (p *I8259) notify() {
 // -1. IRQ0 has the highest priority; the slave cascades through IRQ2.
 func (p *I8259) pendingLine() int {
 	avail := p.irr &^ p.imr
+	if avail == 0 {
+		return -1
+	}
 	for line := 0; line < 16; line++ {
 		bit := uint16(1) << uint(line)
 		if avail&bit == 0 {

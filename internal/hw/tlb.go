@@ -1,5 +1,7 @@
 package hw
 
+import "math/bits"
+
 // TLBTag identifies the address-space tag of a TLB entry. On hardware
 // with VPID/ASID support, guest entries carry the VM's tag and survive
 // VM transitions; tag 0 is the host/hypervisor tag. Without tagging
@@ -20,11 +22,6 @@ type TLBEntry struct {
 	Global   bool // survives single-tag flushes (PGE)
 }
 
-type tlbKey struct {
-	tag TLBTag
-	vpn uint32
-}
-
 // TLBStats counts TLB activity; the Figure 5 paging-mode deltas and the
 // "TLB effects" box of Figure 8 derive from these.
 type TLBStats struct {
@@ -43,16 +40,16 @@ type TLBStats struct {
 // large-page entry covers an entire 2M/4M region with a single entry,
 // which is why large host pages lower TLB pressure (Figure 5's "EPT,
 // small pages" bars).
+//
+// Each array is a fixed open-addressed slot table holding entries by
+// value plus a ring of keys in fill order. A full array evicts the key
+// at the oldest ring position whose key is present. Flushes leave ring
+// positions behind, and a flushed key that is filled again is evicted at
+// its oldest surviving position: the victim order, and with it every
+// miss and cycle count, depends on keeping those positions.
 type TLB struct {
-	smallCap int
-	largeCap int
-
-	small map[tlbKey]*TLBEntry
-	large map[tlbKey]*TLBEntry
-
-	// FIFO eviction rings for determinism.
-	smallOrder []tlbKey
-	largeOrder []tlbKey
+	small tlbArray
+	large tlbArray
 
 	largeShift uint // log2 of the large page size (21 for 2M, 22 for 4M)
 
@@ -67,10 +64,8 @@ func NewTLB(smallCap, largeCap int, largePage uint32) *TLB {
 		shift++
 	}
 	return &TLB{
-		smallCap:   smallCap,
-		largeCap:   largeCap,
-		small:      make(map[tlbKey]*TLBEntry, smallCap),
-		large:      make(map[tlbKey]*TLBEntry, largeCap),
+		small:      newTLBArray(smallCap),
+		large:      newTLBArray(largeCap),
 		largeShift: shift,
 	}
 }
@@ -81,13 +76,13 @@ func (t *TLB) LargePageSize() uint32 { return 1 << t.largeShift }
 func (t *TLB) largeVPN(vaddr uint32) uint32 { return vaddr >> t.largeShift }
 
 // Lookup searches for a translation of vaddr under tag. On a hit it
-// returns the entry.
+// returns the entry, which stays valid until the TLB next changes.
 func (t *TLB) Lookup(tag TLBTag, vaddr uint32) (*TLBEntry, bool) {
-	if e, ok := t.large[tlbKey{tag, t.largeVPN(vaddr)}]; ok {
+	if e := t.large.lookup(keyOf(tag, t.largeVPN(vaddr))); e != nil {
 		t.Stats.Hits++
 		return e, true
 	}
-	if e, ok := t.small[tlbKey{tag, vaddr >> 12}]; ok {
+	if e := t.small.lookup(keyOf(tag, vaddr>>12)); e != nil {
 		t.Stats.Hits++
 		return e, true
 	}
@@ -95,43 +90,34 @@ func (t *TLB) Lookup(tag TLBTag, vaddr uint32) (*TLBEntry, bool) {
 	return nil, false
 }
 
-// Insert caches a translation. For large entries, VPN must already be the
-// large-page-aligned virtual page number (vaddr >> largeShift stored as
-// VPN) — use InsertLarge/InsertSmall helpers to avoid mistakes.
-func (t *TLB) insert(m map[tlbKey]*TLBEntry, order *[]tlbKey, capn int, k tlbKey, e *TLBEntry) {
-	if _, exists := m[k]; !exists && len(m) >= capn {
-		// FIFO eviction of the oldest still-present key.
-		for len(*order) > 0 {
-			victim := (*order)[0]
-			*order = (*order)[1:]
-			if _, ok := m[victim]; ok {
-				delete(m, victim)
-				t.Stats.Evictions++
-				break
-			}
+// insert caches e, overwriting the entry of a present key in place.
+func (t *TLB) insert(a *tlbArray, e TLBEntry) {
+	k := keyOf(e.Tag, e.VPN)
+	i, ok := a.find(k)
+	if !ok {
+		if a.n >= a.capn && a.evict() {
+			t.Stats.Evictions++
+			i, _ = a.find(k)
 		}
+		a.order.push(k)
+		a.n++
 	}
-	if _, exists := m[k]; !exists {
-		*order = append(*order, k)
-	}
-	m[k] = e
+	a.slots[i] = tlbSlot{k, e} // sanitized: find returns an index below len(slots)
 	t.Stats.Fills++
 }
 
 // InsertSmall caches a 4K translation for vaddr.
 func (t *TLB) InsertSmall(tag TLBTag, vaddr uint32, pfn uint64, writable, user, global bool) {
-	k := tlbKey{tag, vaddr >> 12}
-	t.insert(t.small, &t.smallOrder, t.smallCap, k, &TLBEntry{
-		Tag: tag, VPN: k.vpn, PFN: pfn, Writable: writable, User: user, Global: global,
+	t.insert(&t.small, TLBEntry{
+		Tag: tag, VPN: vaddr >> 12, PFN: pfn, Writable: writable, User: user, Global: global,
 	})
 }
 
 // InsertLarge caches a large-page translation for vaddr. pfn is the
 // physical frame number of the large frame base (paddr >> 12).
 func (t *TLB) InsertLarge(tag TLBTag, vaddr uint32, pfn uint64, writable, user, global bool) {
-	k := tlbKey{tag, t.largeVPN(vaddr)}
-	t.insert(t.large, &t.largeOrder, t.largeCap, k, &TLBEntry{
-		Tag: tag, VPN: k.vpn, PFN: pfn, Large: true, Writable: writable, User: user, Global: global,
+	t.insert(&t.large, TLBEntry{
+		Tag: tag, VPN: t.largeVPN(vaddr), PFN: pfn, Large: true, Writable: writable, User: user, Global: global,
 	})
 }
 
@@ -153,49 +139,181 @@ func (t *TLB) Translate(tag TLBTag, vaddr uint32) (PhysAddr, *TLBEntry, bool) {
 // the caller choosing FlushAll vs FlushTag).
 func (t *TLB) FlushAll() {
 	t.Stats.FlushAll++
-	t.Stats.FlushedEnt += uint64(len(t.small) + len(t.large))
-	clearMap(t.small)
-	clearMap(t.large)
-	t.smallOrder = t.smallOrder[:0]
-	t.largeOrder = t.largeOrder[:0]
+	t.Stats.FlushedEnt += uint64(t.small.n + t.large.n)
+	t.small.reset()
+	t.large.reset()
 }
 
 // FlushTag drops all non-global entries with the given tag (tagged
 // address-space switch / INVVPID single-context).
 func (t *TLB) FlushTag(tag TLBTag) {
 	t.Stats.FlushTag++
-	for k, e := range t.small {
-		if k.tag == tag && !e.Global {
-			delete(t.small, k)
-			t.Stats.FlushedEnt++
-		}
-	}
-	for k, e := range t.large {
-		if k.tag == tag && !e.Global {
-			delete(t.large, k)
-			t.Stats.FlushedEnt++
-		}
-	}
+	t.Stats.FlushedEnt += t.small.flushTag(tag) + t.large.flushTag(tag)
 }
 
 // FlushVA drops the entry covering vaddr under tag (INVLPG).
 func (t *TLB) FlushVA(tag TLBTag, vaddr uint32) {
 	t.Stats.FlushVA++
-	if _, ok := t.small[tlbKey{tag, vaddr >> 12}]; ok {
-		delete(t.small, tlbKey{tag, vaddr >> 12})
+	if t.small.drop(keyOf(tag, vaddr>>12)) {
 		t.Stats.FlushedEnt++
 	}
-	if _, ok := t.large[tlbKey{tag, t.largeVPN(vaddr)}]; ok {
-		delete(t.large, tlbKey{tag, t.largeVPN(vaddr)})
+	if t.large.drop(keyOf(tag, t.largeVPN(vaddr))) {
 		t.Stats.FlushedEnt++
 	}
 }
 
 // Len returns the number of cached entries.
-func (t *TLB) Len() int { return len(t.small) + len(t.large) }
+func (t *TLB) Len() int { return t.small.n + t.large.n }
 
-func clearMap(m map[tlbKey]*TLBEntry) {
-	for k := range m {
-		delete(m, k)
+// tlbKey packs a tag and a page number. The top bit marks the key of a
+// used slot, so the zero key is an empty slot.
+type tlbKey uint64
+
+func keyOf(tag TLBTag, vpn uint32) tlbKey {
+	return 1<<63 | tlbKey(tag)<<32 | tlbKey(vpn)
+}
+
+type tlbSlot struct {
+	key   tlbKey
+	entry TLBEntry
+}
+
+// tlbArray is one entry array: a linear-probing slot table with at
+// least twice as many slots as entries, so every probe sequence ends at
+// an empty slot, and the ring of keys in fill order.
+type tlbArray struct {
+	slots []tlbSlot
+	shift uint // 64 - log2(len(slots))
+	capn  int
+	n     int // entries present
+	order keyRing
+}
+
+func newTLBArray(capn int) tlbArray {
+	size := 2
+	for size < 2*capn {
+		size <<= 1
 	}
+	return tlbArray{
+		slots: make([]tlbSlot, size),
+		shift: 64 - uint(bits.TrailingZeros(uint(size))),
+		capn:  capn,
+		order: keyRing{buf: make([]tlbKey, size)},
+	}
+}
+
+// home is k's first probe slot (Fibonacci hashing).
+func (a *tlbArray) home(k tlbKey) int {
+	return int(uint64(k) * 0x9e3779b97f4a7c15 >> a.shift)
+}
+
+// find returns the slot holding k and true, or the empty slot that ends
+// k's probe sequence and false.
+func (a *tlbArray) find(k tlbKey) (int, bool) {
+	mask := len(a.slots) - 1
+	for i := a.home(k); ; i = (i + 1) & mask {
+		switch a.slots[i].key {
+		case k:
+			return i, true
+		case 0:
+			return i, false
+		}
+	}
+}
+
+func (a *tlbArray) lookup(k tlbKey) *TLBEntry {
+	if a.n == 0 {
+		return nil
+	}
+	if i, ok := a.find(k); ok {
+		return &a.slots[i].entry // sanitized: find returns an index below len(slots)
+	}
+	return nil
+}
+
+// remove empties slot i by backward-shift deletion: later entries of
+// the same probe run move into the hole when that keeps them reachable
+// from their home slot, so no tombstones are needed.
+func (a *tlbArray) remove(i int) {
+	mask := len(a.slots) - 1
+	for j := (i + 1) & mask; a.slots[j].key != 0; j = (j + 1) & mask {
+		if (j-a.home(a.slots[j].key))&mask >= (j-i)&mask {
+			a.slots[i] = a.slots[j]
+			i = j
+		}
+	}
+	a.slots[i] = tlbSlot{}
+	a.n--
+}
+
+// drop removes k if present.
+func (a *tlbArray) drop(k tlbKey) bool {
+	i, ok := a.find(k)
+	if ok {
+		a.remove(i)
+	}
+	return ok
+}
+
+// evict removes the present key at the oldest ring position; positions
+// of absent keys on the way are consumed.
+func (a *tlbArray) evict() bool {
+	for a.order.n > 0 {
+		if i, ok := a.find(a.order.pop()); ok {
+			a.remove(i)
+			return true
+		}
+	}
+	return false
+}
+
+// flushTag removes the non-global entries of tag, scanning slots in
+// index order, and returns how many it removed. A removal can shift a
+// later entry into the current slot, so that slot is examined again;
+// entries move only toward their home slot, never from an unscanned
+// slot into a scanned one.
+func (a *tlbArray) flushTag(tag TLBTag) uint64 {
+	var dropped uint64
+	for i := 0; i < len(a.slots) && a.n > 0; {
+		if s := &a.slots[i]; s.key != 0 && s.entry.Tag == tag && !s.entry.Global {
+			a.remove(i)
+			dropped++
+			continue
+		}
+		i++
+	}
+	return dropped
+}
+
+func (a *tlbArray) reset() {
+	if a.n > 0 {
+		clear(a.slots)
+		a.n = 0
+	}
+	a.order.head, a.order.n = 0, 0
+}
+
+// keyRing is a FIFO of keys on a power-of-two buffer that doubles when
+// full; it never drops a position on its own.
+type keyRing struct {
+	buf     []tlbKey
+	head, n int
+}
+
+func (r *keyRing) push(k tlbKey) {
+	if r.n == len(r.buf) {
+		buf := make([]tlbKey, 2*len(r.buf))
+		c := copy(buf, r.buf[r.head:])
+		copy(buf[c:], r.buf[:r.head])
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = k
+	r.n++
+}
+
+func (r *keyRing) pop() tlbKey {
+	k := r.buf[r.head]
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return k
 }

@@ -42,13 +42,14 @@ func hostTranslate(pd *PD, gpa uint64) (hpa uint64, writable bool, ok bool) {
 }
 
 // gpaPhys adapts a VM's guest-physical space as x86.PhysMem for guest
-// page-table walks.
+// page-table walks. Each environment holds one and passes a pointer to
+// it, so a walk converts no value to the interface.
 type gpaPhys struct {
 	k  *Kernel
 	pd *PD
 }
 
-func (g gpaPhys) ReadPhys32(pa uint64) (uint32, bool) {
+func (g *gpaPhys) ReadPhys32(pa uint64) (uint32, bool) {
 	hpa, _, ok := hostTranslate(g.pd, pa)
 	if !ok {
 		return 0, false
@@ -58,7 +59,7 @@ func (g gpaPhys) ReadPhys32(pa uint64) (uint32, bool) {
 
 // nocharge: x86.Phys page-walker callback; walk steps are charged by
 // the vTLB fill / nested-walk cost accounting, not per memory touch.
-func (g gpaPhys) WritePhys32(pa uint64, v uint32) bool {
+func (g *gpaPhys) WritePhys32(pa uint64, v uint32) bool {
 	hpa, w, ok := hostTranslate(g.pd, pa)
 	if !ok || !w {
 		return false
@@ -69,45 +70,92 @@ func (g gpaPhys) WritePhys32(pa uint64, v uint32) bool {
 
 // ShadowPT is the per-vCPU shadow page table of the vTLB algorithm
 // (§5.3): the translation the hardware MMU actually uses in shadow
-// paging mode, filled lazily from the guest's page tables.
+// paging mode, filled lazily from the guest's page tables. Like the
+// guest's own tables it has two levels of 1024 entries, indexed by the
+// top and middle ten bits of the virtual address. An entry is live when
+// it carries the table's current epoch, so a flush is one increment.
 type ShadowPT struct {
-	entries map[uint32]shadowEntry // vpn -> entry
+	dir   [1024]*shadowLeaf
+	epoch uint32
+	live  int
 
 	Fills   uint64
 	Flushes uint64
 }
 
+type shadowLeaf [1024]shadowEntry
+
 type shadowEntry struct {
 	hpaPage uint64
+	memVer  uint64 // pd.Mem.Version at fill time
+	epoch   uint32 // live when equal to ShadowPT.epoch; 0 is never current
 	guestW  bool
 	hostW   bool
-	large   bool
-	memVer  uint64 // pd.Mem.Version at fill time
 }
 
 // NewShadowPT creates an empty shadow page table.
 func NewShadowPT() *ShadowPT {
-	return &ShadowPT{entries: make(map[uint32]shadowEntry)}
+	return &ShadowPT{epoch: 1}
+}
+
+// lookup returns the live entry for vpn, or nil.
+func (s *ShadowPT) lookup(vpn uint32) *shadowEntry {
+	if l := s.dir[vpn>>10&1023]; l != nil {
+		if e := &l[vpn&1023]; e.epoch == s.epoch {
+			return e
+		}
+	}
+	return nil
+}
+
+// fill installs the entry for vpn.
+func (s *ShadowPT) fill(vpn uint32, e shadowEntry) {
+	l := s.dir[vpn>>10&1023]
+	if l == nil {
+		l = new(shadowLeaf)
+		s.dir[vpn>>10&1023] = l
+	}
+	p := &l[vpn&1023]
+	if p.epoch != s.epoch {
+		s.live++
+	}
+	e.epoch = s.epoch
+	*p = e
+	s.Fills++
 }
 
 // Flush drops all shadow entries (guest CR3 write / CR0 paging change).
+// When the epoch wraps, every leaf is cleared so that no entry of an
+// earlier epoch can become live again.
 //
 // nocharge: data-structure operation; the vTLB intercept that triggers
-// it (handleVTLBExit) charges the flush cost at the call site.
+// it (handleVTLBExit) charges the intercept, and the cost of the flush
+// itself is not modelled.
 func (s *ShadowPT) Flush() {
 	s.Flushes++
-	s.entries = make(map[uint32]shadowEntry)
+	s.live = 0
+	if s.epoch++; s.epoch == 0 {
+		for _, l := range s.dir {
+			if l != nil {
+				*l = shadowLeaf{}
+			}
+		}
+		s.epoch = 1
+	}
 }
 
 // Invalidate drops the entry covering va (guest INVLPG).
 //
 // nocharge: charged by the INVLPG intercept path (handleVTLBExit).
 func (s *ShadowPT) Invalidate(va uint32) {
-	delete(s.entries, va>>12)
+	if e := s.lookup(va >> 12); e != nil {
+		e.epoch = 0
+		s.live--
+	}
 }
 
-// Len returns the number of shadow entries.
-func (s *ShadowPT) Len() int { return len(s.entries) }
+// Len returns the number of live shadow entries.
+func (s *ShadowPT) Len() int { return s.live }
 
 // splitRead handles accesses that cross a page boundary byte-by-byte.
 func splitRead(env x86.Env, st *x86.CPUState, va uint32, size int, kind x86.AccessKind) (uint32, error) {
@@ -146,15 +194,18 @@ func guestIOAccess(k *Kernel, pd *PD, port uint16) bool {
 // ---------------------------------------------------------------------
 
 type eptEnv struct {
-	k  *Kernel
-	ec *EC
+	k    *Kernel
+	ec   *EC
+	phys gpaPhys
 
 	// memVer tracks pd.Mem.Version; mapping changes flush cached
 	// translations.
 	memVer uint64
 }
 
-func newEPTEnv(k *Kernel, ec *EC) *eptEnv { return &eptEnv{k: k, ec: ec} }
+func newEPTEnv(k *Kernel, ec *EC) *eptEnv {
+	return &eptEnv{k: k, ec: ec, phys: gpaPhys{k, ec.PD}}
+}
 
 func (e *eptEnv) tag() hw.TLBTag { return e.ec.PD.Tag }
 
@@ -183,7 +234,7 @@ func (e *eptEnv) translate(st *x86.CPUState, va uint32, write bool) (uint64, err
 	var gpa uint64
 	var guestW, guestLarge, guestGlobal bool
 	if st.PagingEnabled() {
-		w, exc := x86.WalkGuest(gpaPhys{e.k, e.ec.PD}, st.CR3, st.CR4, va, write, st.CR0&x86.CR0WP != 0, true)
+		w, exc := x86.WalkGuest(&e.phys, st.CR3, st.CR4, va, write, st.CR0&x86.CR0WP != 0, true)
 		// Hardware 2-D walk: each guest level is itself translated
 		// through the host tables.
 		steps := (w.Steps+1)*(cost.HostPTLevels+1) - 1
@@ -298,11 +349,14 @@ func (e *eptEnv) FlushOnWorldSwitch() {
 // ---------------------------------------------------------------------
 
 type vtlbEnv struct {
-	k  *Kernel
-	ec *EC
+	k    *Kernel
+	ec   *EC
+	phys gpaPhys
 }
 
-func newVTLBEnv(k *Kernel, ec *EC) *vtlbEnv { return &vtlbEnv{k: k, ec: ec} }
+func newVTLBEnv(k *Kernel, ec *EC) *vtlbEnv {
+	return &vtlbEnv{k: k, ec: ec, phys: gpaPhys{k, ec.PD}}
+}
 
 func (e *vtlbEnv) tag() hw.TLBTag { return e.ec.PD.Tag }
 
@@ -333,7 +387,7 @@ func (e *vtlbEnv) translate(st *x86.CPUState, va uint32, write bool) (uint64, er
 			return uint64(pa), nil
 		}
 	}
-	if se, ok := v.Shadow.entries[vpn]; ok && se.memVer == e.ec.PD.Mem.Version {
+	if se := v.Shadow.lookup(vpn); se != nil && se.memVer == e.ec.PD.Mem.Version {
 		if !write || se.guestW && se.hostW {
 			e.k.charge(2 * cost.PageWalkLevel) // MMU walk of the shadow table
 			e.tlb().InsertSmall(e.tag(), va, se.hpaPage, se.guestW && se.hostW, true, false)
@@ -351,7 +405,7 @@ func (e *vtlbEnv) translate(st *x86.CPUState, va uint32, write bool) (uint64, er
 		e.tlb().FlushAll()
 	}
 
-	w, exc := x86.WalkGuest(gpaPhys{e.k, e.ec.PD}, st.CR3, st.CR4, va, write, st.CR0&x86.CR0WP != 0, true)
+	w, exc := x86.WalkGuest(&e.phys, st.CR3, st.CR4, va, write, st.CR0&x86.CR0WP != 0, true)
 	perStep := cost.CacheLineAccess
 	if e.k.Cfg.DisableVTLBTrick {
 		// Without running on the VM's host page table, each guest
@@ -379,11 +433,10 @@ func (e *vtlbEnv) translate(st *x86.CPUState, va uint32, write bool) (uint64, er
 
 	// Shadow page-table update (two entries touched).
 	e.k.charge(2 * cost.CacheLineAccess)
-	v.Shadow.entries[vpn] = shadowEntry{
+	v.Shadow.fill(vpn, shadowEntry{
 		hpaPage: hpa >> 12, guestW: w.Writable, hostW: hostW,
-		large: w.Large, memVer: e.ec.PD.Mem.Version,
-	}
-	v.Shadow.Fills++
+		memVer: e.ec.PD.Mem.Version,
+	})
 	end := e.k.Now()
 	e.k.Record(trace.KindVTLBFill, uint64(va), uint64(end-t0), uint64(e.ec.ID), 0)
 	e.k.profVTLBFill(st, end-t0)

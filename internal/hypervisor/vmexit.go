@@ -157,7 +157,6 @@ func (k *Kernel) handleVTLBExit(ec *EC, exit *x86.VMExit) bool {
 				v.Shadow.Flush()
 				tlb.FlushTag(ec.PD.Tag)
 				k.Record(trace.KindVTLBFlush, 3, uint64(ec.ID), 0, 0)
-				k.charge(hw.Cycles(v.Shadow.Len()) / 4)
 			case 4:
 				v.State.CR4 = exit.CRVal
 				v.Shadow.Flush()

@@ -262,3 +262,93 @@ org 0x5000
 	}
 	plat.PIT.Stop()
 }
+
+// TestShadowPT covers the shadow table's bookkeeping: fills and
+// overwrites, INVLPG, Len, a flush and re-fill, and an epoch counter
+// that wraps without reviving entries of earlier epochs.
+func TestShadowPT(t *testing.T) {
+	s := NewShadowPT()
+	fill := func(va uint32, page uint64) { s.fill(va>>12, shadowEntry{hpaPage: page}) }
+	check := func(when string, live int, want map[uint32]uint64) {
+		t.Helper()
+		if s.Len() != live {
+			t.Errorf("%s: Len = %d, want %d", when, s.Len(), live)
+		}
+		for va, page := range want {
+			e := s.lookup(va >> 12)
+			switch {
+			case page == 0 && e != nil:
+				t.Errorf("%s: %#x still mapped to page %#x", when, va, e.hpaPage)
+			case page != 0 && (e == nil || e.hpaPage != page):
+				t.Errorf("%s: %#x = %v, want page %#x", when, va, e, page)
+			}
+		}
+	}
+
+	// Pages in three directory slots; one filled twice.
+	fill(0x00001000, 1)
+	fill(0x00400000, 2)
+	fill(0xfffff000, 3)
+	fill(0x00001fff, 4)
+	check("filled", 3, map[uint32]uint64{0x1000: 4, 0x400000: 2, 0xfffff000: 3, 0x2000: 0})
+	if s.Fills != 4 {
+		t.Errorf("Fills = %d, want 4", s.Fills)
+	}
+
+	s.Invalidate(0x1234)
+	s.Invalidate(0x1234) // already gone: Len must not drop twice
+	s.Invalidate(0x5000) // never filled
+	check("invalidated", 2, map[uint32]uint64{0x1000: 0, 0x400000: 2, 0xfffff000: 3})
+
+	s.Flush()
+	check("flushed", 0, map[uint32]uint64{0x1000: 0, 0x400000: 0, 0xfffff000: 0})
+	fill(0x00400000, 5)
+	check("re-filled", 1, map[uint32]uint64{0x400000: 5, 0xfffff000: 0})
+	if s.Flushes != 1 {
+		t.Errorf("Flushes = %d, want 1", s.Flushes)
+	}
+
+	// Wrap-around: an entry from epoch 1 (the one just filled) and one
+	// from the last epoch before the wrap must both stay dead after the
+	// counter restarts at 1.
+	s.epoch, s.live = ^uint32(0), 0 // as 2^32-2 more flushes would leave it
+	fill(0x00800000, 6)
+	check("last epoch", 1, map[uint32]uint64{0x800000: 6, 0x400000: 0})
+	s.Flush()
+	if s.epoch != 1 {
+		t.Fatalf("epoch after wrap = %d, want 1", s.epoch)
+	}
+	check("wrapped", 0, map[uint32]uint64{0x400000: 0, 0x800000: 0, 0xfffff000: 0})
+	fill(0x00800000, 7)
+	check("re-filled after wrap", 1, map[uint32]uint64{0x800000: 7, 0x400000: 0})
+}
+
+// TestVTLBMissFillAllocs: a vTLB miss — guest walk, shadow fill and
+// TLB insert — allocates nothing once the shadow leaf for the page
+// exists.
+func TestVTLBMissFillAllocs(t *testing.T) {
+	k := newTestKernel(t, Config{UseVPID: true})
+	tv := makeVM(t, k, ModeVTLB, 512, nil, 0, nil)
+	pagedGuestImage(tv, "hlt")
+	v := tv.ec.VCPU
+	v.State.CR0 |= x86.CR0PE | x86.CR0PG
+	v.State.CR3 = 0x1000
+	env := v.Env.(*vtlbEnv)
+	tlb := k.Plat.CPUs[tv.ec.CPU].TLB
+	const va = 0x5000
+	miss := func() {
+		v.Shadow.Invalidate(va)
+		tlb.FlushVA(env.tag(), va)
+		if _, err := env.translate(&v.State, va, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	miss()
+	fills := v.Shadow.Fills
+	if a := testing.AllocsPerRun(50, miss); a != 0 {
+		t.Errorf("vTLB miss fill: %v allocations, want 0", a)
+	}
+	if v.Shadow.Fills != fills+51 {
+		t.Errorf("shadow fills = %d, want %d: the translations did not miss", v.Shadow.Fills, fills+51)
+	}
+}
