@@ -1,16 +1,15 @@
 // Command nova-vet runs the NOVA invariant analyzers over the
-// repository and fails on any finding that is not in the checked-in
-// baseline. Usage:
+// repository and fails on any finding. There is no baseline: findings
+// get fixed, not banked. Usage:
 //
 //	nova-vet ./...               # the CI / pre-commit gate
 //	nova-vet -list               # describe the analyzers
 //	nova-vet -json ./...         # machine-readable findings + timings
 //	nova-vet -run capflow,taint ./... # iterate on an analyzer subset
-//	nova-vet -write-baseline ./... # regenerate nova-vet.baseline
 //
 // Exit codes form a contract for CI and tooling: 0 means the tree is
-// clean (modulo baseline), 1 means new findings were reported, 2 means
-// the suite itself could not run (load or type-check error, bad usage).
+// clean, 1 means findings were reported, 2 means the suite itself could
+// not run (load or type-check error, bad usage).
 //
 // The analyzers (internal/analysis) enforce what the compiler cannot:
 // determinism of the cycle-accounted simulation, the hypercall
@@ -45,23 +44,17 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
-// jsonReport is the -json document. Findings excludes baselined
-// diagnostics; Stale lists baseline entries whose finding is fixed;
-// Timings gives each analyzer's wall-clock share of the run so CI can
-// track which check is eating the budget.
+// jsonReport is the -json document. Timings gives each analyzer's
+// wall-clock share of the run so CI can track which check is eating the
+// budget.
 type jsonReport struct {
-	Findings   []jsonFinding     `json:"findings"`
-	Suppressed int               `json:"suppressed"`
-	Stale      []string          `json:"stale,omitempty"`
-	Timings    []analysis.Timing `json:"timings"`
+	Findings []jsonFinding     `json:"findings"`
+	Timings  []analysis.Timing `json:"timings"`
 }
 
 func main() {
 	list := flag.Bool("list", false, "describe the analyzers and exit")
-	verbose := flag.Bool("v", false, "also print baseline-suppressed findings")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON on stdout")
-	writeBaseline := flag.Bool("write-baseline", false, "rewrite the baseline to accept all current findings")
-	baselinePath := flag.String("baseline", "", "baseline file (default <repo root>/"+analysis.BaselineFile+")")
 	runNames := flag.String("run", "", "comma-separated analyzer subset to run (default: the full suite)")
 	flag.Parse()
 
@@ -92,15 +85,9 @@ func main() {
 	}
 
 	// -run narrows the suite for iteration on one analyzer. It is a
-	// development convenience, not a gate configuration: the baseline
-	// may only be rewritten from a full run, and baseline entries
-	// belonging to un-run analyzers are not reported as stale.
+	// development convenience, not a gate configuration.
 	entries := analysis.DefaultSuite()
-	filtered := *runNames != ""
-	if filtered {
-		if *writeBaseline {
-			fatal(fmt.Errorf("nova-vet: -run cannot be combined with -write-baseline (the baseline must reflect the full suite)"))
-		}
+	if *runNames != "" {
 		var err error
 		entries, err = analysis.SelectEntries(strings.Split(*runNames, ","))
 		if err != nil {
@@ -113,31 +100,9 @@ func main() {
 		fatal(err)
 	}
 
-	bp := *baselinePath
-	if bp == "" {
-		bp = filepath.Join(root, analysis.BaselineFile)
-	}
-
-	if *writeBaseline {
-		if err := os.WriteFile(bp, []byte(analysis.FormatBaseline(root, diags)), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("nova-vet: wrote %d finding(s) to %s\n", len(diags), bp)
-		return
-	}
-
-	baseline, err := analysis.LoadBaseline(bp)
-	if err != nil {
-		fatal(err)
-	}
-	kept, suppressed, stale := analysis.ApplyBaseline(root, diags, baseline)
-	if filtered {
-		stale = nil // un-run analyzers' entries are not stale, just unchecked
-	}
-
 	if *jsonOut {
-		report := jsonReport{Findings: []jsonFinding{}, Suppressed: suppressed, Stale: stale, Timings: timings}
-		for _, d := range kept {
+		report := jsonReport{Findings: []jsonFinding{}, Timings: timings}
+		for _, d := range diags {
 			file := d.Pos.Filename
 			if r, err := filepath.Rel(root, file); err == nil {
 				file = r
@@ -155,30 +120,24 @@ func main() {
 		if err := enc.Encode(report); err != nil {
 			fatal(err)
 		}
-		if len(kept) > 0 {
+		if len(diags) > 0 {
 			os.Exit(1)
 		}
 		return
 	}
 
-	if *verbose && suppressed > 0 {
-		fmt.Printf("nova-vet: %d finding(s) suppressed by %s\n", suppressed, bp)
-	}
-	for _, key := range stale {
-		fmt.Fprintf(os.Stderr, "nova-vet: stale baseline entry (finding fixed — delete the line): %s\n", key)
-	}
-	if len(kept) > 0 {
-		for _, d := range kept {
+	if len(diags) > 0 {
+		for _, d := range diags {
 			rel := d
 			if r, err := filepath.Rel(root, d.Pos.Filename); err == nil {
 				rel.Pos.Filename = r
 			}
 			fmt.Println(rel)
 		}
-		fmt.Fprintf(os.Stderr, "nova-vet: %d new finding(s); fix them or (exceptionally) baseline with -write-baseline\n", len(kept))
+		fmt.Fprintf(os.Stderr, "nova-vet: %d finding(s); fix them\n", len(diags))
 		os.Exit(1)
 	}
-	fmt.Printf("nova-vet: ok (%d analyzer(s), %d baselined)\n", len(entries), suppressed)
+	fmt.Printf("nova-vet: ok (%d analyzer(s))\n", len(entries))
 }
 
 // findRepoRoot walks up from the working directory to the module root.

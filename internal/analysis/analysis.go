@@ -13,9 +13,9 @@
 //
 // The framework deliberately uses only go/parser, go/ast and go/types —
 // no golang.org/x/tools — so go.mod stays dependency-free. Loading is
-// done from source (load.go); diagnostics are file:line messages; a
-// checked-in baseline (baseline.go) suppresses findings that predate an
-// analyzer so the gate starts green and only ratchets down.
+// done from source (load.go); diagnostics are file:line messages. There
+// is no suppression list: every finding fails the gate until it is
+// fixed.
 package analysis
 
 import (
@@ -60,7 +60,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzer is one invariant checker.
 type Analyzer struct {
-	Name string // short identifier used in baselines and output
+	Name string // short identifier used in output and -run
 	Doc  string // one-line description
 	run  func(*Pass)
 }

@@ -22,26 +22,16 @@ func repoRoot(t *testing.T) string {
 }
 
 // TestRepoInvariants is the tier-1 gate: the whole repository must pass
-// every analyzer of the default suite, modulo the checked-in baseline.
-// This is the test that keeps the invariants intact forever — a new
-// finding fails `go test ./...`, not just the optional nova-vet run.
+// every analyzer of the default suite. There is no baseline: a finding
+// fails `go test ./...`, not just the optional nova-vet run, and gets
+// fixed.
 func TestRepoInvariants(t *testing.T) {
-	root := repoRoot(t)
-	diags, err := RunSuite(root)
+	diags, err := RunSuite(repoRoot(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := LoadBaseline(filepath.Join(root, BaselineFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept, suppressed, stale := ApplyBaseline(root, diags, baseline)
-	t.Logf("%d finding(s) total, %d baselined", len(diags), suppressed)
-	for _, key := range stale {
-		t.Logf("stale baseline entry (finding fixed — delete the line): %s", key)
-	}
-	for _, d := range kept {
-		t.Errorf("new invariant violation: %s", d)
+	for _, d := range diags {
+		t.Errorf("invariant violation: %s", d)
 	}
 }
 
@@ -148,58 +138,5 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestBaselineRoundTrip checks the baseline format: findings written
-// with FormatBaseline are accepted back by LoadBaseline and suppress
-// exactly themselves.
-func TestBaselineRoundTrip(t *testing.T) {
-	root := repoRoot(t)
-	dir := filepath.Join(root, "internal", "analysis", "testdata", "src", "nopanic")
-	prog, err := LoadDirs(root, []string{dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := Nopanic.Run(prog, []*Package{prog.Pkgs[0]})
-	if len(diags) == 0 {
-		t.Fatal("fixture produced no diagnostics")
-	}
-
-	path := filepath.Join(t.TempDir(), "baseline")
-	if err := os.WriteFile(path, []byte(FormatBaseline(root, diags)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept, suppressed, stale := ApplyBaseline(root, diags, baseline)
-	if len(kept) != 0 || suppressed != len(diags) || len(stale) != 0 {
-		t.Errorf("round trip: kept=%d suppressed=%d stale=%d, want 0/%d/0", len(kept), suppressed, len(stale), len(diags))
-	}
-
-	// A baseline for a different finding is stale and suppresses nothing.
-	other := map[string]bool{"nopanic\tno/such/file.go\tmessage": true}
-	kept, suppressed, stale = ApplyBaseline(root, diags, other)
-	if len(kept) != len(diags) || suppressed != 0 || len(stale) != 1 {
-		t.Errorf("stale baseline: kept=%d suppressed=%d stale=%d, want %d/0/1", len(kept), suppressed, len(stale), len(diags))
-	}
-}
-
-// TestLoadBaselineMalformed rejects lines that are not three tab-
-// separated fields, so a corrupted baseline fails loudly instead of
-// silently suppressing everything or nothing.
-func TestLoadBaselineMalformed(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline")
-	if err := os.WriteFile(path, []byte("# comment ok\nnot a valid line\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBaseline(path); err == nil {
-		t.Fatal("malformed baseline accepted")
-	}
-	missing, err := LoadBaseline(filepath.Join(t.TempDir(), "nope"))
-	if err != nil || len(missing) != 0 {
-		t.Fatalf("missing baseline should be empty, got %v, %v", missing, err)
 	}
 }

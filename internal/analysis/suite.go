@@ -21,6 +21,8 @@ var SimCriticalPackages = []string{
 	ModulePath + "/internal/trace",
 	ModulePath + "/internal/prof",
 	ModulePath + "/internal/stat",
+	ModulePath + "/internal/services",
+	ModulePath + "/internal/span",
 }
 
 // EntryPointPackages hold the kernel and device-model entry points that
@@ -101,7 +103,7 @@ type Timing struct {
 }
 
 // RunSuite loads the repository rooted at root and runs every suite
-// entry, returning the combined diagnostics (unfiltered by baseline).
+// entry, returning the combined diagnostics.
 func RunSuite(root string) ([]Diagnostic, error) {
 	diags, _, err := RunEntries(root, DefaultSuite())
 	return diags, err

@@ -38,8 +38,7 @@ import (
 // (including interface calls and method values) and through struct
 // fields (field-based, receiver-insensitive — a guest value stored in
 // VAHCI.clb taints every later read of .clb). Diagnostics print the
-// full interprocedural path in function-name form, which keeps baseline
-// entries stable across unrelated line shifts.
+// full interprocedural path in function-name form.
 var Taint = &Analyzer{
 	Name: "taint",
 	Doc:  "guest-controlled values must not reach indices, lengths, shifts or host memory addresses unchecked",

@@ -11,7 +11,6 @@ package cap
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Selector names a capability within a protection domain's capability
@@ -105,21 +104,10 @@ var (
 	ErrSpaceClosed = errors.New("cap: space destroyed")
 )
 
-// node is one entry in the mapping database: a capability plus its
-// position in the delegation tree.
-type node struct {
-	cap      Capability
-	space    *Space
-	sel      Selector
-	parent   *node
-	children map[*node]struct{}
-	dead     bool
-}
-
 // Space is one protection domain's capability space.
 type Space struct {
 	name    string
-	slots   map[Selector]*node
+	idx     index
 	closed  bool
 	nextSel Selector
 
@@ -132,7 +120,7 @@ type Space struct {
 
 // NewSpace creates an empty capability space.
 func NewSpace(name string) *Space {
-	return &Space{name: name, slots: make(map[Selector]*node)}
+	return &Space{name: name}
 }
 
 // Name returns the space's debugging name.
@@ -146,23 +134,33 @@ func (s *Space) AllocSel() Selector {
 	}
 	for {
 		s.nextSel++
-		if _, ok := s.slots[s.nextSel]; !ok {
+		if s.idx.get(uint32(s.nextSel)) == nil {
 			return s.nextSel
 		}
 	}
 }
 
 // Len returns the number of occupied selectors.
-func (s *Space) Len() int { return len(s.slots) }
+func (s *Space) Len() int { return s.idx.len }
 
 // Selectors returns the occupied selectors in ascending order.
 func (s *Space) Selectors() []Selector {
-	out := make([]Selector, 0, len(s.slots))
-	for sel := range s.slots {
-		out = append(out, sel)
+	out := make([]Selector, 0, s.idx.len)
+	for n := s.idx.next(0); n != nil; n = s.idx.next(n.key + 1) {
+		out = append(out, Selector(n.key))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// free checks that sel can take a new capability.
+func (s *Space) free(sel Selector) error {
+	if sel >= keyBound {
+		return ErrInvalidSel
+	}
+	if s.idx.get(uint32(sel)) != nil {
+		return ErrOccupied
+	}
+	return nil
 }
 
 // Insert installs a root capability (a freshly created kernel object)
@@ -171,28 +169,28 @@ func (s *Space) Insert(sel Selector, obj Object, rights Rights) error {
 	if s.closed {
 		return ErrSpaceClosed
 	}
-	if _, ok := s.slots[sel]; ok {
-		return ErrOccupied
+	if err := s.free(sel); err != nil {
+		return err
 	}
-	s.slots[sel] = &node{
-		cap:      Capability{Obj: obj, Type: obj.ObjectType(), Rights: rights},
-		space:    s,
-		sel:      sel,
-		children: make(map[*node]struct{}),
-	}
+	s.idx.insert(uint32(sel), &node{obj: obj, typ: obj.ObjectType(), rights: rights})
 	s.Inserts++
 	return nil
+}
+
+// capability returns a copy of the capability n holds.
+func (n *node) capability() Capability {
+	return Capability{Obj: n.obj, Type: n.typ, Rights: n.rights}
 }
 
 // Lookup resolves a selector to a capability. The capability value is a
 // copy: holders cannot mutate the space through it.
 func (s *Space) Lookup(sel Selector) (Capability, error) {
 	s.Lookups++
-	n, ok := s.slots[sel]
-	if !ok || n.dead {
+	n := s.idx.get(uint32(sel))
+	if n == nil {
 		return Capability{}, ErrEmptySlot
 	}
-	return n.cap, nil
+	return n.capability(), nil
 }
 
 // LookupTyped resolves a selector and checks type and rights in one
@@ -213,28 +211,23 @@ func (s *Space) LookupTyped(sel Selector, t ObjType, need Rights) (Capability, e
 
 // LookupObj is the reverse validation used by hypercalls that receive a
 // kernel object by reference: it proves the holder names obj somewhere
-// in this space with at least the needed rights. The scan is over the
-// sorted selector list, so the result is deterministic: the lowest
-// selector naming obj with sufficient rights wins. Like Lookup, the
-// returned capability is a copy.
+// in this space with at least the needed rights. The scan is in
+// selector order, so the lowest selector naming obj with sufficient
+// rights wins. Like Lookup, the returned capability is a copy.
 func (s *Space) LookupObj(obj Object, t ObjType, need Rights) (Capability, error) {
 	if s.closed {
 		return Capability{}, ErrSpaceClosed
 	}
 	s.Lookups++
 	named := false
-	for _, sel := range s.Selectors() {
-		n := s.slots[sel]
-		if n == nil || n.dead || n.cap.Obj != obj {
+	for n := s.idx.next(0); n != nil; n = s.idx.next(n.key + 1) {
+		if n.obj != obj || n.typ != t {
 			continue
 		}
-		if n.cap.Type != t {
-			continue
+		if n.rights&need == need {
+			return n.capability(), nil
 		}
 		named = true
-		if n.cap.Rights&need == need {
-			return n.cap, nil
-		}
 	}
 	if named {
 		return Capability{}, ErrNoRights
@@ -245,9 +238,9 @@ func (s *Space) LookupObj(obj Object, t ObjType, need Rights) (Capability, error
 // SelectorOf returns the lowest selector naming obj in this space, for
 // brokering helpers that need to re-delegate an object they hold.
 func (s *Space) SelectorOf(obj Object) (Selector, bool) {
-	for _, sel := range s.Selectors() {
-		if n := s.slots[sel]; n != nil && !n.dead && n.cap.Obj == obj {
-			return sel, true
+	for n := s.idx.next(0); n != nil; n = s.idx.next(n.key + 1) {
+		if n.obj == obj {
+			return Selector(n.key), true
 		}
 	}
 	return 0, false
@@ -261,96 +254,47 @@ func (s *Space) Delegate(srcSel Selector, dst *Space, dstSel Selector, mask Righ
 	if s.closed || dst.closed {
 		return ErrSpaceClosed
 	}
-	src, ok := s.slots[srcSel]
-	if !ok || src.dead {
+	src := s.idx.get(uint32(srcSel))
+	if src == nil {
 		return ErrEmptySlot
 	}
-	if _, ok := dst.slots[dstSel]; ok {
-		return ErrOccupied
+	if err := dst.free(dstSel); err != nil {
+		return err
 	}
-	child := &node{
-		cap: Capability{
-			Obj:    src.cap.Obj,
-			Type:   src.cap.Type,
-			Rights: src.cap.Rights & mask,
-		},
-		space:    dst,
-		sel:      dstSel,
-		parent:   src,
-		children: make(map[*node]struct{}),
-	}
-	src.children[child] = struct{}{}
-	dst.slots[dstSel] = child
+	dst.idx.delegate(uint32(dstSel), &node{obj: src.obj, typ: src.typ, rights: src.rights & mask}, src)
 	s.Delegates++
 	return nil
 }
 
 // Revoke withdraws all capabilities that were delegated (transitively)
-// from sel. If self is true, the capability at sel itself is removed as
-// well. It returns how many capabilities were removed.
+// from sel, depth first in delegation order. If self is true, the
+// capability at sel itself is removed as well. It returns how many
+// capabilities were removed.
 func (s *Space) Revoke(sel Selector, self bool) (int, error) {
-	n, ok := s.slots[sel]
-	if !ok || n.dead {
+	n := s.idx.get(uint32(sel))
+	if n == nil {
 		return 0, ErrEmptySlot
 	}
 	s.Revokes++
-	removed := 0
-	var kill func(*node)
-	kill = func(v *node) {
-		for c := range v.children {
-			kill(c)
-		}
-		v.children = nil
-		v.dead = true
-		delete(v.space.slots, v.sel)
-		if v.parent != nil {
-			delete(v.parent.children, v)
-		}
-		removed++
-	}
-	for c := range n.children {
-		kill(c)
-	}
-	if self {
-		kill(n)
-	}
-	return removed, nil
+	return n.revoke(self), nil
 }
 
 // Remove deletes the capability at sel from this space only (close-like
 // semantics; delegated children survive and reparent to nothing —
 // matching NOVA where removing your own selector does not revoke).
 func (s *Space) Remove(sel Selector) error {
-	n, ok := s.slots[sel]
-	if !ok {
+	n := s.idx.get(uint32(sel))
+	if n == nil {
 		return ErrEmptySlot
 	}
-	for c := range n.children {
-		c.parent = nil
-	}
-	if n.parent != nil {
-		delete(n.parent.children, n)
-	}
-	n.dead = true
-	delete(s.slots, sel)
+	n.remove()
 	return nil
 }
 
-// Destroy closes the space, revoking everything delegated from it. The
-// sorted selector walk keeps teardown order deterministic; selectors
-// already removed by an earlier transitive revoke are skipped, and any
-// remaining revocation failures are aggregated instead of dropped so
-// the hypercall layer can report them.
+// Destroy closes the space, revoking everything delegated from it in
+// selector order. Revocation cannot fail, so the error is always nil.
 func (s *Space) Destroy() error {
-	var errs []error
-	for _, sel := range s.Selectors() {
-		if _, ok := s.slots[sel]; !ok {
-			continue // revoked transitively by an earlier selector
-		}
-		if _, err := s.Revoke(sel, true); err != nil && !errors.Is(err, ErrEmptySlot) {
-			errs = append(errs, fmt.Errorf("cap: destroy %s sel %d: %w", s.name, sel, err))
-		}
-	}
+	s.idx.destroy()
 	s.closed = true
-	return errors.Join(errs...)
+	return nil
 }

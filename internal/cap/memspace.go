@@ -5,67 +5,65 @@ import "fmt"
 // PageSize of the memory space (matches the platform).
 const PageSize = 4096
 
-// memNode is one page mapping in the mapping database.
-type memNode struct {
-	frame    uint64 // host frame number
-	rights   Rights
-	space    *MemSpace
-	page     uint32
-	parent   *memNode
-	children map[*memNode]struct{}
-}
-
 // MemSpace is a protection domain's memory space: the page-granular
 // mapping from the PD's addresses (host-virtual for applications,
 // guest-physical for VMs) to host frames, with full delegation
 // tracking. The hypervisor's host page tables are materialized from
 // this (§5.3, §6).
 type MemSpace struct {
-	name  string
-	pages map[uint32]*memNode
-
-	// Version increments on any change so cached translations (host
-	// TLB, EPT caches) can be invalidated.
-	Version uint64
+	name string
+	idx  index
 }
 
 // NewMemSpace creates an empty memory space.
 func NewMemSpace(name string) *MemSpace {
-	return &MemSpace{name: name, pages: make(map[uint32]*memNode)}
+	return &MemSpace{name: name}
 }
 
 // Name returns the space's debugging name.
 func (m *MemSpace) Name() string { return m.name }
 
 // Len returns the number of mapped pages.
-func (m *MemSpace) Len() int { return len(m.pages) }
+func (m *MemSpace) Len() int { return m.idx.len }
+
+// Version increments on any change so cached translations (host TLB,
+// EPT caches) can be invalidated.
+func (m *MemSpace) Version() uint64 { return m.idx.version }
+
+// pageRange checks that [page, page+npages) lies inside the space.
+func pageRange(page uint32, npages int) error {
+	if npages < 0 || uint64(page)+uint64(npages) > keyBound {
+		return fmt.Errorf("cap: pages %#x+%d outside the 4 GiB memory space", page, npages)
+	}
+	return nil
+}
 
 // InsertRoot installs a root mapping of npages pages starting at page
 // (address>>12) onto consecutive host frames starting at frame. Used by
 // the hypervisor at boot to hand all physical memory to the root
 // partition manager.
 func (m *MemSpace) InsertRoot(page uint32, frame uint64, npages int, rights Rights) error {
+	if err := pageRange(page, npages); err != nil {
+		return err
+	}
 	for i := 0; i < npages; i++ {
-		p := page + uint32(i)
-		if _, ok := m.pages[p]; ok {
+		if p := page + uint32(i); m.idx.get(p) != nil {
 			return fmt.Errorf("cap: page %#x already mapped in %s", p, m.name)
 		}
 	}
-	for i := 0; i < npages; i++ {
-		p := page + uint32(i)
-		m.pages[p] = &memNode{
-			frame: frame + uint64(i), rights: rights, space: m, page: p,
-			children: make(map[*memNode]struct{}),
-		}
+	nodes := make([]node, npages)
+	for i := range nodes {
+		nodes[i].frame, nodes[i].rights = frame+uint64(i), rights
+		m.idx.insert(page+uint32(i), &nodes[i])
 	}
-	m.Version++
+	m.idx.version++
 	return nil
 }
 
 // Translate resolves a page to its host frame and rights.
 func (m *MemSpace) Translate(page uint32) (uint64, Rights, bool) {
-	n, ok := m.pages[page]
-	if !ok {
+	n := m.idx.get(page)
+	if n == nil {
 		return 0, 0, false
 	}
 	return n.frame, n.rights, true
@@ -75,108 +73,74 @@ func (m *MemSpace) Translate(page uint32) (uint64, Rights, bool) {
 // dst, with rights reduced by mask. Partial overlap with existing
 // mappings in dst fails without side effects.
 func (m *MemSpace) Delegate(srcPage uint32, dst *MemSpace, dstPage uint32, npages int, mask Rights) error {
+	if err := pageRange(srcPage, npages); err != nil {
+		return err
+	}
+	if err := pageRange(dstPage, npages); err != nil {
+		return err
+	}
 	for i := 0; i < npages; i++ {
-		if _, ok := m.pages[srcPage+uint32(i)]; !ok {
+		if m.idx.get(srcPage+uint32(i)) == nil {
 			return fmt.Errorf("cap: source page %#x not mapped in %s", srcPage+uint32(i), m.name)
 		}
-		if _, ok := dst.pages[dstPage+uint32(i)]; ok {
+		if dst.idx.get(dstPage+uint32(i)) != nil {
 			return fmt.Errorf("cap: destination page %#x already mapped in %s", dstPage+uint32(i), dst.name)
 		}
 	}
-	for i := 0; i < npages; i++ {
-		src := m.pages[srcPage+uint32(i)]
-		child := &memNode{
-			frame: src.frame, rights: src.rights & mask,
-			space: dst, page: dstPage + uint32(i),
-			parent: src, children: make(map[*memNode]struct{}),
-		}
-		src.children[child] = struct{}{}
-		dst.pages[child.page] = child
+	nodes := make([]node, npages)
+	for i := range nodes {
+		src := m.idx.get(srcPage + uint32(i))
+		nodes[i].frame, nodes[i].rights = src.frame, src.rights&mask
+		dst.idx.delegate(dstPage+uint32(i), &nodes[i], src)
 	}
-	dst.Version++
+	dst.idx.version++
 	return nil
 }
 
 // Revoke withdraws all mappings delegated from [page, page+npages), and
 // the mappings themselves if self is set. Returns pages removed.
 func (m *MemSpace) Revoke(page uint32, npages int, self bool) int {
-	removed := 0
-	var kill func(*memNode)
-	kill = func(n *memNode) {
-		for c := range n.children {
-			kill(c)
-		}
-		n.children = nil
-		delete(n.space.pages, n.page)
-		n.space.Version++
-		if n.parent != nil {
-			delete(n.parent.children, n)
-		}
-		removed++
-	}
-	for i := 0; i < npages; i++ {
-		n, ok := m.pages[page+uint32(i)]
-		if !ok {
-			continue
-		}
-		for c := range n.children {
-			kill(c)
-		}
-		if self {
-			kill(n)
-		}
-	}
+	removed := m.idx.revokeRange(uint64(page), uint64(page)+uint64(max(npages, 0)), self)
 	if removed > 0 {
-		m.Version++
+		m.idx.version++
 	}
 	return removed
 }
 
 // Destroy revokes every mapping delegated from this space and clears it.
-func (m *MemSpace) Destroy() {
-	for page := range m.pages {
-		m.Revoke(page, 1, true)
-	}
-}
-
-// ioNode is one I/O port in the delegation tree.
-type ioNode struct {
-	space    *IOSpace
-	port     uint16
-	parent   *ioNode
-	children map[*ioNode]struct{}
-}
+func (m *MemSpace) Destroy() { m.idx.destroy() }
 
 // IOSpace is a protection domain's I/O permission space: the set of
 // x86 ports the domain may access, with delegation tracking (the
 // kernel's analogue of the I/O permission bitmap).
 type IOSpace struct {
-	name  string
-	ports map[uint16]*ioNode
+	name string
+	idx  index
 }
 
 // NewIOSpace creates an empty I/O space.
 func NewIOSpace(name string) *IOSpace {
-	return &IOSpace{name: name, ports: make(map[uint16]*ioNode)}
+	return &IOSpace{name: name}
 }
 
 // Name returns the space's debugging name.
 func (s *IOSpace) Name() string { return s.name }
 
 // Len returns the number of permitted ports.
-func (s *IOSpace) Len() int { return len(s.ports) }
+func (s *IOSpace) Len() int { return s.idx.len }
 
 // Allowed reports whether the domain may access port.
-func (s *IOSpace) Allowed(port uint16) bool {
-	_, ok := s.ports[port]
-	return ok
-}
+func (s *IOSpace) Allowed(port uint16) bool { return s.idx.get(uint32(port)) != nil }
 
 // InsertRoot grants ports [lo, hi] as root entries.
 func (s *IOSpace) InsertRoot(lo, hi uint16) {
-	for p := uint32(lo); p <= uint32(hi); p++ {
-		if _, ok := s.ports[uint16(p)]; !ok {
-			s.ports[uint16(p)] = &ioNode{space: s, port: uint16(p), children: make(map[*ioNode]struct{})}
+	if hi < lo {
+		return
+	}
+	nodes := make([]node, int(hi-lo)+1)
+	for i := range nodes {
+		if p := uint32(lo) + uint32(i); s.idx.get(p) == nil {
+			s.idx.insert(p, &nodes[i])
 		}
 	}
 }
@@ -185,18 +149,18 @@ func (s *IOSpace) InsertRoot(lo, hi uint16) {
 // hold.
 func (s *IOSpace) Delegate(dst *IOSpace, lo, hi uint16) error {
 	for p := uint32(lo); p <= uint32(hi); p++ {
-		if _, ok := s.ports[uint16(p)]; !ok {
+		if s.idx.get(p) == nil {
 			return fmt.Errorf("cap: port %#x not held by %s", p, s.name)
 		}
 	}
-	for p := uint32(lo); p <= uint32(hi); p++ {
-		if _, ok := dst.ports[uint16(p)]; ok {
-			continue
+	if hi < lo {
+		return nil
+	}
+	nodes := make([]node, int(hi-lo)+1)
+	for i := range nodes {
+		if p := uint32(lo) + uint32(i); dst.idx.get(p) == nil {
+			dst.idx.delegate(p, &nodes[i], s.idx.get(p))
 		}
-		src := s.ports[uint16(p)]
-		child := &ioNode{space: dst, port: uint16(p), parent: src, children: make(map[*ioNode]struct{})}
-		src.children[child] = struct{}{}
-		dst.ports[uint16(p)] = child
 	}
 	return nil
 }
@@ -204,30 +168,8 @@ func (s *IOSpace) Delegate(dst *IOSpace, lo, hi uint16) error {
 // Revoke withdraws delegations of [lo, hi]; self removes this space's
 // own access too.
 func (s *IOSpace) Revoke(lo, hi uint16, self bool) int {
-	removed := 0
-	var kill func(*ioNode)
-	kill = func(n *ioNode) {
-		for c := range n.children {
-			kill(c)
-		}
-		n.children = nil
-		delete(n.space.ports, n.port)
-		if n.parent != nil {
-			delete(n.parent.children, n)
-		}
-		removed++
-	}
-	for p := uint32(lo); p <= uint32(hi); p++ {
-		n, ok := s.ports[uint16(p)]
-		if !ok {
-			continue
-		}
-		for c := range n.children {
-			kill(c)
-		}
-		if self {
-			kill(n)
-		}
-	}
-	return removed
+	return s.idx.revokeRange(uint64(lo), uint64(hi)+1, self)
 }
+
+// Destroy revokes every port delegated from this space and clears it.
+func (s *IOSpace) Destroy() { s.idx.destroy() }

@@ -60,14 +60,14 @@ func TestMemSpaceDelegateAndRevoke(t *testing.T) {
 
 func TestMemSpaceVersionBumps(t *testing.T) {
 	m := NewMemSpace("m")
-	v0 := m.Version
+	v0 := m.Version()
 	m.InsertRoot(0, 0, 1, RightRead)
-	if m.Version == v0 {
+	if m.Version() == v0 {
 		t.Error("version not bumped on insert")
 	}
-	v1 := m.Version
+	v1 := m.Version()
 	m.Revoke(0, 1, true)
-	if m.Version == v1 {
+	if m.Version() == v1 {
 		t.Error("version not bumped on revoke")
 	}
 }

@@ -1,5 +1,7 @@
 package hw
 
+import "slices"
+
 // PCIFunction describes one discoverable PCI function for config-space
 // enumeration.
 type PCIFunction struct {
@@ -15,23 +17,36 @@ type PCIFunction struct {
 // static set of functions. It exists so drivers discover devices the same
 // way they would on hardware; it does not model bridges or reassignment.
 type PCIBus struct {
-	fns  map[DeviceID]*PCIFunction
-	addr uint32 // last value written to CONFIG_ADDRESS
+	fns  []*PCIFunction // in registration order
+	addr uint32         // last value written to CONFIG_ADDRESS
 }
 
 // NewPCIBus returns an empty bus.
-func NewPCIBus() *PCIBus { return &PCIBus{fns: make(map[DeviceID]*PCIFunction)} }
+func NewPCIBus() *PCIBus { return &PCIBus{} }
 
-// Add registers a function.
-func (b *PCIBus) Add(f *PCIFunction) { b.fns[f.Dev] = f }
-
-// Functions returns all registered functions.
-func (b *PCIBus) Functions() []*PCIFunction {
-	out := make([]*PCIFunction, 0, len(b.fns))
-	for _, f := range b.fns {
-		out = append(out, f)
+// Add registers a function, replacing one registered at the same
+// device address.
+func (b *PCIBus) Add(f *PCIFunction) {
+	if i := b.find(f.Dev); i >= 0 {
+		b.fns[i] = f
+		return
 	}
-	return out
+	b.fns = append(b.fns, f)
+}
+
+// find returns the index of the function at dev, or -1.
+func (b *PCIBus) find(dev DeviceID) int {
+	for i, f := range b.fns {
+		if f.Dev == dev {
+			return i
+		}
+	}
+	return -1
+}
+
+// Functions returns all registered functions, in registration order.
+func (b *PCIBus) Functions() []*PCIFunction {
+	return slices.Clone(b.fns)
 }
 
 // PortRead implements IOPortHandler for 0xCF8-0xCFF.
@@ -43,13 +58,11 @@ func (b *PCIBus) PortRead(port uint16, size int) uint32 {
 		if b.addr&0x80000000 == 0 {
 			return 0xffffffff
 		}
-		dev := DeviceID(b.addr >> 8 & 0xffff)
-		reg := b.addr & 0xfc
-		f, ok := b.fns[dev]
-		if !ok {
+		i := b.find(DeviceID(b.addr >> 8 & 0xffff))
+		if i < 0 {
 			return 0xffffffff
 		}
-		v := b.configRead(f, reg)
+		v := b.configRead(b.fns[i], b.addr&0xfc)
 		shift := (uint32(port) & 3) * 8
 		return v >> shift
 	}

@@ -87,7 +87,7 @@ type shadowLeaf [1024]shadowEntry
 
 type shadowEntry struct {
 	hpaPage uint64
-	memVer  uint64 // pd.Mem.Version at fill time
+	memVer  uint64 // pd.Mem.Version() at fill time
 	epoch   uint32 // live when equal to ShadowPT.epoch; 0 is never current
 	guestW  bool
 	hostW   bool
@@ -198,7 +198,7 @@ type eptEnv struct {
 	ec   *EC
 	phys gpaPhys
 
-	// memVer tracks pd.Mem.Version; mapping changes flush cached
+	// memVer tracks pd.Mem.Version(); mapping changes flush cached
 	// translations.
 	memVer uint64
 }
@@ -212,7 +212,7 @@ func (e *eptEnv) tag() hw.TLBTag { return e.ec.PD.Tag }
 func (e *eptEnv) tlb() *hw.TLB { return e.k.Plat.CPUs[e.ec.CPU].TLB }
 
 func (e *eptEnv) checkVer() {
-	if v := e.ec.PD.Mem.Version; v != e.memVer {
+	if v := e.ec.PD.Mem.Version(); v != e.memVer {
 		e.memVer = v
 		e.tlb().FlushTag(e.tag())
 	}
@@ -387,7 +387,7 @@ func (e *vtlbEnv) translate(st *x86.CPUState, va uint32, write bool) (uint64, er
 			return uint64(pa), nil
 		}
 	}
-	if se := v.Shadow.lookup(vpn); se != nil && se.memVer == e.ec.PD.Mem.Version {
+	if se := v.Shadow.lookup(vpn); se != nil && se.memVer == e.ec.PD.Mem.Version() {
 		if !write || se.guestW && se.hostW {
 			e.k.charge(2 * cost.PageWalkLevel) // MMU walk of the shadow table
 			e.tlb().InsertSmall(e.tag(), va, se.hpaPage, se.guestW && se.hostW, true, false)
@@ -435,7 +435,7 @@ func (e *vtlbEnv) translate(st *x86.CPUState, va uint32, write bool) (uint64, er
 	e.k.charge(2 * cost.CacheLineAccess)
 	v.Shadow.fill(vpn, shadowEntry{
 		hpaPage: hpa >> 12, guestW: w.Writable, hostW: hostW,
-		memVer: e.ec.PD.Mem.Version,
+		memVer: e.ec.PD.Mem.Version(),
 	})
 	end := e.k.Now()
 	e.k.Record(trace.KindVTLBFill, uint64(va), uint64(end-t0), uint64(e.ec.ID), 0)

@@ -720,8 +720,9 @@ func (k *Kernel) wakeVCPU(ec *EC) {
 }
 
 // DestroyPD tears a protection domain down: its capability space is
-// destroyed (revoking everything it delegated), its memory revoked, and
-// its ECs killed. The creator uses this to reclaim a crashed VMM or VM.
+// destroyed (revoking everything it delegated), its memory and I/O
+// ports revoked, and its ECs killed. The creator uses this to reclaim
+// a crashed VMM or VM.
 func (k *Kernel) DestroyPD(caller *PD, pd *PD) error {
 	if err := k.syscallEnter(caller); err != nil {
 		return err
@@ -732,6 +733,7 @@ func (k *Kernel) DestroyPD(caller *PD, pd *PD) error {
 	pd.dead = true
 	errs := pd.Caps.Destroy()
 	pd.Mem.Destroy()
+	pd.IO.Destroy()
 	for _, ec := range k.ecs {
 		if ec.PD == pd {
 			ec.dead = true

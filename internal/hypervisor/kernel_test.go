@@ -267,3 +267,56 @@ func TestDestroyPDRevokesEverything(t *testing.T) {
 		t.Error("call into destroyed domain succeeded")
 	}
 }
+
+func TestDestroyPDRevokesIOPorts(t *testing.T) {
+	k := newTestKernel(t, Config{})
+	a, _ := k.CreatePD(k.Root, k.Root.Caps.AllocSel(), "a", false)
+	b, _ := k.CreatePD(k.Root, k.Root.Caps.AllocSel(), "b", false)
+	bSel, ok := k.Root.Caps.SelectorOf(b)
+	if !ok {
+		t.Fatal("root lost the capability for b")
+	}
+	if err := k.DelegateCap(k.Root, bSel, a, a.Caps.AllocSel(), cap.RightCtrl); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.DelegateMem(k.Root, 0x400, a, 0x400, 2, cap.RightsAll); err != nil {
+		t.Fatal(err)
+	}
+
+	// a holds the serial ports and passes them on to b; b also holds a
+	// port of its own, straight from root.
+	if err := k.DelegateIO(k.Root, a, 0x3f8, 0x3ff); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.DelegateIO(a, b, 0x3f8, 0x3ff); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.DelegateIO(k.Root, b, 0x60, 0x60); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := k.DestroyPD(k.Root, a); err != nil {
+		t.Fatal(err)
+	}
+
+	if n := a.Caps.Len(); n != 0 {
+		t.Errorf("a keeps %d capabilities", n)
+	}
+	if n := a.Mem.Len(); n != 0 {
+		t.Errorf("a keeps %d pages", n)
+	}
+	if n := a.IO.Len(); n != 0 {
+		t.Errorf("a keeps %d ports", n)
+	}
+	for p := uint16(0x3f8); p <= 0x3ff; p++ {
+		if b.IO.Allowed(p) {
+			t.Errorf("b keeps port %#x it got through a", p)
+		}
+	}
+	if !b.IO.Allowed(0x60) || b.IO.Len() != 1 {
+		t.Errorf("b's own port: allowed=%v, %d ports held, want true, 1", b.IO.Allowed(0x60), b.IO.Len())
+	}
+	if n := k.Root.IO.Len(); n != 0x10000 || !k.Root.IO.Allowed(0x3f8) {
+		t.Errorf("root holds %d ports (0x3f8 allowed: %v), want all 65536", n, k.Root.IO.Allowed(0x3f8))
+	}
+}

@@ -55,6 +55,7 @@ type diskClient struct {
 	id          uint64
 	completions []CompletionRecord // the shared-memory ring
 	doorbell    *hypervisor.Semaphore
+	signal      bool // a completion is due in this IRQ's doorbell round
 }
 
 // DiskServer owns the host AHCI controller and serves virtual-machine
@@ -72,8 +73,7 @@ type DiskServer struct {
 	clb  uint64
 	ctba [32]uint64
 
-	clients map[uint64]*diskClient
-	nextID  uint64
+	clients []*diskClient // by id-1; ids are dense from 1
 
 	inflight [32]*pendingReq
 
@@ -110,7 +110,6 @@ func NewDiskServer(k *hypervisor.Kernel, driverMemPage uint32) (*DiskServer, err
 	ds := &DiskServer{
 		K: k, PD: pd,
 		ahciMMIO:       hw.AHCIMMIOBase,
-		clients:        make(map[uint64]*diskClient),
 		MaxOutstanding: 64,
 		clb:            uint64(driverMemPage) << 12,
 	}
@@ -205,10 +204,9 @@ func (ds *DiskServer) AddClient(clientPD *hypervisor.PD, name string) (*hypervis
 	if err := ds.K.DelegateCap(ds.PD, bellSel, clientPD, clientPD.Caps.AllocSel(), cap.RightCall); err != nil {
 		return nil, nil, 0, err
 	}
-	ds.nextID++
-	id := ds.nextID
+	id := uint64(len(ds.clients)) + 1
 	cl := &diskClient{id: id, doorbell: bell}
-	ds.clients[id] = cl
+	ds.clients = append(ds.clients, cl)
 	pt, err := ds.K.CreatePortal(ds.PD, ds.PD.Caps.AllocSel(), "disk-"+name, id, 0, func(msg *hypervisor.UTCB) error {
 		return ds.handleRequest(cl, msg)
 	})
@@ -221,10 +219,10 @@ func (ds *DiskServer) AddClient(clientPD *hypervisor.PD, name string) (*hypervis
 // Completions drains and returns the client's completion records (the
 // client reads its shared region after a doorbell signal).
 func (ds *DiskServer) Completions(clientID uint64) []CompletionRecord {
-	cl := ds.clients[clientID]
-	if cl == nil {
+	if clientID == 0 || clientID > uint64(len(ds.clients)) {
 		return nil
 	}
+	cl := ds.clients[clientID-1]
 	recs := cl.completions
 	cl.completions = nil
 	return recs
@@ -381,14 +379,13 @@ func (ds *DiskServer) record(kind trace.Kind, a0, a1, a2, a3 uint64) {
 
 // handleIRQ is the interrupt EC body (Figure 4, steps 6-7): it drains
 // completed slots, writes completion records and rings each client's
-// doorbell.
+// doorbell, in client-id order.
 func (ds *DiskServer) handleIRQ() {
 	ds.record(trace.KindDiskIRQ, 0, 0, 0, 0)
 	is := ds.mmioRead(portIS)
 	ds.mmioWrite(portIS, is) // acknowledge at the device
 	ds.mmioWrite(regIS, 1)
 	ci := ds.mmioRead(portCI)
-	signaled := map[*diskClient]bool{}
 	for slot, p := range ds.inflight {
 		if p == nil || ci&(1<<uint(slot)) != 0 {
 			continue // still in flight
@@ -412,11 +409,12 @@ func (ds *DiskServer) handleIRQ() {
 				ds.dmaDomain.Unmap(lo, hi-lo)
 			}
 		}
-		signaled[p.client] = true
+		p.client.signal = true
 	}
-	for cl := range signaled {
-		if cl.doorbell != nil {
+	for _, cl := range ds.clients {
+		if cl.signal && cl.doorbell != nil {
 			ds.K.SemUp(ds.PD, cl.doorbell) //nolint:errcheck
 		}
+		cl.signal = false
 	}
 }

@@ -29,8 +29,7 @@ type NetServer struct {
 
 	irqSem *hypervisor.Semaphore
 
-	clients map[uint64]*netClient
-	nextID  uint64
+	clients []*netClient // by id-1; ids are dense from 1
 
 	// MaxQueued bounds each client's backlog; beyond it packets drop
 	// (backpressure instead of unbounded memory).
@@ -56,6 +55,7 @@ type netClient struct {
 	doorbell *hypervisor.Semaphore
 	queue    [][]byte
 	spans    []span.ID // parallel to queue: the frame's RX span
+	signal   bool      // a frame was queued in this IRQ's harvest
 }
 
 const netBufSize = 2048
@@ -73,7 +73,6 @@ func NewNetServer(k *hypervisor.Kernel, memPage uint32) (*NetServer, error) {
 		ringBase:  uint64(memPage) << 12,
 		bufBase:   uint64(memPage)<<12 + hw.PageSize,
 		slots:     slots,
-		clients:   make(map[uint64]*netClient),
 		MaxQueued: 256,
 		spanRefs:  make(map[span.ID]int),
 	}
@@ -152,19 +151,18 @@ func (ns *NetServer) AddClient(pd *hypervisor.PD, name string) (uint64, *hypervi
 	if err := ns.K.DelegateCap(ns.PD, bellSel, pd, pd.Caps.AllocSel(), cap.RightCall); err != nil {
 		return 0, nil, err
 	}
-	ns.nextID++
-	ns.clients[ns.nextID] = &netClient{doorbell: bell}
-	return ns.nextID, bell, nil
+	ns.clients = append(ns.clients, &netClient{doorbell: bell})
+	return uint64(len(ns.clients)), bell, nil
 }
 
 // Receive drains a client's packet queue. Draining is the end of each
 // frame's causal chain for this client; the frame's span closes when
 // the last client holding it drains (exactly once per frame).
 func (ns *NetServer) Receive(clientID uint64) [][]byte {
-	cl := ns.clients[clientID]
-	if cl == nil {
+	if clientID == 0 || clientID > uint64(len(ns.clients)) {
 		return nil
 	}
+	cl := ns.clients[clientID-1]
 	pkts := cl.queue
 	cl.queue = nil
 	sps := cl.spans
@@ -199,12 +197,12 @@ func (ns *NetServer) record(kind trace.Kind, a0, a1, a2, a3 uint64) {
 }
 
 // handleIRQ is the interrupt EC: harvest DD descriptors, copy out the
-// payloads, return the slots, ring client doorbells.
+// payloads, return the slots, ring client doorbells in client-id
+// order.
 func (ns *NetServer) handleIRQ() {
 	ns.record(trace.KindNetIRQ, 0, 0, 0, 0)
 	ns.mmioRead(0x00c0) // ICR read-to-clear
 	mem := ns.K.Plat.Mem
-	delivered := map[*netClient]bool{}
 	for {
 		descAddr := hw.PhysAddr(ns.ringBase + uint64(ns.head)*16)
 		status := mem.Read8(descAddr + 12)
@@ -220,8 +218,7 @@ func (ns *NetServer) handleIRQ() {
 		}
 		pkt := mem.ReadBytes(hw.PhysAddr(ns.bufBase+uint64(ns.head)*netBufSize), length)
 		// The harvested frame is a request origin. One span per frame,
-		// assigned before the client fan-out loop (the map iteration
-		// order must never influence span ID assignment).
+		// assigned before the client fan-out loop.
 		cpu := ns.K.CurCPU()
 		sp := ns.K.Spans.Open(cpu, ns.K.Now(), span.ClassNetRX, span.SegServer, uint64(length))
 		ns.K.Spans.Annotate(cpu, ns.K.Now(), sp, span.AnnotBytes, uint64(length))
@@ -239,7 +236,7 @@ func (ns *NetServer) handleIRQ() {
 				ns.spanRefs[sp]++
 			}
 			nDelivered++
-			delivered[cl] = true
+			cl.signal = true
 		}
 		ns.record(trace.KindNetRX, uint64(length), nDelivered, 0, 0)
 		if sp != 0 {
@@ -255,10 +252,11 @@ func (ns *NetServer) handleIRQ() {
 		ns.mmioWrite(0x2818, ns.head) // return the slot (RDT)
 		ns.head = (ns.head + 1) % uint32(ns.slots)
 	}
-	for cl := range delivered {
-		if cl.doorbell != nil {
+	for _, cl := range ns.clients {
+		if cl.signal && cl.doorbell != nil {
 			ns.K.SemUp(ns.PD, cl.doorbell) //nolint:errcheck
 		}
+		cl.signal = false
 	}
 }
 

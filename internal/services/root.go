@@ -2,6 +2,7 @@ package services
 
 import (
 	"fmt"
+	"maps"
 
 	"nova/internal/cap"
 	"nova/internal/hw"
@@ -58,11 +59,7 @@ func (r *RootPM) AllocAligned(name string, n, align int) (uint32, error) {
 
 // Allocations lists the current assignments for inspection.
 func (r *RootPM) Allocations() map[string][2]uint32 {
-	out := make(map[string][2]uint32, len(r.allocations))
-	for k, v := range r.allocations {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(r.allocations)
 }
 
 // StartDiskServer allocates driver memory and brings the disk server

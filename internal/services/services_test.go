@@ -344,3 +344,40 @@ func TestNetServerBackpressure(t *testing.T) {
 		t.Errorf("dropped = %d, want 6", ns.Stats.Dropped)
 	}
 }
+
+// TestNetServerWakesClientsInIDOrder: one frame fans out to two
+// clients, each with an EC blocked on its doorbell. The doorbells ring
+// in client-id order, so the equal-priority ECs wake in that order, on
+// every run.
+func TestNetServerWakesClientsInIDOrder(t *testing.T) {
+	for rep := 0; rep < 20; rep++ {
+		k, root := newStack(t)
+		ns, err := root.StartNetServer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var woke []uint64
+		for _, name := range []string{"first", "second"} {
+			pd, _ := k.CreatePD(k.Root, k.Root.Caps.AllocSel(), name, false)
+			id, bell, err := ns.AddClient(pd, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ec, err := k.CreateEC(k.Root, k.Root.Caps.AllocSel(), pd, 0, name, func() { woke = append(woke, id) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := k.CreateSC(k.Root, k.Root.Caps.AllocSel(), ec, 10, 1_000_000); err != nil {
+				t.Fatal(err)
+			}
+			k.BindECToSemaphore(ec, bell)
+		}
+		src := hw.NewPacketSource(k.Plat.NIC, k.Plat.Queue, k.Plat.BootCPU().Clock.Now,
+			k.Plat.Cost.FreqMHz, 64, 100, 1)
+		src.Start()
+		k.Run(k.Now() + 50_000_000)
+		if len(woke) != 2 || woke[0] != 1 || woke[1] != 2 {
+			t.Fatalf("run %d: clients woke in order %v, want [1 2]", rep, woke)
+		}
+	}
+}

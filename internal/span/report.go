@@ -81,6 +81,8 @@ func BuildSpans(d *Data) []*Span {
 			s.Annot = append(s.Annot, Annot{Key: e.A1, Val: e.A2})
 		case KindClose:
 			s.closeAt(e.Time, e.A1)
+		default:
+			// KindNone marks an empty record; KindOpen is handled above.
 		}
 	}
 	return spans
