@@ -108,7 +108,9 @@ func abRun(t *testing.T, tc abCase, c abCell) abResult {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	res := abResult{cycles: cycles, ram: fnvHash(r.Plat.Mem.RAM())}
+	ram := fnv.New64a()
+	r.Plat.Mem.WriteTo(ram) // a hash.Hash never returns a write error
+	res := abResult{cycles: cycles, ram: ram.Sum64()}
 	if v := r.VCPU(); v != nil {
 		res.state = v.State.String()
 	} else {

@@ -59,7 +59,7 @@ func stepChunk(t *testing.T, r *Runner) (hw.Cycles, bool) {
 // finish snapshots a machine's result once it reported done.
 func finish(r *Runner, cycles hw.Cycles) machineResult {
 	h := fnv.New64a()
-	h.Write(r.Plat.Mem.RAM())
+	r.Plat.Mem.WriteTo(h) // a hash.Hash never returns a write error
 	return machineResult{
 		cycles:    cycles,
 		traceHash: r.Tracer.Hash(),

@@ -2,6 +2,7 @@ package guest
 
 import (
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"nova/internal/hw"
@@ -227,5 +228,23 @@ func TestDiskWriteReadVirtualized(t *testing.T) {
 		if got != want {
 			t.Errorf("%v: media[0] = %#x, want %#x", mode, got, want)
 		}
+	}
+}
+
+// TestNewRunnerAllocatesLittle checks that building a machine does not
+// pay for its 64 MiB of RAM up front: pages come with their first store.
+func TestNewRunnerAllocatesLittle(t *testing.T) {
+	img := MustBuild(CompileKernel(667))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := NewRunner(RunnerConfig{Model: hw.BLM, Mode: ModeVirtEPT, UseVPID: true,
+		HostLargePages: true, WithDiskServer: true}, img)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(r)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<20 {
+		t.Errorf("NewRunner allocated %d MiB, want less than 16", got>>20)
 	}
 }

@@ -157,3 +157,25 @@ func TestKeyboardControllerModel(t *testing.T) {
 		t.Error("no drops on overflow")
 	}
 }
+
+// TestAHCICommandListThatWrapsFails programs, through the platform's
+// MMIO routing, a command list that ends past 2^64 on a platform without
+// an IOMMU, where the controller fetches it by direct DMA. The fetch
+// fails and the slot must fail with TFES.
+func TestAHCICommandListThatWrapsFails(t *testing.T) {
+	p := MustNewPlatform(Config{RAMSize: 1 << 20, DisableIOMMU: true})
+	port := AHCIMMIOBase + ahciPortBase
+	p.Mem.Write32(port+pxCLB, 0xffffffe0)
+	p.Mem.Write32(port+pxCLBU, 0xffffffff)
+	p.Mem.Write32(port+pxCMD, pxcmdST|pxcmdFRE)
+	p.Mem.Write32(port+pxCI, 1)
+	if is := p.Mem.Read32(port + pxIS); is&pxisTFES == 0 {
+		t.Errorf("PxIS = %#x, want TFES", is)
+	}
+	if ci := p.Mem.Read32(port + pxCI); ci != 0 {
+		t.Errorf("PxCI = %#x, want the slot retired", ci)
+	}
+	if p.AHCI.Stats.Errors != 1 {
+		t.Errorf("errors = %d, want 1", p.AHCI.Stats.Errors)
+	}
+}

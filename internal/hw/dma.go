@@ -36,18 +36,17 @@ type directDMA struct {
 func NewDirectDMA(mem *Memory) DMABus { return &directDMA{mem: mem} }
 
 func (d *directDMA) DMARead(dev DeviceID, addr uint64, b []byte) error {
-	if addr+uint64(len(b)) > d.mem.Size() {
-		return fmt.Errorf("hw: DMA read [%#x,%#x) beyond RAM", addr, addr+uint64(len(b)))
+	if !d.mem.inRAM(addr, uint64(len(b))) {
+		return fmt.Errorf("hw: DMA read of %d bytes at %#x beyond RAM", len(b), addr)
 	}
-	copy(b, d.mem.RAM()[addr:])
+	d.mem.readAt(b, addr)
 	return nil
 }
 
 func (d *directDMA) DMAWrite(dev DeviceID, addr uint64, b []byte) error {
-	if addr+uint64(len(b)) > d.mem.Size() {
-		return fmt.Errorf("hw: DMA write [%#x,%#x) beyond RAM", addr, addr+uint64(len(b)))
+	if !d.mem.inRAM(addr, uint64(len(b))) {
+		return fmt.Errorf("hw: DMA write of %d bytes at %#x beyond RAM", len(b), addr)
 	}
-	d.mem.touch(PhysAddr(addr), len(b))
-	copy(d.mem.RAM()[addr:], b)
+	d.mem.writeAt(addr, b)
 	return nil
 }

@@ -3,6 +3,7 @@ package hw
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"sort"
 )
 
@@ -26,27 +27,46 @@ type mmioRegion struct {
 	name    string
 }
 
-// Memory is the platform's physical memory plus the MMIO address space.
-// Device windows are claimed with MapMMIO; ordinary loads and stores to
-// those ranges are routed to the device handler.
-type Memory struct {
-	ram     []byte
-	regions []mmioRegion // sorted by base
+// page is one resident 4 KiB page of RAM.
+type page struct {
+	data [PageSize]byte
 
-	// pageGen counts writes per 4 KiB RAM page. Host-side caches of
-	// derived page contents (the interpreter's decoded-code cache) key
-	// on it to detect staleness; it is pure host bookkeeping and never
-	// affects simulated behaviour or cycle accounting.
-	pageGen []uint64
+	// gen counts the store calls that touched the page. Host-side
+	// caches of derived page contents (the interpreter's decoded-code
+	// cache) key on it to detect staleness; it is pure host bookkeeping
+	// and never affects simulated behaviour or cycle accounting.
+	gen uint64
+
+	// slow sends every access to the page down the MMIO-routed,
+	// bounds-checked path: the page overlaps a device window, or it is
+	// a trailing partial page that runs past the end of RAM.
+	slow bool
 }
 
-// NewMemory allocates size bytes of physical RAM.
+// Memory is the platform's physical memory plus the MMIO address space.
+// RAM is a directory with one entry per 4 KiB page, the way NOVA hands
+// out memory (§6). A page is allocated by the first store to it; until
+// then its entry is nil and it reads as zeros. Device windows are
+// claimed with MapMMIO; ordinary loads and stores to those ranges are
+// routed to the device handler.
+type Memory struct {
+	pages   []*page
+	size    uint64
+	regions []mmioRegion // sorted by base
+}
+
+// NewMemory creates size bytes of physical RAM. It allocates only the
+// page directory; pages come with their first store.
 func NewMemory(size uint64) *Memory {
-	return &Memory{ram: make([]byte, size), pageGen: make([]uint64, (size+PageSize-1)/PageSize)}
+	m := &Memory{pages: make([]*page, (size+PageSize-1)/PageSize), size: size}
+	if size%PageSize != 0 {
+		m.resident(size / PageSize).slow = true
+	}
+	return m
 }
 
 // Size returns the amount of RAM in bytes.
-func (m *Memory) Size() uint64 { return uint64(len(m.ram)) }
+func (m *Memory) Size() uint64 { return m.size }
 
 // MapMMIO registers handler for the physical range [base, base+size).
 // The range must not overlap RAM-backed addresses in use or another
@@ -59,6 +79,9 @@ func (m *Memory) MapMMIO(name string, base PhysAddr, size uint64, handler MMIOHa
 	}
 	m.regions = append(m.regions, mmioRegion{base: base, size: size, handler: handler, name: name})
 	sort.Slice(m.regions, func(i, j int) bool { return m.regions[i].base < m.regions[j].base })
+	for p := uint64(base) >> 12; p < uint64(len(m.pages)) && p<<12 < uint64(base)+size; p++ {
+		m.resident(p).slow = true
+	}
 	return nil
 }
 
@@ -79,142 +102,233 @@ func (m *Memory) IsMMIO(addr PhysAddr) bool {
 	return ok
 }
 
-// touch bumps the write generation of every RAM page the write
-// [addr, addr+n) covers. Callers must have bounds-checked via checkRAM.
-func (m *Memory) touch(addr PhysAddr, n int) {
-	if n <= 0 {
-		return
+// resident returns page idx, allocating it on first use.
+func (m *Memory) resident(idx uint64) *page {
+	slot := &m.pages[idx] // sanitized: callers bound idx by the directory length or by inRAM
+	if *slot == nil {
+		*slot = new(page)
 	}
-	first := uint64(addr) >> 12
-	last := (uint64(addr) + uint64(n) - 1) >> 12
-	for p := first; p <= last; p++ {
-		m.pageGen[p]++ // sanitized: callers checkRAM the full [addr, addr+n) range first
-	}
+	return *slot
 }
 
-// overlapsMMIO reports whether [base, base+size) intersects any device
-// window.
-func (m *Memory) overlapsMMIO(base PhysAddr, size uint64) bool {
-	i := sort.Search(len(m.regions), func(i int) bool {
-		return m.regions[i].base+PhysAddr(m.regions[i].size) > base
-	})
-	return i < len(m.regions) && m.regions[i].base < base+PhysAddr(size)
+// plainPage looks up the page an n-byte access at addr goes to when the
+// access stays inside one page of plain RAM. ok is false when it must
+// take the slow path: it crosses a page boundary, lies past RAM, or its
+// page overlaps a device window. A nil page with ok set is absent and
+// reads as zeros.
+func (m *Memory) plainPage(addr PhysAddr, n uint64) (p *page, ok bool) {
+	idx := uint64(addr) >> 12
+	if uint64(addr)&(PageSize-1)+n > PageSize || idx >= uint64(len(m.pages)) {
+		return nil, false
+	}
+	p = m.pages[idx]
+	return p, p == nil || !p.slow
+}
+
+// storePage is plainPage for a store: it allocates an absent page and
+// bumps the page's generation. nil means the store takes the slow path.
+func (m *Memory) storePage(addr PhysAddr, n uint64) *page {
+	p, ok := m.plainPage(addr, n)
+	if !ok {
+		return nil
+	}
+	if p == nil {
+		p = m.resident(uint64(addr) >> 12)
+	}
+	p.gen++
+	return p
 }
 
 // CodePage returns the RAM backing of the 4 KiB page containing addr
 // together with its current write generation, for host-side caches of
-// decoded code. It fails (ok=false) when the page is not plain RAM —
+// decoded code. The page becomes resident, so the view shows every
+// later store. It fails (ok=false) when the page is not plain RAM —
 // beyond the RAM size or overlapping a device window, where reads have
 // side effects and must go through the MMIO-routed access path.
 func (m *Memory) CodePage(addr PhysAddr) (data []byte, gen uint64, ok bool) {
-	base := addr &^ (PageSize - 1)
-	if uint64(base)+PageSize > uint64(len(m.ram)) {
+	idx := uint64(addr) >> 12
+	if idx >= uint64(len(m.pages)) {
 		return nil, 0, false
 	}
-	if m.overlapsMMIO(base, PageSize) {
+	p := m.resident(idx)
+	if p.slow {
 		return nil, 0, false
 	}
-	return m.ram[base : base+PageSize : base+PageSize], m.pageGen[base>>12], true
+	return p.data[:], p.gen, true
+}
+
+// inRAM reports whether [addr, addr+n) lies inside RAM. It does not wrap
+// for ranges that end past 2^64.
+func (m *Memory) inRAM(addr, n uint64) bool {
+	return addr <= m.size && n <= m.size-addr
 }
 
 func (m *Memory) checkRAM(addr PhysAddr, n int) {
-	if uint64(addr)+uint64(n) > uint64(len(m.ram)) {
+	if !m.inRAM(uint64(addr), uint64(n)) {
 		// invariant: guest accesses are bounds-checked during address
 		// translation (vTLB/EPT walk) before they reach physical memory,
 		// so an out-of-range physical access can only come from a bug in
 		// the simulator itself — never from guest or user input.
-		panic(fmt.Sprintf("hw: physical access [%#x,%#x) beyond RAM size %#x", addr, uint64(addr)+uint64(n), len(m.ram)))
+		panic(fmt.Sprintf("hw: physical access of %d bytes at %#x beyond RAM size %#x", n, addr, m.size))
 	}
+}
+
+// readAt copies RAM at addr into b page by page; absent pages read as
+// zeros. Callers have bounds-checked [addr, addr+len(b)).
+func (m *Memory) readAt(b []byte, addr uint64) {
+	for len(b) > 0 {
+		off := addr & (PageSize - 1)
+		n := min(uint64(len(b)), PageSize-off)
+		if p := m.pages[addr>>12]; p != nil { // sanitized: callers checkRAM or inRAM the full range first
+			copy(b, p.data[off:off+n])
+		} else {
+			clear(b[:n])
+		}
+		b, addr = b[n:], addr+n
+	}
+}
+
+// writeAt copies b into RAM at addr page by page, allocating absent
+// pages and bumping the generation of each page it touches once.
+// Callers have bounds-checked [addr, addr+len(b)).
+func (m *Memory) writeAt(addr uint64, b []byte) {
+	for len(b) > 0 {
+		p := m.resident(addr >> 12)
+		p.gen++
+		n := copy(p.data[addr&(PageSize-1):], b)
+		b, addr = b[n:], addr+uint64(n)
+	}
+}
+
+// readSlow serves a load of n ≤ 4 bytes that plainPage declined: a
+// device-window address goes to its handler; anything else is
+// bounds-checked and read across pages.
+func (m *Memory) readSlow(addr PhysAddr, n int) uint32 {
+	if h, off, ok := m.MMIOAt(addr); ok {
+		return h.MMIORead(off, n)
+	}
+	m.checkRAM(addr, n)
+	var b [4]byte
+	m.readAt(b[:n], uint64(addr))
+	return binary.LittleEndian.Uint32(b[:])
+}
+
+// writeSlow is readSlow for stores.
+func (m *Memory) writeSlow(addr PhysAddr, n int, v uint32) {
+	if h, off, ok := m.MMIOAt(addr); ok {
+		h.MMIOWrite(off, n, v)
+		return
+	}
+	m.checkRAM(addr, n)
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	m.writeAt(uint64(addr), b[:n])
 }
 
 // Read8 loads one byte of physical memory, routing to MMIO if mapped.
 func (m *Memory) Read8(addr PhysAddr) uint8 {
-	if h, off, ok := m.MMIOAt(addr); ok {
-		return uint8(h.MMIORead(off, 1))
+	if p, ok := m.plainPage(addr, 1); ok {
+		if p == nil {
+			return 0
+		}
+		return p.data[addr&(PageSize-1)]
 	}
-	m.checkRAM(addr, 1)
-	return m.ram[addr] // sanitized: checkRAM above panics on out-of-range physical access
+	return uint8(m.readSlow(addr, 1))
 }
 
 // Read16 loads a little-endian 16-bit value.
 func (m *Memory) Read16(addr PhysAddr) uint16 {
-	if h, off, ok := m.MMIOAt(addr); ok {
-		return uint16(h.MMIORead(off, 2))
+	if p, ok := m.plainPage(addr, 2); ok {
+		if p == nil {
+			return 0
+		}
+		return binary.LittleEndian.Uint16(p.data[addr&(PageSize-1):])
 	}
-	m.checkRAM(addr, 2)
-	return binary.LittleEndian.Uint16(m.ram[addr:]) // sanitized: checkRAM above panics on out-of-range physical access
+	return uint16(m.readSlow(addr, 2))
 }
 
 // Read32 loads a little-endian 32-bit value.
 func (m *Memory) Read32(addr PhysAddr) uint32 {
-	if h, off, ok := m.MMIOAt(addr); ok {
-		return h.MMIORead(off, 4)
+	if p, ok := m.plainPage(addr, 4); ok {
+		if p == nil {
+			return 0
+		}
+		return binary.LittleEndian.Uint32(p.data[addr&(PageSize-1):])
 	}
-	m.checkRAM(addr, 4)
-	return binary.LittleEndian.Uint32(m.ram[addr:]) // sanitized: checkRAM above panics on out-of-range physical access
+	return m.readSlow(addr, 4)
 }
 
 // Read64 loads a little-endian 64-bit value from RAM (not MMIO).
 func (m *Memory) Read64(addr PhysAddr) uint64 {
 	m.checkRAM(addr, 8)
-	return binary.LittleEndian.Uint64(m.ram[addr:]) // sanitized: checkRAM above panics on out-of-range physical access
+	var b [8]byte
+	m.readAt(b[:], uint64(addr))
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // Write8 stores one byte, routing to MMIO if mapped.
 func (m *Memory) Write8(addr PhysAddr, v uint8) {
-	if h, off, ok := m.MMIOAt(addr); ok {
-		h.MMIOWrite(off, 1, uint32(v))
+	if p := m.storePage(addr, 1); p != nil {
+		p.data[addr&(PageSize-1)] = v
 		return
 	}
-	m.checkRAM(addr, 1)
-	m.pageGen[addr>>12]++ // sanitized: checkRAM above panics on out-of-range physical access
-	m.ram[addr] = v       // sanitized: checkRAM above panics on out-of-range physical access
+	m.writeSlow(addr, 1, uint32(v))
 }
 
 // Write16 stores a little-endian 16-bit value.
 func (m *Memory) Write16(addr PhysAddr, v uint16) {
-	if h, off, ok := m.MMIOAt(addr); ok {
-		h.MMIOWrite(off, 2, uint32(v))
+	if p := m.storePage(addr, 2); p != nil {
+		binary.LittleEndian.PutUint16(p.data[addr&(PageSize-1):], v)
 		return
 	}
-	m.checkRAM(addr, 2)
-	m.touch(addr, 2)
-	binary.LittleEndian.PutUint16(m.ram[addr:], v) // sanitized: checkRAM above panics on out-of-range physical access
+	m.writeSlow(addr, 2, uint32(v))
 }
 
 // Write32 stores a little-endian 32-bit value.
 func (m *Memory) Write32(addr PhysAddr, v uint32) {
-	if h, off, ok := m.MMIOAt(addr); ok {
-		h.MMIOWrite(off, 4, v)
+	if p := m.storePage(addr, 4); p != nil {
+		binary.LittleEndian.PutUint32(p.data[addr&(PageSize-1):], v)
 		return
 	}
-	m.checkRAM(addr, 4)
-	m.touch(addr, 4)
-	binary.LittleEndian.PutUint32(m.ram[addr:], v) // sanitized: checkRAM above panics on out-of-range physical access
+	m.writeSlow(addr, 4, v)
 }
 
 // Write64 stores a little-endian 64-bit value to RAM (not MMIO).
 func (m *Memory) Write64(addr PhysAddr, v uint64) {
-	m.checkRAM(addr, 8)
-	m.touch(addr, 8)
-	binary.LittleEndian.PutUint64(m.ram[addr:], v) // sanitized: checkRAM above panics on out-of-range physical access
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	m.WriteBytes(addr, b[:])
 }
 
 // ReadBytes copies n bytes of RAM starting at addr into a fresh slice.
 func (m *Memory) ReadBytes(addr PhysAddr, n int) []byte {
 	m.checkRAM(addr, n)
 	out := make([]byte, n)
-	copy(out, m.ram[addr:]) // sanitized: checkRAM above panics on out-of-range physical access
+	m.readAt(out, uint64(addr))
 	return out
 }
 
 // WriteBytes copies b into RAM at addr.
 func (m *Memory) WriteBytes(addr PhysAddr, b []byte) {
 	m.checkRAM(addr, len(b))
-	m.touch(addr, len(b))
-	copy(m.ram[addr:], b) // sanitized: checkRAM above panics on out-of-range physical access
+	m.writeAt(uint64(addr), b)
 }
 
-// RAM exposes the raw backing slice for DMA engines. Callers must respect
-// region boundaries; this bypasses MMIO routing intentionally.
-func (m *Memory) RAM() []byte { return m.ram }
+// WriteTo writes all of RAM to w, absent pages as zeros. It implements
+// io.WriterTo.
+func (m *Memory) WriteTo(w io.Writer) (int64, error) {
+	zero := make([]byte, PageSize)
+	var total int64
+	for i, p := range m.pages {
+		b := zero
+		if p != nil {
+			b = p.data[:]
+		}
+		n, err := w.Write(b[:min(PageSize, m.size-uint64(i)*PageSize)])
+		total += int64(n)
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
+}

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -219,4 +220,133 @@ func TestCodePageDeclines(t *testing.T) {
 	if _, _, ok := m.CodePage(0x9000); !ok {
 		t.Error("CodePage declined the page after the MMIO window")
 	}
+}
+
+// TestMemoryHotPathsDoNotAllocate pins the cost of the page directory:
+// loads, stores to resident pages and CodePage allocate nothing.
+func TestMemoryHotPathsDoNotAllocate(t *testing.T) {
+	m := NewMemory(1 << 20)
+	m.Write8(0x1000, 1) // page 1 resident, page 2 absent
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"Read8 resident", func() { m.Read8(0x1001) }},
+		{"Read16 resident", func() { m.Read16(0x1002) }},
+		{"Read32 resident", func() { m.Read32(0x1004) }},
+		{"Read8 absent", func() { m.Read8(0x2001) }},
+		{"Read16 absent", func() { m.Read16(0x2002) }},
+		{"Read32 absent", func() { m.Read32(0x2004) }},
+		{"Write8 resident", func() { m.Write8(0x1001, 1) }},
+		{"Write16 resident", func() { m.Write16(0x1002, 1) }},
+		{"Write32 resident", func() { m.Write32(0x1004, 1) }},
+		{"CodePage resident", func() { m.CodePage(0x1000) }},
+	} {
+		if n := testing.AllocsPerRun(100, c.f); n != 0 {
+			t.Errorf("%s: %v allocs, want 0", c.name, n)
+		}
+	}
+}
+
+// TestMemoryReadsLeaveAbsentPagesAbsent checks that only stores (and
+// CodePage) make a page resident.
+func TestMemoryReadsLeaveAbsentPagesAbsent(t *testing.T) {
+	m := NewMemory(1 << 20)
+	u := NewIOMMU(m)
+	d := NewIOMMUDomain("dev")
+	if err := d.Map(0, 0, 1<<20, IOMMURead|IOMMUWrite); err != nil {
+		t.Fatal(err)
+	}
+	u.Attach(1, d)
+	m.Read8(0x2000)
+	m.Read16(0x2ffe)
+	m.Read32(0x2ffe) // crosses into page 3
+	m.Read64(0x3ffc)
+	m.ReadBytes(0x4000, 2*PageSize)
+	if err := NewDirectDMA(m).DMARead(1, 0x6ff0, make([]byte, PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.DMARead(1, 0x8ff0, make([]byte, PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range m.pages {
+		if p != nil {
+			t.Errorf("page %d became resident after reads", i)
+		}
+	}
+}
+
+// TestNewMemoryAllocatesOnlyItsDirectory checks that creating RAM costs
+// its page directory, not its size.
+func TestNewMemoryAllocatesOnlyItsDirectory(t *testing.T) {
+	const size = 768 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := NewMemory(size)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	// One pointer per page, plus the Memory header.
+	dir := uint64(size/PageSize) * 8
+	if got := after.TotalAlloc - before.TotalAlloc; got > dir+1024 {
+		t.Errorf("NewMemory(768 MiB) allocated %d bytes, want at most %d", got, dir+1024)
+	}
+}
+
+// TestDirectDMARejectsRangesThatWrap checks that a DMA range ending past
+// 2^64 is refused instead of wrapping around into RAM.
+func TestDirectDMARejectsRangesThatWrap(t *testing.T) {
+	dma := NewDirectDMA(NewMemory(1 << 20))
+	for _, c := range []struct {
+		addr uint64
+		n    int
+	}{{0xfffffffffffff000, PageSize}, {1<<64 - 1, 1}} {
+		b := make([]byte, c.n)
+		if err := dma.DMARead(0, c.addr, b); err == nil {
+			t.Errorf("DMARead of %d bytes at %#x succeeded", c.n, c.addr)
+		}
+		if err := dma.DMAWrite(0, c.addr, b); err == nil {
+			t.Errorf("DMAWrite of %d bytes at %#x succeeded", c.n, c.addr)
+		}
+	}
+}
+
+var (
+	benchMemU32  uint32
+	benchMemPage []byte
+	benchMem     *Memory
+)
+
+func BenchmarkMemory(b *testing.B) {
+	m := NewMemory(64 << 20)
+	m.Write32(0x1000, 1) // page 1 resident, page 2 absent
+	b.Run("Read32-resident", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchMemU32 += m.Read32(0x1000 + PhysAddr(i&0x3ff)*4)
+		}
+	})
+	b.Run("Write32-resident", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.Write32(0x1000+PhysAddr(i&0x3ff)*4, uint32(i))
+		}
+	})
+	b.Run("CodePage-resident", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchMemPage, _, _ = m.CodePage(0x1000)
+		}
+	})
+	b.Run("Read32-absent", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchMemU32 += m.Read32(0x2000 + PhysAddr(i&0x3ff)*4)
+		}
+	})
+	b.Run("NewMemory-64MiB", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchMem = NewMemory(64 << 20)
+		}
+	})
 }

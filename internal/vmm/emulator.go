@@ -24,14 +24,14 @@ type emuEnv struct {
 type vmmGuestPhys struct{ m *VMM }
 
 func (g vmmGuestPhys) ReadPhys32(pa uint64) (uint32, bool) {
-	if pa+4 > g.m.size {
+	if !g.m.inGuest(pa, 4) {
 		return 0, false
 	}
 	return g.m.guestRead32(pa), true
 }
 
 func (g vmmGuestPhys) WritePhys32(pa uint64, v uint32) bool {
-	if pa+4 > g.m.size {
+	if !g.m.inGuest(pa, 4) {
 		return false
 	}
 	g.m.guestWrite32(pa, v)
@@ -59,7 +59,7 @@ func (e *emuEnv) MemRead(st *x86.CPUState, va uint32, size int, kind x86.AccessK
 	if v, ok := e.m.mmioRead(gpa, size); ok {
 		return v, nil
 	}
-	if gpa+uint64(size) > e.m.size {
+	if !e.m.inGuest(gpa, uint64(size)) {
 		// Unclaimed bus address: reads float high (PCI master abort).
 		return 0xffffffff >> (32 - uint(size)*8), nil
 	}
@@ -78,7 +78,7 @@ func (e *emuEnv) MemWrite(st *x86.CPUState, va uint32, size int, val uint32) err
 	if e.m.mmioWrite(gpa, size, val) {
 		return nil
 	}
-	if gpa+uint64(size) > e.m.size {
+	if !e.m.inGuest(gpa, uint64(size)) {
 		return nil // unclaimed bus address: write dropped
 	}
 	b := make([]byte, size)

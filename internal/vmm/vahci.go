@@ -174,7 +174,7 @@ func (a *VAHCI) issue(slot int) {
 		base := ctba + 0x80 + uint64(i)*16
 		dba := uint64(m.guestRead32(base)) | uint64(m.guestRead32(base+4))<<32
 		dbc := int(m.guestRead32(base+12)&0x3fffff) + 1
-		if dba+uint64(dbc) > m.size {
+		if !m.inGuest(dba, uint64(dbc)) {
 			a.fail(slot)
 			return
 		}

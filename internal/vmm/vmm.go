@@ -283,9 +283,16 @@ func (m *VMM) Start(priority int, quantum hw.Cycles) error {
 // teletype service and the virtual serial port.
 func (m *VMM) Console() string { return string(m.console) + m.vSerial.Output() }
 
+// inGuest reports whether [gpa, gpa+n) lies inside guest-physical
+// memory. Guests write 64-bit addresses (command lists, PRDs), so the
+// test must not wrap near 2^64.
+func (m *VMM) inGuest(gpa, n uint64) bool {
+	return gpa <= m.size && n <= m.size-gpa
+}
+
 // GuestRead copies guest-physical memory (the VMM's own mapping of it).
 func (m *VMM) GuestRead(gpa uint64, n int) []byte {
-	if gpa+uint64(n) > m.size {
+	if !m.inGuest(gpa, uint64(n)) {
 		return nil
 	}
 	return m.K.Plat.Mem.ReadBytes(hw.PhysAddr(m.base+gpa), n)
@@ -297,22 +304,22 @@ func (m *VMM) GuestRead(gpa uint64, n int) []byte {
 // loading outside measured windows, or the instruction emulator, which
 // charges EmulateInstruction per emulated instruction.
 func (m *VMM) GuestWrite(gpa uint64, b []byte) error {
-	if gpa+uint64(len(b)) > m.size {
-		return fmt.Errorf("vmm: guest write [%#x,%#x) beyond guest memory", gpa, gpa+uint64(len(b)))
+	if !m.inGuest(gpa, uint64(len(b))) {
+		return fmt.Errorf("vmm: guest write of %d bytes at %#x beyond guest memory", len(b), gpa)
 	}
 	m.K.Plat.Mem.WriteBytes(hw.PhysAddr(m.base+gpa), b)
 	return nil
 }
 
 func (m *VMM) guestRead32(gpa uint64) uint32 {
-	if gpa+4 > m.size {
+	if !m.inGuest(gpa, 4) {
 		return 0
 	}
 	return m.K.Plat.Mem.Read32(hw.PhysAddr(m.base + gpa))
 }
 
 func (m *VMM) guestWrite32(gpa uint64, v uint32) {
-	if gpa+4 <= m.size {
+	if m.inGuest(gpa, 4) {
 		m.K.Plat.Mem.Write32(hw.PhysAddr(m.base+gpa), v)
 	}
 }
