@@ -361,7 +361,7 @@ msg:
 		tr = k.AttachTracer(traceCap)
 	}
 	if profFile != "" {
-		k.AttachProfiler(profPeriod, 65536)
+		k.AttachProfiler(profPeriod)
 	}
 	if statsFile != "" {
 		k.AttachStats(statsEpoch)

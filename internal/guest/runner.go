@@ -101,9 +101,6 @@ type RunnerConfig struct {
 	// traces and final state are bit-identical with profiling on or
 	// off.
 	ProfilePeriod uint64
-	// ProfileCapacity is the per-CPU sample-buffer capacity (default
-	// 65536 samples when ProfilePeriod is set).
-	ProfileCapacity int
 
 	// StatEpoch, when non-zero, attaches the resource-accounting
 	// registry with that virtual-time epoch length in cycles (use
@@ -184,7 +181,7 @@ func NewRunner(cfg RunnerConfig, image []byte) (*Runner, error) {
 		}
 		r.BM.DisableSuperblocks = cfg.DisableSuperblocks
 		if cfg.ProfilePeriod > 0 {
-			r.Prof = r.BM.AttachProfiler(cfg.ProfilePeriod, profileCapacity(cfg))
+			r.Prof = r.BM.AttachProfiler(cfg.ProfilePeriod)
 		}
 		if cfg.StatEpoch != 0 {
 			r.Stat = r.BM.AttachStats(cfg.StatEpoch)
@@ -281,7 +278,7 @@ func NewRunner(cfg RunnerConfig, image []byte) (*Runner, error) {
 		r.Tracer = k.AttachTracer(cfg.TraceCapacity)
 	}
 	if cfg.ProfilePeriod > 0 {
-		r.Prof = k.AttachProfiler(cfg.ProfilePeriod, profileCapacity(cfg))
+		r.Prof = k.AttachProfiler(cfg.ProfilePeriod)
 	}
 	if cfg.StatEpoch != 0 {
 		r.Stat = k.AttachStats(cfg.StatEpoch)
@@ -290,14 +287,6 @@ func NewRunner(cfg RunnerConfig, image []byte) (*Runner, error) {
 		r.Spans = k.AttachSpans(cfg.SpanCapacity)
 	}
 	return r, nil
-}
-
-// profileCapacity applies the sample-buffer default.
-func profileCapacity(cfg RunnerConfig) int {
-	if cfg.ProfileCapacity > 0 {
-		return cfg.ProfileCapacity
-	}
-	return 65536
 }
 
 // EncodeProfile captures code bytes at the topN hottest addresses and

@@ -7,11 +7,11 @@ import (
 	"nova/internal/hw"
 )
 
-// tlbChurnKernel is a shadow-paging guest whose working set, 640 data
-// pages, exceeds the 512-entry small-page TLB. Each pass reloads CR3,
-// touches every page, then INVLPGs one page and touches it again, so
-// the TLB sees evicting fills, FlushTag and FlushVA, and re-fills of
-// flushed keys whose old fill positions decide the next victims.
+// tlbChurnKernel is a paging guest whose working set, 640 data pages,
+// exceeds the 512-entry small-page TLB. Each pass reloads CR3, touches
+// every page, then INVLPGs one page and touches it again, so the TLB
+// sees evicting fills, FlushTag and FlushVA, and re-fills of flushed
+// keys whose old fill positions decide the next victims.
 func tlbChurnKernel() KernelOpts {
 	const (
 		dataVA = 0x100000
@@ -46,15 +46,73 @@ tc_touch:
 	}
 }
 
-// TestTLBEvictionGolden pins the virtual cycles, TLB statistics and
-// exits of tlbChurnKernel. Under TLB pressure the victim order feeds
-// every one of them, so a TLB whose eviction order differs from the
-// reference model's (for instance one that forgets the fill positions
-// of flushed entries) fails here even where the quick benchmark's
-// workloads do not notice.
-func TestTLBEvictionGolden(t *testing.T) {
-	r, err := NewRunner(RunnerConfig{Model: hw.BLM, Mode: ModeVirtVTLB, UseVPID: true, HostLargePages: true},
-		MustBuild(tlbChurnKernel()))
+// pageCrossKernel makes every data access straddle two pages: for 64
+// page pairs it stores, loads, pushes and pops a dword at page offset
+// 0xffe. It leaves a checksum of the values it read back at
+// ProgressAddr (see pageCrossSum).
+func pageCrossKernel() KernelOpts {
+	const (
+		dataVA = 0x100ffe
+		pairs  = 64
+	)
+	return KernelOpts{
+		Paging: true,
+		MapMB:  4,
+		Workload: fmt.Sprintf(`
+	mov esi, %#[1]x
+	mov ecx, %[2]d
+	xor edx, edx
+	mov ebp, esp
+pc_pair:
+	mov [esi], ecx
+	add edx, [esi]
+	lea esp, [esi+4]
+	push edx
+	pop eax
+	add edx, eax
+	mov esp, ebp
+	add esi, 0x2000
+	dec ecx
+	jnz pc_pair
+	mov [%#[3]x], edx
+	jmp finish
+`, dataVA, pairs, ProgressAddr),
+	}
+}
+
+// pageCrossSum is the checksum pageCrossKernel computes when every
+// split access reads back what was written.
+func pageCrossSum() uint32 {
+	var sum uint32
+	for c := uint32(64); c > 0; c-- {
+		sum = 2 * (sum + c)
+	}
+	return sum
+}
+
+// tlbGolden is what the golden tests pin: virtual cycles, the boot
+// CPU's TLB statistics, and the vCPU's exits and vTLB fills (zero when
+// native).
+type tlbGolden struct {
+	Cycles           hw.Cycles
+	TLB              hw.TLBStats
+	Exits, VTLBFills uint64
+}
+
+// The configurations the golden tables run: native, EPT with VPID on
+// large host pages, EPT without VPID on small host pages, and vTLB.
+var (
+	goldenNative   = RunnerConfig{Model: hw.BLM, Mode: ModeNative}
+	goldenEPT      = RunnerConfig{Model: hw.BLM, Mode: ModeVirtEPT, UseVPID: true, HostLargePages: true}
+	goldenEPTSmall = RunnerConfig{Model: hw.BLM, Mode: ModeVirtEPT}
+	goldenVTLB     = RunnerConfig{Model: hw.BLM, Mode: ModeVirtVTLB, UseVPID: true, HostLargePages: true}
+)
+
+// runGolden runs image to completion under cfg and returns its golden
+// values and the runner.
+func runGolden(t *testing.T, cfg RunnerConfig, image []byte) (tlbGolden, *Runner) {
+	t.Helper()
+	r, err := NewRunner(cfg, image)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,20 +120,99 @@ func TestTLBEvictionGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type golden struct {
-		Cycles           hw.Cycles
-		TLB              hw.TLBStats
-		Exits, VTLBFills uint64
+	g := tlbGolden{Cycles: cycles, TLB: r.Plat.BootCPU().TLB.Stats}
+	if v := r.VCPU(); v != nil {
+		g.Exits, g.VTLBFills = v.TotalExits(), r.K.Stats.VTLBFills
 	}
-	got := golden{cycles, r.Plat.BootCPU().TLB.Stats, r.VCPU().TotalExits(), r.K.Stats.VTLBFills}
-	want := golden{
-		Cycles: 3_453_765,
-		TLB: hw.TLBStats{Hits: 5165, Misses: 2576, Fills: 2576, Evictions: 523,
-			FlushTag: 7, FlushVA: 4, FlushedEnt: 1541},
-		Exits:     28,
-		VTLBFills: 2574,
+	return g, r
+}
+
+// TestTLBEvictionGolden pins the virtual cycles, TLB statistics and
+// exits of tlbChurnKernel in every paging mode. Under TLB pressure the
+// victim order feeds every one of them, so a TLB whose eviction order
+// differs from the reference model's (for instance one that forgets the
+// fill positions of flushed entries) fails here even where the quick
+// benchmark's workloads do not notice. The A/B matrix compares
+// configurations of one commit; these rows pin each mode across
+// commits.
+func TestTLBEvictionGolden(t *testing.T) {
+	image := MustBuild(tlbChurnKernel())
+	for _, tc := range []struct {
+		name string
+		cfg  RunnerConfig
+		want tlbGolden
+	}{
+		{"native", goldenNative, tlbGolden{
+			Cycles: 159_444,
+			TLB: hw.TLBStats{Hits: 5163, Misses: 2578, Fills: 2578, Evictions: 528,
+				FlushAll: 7, FlushVA: 4, FlushedEnt: 1538},
+		}},
+		{"ept", goldenEPT, tlbGolden{
+			Cycles: 992_670,
+			TLB: hw.TLBStats{Hits: 15338, Misses: 2579, Fills: 2579, Evictions: 523,
+				FlushTag: 8, FlushVA: 4, FlushedEnt: 1544},
+			Exits: 11,
+		}},
+		{"ept-novpid-small", goldenEPTSmall, tlbGolden{
+			Cycles: 994_876,
+			TLB: hw.TLBStats{Hits: 15324, Misses: 2593, Fills: 2593, Evictions: 523,
+				FlushAll: 22, FlushTag: 8, FlushVA: 4, FlushedEnt: 2070},
+			Exits: 11,
+		}},
+		// In a VM the first translation flushes the domain's tag, still
+		// empty then, because the vCPU has not seen the domain's memory
+		// version yet. The EPT rows count that flush too.
+		{"vtlb", goldenVTLB, tlbGolden{
+			Cycles: 3_453_765,
+			TLB: hw.TLBStats{Hits: 5165, Misses: 2576, Fills: 2576, Evictions: 523,
+				FlushTag: 8, FlushVA: 4, FlushedEnt: 1541},
+			Exits:     28,
+			VTLBFills: 2574,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got, _ := runGolden(t, tc.cfg, image); got != tc.want {
+				t.Errorf("got  %+v\nwant %+v", got, tc.want)
+			}
+		})
 	}
-	if got != want {
-		t.Errorf("got  %+v\nwant %+v", got, want)
+}
+
+// TestPageCrossGolden pins pageCrossKernel in every paging mode: each
+// access that straddles a page is split into byte accesses, each of
+// which translates (and may miss, walk or fill) on its own page. The
+// checksum shows that every mode reads back what it wrote.
+func TestPageCrossGolden(t *testing.T) {
+	image := MustBuild(pageCrossKernel())
+	for _, tc := range []struct {
+		name string
+		cfg  RunnerConfig
+		want tlbGolden
+	}{
+		{"native", goldenNative, tlbGolden{
+			Cycles: 22_507,
+			TLB:    hw.TLBStats{Hits: 1290, Misses: 130, Fills: 130, FlushAll: 3},
+		}},
+		{"ept", goldenEPT, tlbGolden{
+			Cycles: 92_685,
+			TLB:    hw.TLBStats{Hits: 11463, Misses: 133, Fills: 133, FlushTag: 4, FlushedEnt: 3},
+			Exits:  11,
+		}},
+		{"vtlb", goldenVTLB, tlbGolden{
+			Cycles:    222_048,
+			TLB:       hw.TLBStats{Hits: 1290, Misses: 130, Fills: 130, FlushTag: 4},
+			Exits:     16,
+			VTLBFills: 130,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, r := runGolden(t, tc.cfg, image)
+			if got != tc.want {
+				t.Errorf("got  %+v\nwant %+v", got, tc.want)
+			}
+			if sum, want := r.ReadGuest32(ProgressAddr), pageCrossSum(); sum != want {
+				t.Errorf("checksum = %#x, want %#x", sum, want)
+			}
+		})
 	}
 }

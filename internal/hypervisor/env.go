@@ -7,30 +7,6 @@ import (
 	"nova/internal/x86"
 )
 
-// physRead accesses host-physical memory (routing device windows to
-// their MMIO handlers, which matters for passthrough mappings).
-func (k *Kernel) physRead(pa uint64, size int) uint32 {
-	switch size {
-	case 1:
-		return uint32(k.Plat.Mem.Read8(hw.PhysAddr(pa)))
-	case 2:
-		return uint32(k.Plat.Mem.Read16(hw.PhysAddr(pa)))
-	default:
-		return k.Plat.Mem.Read32(hw.PhysAddr(pa))
-	}
-}
-
-func (k *Kernel) physWrite(pa uint64, size int, v uint32) {
-	switch size {
-	case 1:
-		k.Plat.Mem.Write8(hw.PhysAddr(pa), uint8(v))
-	case 2:
-		k.Plat.Mem.Write16(hw.PhysAddr(pa), uint16(v))
-	default:
-		k.Plat.Mem.Write32(hw.PhysAddr(pa), v)
-	}
-}
-
 // hostTranslate resolves a guest-physical address through the VM
 // domain's memory space (the host page table).
 func hostTranslate(pd *PD, gpa uint64) (hpa uint64, writable bool, ok bool) {
@@ -39,33 +15,6 @@ func hostTranslate(pd *PD, gpa uint64) (hpa uint64, writable bool, ok bool) {
 		return 0, false, false
 	}
 	return frame<<12 | gpa&0xfff, rights&cap.RightWrite != 0, true
-}
-
-// gpaPhys adapts a VM's guest-physical space as x86.PhysMem for guest
-// page-table walks. Each environment holds one and passes a pointer to
-// it, so a walk converts no value to the interface.
-type gpaPhys struct {
-	k  *Kernel
-	pd *PD
-}
-
-func (g *gpaPhys) ReadPhys32(pa uint64) (uint32, bool) {
-	hpa, _, ok := hostTranslate(g.pd, pa)
-	if !ok {
-		return 0, false
-	}
-	return g.k.Plat.Mem.Read32(hw.PhysAddr(hpa)), true
-}
-
-// nocharge: x86.Phys page-walker callback; walk steps are charged by
-// the vTLB fill / nested-walk cost accounting, not per memory touch.
-func (g *gpaPhys) WritePhys32(pa uint64, v uint32) bool {
-	hpa, w, ok := hostTranslate(g.pd, pa)
-	if !ok || !w {
-		return false
-	}
-	g.k.Plat.Mem.Write32(hw.PhysAddr(hpa), v)
-	return true
 }
 
 // ShadowPT is the per-vCPU shadow page table of the vTLB algorithm
@@ -157,86 +106,106 @@ func (s *ShadowPT) Invalidate(va uint32) {
 // Len returns the number of live shadow entries.
 func (s *ShadowPT) Len() int { return s.live }
 
-// splitRead handles accesses that cross a page boundary byte-by-byte.
-func splitRead(env x86.Env, st *x86.CPUState, va uint32, size int, kind x86.AccessKind) (uint32, error) {
-	var v uint32
-	for i := size - 1; i >= 0; i-- {
-		b, err := env.MemRead(st, va+uint32(i), 1, kind)
-		if err != nil {
-			return 0, err
-		}
-		v = v<<8 | b&0xff
-	}
-	return v, nil
-}
+// guestEnv is the x86.Env of every interpreter the kernel and the
+// bare-metal runner drive: the native OS on the boot CPU, and each vCPU
+// under nested paging or the vTLB (§5.3). Everything but the TLB miss
+// is shared: the TLB lookup, code-page fetch, RAM and MMIO access,
+// port I/O and TLB maintenance. The miss path is picked by the env's
+// own fields: no domain means native, a shadow table means vTLB.
+//
+// tlb and tag are cached at creation: an EC never changes CPU and a PD
+// never changes tag.
+type guestEnv struct {
+	plat *hw.Platform
+	mem  *hw.Memory
+	tlb  *hw.TLB
+	tag  hw.TLBTag
 
-func splitWrite(env x86.Env, st *x86.CPUState, va uint32, size int, val uint32) error {
-	for i := 0; i < size; i++ {
-		if err := env.MemWrite(st, va+uint32(i), 1, val>>(8*uint(i))); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func crossesPage(va uint32, size int) bool {
-	return va&0xfff+uint32(size) > hw.PageSize
-}
-
-// guestIOAccess implements non-intercepted port I/O for passthrough
-// guests: the domain's I/O space gates access to the physical ports.
-func guestIOAccess(k *Kernel, pd *PD, port uint16) bool {
-	return pd.IO.Allowed(port)
-}
-
-// ---------------------------------------------------------------------
-// EPT environment: hardware nested paging.
-// ---------------------------------------------------------------------
-
-type eptEnv struct {
-	k    *Kernel
-	ec   *EC
-	phys gpaPhys
-
-	// memVer tracks pd.Mem.Version(); mapping changes flush cached
-	// translations.
+	// VM modes only: the kernel, the vCPU's EC and its domain, and
+	// the domain's memory version the TLB entries under tag were made
+	// at. shadow is set in vTLB mode.
+	k      *Kernel
+	ec     *EC
+	pd     *PD
 	memVer uint64
+	shadow *ShadowPT
 }
 
-func newEPTEnv(k *Kernel, ec *EC) *eptEnv {
-	return &eptEnv{k: k, ec: ec, phys: gpaPhys{k, ec.PD}}
+// newNativeEnv is the front end of an OS running directly on the boot
+// CPU: its own page tables, every port, host-tagged TLB entries.
+func newNativeEnv(plat *hw.Platform) *guestEnv {
+	return &guestEnv{plat: plat, mem: plat.Mem, tlb: plat.BootCPU().TLB, tag: hw.HostTag}
 }
 
-func (e *eptEnv) tag() hw.TLBTag { return e.ec.PD.Tag }
-
-func (e *eptEnv) tlb() *hw.TLB { return e.k.Plat.CPUs[e.ec.CPU].TLB }
-
-func (e *eptEnv) checkVer() {
-	if v := e.ec.PD.Mem.Version(); v != e.memVer {
-		e.memVer = v
-		e.tlb().FlushTag(e.tag())
+// newVCPUEnv is the front end of vCPU ec: its CPU's TLB under its
+// domain's tag, nested paging or, with v.Shadow set, the vTLB.
+func newVCPUEnv(k *Kernel, ec *EC, v *VCPU) *guestEnv {
+	return &guestEnv{
+		plat: k.Plat, mem: k.Plat.Mem, tlb: k.Plat.CPUs[ec.CPU].TLB, tag: ec.PD.Tag,
+		k: k, ec: ec, pd: ec.PD, shadow: v.Shadow,
 	}
 }
 
-// translate resolves a guest-virtual address, performing the hardware
-// two-dimensional page walk on TLB misses.
-func (e *eptEnv) translate(st *x86.CPUState, va uint32, write bool) (uint64, error) {
-	e.checkVer()
-	tlb := e.tlb()
-	if pa, entry, ok := tlb.Translate(e.tag(), va); ok {
-		if !write || entry.Writable {
+// translate resolves a guest-virtual address to host-physical: a TLB
+// hit costs nothing, a miss takes the mode's path. In a VM the TLB
+// entries of the domain's tag are dropped first whenever its memory
+// changed since they were made, so revoked memory is never reached
+// through a stale entry (§4.2), whichever CPU revoked it.
+func (e *guestEnv) translate(st *x86.CPUState, va uint32, write bool) (uint64, error) {
+	if e.pd != nil {
+		if v := e.pd.Mem.Version(); v != e.memVer {
+			e.memVer = v
+			e.tlb.FlushTag(e.tag)
+		}
+	}
+	paging := st.PagingEnabled()
+	if !paging && e.pd == nil {
+		return uint64(va), nil // native, paging off: linear is physical
+	}
+	// The vTLB with paging off translates through the host page table
+	// alone and bypasses the TLB.
+	if paging || e.shadow == nil {
+		if pa, entry, ok := e.tlb.Translate(e.tag, va); ok && (!write || entry.Writable) {
 			return uint64(pa), nil
 		}
-		// Slow path below decides which layer denies the write.
+		// A write through a read-only entry takes the miss path, which
+		// decides which layer denies it.
 	}
+	switch {
+	case e.pd == nil:
+		return e.walkNative(st, va, write)
+	case e.shadow == nil:
+		return e.walkNested(st, va, write, paging)
+	default:
+		return e.fillShadow(st, va, write, paging)
+	}
+}
 
-	cost := e.k.Plat.Cost
+// walkNative is the native TLB miss: the MMU walks the OS's page
+// tables.
+func (e *guestEnv) walkNative(st *x86.CPUState, va uint32, write bool) (uint64, error) {
+	w, exc := x86.WalkGuest(e, st.CR3, st.CR4, va, write, st.CR0&x86.CR0WP != 0, true)
+	e.plat.BootCPU().Clock.Charge(hw.Cycles(w.Steps) * e.plat.Cost.PageWalkLevel)
+	if exc != nil {
+		return 0, exc
+	}
+	if w.Large {
+		mask := uint64(e.tlb.LargePageSize() - 1)
+		e.tlb.InsertLarge(e.tag, va, w.PA&^mask>>12, w.Writable, w.User, w.Global)
+	} else {
+		e.tlb.InsertSmall(e.tag, va, w.PA>>12, w.Writable, w.User, w.Global)
+	}
+	return w.PA, nil
+}
+
+// walkNested is the EPT TLB miss: the hardware two-dimensional walk.
+func (e *guestEnv) walkNested(st *x86.CPUState, va uint32, write, paging bool) (uint64, error) {
+	cost := e.plat.Cost
 	var gpa uint64
 	var guestW, guestLarge, guestGlobal bool
-	if st.PagingEnabled() {
-		w, exc := x86.WalkGuest(&e.phys, st.CR3, st.CR4, va, write, st.CR0&x86.CR0WP != 0, true)
-		// Hardware 2-D walk: each guest level is itself translated
-		// through the host tables.
+	if paging {
+		w, exc := x86.WalkGuest(e, st.CR3, st.CR4, va, write, st.CR0&x86.CR0WP != 0, true)
+		// Each guest level is itself translated through the host tables.
 		steps := (w.Steps+1)*(cost.HostPTLevels+1) - 1
 		e.k.charge(hw.Cycles(steps) * cost.PageWalkLevel)
 		if exc != nil {
@@ -250,162 +219,53 @@ func (e *eptEnv) translate(st *x86.CPUState, va uint32, write bool) (uint64, err
 		e.k.charge(hw.Cycles(cost.HostPTLevels) * cost.PageWalkLevel)
 	}
 
-	hpa, hostW, ok := hostTranslate(e.ec.PD, gpa)
-	if !ok {
-		return 0, &x86.VMExit{Reason: x86.ExitEPTViolation, GPA: gpa, Write: write}
-	}
-	if write && !hostW {
-		return 0, &x86.VMExit{Reason: x86.ExitEPTViolation, GPA: gpa, Write: true}
+	hpa, hostW, err := e.hostAccess(gpa, write)
+	if err != nil {
+		return 0, err
 	}
 	if write && !guestW {
 		return 0, x86.PageFault(va, true, true, false)
 	}
 
 	writable := guestW && hostW
-	if guestLarge && e.ec.PD.HostLargePages {
+	if guestLarge && e.pd.HostLargePages {
 		// The combined entry covers a large page only when both guest
 		// and host mappings are large (Figure 5's small-host-pages bars
 		// lose exactly this).
-		mask := uint64(tlb.LargePageSize() - 1)
-		base := hpa &^ mask
-		tlb.InsertLarge(e.tag(), va, base>>12, writable, true, guestGlobal)
+		mask := uint64(e.tlb.LargePageSize() - 1)
+		e.tlb.InsertLarge(e.tag, va, (hpa&^mask)>>12, writable, true, guestGlobal)
 	} else {
-		tlb.InsertSmall(e.tag(), va, hpa>>12, writable, true, guestGlobal)
+		e.tlb.InsertSmall(e.tag, va, hpa>>12, writable, true, guestGlobal)
 	}
 	return hpa, nil
 }
 
-// ExecPage implements x86.ExecPager: one translation of the fetch
-// address — charged, traced and faulting exactly like the slow path's
-// first byte fetch — plus direct host access to the backing RAM page for
-// the decoded-instruction cache. MMIO-backed pages are declined (nil
-// data) so fetch side effects stay on the MMIO-routed path.
-func (e *eptEnv) ExecPage(st *x86.CPUState, va uint32) ([]byte, uint64, uint64, error) {
-	hpa, err := e.translate(st, va, false)
-	if err != nil {
-		return nil, 0, 0, err
+// fillShadow is the vTLB miss: the MMU walks the shadow table, and a
+// shadow miss exits into the microhypervisor, which walks the guest's
+// tables and fills the shadow entry (§5.3).
+func (e *guestEnv) fillShadow(st *x86.CPUState, va uint32, write, paging bool) (uint64, error) {
+	if !paging {
+		hpa, _, err := e.hostAccess(uint64(va), write)
+		return hpa, err
 	}
-	data, gen, ok := e.k.Plat.Mem.CodePage(hw.PhysAddr(hpa))
-	if !ok {
-		return nil, 0, 0, nil
-	}
-	return data, hpa >> 12, gen, nil
-}
-
-func (e *eptEnv) MemRead(st *x86.CPUState, va uint32, size int, kind x86.AccessKind) (uint32, error) {
-	if crossesPage(va, size) {
-		return splitRead(e, st, va, size, kind)
-	}
-	hpa, err := e.translate(st, va, false)
-	if err != nil {
-		return 0, err
-	}
-	return e.k.physRead(hpa, size), nil
-}
-
-func (e *eptEnv) MemWrite(st *x86.CPUState, va uint32, size int, val uint32) error {
-	if crossesPage(va, size) {
-		return splitWrite(e, st, va, size, val)
-	}
-	hpa, err := e.translate(st, va, true)
-	if err != nil {
-		return err
-	}
-	e.k.physWrite(hpa, size, val)
-	return nil
-}
-
-func (e *eptEnv) In(port uint16, size int) (uint32, error) {
-	if !guestIOAccess(e.k, e.ec.PD, port) {
-		return 0, x86.GPFault(0)
-	}
-	return e.k.Plat.Ports.Read(port, size), nil
-}
-
-func (e *eptEnv) Out(port uint16, size int, val uint32) error {
-	if !guestIOAccess(e.k, e.ec.PD, port) {
-		return x86.GPFault(0)
-	}
-	e.k.Plat.Ports.Write(port, size, val)
-	return nil
-}
-
-func (e *eptEnv) InvalidateTLB(st *x86.CPUState, all bool, va uint32) {
-	if all {
-		e.tlb().FlushTag(e.tag())
-	} else {
-		e.tlb().FlushVA(e.tag(), va)
-	}
-}
-
-func (e *eptEnv) FlushOnWorldSwitch() {
-	if !e.k.tagged() {
-		e.tlb().FlushAll()
-	}
-}
-
-// ---------------------------------------------------------------------
-// vTLB environment: shadow paging (§5.3).
-// ---------------------------------------------------------------------
-
-type vtlbEnv struct {
-	k    *Kernel
-	ec   *EC
-	phys gpaPhys
-}
-
-func newVTLBEnv(k *Kernel, ec *EC) *vtlbEnv {
-	return &vtlbEnv{k: k, ec: ec, phys: gpaPhys{k, ec.PD}}
-}
-
-func (e *vtlbEnv) tag() hw.TLBTag { return e.ec.PD.Tag }
-
-func (e *vtlbEnv) tlb() *hw.TLB { return e.k.Plat.CPUs[e.ec.CPU].TLB }
-
-func (e *vtlbEnv) translate(st *x86.CPUState, va uint32, write bool) (uint64, error) {
-	v := e.ec.VCPU
-	cost := e.k.Plat.Cost
-
-	if !st.PagingEnabled() {
-		// Real mode / paging off: identity guest mapping through the
-		// host page table only.
-		hpa, hostW, ok := hostTranslate(e.ec.PD, uint64(va))
-		if !ok {
-			return 0, &x86.VMExit{Reason: x86.ExitEPTViolation, GPA: uint64(va), Write: write}
-		}
-		if write && !hostW {
-			return 0, &x86.VMExit{Reason: x86.ExitEPTViolation, GPA: uint64(va), Write: true}
-		}
-		return hpa, nil
-	}
-
+	cost := e.plat.Cost
 	vpn := va >> 12
-	// Hardware TLB first, then the shadow page table (a regular
-	// two-level table the MMU walks on TLB misses).
-	if pa, entry, ok := e.tlb().Translate(e.tag(), va); ok {
-		if !write || entry.Writable {
-			return uint64(pa), nil
-		}
-	}
-	if se := v.Shadow.lookup(vpn); se != nil && se.memVer == e.ec.PD.Mem.Version() {
+	if se := e.shadow.lookup(vpn); se != nil && se.memVer == e.memVer {
 		if !write || se.guestW && se.hostW {
 			e.k.charge(2 * cost.PageWalkLevel) // MMU walk of the shadow table
-			e.tlb().InsertSmall(e.tag(), va, se.hpaPage, se.guestW && se.hostW, true, false)
+			e.tlb.InsertSmall(e.tag, va, se.hpaPage, se.guestW && se.hostW, true, false)
 			return se.hpaPage<<12 | uint64(va&0xfff), nil
 		}
 	}
 
-	// vTLB miss: world switch into the microhypervisor, six VMREADs to
-	// determine the cause, then the one-dimensional guest walk enabled
-	// by running on the VM's host page table (§5.3), and the shadow
-	// fill.
+	// World switch into the microhypervisor, six VMREADs to determine
+	// the cause, then the one-dimensional guest walk enabled by running
+	// on the VM's host page table, and the shadow fill.
 	t0 := e.k.Now()
 	e.k.charge(cost.VMTransitCost(e.k.tagged()) + 6*cost.VMRead)
-	if !e.k.tagged() {
-		e.tlb().FlushAll()
-	}
+	e.k.flushOnWorldSwitch(e.ec)
 
-	w, exc := x86.WalkGuest(&e.phys, st.CR3, st.CR4, va, write, st.CR0&x86.CR0WP != 0, true)
+	w, exc := x86.WalkGuest(e, st.CR3, st.CR4, va, write, st.CR0&x86.CR0WP != 0, true)
 	perStep := cost.CacheLineAccess
 	if e.k.Cfg.DisableVTLBTrick {
 		// Without running on the VM's host page table, each guest
@@ -419,99 +279,164 @@ func (e *vtlbEnv) translate(st *x86.CPUState, va uint32, write bool) (uint64, er
 		// The guest's own page fault: forwarded into the guest. This is
 		// Table 2's "Guest Page Fault" row.
 		e.k.Stats.GuestPageFault++
-		v.Exits[x86.ExitException]++
+		e.ec.VCPU.Exits[x86.ExitException]++
 		return 0, exc
 	}
 
-	hpa, hostW, ok := hostTranslate(e.ec.PD, w.PA)
-	if !ok {
-		return 0, &x86.VMExit{Reason: x86.ExitEPTViolation, GPA: w.PA, Write: write}
-	}
-	if write && !hostW {
-		return 0, &x86.VMExit{Reason: x86.ExitEPTViolation, GPA: w.PA, Write: true}
+	hpa, hostW, err := e.hostAccess(w.PA, write)
+	if err != nil {
+		return 0, err
 	}
 
 	// Shadow page-table update (two entries touched).
 	e.k.charge(2 * cost.CacheLineAccess)
-	v.Shadow.fill(vpn, shadowEntry{
-		hpaPage: hpa >> 12, guestW: w.Writable, hostW: hostW,
-		memVer: e.ec.PD.Mem.Version(),
-	})
+	e.shadow.fill(vpn, shadowEntry{hpaPage: hpa >> 12, guestW: w.Writable, hostW: hostW, memVer: e.memVer})
 	end := e.k.Now()
 	e.k.Record(trace.KindVTLBFill, uint64(va), uint64(end-t0), uint64(e.ec.ID), 0)
 	e.k.profVTLBFill(st, end-t0)
-	e.tlb().InsertSmall(e.tag(), va, hpa>>12, w.Writable && hostW, true, false)
+	e.tlb.InsertSmall(e.tag, va, hpa>>12, w.Writable && hostW, true, false)
 	return hpa, nil
 }
 
-// ExecPage implements x86.ExecPager; see eptEnv.ExecPage. The vTLB
-// translate path emits fill traces and charges world-switch costs on
-// misses exactly as the slow path's first byte fetch would.
-func (e *vtlbEnv) ExecPage(st *x86.CPUState, va uint32) ([]byte, uint64, uint64, error) {
-	hpa, err := e.translate(st, va, false)
+// hostAccess checks an access to guest-physical gpa against the
+// domain's memory space: an unmapped page, or a write to a read-only
+// one, is an EPT violation.
+func (e *guestEnv) hostAccess(gpa uint64, write bool) (hpa uint64, writable bool, err error) {
+	hpa, writable, ok := hostTranslate(e.pd, gpa)
+	if !ok || write && !writable {
+		return 0, false, &x86.VMExit{Reason: x86.ExitEPTViolation, GPA: gpa, Write: write}
+	}
+	return hpa, writable, nil
+}
+
+// ReadPhys32 implements x86.PhysMem for the page walks: the native OS's
+// tables are in host memory, a guest's are in its guest-physical space.
+func (e *guestEnv) ReadPhys32(pa uint64) (uint32, bool) {
+	hpa, _, ok := e.tableAddr(pa)
+	if !ok {
+		return 0, false
+	}
+	return e.mem.Read32(hw.PhysAddr(hpa)), true
+}
+
+// WritePhys32 sets accessed and dirty bits for the page walks.
+//
+// nocharge: x86.PhysMem page-walker callback; walk steps are charged by
+// the miss path (per level natively and nested, per step in the vTLB
+// fill), not per memory touch.
+func (e *guestEnv) WritePhys32(pa uint64, v uint32) bool {
+	hpa, w, ok := e.tableAddr(pa)
+	if !ok || !w {
+		return false
+	}
+	e.mem.Write32(hw.PhysAddr(hpa), v)
+	return true
+}
+
+// tableAddr resolves the address of a page-table entry to host memory.
+func (e *guestEnv) tableAddr(pa uint64) (hpa uint64, writable, ok bool) {
+	if e.pd == nil {
+		return pa, true, pa+4 <= e.mem.Size()
+	}
+	return hostTranslate(e.pd, pa)
+}
+
+// ExecPage implements x86.ExecPager: one translation of the fetch
+// address (charged, traced and faulting exactly like the slow path's
+// first byte fetch) plus direct host access to the backing RAM page for
+// the decoded-instruction cache. MMIO-backed pages are declined (nil
+// data) so fetch side effects stay on the MMIO-routed path.
+func (e *guestEnv) ExecPage(st *x86.CPUState, va uint32) ([]byte, uint64, uint64, error) {
+	pa, err := e.translate(st, va, false)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	data, gen, ok := e.k.Plat.Mem.CodePage(hw.PhysAddr(hpa))
+	data, gen, ok := e.mem.CodePage(hw.PhysAddr(pa))
 	if !ok {
 		return nil, 0, 0, nil
 	}
-	return data, hpa >> 12, gen, nil
+	return data, pa >> 12, gen, nil
 }
 
-func (e *vtlbEnv) MemRead(st *x86.CPUState, va uint32, size int, kind x86.AccessKind) (uint32, error) {
-	if crossesPage(va, size) {
-		return splitRead(e, st, va, size, kind)
-	}
-	hpa, err := e.translate(st, va, false)
+// MemRead implements x86.Env. Device windows route to their MMIO
+// handlers, which matters for passthrough mappings.
+func (e *guestEnv) MemRead(st *x86.CPUState, va uint32, size int, kind x86.AccessKind) (uint32, error) {
+	pa, err := e.translate(st, va, false)
 	if err != nil {
 		return 0, err
 	}
-	return e.k.physRead(hpa, size), nil
+	switch size {
+	case 1:
+		return uint32(e.mem.Read8(hw.PhysAddr(pa))), nil
+	case 2:
+		return uint32(e.mem.Read16(hw.PhysAddr(pa))), nil
+	default:
+		return e.mem.Read32(hw.PhysAddr(pa)), nil
+	}
 }
 
-func (e *vtlbEnv) MemWrite(st *x86.CPUState, va uint32, size int, val uint32) error {
-	if crossesPage(va, size) {
-		return splitWrite(e, st, va, size, val)
-	}
-	hpa, err := e.translate(st, va, true)
+// MemWrite implements x86.Env.
+func (e *guestEnv) MemWrite(st *x86.CPUState, va uint32, size int, val uint32) error {
+	pa, err := e.translate(st, va, true)
 	if err != nil {
 		return err
 	}
-	e.k.physWrite(hpa, size, val)
+	switch size {
+	case 1:
+		e.mem.Write8(hw.PhysAddr(pa), uint8(val))
+	case 2:
+		e.mem.Write16(hw.PhysAddr(pa), uint16(val))
+	default:
+		e.mem.Write32(hw.PhysAddr(pa), val)
+	}
 	return nil
 }
 
-func (e *vtlbEnv) In(port uint16, size int) (uint32, error) {
-	if !guestIOAccess(e.k, e.ec.PD, port) {
+// In implements x86.Env. The native OS owns every port; a VM reaches
+// only those its domain's I/O space holds (non-intercepted I/O of
+// passthrough guests).
+func (e *guestEnv) In(port uint16, size int) (uint32, error) {
+	if e.pd != nil && !e.pd.IO.Allowed(port) {
 		return 0, x86.GPFault(0)
 	}
-	return e.k.Plat.Ports.Read(port, size), nil
+	return e.plat.Ports.Read(port, size), nil
 }
 
-func (e *vtlbEnv) Out(port uint16, size int, val uint32) error {
-	if !guestIOAccess(e.k, e.ec.PD, port) {
+// Out implements x86.Env; see In.
+func (e *guestEnv) Out(port uint16, size int, val uint32) error {
+	if e.pd != nil && !e.pd.IO.Allowed(port) {
 		return x86.GPFault(0)
 	}
-	e.k.Plat.Ports.Write(port, size, val)
+	e.plat.Ports.Write(port, size, val)
 	return nil
 }
 
-func (e *vtlbEnv) InvalidateTLB(st *x86.CPUState, all bool, va uint32) {
-	// Only reached when CR/INVLPG intercepts are off; the kernel's
-	// intercept path normally handles these.
-	v := e.ec.VCPU
-	if all {
-		v.Shadow.Flush()
-		e.tlb().FlushTag(e.tag())
-	} else {
-		v.Shadow.Invalidate(va)
-		e.tlb().FlushVA(e.tag(), va)
+// InvalidateTLB implements x86.Env for CR writes and INVLPG that do not
+// trap. Under the vTLB they trap unless the intercepts are off, and the
+// kernel's intercept path handles them.
+func (e *guestEnv) InvalidateTLB(st *x86.CPUState, all bool, va uint32) {
+	if e.shadow != nil {
+		if all {
+			e.shadow.Flush()
+		} else {
+			e.shadow.Invalidate(va)
+		}
+	}
+	switch {
+	case !all:
+		e.tlb.FlushVA(e.tag, va)
+	case e.pd == nil && st.CR4&x86.CR4PGE == 0:
+		// Native, without global pages: everything goes.
+		e.tlb.FlushAll()
+	default:
+		e.tlb.FlushTag(e.tag)
 	}
 }
 
-func (e *vtlbEnv) FlushOnWorldSwitch() {
-	if !e.k.tagged() {
-		e.tlb().FlushAll()
+// flushOnWorldSwitch flushes the TLB of ec's CPU on a VM transition
+// when the hardware lacks tagged TLBs (VPID).
+func (k *Kernel) flushOnWorldSwitch(ec *EC) {
+	if !k.tagged() {
+		k.Plat.CPUs[ec.CPU].TLB.FlushAll()
 	}
 }

@@ -29,7 +29,7 @@ func nextSel() cap.Selector { selCounter++; return selCounter }
 // (backed at host 2 MiB), loads code at guest-physical org, and installs
 // portals from handlers. Exit reasons without handlers get a default
 // that fails the test.
-func makeVM(t *testing.T, k *Kernel, mode PagingMode, memPages int, code []byte, org uint32,
+func makeVM(t testing.TB, k *Kernel, mode PagingMode, memPages int, code []byte, org uint32,
 	handlers map[x86.ExitReason]func(*testVM, *UTCB) error) *testVM {
 	t.Helper()
 	vmm, err := k.CreatePD(k.Root, nextSel(), "vmm", false)

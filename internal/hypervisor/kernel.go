@@ -503,14 +503,7 @@ func (k *Kernel) CreateVCPU(caller *PD, sel cap.Selector, vm *PD, cpu int, name 
 		ic = x86.VTLBVirt()
 		v.Shadow = NewShadowPT()
 	}
-	var env GuestEnv
-	if mode == ModeVTLB {
-		env = newVTLBEnv(k, ec)
-	} else {
-		env = newEPTEnv(k, ec)
-	}
-	v.Env = env
-	v.Interp = x86.NewInterp(env, &v.State, ic)
+	v.Interp = x86.NewInterp(newVCPUEnv(k, ec, v), &v.State, ic)
 	if !k.Cfg.DisableDecodeCache {
 		v.Interp.Cache = x86.NewDecodeCache()
 	}
@@ -613,10 +606,9 @@ func (k *Kernel) RevokeMem(caller *PD, page uint32, npages int, self bool) (int,
 	if err := k.syscallEnter(caller); err != nil {
 		return 0, err
 	}
-	n := caller.Mem.Revoke(page, npages, self)
-	// Any cached host translations for the affected domains are stale.
-	k.Plat.CPUs[k.cpu].TLB.FlushAll()
-	return n, nil
+	// Each affected domain's memory version moves, so its vCPUs drop
+	// their cached translations on their next access, on every CPU.
+	return caller.Mem.Revoke(page, npages, self), nil
 }
 
 // DelegateIO transfers I/O port access.

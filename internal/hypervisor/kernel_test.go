@@ -8,7 +8,7 @@ import (
 	"nova/internal/hw"
 )
 
-func newTestKernel(t *testing.T, cfg Config) *Kernel {
+func newTestKernel(t testing.TB, cfg Config) *Kernel {
 	t.Helper()
 	plat := hw.MustNewPlatform(hw.Config{Model: hw.BLM, RAMSize: 64 << 20})
 	return New(plat, cfg)

@@ -181,7 +181,6 @@ func (s *Semaphore) String() string { return fmt.Sprintf("sm:%s", s.Name) }
 type VCPU struct {
 	State  x86.CPUState
 	Interp *x86.Interp
-	Env    GuestEnv
 
 	// Index is the virtual CPU number within its VM; each vCPU has its
 	// own set of VM-exit portals (§7.5).
@@ -233,13 +232,4 @@ func (v *VCPU) TotalExits() uint64 {
 		t += n
 	}
 	return t
-}
-
-// GuestEnv is the hypervisor-provided execution environment for a
-// vCPU: one of the native, nested-paging or vTLB MMU bindings.
-type GuestEnv interface {
-	x86.Env
-	// FlushOnWorldSwitch is called on VM entry/exit when the hardware
-	// lacks tagged TLBs (VPID): the whole TLB is flushed.
-	FlushOnWorldSwitch()
 }

@@ -190,18 +190,22 @@ func (k *Kernel) profServerTick(ec *EC) {
 	k.Prof.Tick(k.cpu, k.Now(), prof.ModeServer, prof.GuestCtx{RIP: uint32(ec.ID)})
 }
 
-// AttachProfiler enables virtual-time sampling with one buffer of the
-// given capacity per CPU and a sampling grid of period cycles, and
-// returns the profiler for later encoding. Existing vCPUs get their
+// profCapacity is the number of samples each CPU's profile buffer
+// holds.
+const profCapacity = 1 << 16
+
+// AttachProfiler enables virtual-time sampling with one buffer of
+// profCapacity samples per CPU and a sampling grid of period cycles,
+// and returns the profiler for later encoding. Existing vCPUs get their
 // sampling hooks retrofitted; vCPUs created afterwards are hooked at
 // creation.
 //
 // nocharge: observability plumbing; attaching the profiler models no
 // hardware work and must not move the clocks (zero-perturbation rule).
-func (k *Kernel) AttachProfiler(period uint64, capacity int) *prof.Profiler {
+func (k *Kernel) AttachProfiler(period uint64) *prof.Profiler {
 	cost := k.Plat.Cost
 	meta := prof.Meta{Model: cost.Model.String(), FreqMHz: cost.FreqMHz}
-	k.Prof = prof.New(meta, len(k.Plat.CPUs), period, capacity)
+	k.Prof = prof.New(meta, len(k.Plat.CPUs), period, profCapacity)
 	for _, ec := range k.ecs {
 		if ec.Kind == ECVCPU {
 			k.attachProfHook(ec)

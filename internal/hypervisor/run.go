@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nova/internal/hw"
+	"nova/internal/prof"
 	"nova/internal/trace"
 	"nova/internal/x86"
 )
@@ -48,17 +49,12 @@ func (k *Kernel) Run(until hw.Cycles) string {
 		sc := k.runq[k.cpu].pop()
 		if sc == nil {
 			// Idle: skip to the next event.
-			if k.Plat.Queue.Empty() {
-				return "idle"
-			}
-			t := k.Plat.Queue.NextTime()
-			if t > until {
-				clk.AdvanceTo(until)
-				k.Prof.SkipIdle(k.cpu, clk.Now())
+			if queued, due := idle(k.Plat, k.Prof, k.cpu, until); !due {
+				if !queued {
+					return "idle"
+				}
 				return "deadline"
 			}
-			clk.AdvanceTo(t)
-			k.Prof.SkipIdle(k.cpu, clk.Now())
 			continue
 		}
 		ec := sc.EC
@@ -216,18 +212,12 @@ func (k *Kernel) runVCPU(ec *EC, deadline hw.Cycles) {
 			if v.NoExitDelivery {
 				// The guest owns the interrupt hardware: idle to the
 				// next platform event like a bare-metal CPU.
-				if k.Plat.Queue.Empty() {
-					ec.runnable = false
+				if queued, due := idle(k.Plat, k.Prof, k.cpu, deadline); !due {
+					if !queued {
+						ec.runnable = false
+					}
 					return
 				}
-				t := k.Plat.Queue.NextTime()
-				if t > deadline {
-					clk.AdvanceTo(deadline)
-					k.Prof.SkipIdle(k.cpu, clk.Now())
-					return
-				}
-				clk.AdvanceTo(t)
-				k.Prof.SkipIdle(k.cpu, clk.Now())
 				continue
 			}
 			// HLT with nothing to deliver: the vCPU blocks until the
@@ -244,20 +234,11 @@ func (k *Kernel) runVCPU(ec *EC, deadline hw.Cycles) {
 			continue
 		}
 
-		before := v.Interp.InstRet
-		extraBefore := v.Interp.ExtraCycles
-		var err error
-		if max := k.fuseLimit(v, clk, deadline, pending); max > 1 {
-			err = v.Interp.StepBlock(max)
-		} else {
-			err = v.Interp.Step()
-		}
-		retired := v.Interp.InstRet - before
-		if retired == 0 {
-			retired = 1
-		}
-		clk.Charge(hw.Cycles(retired)*cost.InstructionCost + hw.Cycles(v.Interp.ExtraCycles-extraBefore))
-		if err != nil {
+		// A recall or injection still waiting here is taken at the next
+		// loop top, so it forces single-stepping like a raised PIC line.
+		pending = pending || v.RecallPending || v.PendingValid
+		limit := fuseLimit(k.Plat, v.Interp, clk.Now(), deadline, k.Cfg.DisableSuperblocks, pending)
+		if err := step(v.Interp, clk, cost.InstructionCost, limit); err != nil {
 			k.handleGuestRunError(ec, err)
 		}
 	}
@@ -266,40 +247,82 @@ func (k *Kernel) runVCPU(ec *EC, deadline hw.Cycles) {
 	}
 }
 
+// step is the execution core of both run loops: one instruction, or a
+// fused superblock of up to limit instructions (x86.StepBlock), then one
+// batched charge of the base cost per retired instruction plus the
+// extra latency of slow ones. An instruction that faults into the guest
+// or exits retires nothing but still costs one base instruction.
+func step(ip *x86.Interp, clk *hw.Clock, instCost hw.Cycles, limit uint64) error {
+	before := ip.InstRet
+	extraBefore := ip.ExtraCycles
+	var err error
+	if limit > 1 {
+		err = ip.StepBlock(limit)
+	} else {
+		err = ip.Step()
+	}
+	retired := ip.InstRet - before
+	if retired == 0 {
+		retired = 1
+	}
+	clk.Charge(hw.Cycles(retired)*instCost + hw.Cycles(ip.ExtraCycles-extraBefore))
+	return err
+}
+
 // fuseLimit bounds a fused superblock run: the number of base-cost
 // instructions that fit strictly between now and the nearer of the next
-// platform event and the run deadline. Within that window the
-// sequential loop's per-step top-of-loop work (RunEventsUntil, PIC,
-// recall, injection and halt checks) is provably a no-op, so batching
-// it at the block boundary cannot change simulated behaviour. Anything
-// already pending forces single-stepping — delivery timing must stay
-// per-instruction exact (interrupt shadows, halt wake-ups). pending is
-// the caller's loop-top PIC.HasPending result: nothing between the loop
-// top and the step site can raise a line, so re-querying would only
-// duplicate the hottest check in the run loop.
-func (k *Kernel) fuseLimit(v *VCPU, clk *hw.Clock, deadline hw.Cycles, pending bool) uint64 {
-	if k.Cfg.DisableSuperblocks || v.Interp.Cache == nil {
+// platform event and until. Within that window the run loops' per-step
+// top-of-loop work (RunEventsUntil, PIC, recall, injection and halt
+// checks) is provably a no-op, so batching it at the block boundary
+// cannot change simulated behaviour. Anything already pending forces
+// single-stepping: delivery timing must stay per-instruction exact
+// (interrupt shadows, halt wake-ups). pending carries the caller's
+// loop-top PIC.HasPending result: nothing between the loop top and the
+// step site can raise a line, so re-querying would only duplicate the
+// hottest check in the run loop. off is the configuration's
+// DisableSuperblocks.
+func fuseLimit(plat *hw.Platform, ip *x86.Interp, now, until hw.Cycles, off, pending bool) uint64 {
+	if off || ip.Cache == nil {
 		return 1
 	}
-	if pending || v.RecallPending || v.PendingValid {
-		v.Interp.Cache.SB.CutPending++
+	if pending {
+		ip.Cache.SB.CutPending++
 		return 1
 	}
-	limit := deadline
-	if !k.Plat.Queue.Empty() {
-		if t := k.Plat.Queue.NextTime(); t < limit {
+	limit := until
+	if !plat.Queue.Empty() {
+		if t := plat.Queue.NextTime(); t < limit {
 			limit = t
 		}
 	}
-	now := clk.Now()
 	if limit <= now {
 		return 1
 	}
-	ic := k.Plat.Cost.InstructionCost
+	ic := plat.Cost.InstructionCost
 	if ic == 1 {
 		return uint64(limit - now)
 	}
 	return uint64((limit - now + ic - 1) / ic)
+}
+
+// idle moves an idle or halted CPU's clock to the next platform event,
+// or to until if that comes later, and tells the profiler the span was
+// idle. It reports whether an event is queued at all (if not, the clock
+// stays put) and whether it is due by until (if not, the clock stops at
+// until).
+func idle(plat *hw.Platform, p *prof.Profiler, cpu int, until hw.Cycles) (queued, due bool) {
+	if plat.Queue.Empty() {
+		return false, false
+	}
+	t := plat.Queue.NextTime()
+	due = t <= until
+	if !due {
+		t = until
+	}
+	clk := &plat.CPUs[cpu].Clock
+	clk.AdvanceTo(t)
+	p.SkipIdle(cpu, clk.Now())
+	return true, due
 }
 
 // handleGuestRunError routes interpreter errors: VM exits go to the

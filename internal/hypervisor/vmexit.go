@@ -39,7 +39,7 @@ func (k *Kernel) dispatchExit(ec *EC, exit *x86.VMExit) error {
 	// virtualization events, except for those related to the virtual
 	// TLB, require a message to be sent to the VMM").
 	if v.Shadow != nil && k.handleVTLBExit(ec, exit) {
-		v.Env.FlushOnWorldSwitch()
+		k.flushOnWorldSwitch(ec)
 		k.charge(cost.VMTransitCost(k.tagged()) / 8) // resume tail
 		k.exitEnd(w)
 		return nil
@@ -90,7 +90,7 @@ func (k *Kernel) dispatchExit(ec *EC, exit *x86.VMExit) error {
 	if utcb.WindowRequest {
 		v.WindowWanted = true
 	}
-	v.Env.FlushOnWorldSwitch()
+	k.flushOnWorldSwitch(ec)
 	k.exitEnd(w)
 	return nil
 }
@@ -121,7 +121,7 @@ func (k *Kernel) exitBegin(ec *EC, reason x86.ExitReason, vec uint64) exitWindow
 	// World switch guest -> host (+ the TLB flush if untagged; the
 	// refill cost then emerges from subsequent misses).
 	k.charge(k.Plat.Cost.VMTransitCost(k.tagged()))
-	v.Env.FlushOnWorldSwitch()
+	k.flushOnWorldSwitch(ec)
 	return w
 }
 

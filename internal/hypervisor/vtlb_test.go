@@ -322,33 +322,3 @@ func TestShadowPT(t *testing.T) {
 	fill(0x00800000, 7)
 	check("re-filled after wrap", 1, map[uint32]uint64{0x800000: 7, 0x400000: 0})
 }
-
-// TestVTLBMissFillAllocs: a vTLB miss — guest walk, shadow fill and
-// TLB insert — allocates nothing once the shadow leaf for the page
-// exists.
-func TestVTLBMissFillAllocs(t *testing.T) {
-	k := newTestKernel(t, Config{UseVPID: true})
-	tv := makeVM(t, k, ModeVTLB, 512, nil, 0, nil)
-	pagedGuestImage(tv, "hlt")
-	v := tv.ec.VCPU
-	v.State.CR0 |= x86.CR0PE | x86.CR0PG
-	v.State.CR3 = 0x1000
-	env := v.Env.(*vtlbEnv)
-	tlb := k.Plat.CPUs[tv.ec.CPU].TLB
-	const va = 0x5000
-	miss := func() {
-		v.Shadow.Invalidate(va)
-		tlb.FlushVA(env.tag(), va)
-		if _, err := env.translate(&v.State, va, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	miss()
-	fills := v.Shadow.Fills
-	if a := testing.AllocsPerRun(50, miss); a != 0 {
-		t.Errorf("vTLB miss fill: %v allocations, want 0", a)
-	}
-	if v.Shadow.Fills != fills+51 {
-		t.Errorf("shadow fills = %d, want %d: the translations did not miss", v.Shadow.Fills, fills+51)
-	}
-}

@@ -118,19 +118,20 @@ const (
 
 // Env is the interpreter's connection to the outside world: memory
 // translation and access, port I/O, and TLB maintenance notifications.
-// The implementation determines the execution mode:
+// The implementation determines the execution mode: the hypervisor's
+// one front end translates natively through the guest's own page
+// tables (the paper's bare-metal baseline), with the GPA→HPA nested
+// walk (EPT/NPT), or through the vTLB's shadow page table (§5.3); the
+// VMM's instruction emulator walks the guest's tables in software.
 //
-//   - a native bus translates through the guest's own page tables and
-//     reaches physical devices directly (the paper's bare-metal baseline);
-//   - a nested-paging bus adds the GPA→HPA dimension (EPT/NPT);
-//   - a vTLB bus consults the shadow page table and converts misses into
-//     VM exits for the microhypervisor (§5.3).
+// A memory access never crosses a 4 KiB page: the interpreter splits a
+// crossing access into byte accesses before it reaches the Env.
 type Env interface {
-	// MemRead performs a data or fetch access of size 1, 2 or 4 bytes.
-	// It returns *Exception for guest-visible faults and *VMExit when
-	// the access leaves guest mode.
+	// MemRead performs a data or fetch access of size 1, 2 or 4 bytes
+	// within one page. It returns *Exception for guest-visible faults
+	// and *VMExit when the access leaves guest mode.
 	MemRead(st *CPUState, va uint32, size int, kind AccessKind) (uint32, error)
-	// MemWrite performs a data write.
+	// MemWrite performs a data write within one page.
 	MemWrite(st *CPUState, va uint32, size int, val uint32) error
 	// In reads from an I/O port (only called when I/O is not
 	// intercepted).

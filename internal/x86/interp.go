@@ -358,14 +358,37 @@ func (ip *Interp) loadSeg(seg int, sel uint16) error {
 	return nil
 }
 
-// readLinear reads from a linear (post-segmentation) address.
+// readLinear reads from a linear (post-segmentation) address. An
+// access that crosses a 4 KiB page is split into byte reads, highest
+// byte first, so each byte translates (and may fault) on its own page
+// and no Env ever sees a crossing access.
 func (ip *Interp) readLinear(la uint32, size int) (uint32, error) {
-	return ip.Env.MemRead(ip.St, la, size, AccessRead)
+	if la&(pageSize-1)+uint32(size) <= pageSize {
+		return ip.Env.MemRead(ip.St, la, size, AccessRead)
+	}
+	var v uint32
+	for i := size - 1; i >= 0; i-- {
+		b, err := ip.Env.MemRead(ip.St, la+uint32(i), 1, AccessRead)
+		if err != nil {
+			return 0, err
+		}
+		v = v<<8 | b&0xff
+	}
+	return v, nil
 }
 
-// writeLinear writes to a linear address.
+// writeLinear writes to a linear address. A page-crossing write is
+// split like readLinear's reads, lowest byte first.
 func (ip *Interp) writeLinear(la uint32, size int, v uint32) error {
-	return ip.Env.MemWrite(ip.St, la, size, v)
+	if la&(pageSize-1)+uint32(size) <= pageSize {
+		return ip.Env.MemWrite(ip.St, la, size, v)
+	}
+	for i := 0; i < size; i++ {
+		if err := ip.Env.MemWrite(ip.St, la+uint32(i), 1, v>>(8*uint(i))); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // linear applies segmentation.

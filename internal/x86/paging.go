@@ -11,6 +11,10 @@ const (
 	PTEGlobal   uint32 = 1 << 8
 )
 
+// pageSize is the small page, the unit of translation. No Env access
+// crosses one (see Interp.readLinear).
+const pageSize = 4096
+
 // PhysMem gives the walker access to physical memory. The boolean result
 // is false when the address is outside RAM (a malformed page table).
 type PhysMem interface {
