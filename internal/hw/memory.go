@@ -43,6 +43,66 @@ type page struct {
 	slow bool
 }
 
+// Page is a handle on one 4 KiB page of plain RAM, as Memory.Page hands
+// it out: the page's directory entry. While the page is absent it reads
+// as zeros; a store or View makes it resident. A handle stays valid for
+// the life of the Memory and sees every later store to its page.
+type Page struct {
+	dir   **page
+	frame uint64 // physical frame number (address >> 12)
+}
+
+// resident returns the page, allocating it if it is absent.
+func (h Page) resident() *page {
+	if *h.dir == nil {
+		*h.dir = new(page)
+	}
+	return *h.dir
+}
+
+// Read loads n ∈ {1, 2, 4} little-endian bytes at page offset off; the
+// load must end inside the page.
+func (h Page) Read(off uint32, n int) uint32 {
+	p := *h.dir
+	if p == nil {
+		return 0
+	}
+	b := p.data[off&(PageSize-1):]
+	switch n {
+	case 1:
+		return uint32(b[0])
+	case 2:
+		return uint32(binary.LittleEndian.Uint16(b))
+	}
+	return binary.LittleEndian.Uint32(b)
+}
+
+// Write stores the low n ∈ {1, 2, 4} bytes of v little-endian at page
+// offset off and bumps the page's write generation, as every store to
+// Memory does; the store must end inside the page.
+func (h Page) Write(off uint32, n int, v uint32) {
+	p := h.resident()
+	p.gen++
+	b := p.data[off&(PageSize-1):]
+	switch n {
+	case 1:
+		b[0] = byte(v)
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	default:
+		binary.LittleEndian.PutUint32(b, v)
+	}
+}
+
+// View makes the page resident and returns its bytes, its frame number
+// and its current write generation, for host-side caches of decoded
+// code. The bytes alias RAM, so they show every later store, and must
+// not be written through.
+func (h Page) View() (data []byte, frame, gen uint64) {
+	p := h.resident()
+	return p.data[:], h.frame, p.gen
+}
+
 // Memory is the platform's physical memory plus the MMIO address space.
 // RAM is a directory with one entry per 4 KiB page, the way NOVA hands
 // out memory (§6). A page is allocated by the first store to it; until
@@ -104,57 +164,23 @@ func (m *Memory) IsMMIO(addr PhysAddr) bool {
 
 // resident returns page idx, allocating it on first use.
 func (m *Memory) resident(idx uint64) *page {
-	slot := &m.pages[idx] // sanitized: callers bound idx by the directory length or by inRAM
-	if *slot == nil {
-		*slot = new(page)
-	}
-	return *slot
+	return Page{&m.pages[idx], idx}.resident() // sanitized: callers bound idx by the directory length or by inRAM
 }
 
-// plainPage looks up the page an n-byte access at addr goes to when the
-// access stays inside one page of plain RAM. ok is false when it must
-// take the slow path: it crosses a page boundary, lies past RAM, or its
-// page overlaps a device window. A nil page with ok set is absent and
-// reads as zeros.
-func (m *Memory) plainPage(addr PhysAddr, n uint64) (p *page, ok bool) {
-	idx := uint64(addr) >> 12
-	if uint64(addr)&(PageSize-1)+n > PageSize || idx >= uint64(len(m.pages)) {
-		return nil, false
-	}
-	p = m.pages[idx]
-	return p, p == nil || !p.slow
-}
-
-// storePage is plainPage for a store: it allocates an absent page and
-// bumps the page's generation. nil means the store takes the slow path.
-func (m *Memory) storePage(addr PhysAddr, n uint64) *page {
-	p, ok := m.plainPage(addr, n)
-	if !ok {
-		return nil
-	}
-	if p == nil {
-		p = m.resident(uint64(addr) >> 12)
-	}
-	p.gen++
-	return p
-}
-
-// CodePage returns the RAM backing of the 4 KiB page containing addr
-// together with its current write generation, for host-side caches of
-// decoded code. The page becomes resident, so the view shows every
-// later store. It fails (ok=false) when the page is not plain RAM —
-// beyond the RAM size or overlapping a device window, where reads have
-// side effects and must go through the MMIO-routed access path.
-func (m *Memory) CodePage(addr PhysAddr) (data []byte, gen uint64, ok bool) {
+// Page returns the handle of the page of plain RAM that holds addr. ok
+// is false when the page is not plain RAM: it lies past the end of RAM
+// or overlaps a device window, where reads have side effects and every
+// access must take Read*/Write* to reach the device.
+func (m *Memory) Page(addr PhysAddr) (h Page, ok bool) {
 	idx := uint64(addr) >> 12
 	if idx >= uint64(len(m.pages)) {
-		return nil, 0, false
+		return Page{}, false
 	}
-	p := m.resident(idx)
-	if p.slow {
-		return nil, 0, false
+	h = Page{&m.pages[idx], idx}
+	if p := *h.dir; p != nil && p.slow {
+		return Page{}, false
 	}
-	return p.data[:], p.gen, true
+	return h, true
 }
 
 // inRAM reports whether [addr, addr+n) lies inside RAM. It does not wrap
@@ -200,7 +226,7 @@ func (m *Memory) writeAt(addr uint64, b []byte) {
 	}
 }
 
-// readSlow serves a load of n ≤ 4 bytes that plainPage declined: a
+// readSlow serves a load of n ≤ 4 bytes that plain declined: a
 // device-window address goes to its handler; anything else is
 // bounds-checked and read across pages.
 func (m *Memory) readSlow(addr PhysAddr, n int) uint32 {
@@ -225,35 +251,35 @@ func (m *Memory) writeSlow(addr PhysAddr, n int, v uint32) {
 	m.writeAt(uint64(addr), b[:n])
 }
 
+// plain returns the page an n-byte access at addr goes to when the
+// access stays inside one page of plain RAM.
+func (m *Memory) plain(addr PhysAddr, n int) (Page, bool) {
+	if uint64(addr)&(PageSize-1)+uint64(n) > PageSize {
+		return Page{}, false
+	}
+	return m.Page(addr)
+}
+
 // Read8 loads one byte of physical memory, routing to MMIO if mapped.
 func (m *Memory) Read8(addr PhysAddr) uint8 {
-	if p, ok := m.plainPage(addr, 1); ok {
-		if p == nil {
-			return 0
-		}
-		return p.data[addr&(PageSize-1)]
+	if h, ok := m.plain(addr, 1); ok {
+		return uint8(h.Read(uint32(addr), 1))
 	}
 	return uint8(m.readSlow(addr, 1))
 }
 
 // Read16 loads a little-endian 16-bit value.
 func (m *Memory) Read16(addr PhysAddr) uint16 {
-	if p, ok := m.plainPage(addr, 2); ok {
-		if p == nil {
-			return 0
-		}
-		return binary.LittleEndian.Uint16(p.data[addr&(PageSize-1):])
+	if h, ok := m.plain(addr, 2); ok {
+		return uint16(h.Read(uint32(addr), 2))
 	}
 	return uint16(m.readSlow(addr, 2))
 }
 
 // Read32 loads a little-endian 32-bit value.
 func (m *Memory) Read32(addr PhysAddr) uint32 {
-	if p, ok := m.plainPage(addr, 4); ok {
-		if p == nil {
-			return 0
-		}
-		return binary.LittleEndian.Uint32(p.data[addr&(PageSize-1):])
+	if h, ok := m.plain(addr, 4); ok {
+		return h.Read(uint32(addr), 4)
 	}
 	return m.readSlow(addr, 4)
 }
@@ -268,8 +294,8 @@ func (m *Memory) Read64(addr PhysAddr) uint64 {
 
 // Write8 stores one byte, routing to MMIO if mapped.
 func (m *Memory) Write8(addr PhysAddr, v uint8) {
-	if p := m.storePage(addr, 1); p != nil {
-		p.data[addr&(PageSize-1)] = v
+	if h, ok := m.plain(addr, 1); ok {
+		h.Write(uint32(addr), 1, uint32(v))
 		return
 	}
 	m.writeSlow(addr, 1, uint32(v))
@@ -277,8 +303,8 @@ func (m *Memory) Write8(addr PhysAddr, v uint8) {
 
 // Write16 stores a little-endian 16-bit value.
 func (m *Memory) Write16(addr PhysAddr, v uint16) {
-	if p := m.storePage(addr, 2); p != nil {
-		binary.LittleEndian.PutUint16(p.data[addr&(PageSize-1):], v)
+	if h, ok := m.plain(addr, 2); ok {
+		h.Write(uint32(addr), 2, uint32(v))
 		return
 	}
 	m.writeSlow(addr, 2, uint32(v))
@@ -286,8 +312,8 @@ func (m *Memory) Write16(addr PhysAddr, v uint16) {
 
 // Write32 stores a little-endian 32-bit value.
 func (m *Memory) Write32(addr PhysAddr, v uint32) {
-	if p := m.storePage(addr, 4); p != nil {
-		binary.LittleEndian.PutUint32(p.data[addr&(PageSize-1):], v)
+	if h, ok := m.plain(addr, 4); ok {
+		h.Write(uint32(addr), 4, v)
 		return
 	}
 	m.writeSlow(addr, 4, v)

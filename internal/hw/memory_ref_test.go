@@ -439,7 +439,7 @@ func (p *memPair) step(s *memOps) (desc, diff string) {
 		}
 	default:
 		desc = fmt.Sprintf("CodePage(%#x)", addr)
-		gd, gg, gok := p.m.CodePage(addr)
+		gd, gg, gok := codePage(p.m, addr)
 		rd, rg, rok := p.ref.CodePage(addr)
 		got, want = codePageResult{gok, gg, gd}, codePageResult{rok, rg, rd}
 		if gok && rok {

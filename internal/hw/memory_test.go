@@ -142,18 +142,39 @@ func TestIOPortsRouting(t *testing.T) {
 	}
 }
 
+// codePage is what the decode cache asks of Memory: the page holding
+// addr made resident, and its bytes and write generation.
+func codePage(m *Memory, addr PhysAddr) (data []byte, gen uint64, ok bool) {
+	h, ok := m.Page(addr)
+	if !ok {
+		return nil, 0, false
+	}
+	data, _, gen = h.View()
+	return data, gen, true
+}
+
 // TestCodePageAndGenerations pins the decode-cache support contract:
-// CodePage hands out a read-only view of a RAM page with its current
-// write generation, and every write path — each store width, bulk
-// writes, DMA — bumps the generation of every page it touches.
+// a Page handle's view aliases RAM, with the page's frame number and
+// current write generation, and every write path — each store width,
+// bulk writes, DMA, Page.Write — bumps the generation of every page it
+// touches. A handle taken while its page is absent sees it become
+// resident.
 func TestCodePageAndGenerations(t *testing.T) {
 	m := NewMemory(1 << 20)
-	data, gen, ok := m.CodePage(0x1234)
+	h, ok := m.Page(0x1234)
 	if !ok {
-		t.Fatal("CodePage declined a plain RAM page")
+		t.Fatal("Page declined a plain RAM page")
 	}
-	if len(data) != int(PageSize) {
-		t.Fatalf("page view is %d bytes", len(data))
+	if h.Read(0x80, 4) != 0 || m.pages[1] != nil {
+		t.Fatal("an absent page does not read as zeros, or a read made it resident")
+	}
+	m.Write8(0x1081, 0xa5)
+	if got := h.Read(0x80, 2); got != 0xa500 {
+		t.Fatalf("handle taken while absent reads %#x, want 0xa500", got)
+	}
+	data, frame, gen := h.View()
+	if len(data) != int(PageSize) || frame != 1 {
+		t.Fatalf("page view is %d bytes of frame %d", len(data), frame)
 	}
 	m.Write8(0x1080, 0x5a)
 	if data[0x80] != 0x5a {
@@ -163,7 +184,7 @@ func TestCodePageAndGenerations(t *testing.T) {
 	gen0 := gen
 	check := func(what string, want uint64) {
 		t.Helper()
-		_, g, ok := m.CodePage(0x1000)
+		_, g, ok := codePage(m, 0x1000)
 		if !ok || g != gen0+want {
 			t.Errorf("after %s: gen = %d, want %d", what, g, gen0+want)
 		}
@@ -181,49 +202,54 @@ func TestCodePageAndGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("DMAWrite", 6)
+	h.Write(0x100, 2, 0xbeef)
+	check("Page.Write", 7)
+	if got := m.Read16(0x1100); got != 0xbeef {
+		t.Errorf("Read16 after Page.Write = %#x, want 0xbeef", got)
+	}
 
 	// A write elsewhere must not disturb this page's generation.
 	m.Write32(0x5000, 7)
-	check("unrelated write", 6)
+	check("unrelated write", 7)
 
 	// A write spanning a page boundary bumps both pages.
-	_, gA, _ := m.CodePage(0x1000)
-	_, gB, _ := m.CodePage(0x2000)
+	_, gA, _ := codePage(m, 0x1000)
+	_, gB, _ := codePage(m, 0x2000)
 	m.Write32(0x1ffe, 0xffffffff)
-	_, gA2, _ := m.CodePage(0x1000)
-	_, gB2, _ := m.CodePage(0x2000)
+	_, gA2, _ := codePage(m, 0x1000)
+	_, gB2, _ := codePage(m, 0x2000)
 	if gA2 != gA+1 || gB2 != gB+1 {
 		t.Errorf("page-crossing write: gens %d→%d, %d→%d (want both +1)", gA, gA2, gB, gB2)
 	}
 }
 
-// TestCodePageDeclines checks the fast path is refused wherever reading
-// raw bytes would skip device semantics or fall off RAM.
+// TestCodePageDeclines checks that Page refuses every page where
+// reading raw bytes would skip device semantics or fall off RAM.
 func TestCodePageDeclines(t *testing.T) {
 	m := NewMemory(1 << 20)
 	if err := m.MapMMIO("dev", 0x8000, 64, &testMMIO{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := m.CodePage(0x8010); ok {
-		t.Error("CodePage served a page overlapping an MMIO window")
+	if _, _, ok := codePage(m, 0x8010); ok {
+		t.Error("Page served a page overlapping an MMIO window")
 	}
 	// Any address in the same page is declined, even outside the window.
-	if _, _, ok := m.CodePage(0x8fff); ok {
-		t.Error("CodePage served the tail of an MMIO-overlapping page")
+	if _, _, ok := codePage(m, 0x8fff); ok {
+		t.Error("Page served the tail of an MMIO-overlapping page")
 	}
-	if _, _, ok := m.CodePage(PhysAddr(1 << 20)); ok {
-		t.Error("CodePage served a page beyond RAM")
+	if _, _, ok := codePage(m, PhysAddr(1<<20)); ok {
+		t.Error("Page served a page beyond RAM")
 	}
-	if _, _, ok := m.CodePage(PhysAddr(1<<20 - 1)); !ok {
-		t.Error("CodePage declined the last full RAM page")
+	if _, _, ok := codePage(m, PhysAddr(1<<20-1)); !ok {
+		t.Error("Page declined the last full RAM page")
 	}
-	if _, _, ok := m.CodePage(0x9000); !ok {
-		t.Error("CodePage declined the page after the MMIO window")
+	if _, _, ok := codePage(m, 0x9000); !ok {
+		t.Error("Page declined the page after the MMIO window")
 	}
 }
 
 // TestMemoryHotPathsDoNotAllocate pins the cost of the page directory:
-// loads, stores to resident pages and CodePage allocate nothing.
+// loads, stores to resident pages and Page allocate nothing.
 func TestMemoryHotPathsDoNotAllocate(t *testing.T) {
 	m := NewMemory(1 << 20)
 	m.Write8(0x1000, 1) // page 1 resident, page 2 absent
@@ -240,7 +266,8 @@ func TestMemoryHotPathsDoNotAllocate(t *testing.T) {
 		{"Write8 resident", func() { m.Write8(0x1001, 1) }},
 		{"Write16 resident", func() { m.Write16(0x1002, 1) }},
 		{"Write32 resident", func() { m.Write32(0x1004, 1) }},
-		{"CodePage resident", func() { m.CodePage(0x1000) }},
+		{"Page resident", func() { m.Page(0x1000) }},
+		{"Page absent", func() { m.Page(0x2000) }},
 	} {
 		if n := testing.AllocsPerRun(100, c.f); n != 0 {
 			t.Errorf("%s: %v allocs, want 0", c.name, n)
@@ -249,7 +276,7 @@ func TestMemoryHotPathsDoNotAllocate(t *testing.T) {
 }
 
 // TestMemoryReadsLeaveAbsentPagesAbsent checks that only stores (and
-// CodePage) make a page resident.
+// Page.View) make a page resident.
 func TestMemoryReadsLeaveAbsentPagesAbsent(t *testing.T) {
 	m := NewMemory(1 << 20)
 	u := NewIOMMU(m)
@@ -312,7 +339,7 @@ func TestDirectDMARejectsRangesThatWrap(t *testing.T) {
 
 var (
 	benchMemU32  uint32
-	benchMemPage []byte
+	benchMemPage Page
 	benchMem     *Memory
 )
 
@@ -331,10 +358,10 @@ func BenchmarkMemory(b *testing.B) {
 			m.Write32(0x1000+PhysAddr(i&0x3ff)*4, uint32(i))
 		}
 	})
-	b.Run("CodePage-resident", func(b *testing.B) {
+	b.Run("Page-resident", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			benchMemPage, _, _ = m.CodePage(0x1000)
+			benchMemPage, _ = m.Page(0x1000)
 		}
 	})
 	b.Run("Read32-absent", func(b *testing.B) {

@@ -1,6 +1,9 @@
 package hw
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // TLBTag identifies the address-space tag of a TLB entry. On hardware
 // with VPID/ASID support, guest entries carry the VM's tag and survive
@@ -75,19 +78,50 @@ func (t *TLB) LargePageSize() uint32 { return 1 << t.largeShift }
 
 func (t *TLB) largeVPN(vaddr uint32) uint32 { return vaddr >> t.largeShift }
 
-// Lookup searches for a translation of vaddr under tag. On a hit it
-// returns the entry, which stays valid until the TLB next changes.
-func (t *TLB) Lookup(tag TLBTag, vaddr uint32) (*TLBEntry, bool) {
-	if e := t.large.lookup(keyOf(tag, t.largeVPN(vaddr))); e != nil {
+// TLBRef refers to the entry a Translate hit. Hit tells, without
+// another lookup, whether the same lookup would hit that entry again,
+// which is what lets a cache of recent hits sit in front of the TLB.
+type TLBRef struct {
+	slot *tlbSlot
+	key  tlbKey
+	pfn  uint64
+	// entered bounds large.entered. Lookups search the large array
+	// first, so once a key enters it a small entry may be shadowed: for
+	// a small entry entered is large.entered at the hit, for a large
+	// entry it is the maximum.
+	entered uint64
+}
+
+// Entry returns the entry r refers to, as the slot holds it now.
+func (r *TLBRef) Entry() *TLBEntry { return &r.slot.entry }
+
+// lookup returns the slot that holds the translation of vaddr under
+// tag, or nil, and counts the hit or miss.
+func (t *TLB) lookup(tag TLBTag, vaddr uint32) *tlbSlot {
+	if s := t.large.lookup(keyOf(tag, t.largeVPN(vaddr))); s != nil {
 		t.Stats.Hits++
-		return e, true
+		return s
 	}
-	if e := t.small.lookup(keyOf(tag, vaddr>>12)); e != nil {
+	if s := t.small.lookup(keyOf(tag, vaddr>>12)); s != nil {
 		t.Stats.Hits++
-		return e, true
+		return s
 	}
 	t.Stats.Misses++
-	return nil, false
+	return nil
+}
+
+// Hit reports whether the lookup that filled r would, if repeated now,
+// hit the same entry with the same frame, and with write set whether
+// that entry is writable. Its slot must still hold the same key and
+// frame, and for a small entry no key may have entered the large array
+// since. A hit is counted as a lookup counts it; nothing else changes.
+func (t *TLB) Hit(r *TLBRef, write bool) bool {
+	s := r.slot
+	if s.key != r.key || s.entry.PFN != r.pfn || write && !s.entry.Writable || r.entered < t.large.entered {
+		return false
+	}
+	t.Stats.Hits++
+	return true
 }
 
 // insert caches e, overwriting the entry of a present key in place.
@@ -101,6 +135,7 @@ func (t *TLB) insert(a *tlbArray, e TLBEntry) {
 		}
 		a.order.push(k)
 		a.n++
+		a.entered++
 	}
 	a.slots[i] = tlbSlot{k, e} // sanitized: find returns an index below len(slots)
 	t.Stats.Fills++
@@ -121,17 +156,21 @@ func (t *TLB) InsertLarge(tag TLBTag, vaddr uint32, pfn uint64, writable, user, 
 	})
 }
 
-// Translate returns the physical address for vaddr if cached.
-func (t *TLB) Translate(tag TLBTag, vaddr uint32) (PhysAddr, *TLBEntry, bool) {
-	e, ok := t.Lookup(tag, vaddr)
-	if !ok {
-		return 0, nil, false
+// Translate returns the physical address for vaddr if cached, and
+// sets *r to refer to the entry that maps it.
+func (t *TLB) Translate(tag TLBTag, vaddr uint32, r *TLBRef) (PhysAddr, bool) {
+	s := t.lookup(tag, vaddr)
+	if s == nil {
+		return 0, false
 	}
+	e := &s.entry
+	*r = TLBRef{slot: s, key: s.key, pfn: e.PFN, entered: t.large.entered}
+	mask := uint32(PageSize - 1)
 	if e.Large {
-		mask := uint32(1)<<t.largeShift - 1
-		return PhysAddr(e.PFN)<<12 + PhysAddr(vaddr&mask), e, true
+		r.entered = math.MaxUint64
+		mask = uint32(1)<<t.largeShift - 1
 	}
-	return PhysAddr(e.PFN)<<12 + PhysAddr(vaddr&0xfff), e, true
+	return PhysAddr(e.PFN)<<12 + PhysAddr(vaddr&mask), true
 }
 
 // FlushAll drops every entry (untagged hardware on a world switch, or
@@ -187,6 +226,8 @@ type tlbArray struct {
 	capn  int
 	n     int // entries present
 	order keyRing
+
+	entered uint64 // keys that have entered the array, ever
 }
 
 func newTLBArray(capn int) tlbArray {
@@ -221,12 +262,12 @@ func (a *tlbArray) find(k tlbKey) (int, bool) {
 	}
 }
 
-func (a *tlbArray) lookup(k tlbKey) *TLBEntry {
+func (a *tlbArray) lookup(k tlbKey) *tlbSlot {
 	if a.n == 0 {
 		return nil
 	}
 	if i, ok := a.find(k); ok {
-		return &a.slots[i].entry // sanitized: find returns an index below len(slots)
+		return &a.slots[i] // sanitized: find returns an index below len(slots)
 	}
 	return nil
 }

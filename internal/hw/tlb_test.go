@@ -11,18 +11,19 @@ import (
 func TestTLBInsertLookupSmall(t *testing.T) {
 	tlb := NewTLB(16, 4, 2<<20)
 	tlb.InsertSmall(1, 0x1000, 0x42, true, false, false)
-	pa, e, ok := tlb.Translate(1, 0x1234)
+	var r TLBRef
+	pa, ok := tlb.Translate(1, 0x1234, &r)
 	if !ok {
 		t.Fatal("miss after insert")
 	}
 	if pa != 0x42<<12|0x234 {
 		t.Errorf("pa = %#x", pa)
 	}
-	if !e.Writable || e.User {
+	if e := r.Entry(); !e.Writable || e.User {
 		t.Errorf("perms wrong: %+v", e)
 	}
 	// Different tag misses.
-	if _, _, ok := tlb.Translate(2, 0x1234); ok {
+	if _, ok := tlb.Translate(2, 0x1234, &r); ok {
 		t.Error("hit under wrong tag")
 	}
 }
@@ -32,11 +33,12 @@ func TestTLBLargePageCoverage(t *testing.T) {
 	// One large entry covers the whole 2M region.
 	tlb.InsertLarge(1, 0x00200000, 0x800, true, true, false)
 	for _, va := range []uint32{0x00200000, 0x00200fff, 0x003fffff} {
-		pa, e, ok := tlb.Translate(1, va)
+		var r TLBRef
+		pa, ok := tlb.Translate(1, va, &r)
 		if !ok {
 			t.Fatalf("large-page miss at %#x", va)
 		}
-		if !e.Large {
+		if !r.Entry().Large {
 			t.Fatal("entry not large")
 		}
 		want := PhysAddr(0x800)<<12 + PhysAddr(va&0x1fffff)
@@ -45,7 +47,8 @@ func TestTLBLargePageCoverage(t *testing.T) {
 		}
 	}
 	// Next region misses.
-	if _, _, ok := tlb.Translate(1, 0x00400000); ok {
+	var r TLBRef
+	if _, ok := tlb.Translate(1, 0x00400000, &r); ok {
 		t.Error("hit outside large page")
 	}
 }
@@ -62,10 +65,10 @@ func TestTLBCapacityEviction(t *testing.T) {
 		t.Errorf("evictions = %d, want 4", tlb.Stats.Evictions)
 	}
 	// FIFO: oldest entries gone, newest present.
-	if _, ok := tlb.Lookup(1, 0); ok {
+	if tlb.lookup(1, 0) != nil {
 		t.Error("oldest entry survived eviction")
 	}
-	if _, ok := tlb.Lookup(1, 7<<12); !ok {
+	if tlb.lookup(1, 7<<12) == nil {
 		t.Error("newest entry evicted")
 	}
 }
@@ -76,13 +79,13 @@ func TestTLBFlushTagSparesOtherTagsAndGlobals(t *testing.T) {
 	tlb.InsertSmall(1, 0x2000, 2, false, false, true) // global
 	tlb.InsertSmall(2, 0x1000, 3, false, false, false)
 	tlb.FlushTag(1)
-	if _, ok := tlb.Lookup(1, 0x1000); ok {
+	if tlb.lookup(1, 0x1000) != nil {
 		t.Error("flushed entry survived")
 	}
-	if _, ok := tlb.Lookup(1, 0x2000); !ok {
+	if tlb.lookup(1, 0x2000) == nil {
 		t.Error("global entry flushed by FlushTag")
 	}
-	if _, ok := tlb.Lookup(2, 0x1000); !ok {
+	if tlb.lookup(2, 0x1000) == nil {
 		t.Error("other tag flushed")
 	}
 }
@@ -105,19 +108,19 @@ func TestTLBFlushVA(t *testing.T) {
 	tlb.InsertSmall(1, 0x1000, 1, false, false, false)
 	tlb.InsertSmall(1, 0x2000, 2, false, false, false)
 	tlb.FlushVA(1, 0x1800) // same page as 0x1000
-	if _, ok := tlb.Lookup(1, 0x1000); ok {
+	if tlb.lookup(1, 0x1000) != nil {
 		t.Error("INVLPG'd entry survived")
 	}
-	if _, ok := tlb.Lookup(1, 0x2000); !ok {
+	if tlb.lookup(1, 0x2000) == nil {
 		t.Error("unrelated entry flushed")
 	}
 }
 
 func TestTLBStatsCounting(t *testing.T) {
 	tlb := NewTLB(16, 4, 2<<20)
-	tlb.Lookup(1, 0x1000) // miss
+	tlb.lookup(1, 0x1000) // miss
 	tlb.InsertSmall(1, 0x1000, 1, false, false, false)
-	tlb.Lookup(1, 0x1000) // hit
+	tlb.lookup(1, 0x1000) // hit
 	if tlb.Stats.Misses != 1 || tlb.Stats.Hits != 1 || tlb.Stats.Fills != 1 {
 		t.Errorf("stats = %+v", tlb.Stats)
 	}
@@ -131,7 +134,8 @@ func TestTLBTranslationProperty(t *testing.T) {
 		tag := TLBTag(tagRaw)
 		pfn := uint64(pfnRaw) & 0xfffff
 		tlb.InsertSmall(tag, vaRaw, pfn, true, true, false)
-		pa, _, ok := tlb.Translate(tag, vaRaw)
+		var r TLBRef
+		pa, ok := tlb.Translate(tag, vaRaw, &r)
 		return ok && pa == PhysAddr(pfn)<<12+PhysAddr(vaRaw&0xfff)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -180,6 +184,14 @@ func diffTLB(t *testing.T, smallCap, largeCap int, seed uint64, ops int) {
 	flag := func() bool { return rng.IntN(2) == 0 }
 	global := func() bool { return rng.IntN(4) == 0 }
 
+	// References of the last hits, re-checked after every operation.
+	type heldRef struct {
+		tag TLBTag
+		va  uint32
+		ref TLBRef
+	}
+	var held []heldRef
+
 	var op string
 	check := func(n int) {
 		t.Helper()
@@ -187,14 +199,46 @@ func diffTLB(t *testing.T, smallCap, largeCap int, seed uint64, ops int) {
 			t.Fatalf("op %d (%s): stats %+v len %d, reference %+v len %d",
 				n, op, got.Stats, got.Len(), want.Stats, want.Len())
 		}
+		// Hit accepts a reference exactly when a repeated lookup returns
+		// its slot and frame, except that a small entry is refused once a
+		// key has entered the large array. What it accepts, the reference
+		// TLB translates the same way. It counts one hit and nothing else.
+		for _, h := range held {
+			for _, write := range []bool{false, true} {
+				gs, ws := got.Stats, want.Stats
+				hit := got.Hit(&h.ref, write)
+				counted := got.Stats
+				fresh := got.lookup(h.tag, h.va)
+				_, we, wok := want.Translate(h.tag, h.va)
+				got.Stats, want.Stats = gs, ws
+				large := h.ref.Entry().Large
+				same := fresh == h.ref.slot && fresh.entry.PFN == h.ref.pfn && (!write || fresh.entry.Writable) &&
+					(large || h.ref.entered == got.large.entered)
+				if hit {
+					gs.Hits++
+				}
+				if counted != gs || hit != same ||
+					hit && (!wok || we.PFN != h.ref.pfn || we.Large != large || write && !we.Writable) {
+					t.Fatalf("op %d (%s): Hit(%d, %#x, write=%v) = %v (stats %+v, want %+v), repeated lookup %v %+v, reference %v %+v",
+						n, op, h.tag, h.va, write, hit, counted, gs, fresh != nil, fresh, wok, we)
+				}
+			}
+		}
 	}
 	translate := func(n int, tg TLBTag, va uint32) {
 		t.Helper()
-		gpa, ge, gok := got.Translate(tg, va)
+		var gr TLBRef
+		gpa, gok := got.Translate(tg, va, &gr)
 		wpa, we, wok := want.Translate(tg, va)
-		if gok != wok || gpa != wpa || gok && *ge != *we {
+		if gok != wok || gpa != wpa || gok && *gr.Entry() != *we {
 			t.Fatalf("op %d (%s): translate(%d, %#x) = %#x %v %+v, reference %#x %v %+v",
-				n, op, tg, va, gpa, gok, ge, wpa, wok, we)
+				n, op, tg, va, gpa, gok, gr, wpa, wok, we)
+		}
+		if gok {
+			held = append(held, heldRef{tg, va, gr})
+			if len(held) > 8 {
+				held = held[1:]
+			}
 		}
 	}
 	insertSmall := func(tg TLBTag, va uint32) {
@@ -302,9 +346,9 @@ func TestTLBSteadyStateAllocs(t *testing.T) {
 		f    func()
 	}{
 		{"lookup", func() {
-			full.Lookup(1, 0x1234)
-			full.Lookup(1, 0x40001234)
-			full.Lookup(2, 0x1234)
+			full.lookup(1, 0x1234)
+			full.lookup(1, 0x40001234)
+			full.lookup(2, 0x1234)
 		}},
 		{"insert-with-eviction", func() {
 			full.InsertSmall(1, next%1024<<12, uint64(next), true, true, false)
@@ -333,7 +377,7 @@ func BenchmarkTLB(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tlb.Lookup(1, uint32(i)%512<<12)
+			tlb.lookup(1, uint32(i)%512<<12)
 		}
 	})
 	b.Run("large-hit", func(b *testing.B) {
@@ -344,7 +388,7 @@ func BenchmarkTLB(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tlb.Lookup(1, uint32(i)%32<<22|uint32(i)&0x3ff000)
+			tlb.lookup(1, uint32(i)%32<<22|uint32(i)&0x3ff000)
 		}
 	})
 	b.Run("miss-fill-evict", func(b *testing.B) {
@@ -353,7 +397,7 @@ func BenchmarkTLB(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			va := uint32(i) % 1024 << 12
-			if _, ok := tlb.Lookup(1, va); !ok {
+			if tlb.lookup(1, va) == nil {
 				tlb.InsertSmall(1, va, uint64(i), true, true, false)
 			}
 		}

@@ -121,64 +121,129 @@ type guestEnv struct {
 	tlb  *hw.TLB
 	tag  hw.TLBTag
 
-	// VM modes only: the kernel, the vCPU's EC and its domain, and
-	// the domain's memory version the TLB entries under tag were made
-	// at. shadow is set in vTLB mode.
+	// space is the domain's memory space, and memVer its version the
+	// TLB entries under tag were made at. The native OS has no domain;
+	// its space is empty and never changes.
+	space  *cap.MemSpace
+	memVer uint64
+
+	// needPG is x86.CR0PG where translate consults the TLB only with
+	// paging on (native and vTLB), and 0 under nested paging. It and
+	// space spare memoHit the tests of pd and shadow, which keeps it
+	// small enough to inline.
+	needPG uint32
+
+	// VM modes only: the kernel, the vCPU's EC and its domain. shadow
+	// is set in vTLB mode.
 	k      *Kernel
 	ec     *EC
 	pd     *PD
-	memVer uint64
 	shadow *ShadowPT
+
+	// reads memoizes the TLB hits of reads and fetches, writes those
+	// of writes (see memoHit).
+	reads, writes memo
 }
+
+// memo is a direct-mapped cache of TLB hits, indexed by the low bits of
+// the virtual page number, in the manner of QEMU's softmmu TLB.
+type memo [64]memoEntry
+
+// memoEntry is one memoized TLB hit: the virtual page ending at last
+// maps, through the TLB entry ref, to the RAM page page.
+type memoEntry struct {
+	ref  hw.TLBRef
+	page hw.Page
+	last uint32 // va|0xfff for the page's va; 0 marks an empty entry
+}
+
+// entry returns the entry that may hold va's page.
+func (h *memo) entry(va uint32) *memoEntry { return &h[va>>12%uint32(len(h))] }
 
 // newNativeEnv is the front end of an OS running directly on the boot
 // CPU: its own page tables, every port, host-tagged TLB entries.
 func newNativeEnv(plat *hw.Platform) *guestEnv {
-	return &guestEnv{plat: plat, mem: plat.Mem, tlb: plat.BootCPU().TLB, tag: hw.HostTag}
+	return &guestEnv{
+		plat: plat, mem: plat.Mem, tlb: plat.BootCPU().TLB, tag: hw.HostTag,
+		space: cap.NewMemSpace("native"), needPG: x86.CR0PG,
+	}
 }
 
 // newVCPUEnv is the front end of vCPU ec: its CPU's TLB under its
 // domain's tag, nested paging or, with v.Shadow set, the vTLB.
 func newVCPUEnv(k *Kernel, ec *EC, v *VCPU) *guestEnv {
-	return &guestEnv{
+	e := &guestEnv{
 		plat: k.Plat, mem: k.Plat.Mem, tlb: k.Plat.CPUs[ec.CPU].TLB, tag: ec.PD.Tag,
-		k: k, ec: ec, pd: ec.PD, shadow: v.Shadow,
+		space: ec.PD.Mem, k: k, ec: ec, pd: ec.PD, shadow: v.Shadow,
 	}
+	if v.Shadow != nil {
+		e.needPG = x86.CR0PG
+	}
+	return e
+}
+
+// memoHit reports whether memo entry m serves an access at va. An entry
+// stands for the TLB hit that filled it and serves only while translate
+// would repeat that hit: translate would consult the TLB (paging is on,
+// or the guest is nested), the domain's memory has not changed since
+// the TLB entries were made, and the TLB still holds the entry
+// (hw.TLB.Hit). A memo hit counts as the TLB hit it stands for and
+// changes nothing else.
+func (e *guestEnv) memoHit(m *memoEntry, st *x86.CPUState, va uint32, write bool) bool {
+	return m.last == va|0xfff && st.CR0&e.needPG == e.needPG && e.space.Version() == e.memVer &&
+		e.tlb.Hit(&m.ref, write)
+}
+
+// access takes an access at va that memo entry m did not serve through
+// translate, and fills m when translate hit the TLB and the access goes
+// to plain RAM. It returns the page the access goes to, or with plain
+// unset the host-physical address of a device window or of memory past
+// RAM, which Memory's Read*/Write* must serve.
+func (e *guestEnv) access(m *memoEntry, st *x86.CPUState, va uint32, write bool) (p hw.Page, pa uint64, plain bool, err error) {
+	m.last = 0 // translate may overwrite m.ref
+	pa, hit, err := e.translate(st, va, write, &m.ref)
+	if err != nil {
+		return p, 0, false, err
+	}
+	if p, plain = e.mem.Page(hw.PhysAddr(pa)); hit && plain {
+		m.page, m.last = p, va|0xfff
+	}
+	return p, pa, plain, nil
 }
 
 // translate resolves a guest-virtual address to host-physical: a TLB
-// hit costs nothing, a miss takes the mode's path. In a VM the TLB
-// entries of the domain's tag are dropped first whenever its memory
-// changed since they were made, so revoked memory is never reached
-// through a stale entry (§4.2), whichever CPU revoked it.
-func (e *guestEnv) translate(st *x86.CPUState, va uint32, write bool) (uint64, error) {
-	if e.pd != nil {
-		if v := e.pd.Mem.Version(); v != e.memVer {
-			e.memVer = v
-			e.tlb.FlushTag(e.tag)
-		}
+// hit costs nothing, a miss takes the mode's path. hit reports a TLB
+// hit, and *ref then refers to its entry. In a VM the TLB entries of
+// the domain's tag are dropped first whenever its memory changed since
+// they were made, so revoked memory is never reached through a stale
+// entry (§4.2), whichever CPU revoked it.
+func (e *guestEnv) translate(st *x86.CPUState, va uint32, write bool, ref *hw.TLBRef) (pa uint64, hit bool, err error) {
+	if v := e.space.Version(); v != e.memVer {
+		e.memVer = v
+		e.tlb.FlushTag(e.tag)
 	}
 	paging := st.PagingEnabled()
 	if !paging && e.pd == nil {
-		return uint64(va), nil // native, paging off: linear is physical
+		return uint64(va), false, nil // native, paging off: linear is physical
 	}
 	// The vTLB with paging off translates through the host page table
 	// alone and bypasses the TLB.
 	if paging || e.shadow == nil {
-		if pa, entry, ok := e.tlb.Translate(e.tag, va); ok && (!write || entry.Writable) {
-			return uint64(pa), nil
+		if pa, ok := e.tlb.Translate(e.tag, va, ref); ok && (!write || ref.Entry().Writable) {
+			return uint64(pa), true, nil
 		}
 		// A write through a read-only entry takes the miss path, which
 		// decides which layer denies it.
 	}
 	switch {
 	case e.pd == nil:
-		return e.walkNative(st, va, write)
+		pa, err = e.walkNative(st, va, write)
 	case e.shadow == nil:
-		return e.walkNested(st, va, write, paging)
+		pa, err = e.walkNested(st, va, write, paging)
 	default:
-		return e.fillShadow(st, va, write, paging)
+		pa, err = e.fillShadow(st, va, write, paging)
 	}
+	return pa, false, err
 }
 
 // walkNative is the native TLB miss: the MMU walks the OS's page
@@ -347,44 +412,56 @@ func (e *guestEnv) tableAddr(pa uint64) (hpa uint64, writable, ok bool) {
 // the decoded-instruction cache. MMIO-backed pages are declined (nil
 // data) so fetch side effects stay on the MMIO-routed path.
 func (e *guestEnv) ExecPage(st *x86.CPUState, va uint32) ([]byte, uint64, uint64, error) {
-	pa, err := e.translate(st, va, false)
-	if err != nil {
-		return nil, 0, 0, err
+	m := e.reads.entry(va)
+	p := m.page
+	if !e.memoHit(m, st, va, false) {
+		q, _, plain, err := e.access(m, st, va, false)
+		if err != nil || !plain {
+			return nil, 0, 0, err
+		}
+		p = q
 	}
-	data, gen, ok := e.mem.CodePage(hw.PhysAddr(pa))
-	if !ok {
-		return nil, 0, 0, nil
-	}
-	return data, pa >> 12, gen, nil
+	data, frame, gen := p.View()
+	return data, frame, gen, nil
 }
 
 // MemRead implements x86.Env. Device windows route to their MMIO
 // handlers, which matters for passthrough mappings.
 func (e *guestEnv) MemRead(st *x86.CPUState, va uint32, size int, kind x86.AccessKind) (uint32, error) {
-	pa, err := e.translate(st, va, false)
-	if err != nil {
+	m := e.reads.entry(va)
+	if e.memoHit(m, st, va, false) {
+		return m.page.Read(va, size), nil
+	}
+	p, pa, plain, err := e.access(m, st, va, false)
+	switch {
+	case err != nil:
 		return 0, err
-	}
-	switch size {
-	case 1:
+	case plain:
+		return p.Read(va, size), nil
+	case size == 1:
 		return uint32(e.mem.Read8(hw.PhysAddr(pa))), nil
-	case 2:
+	case size == 2:
 		return uint32(e.mem.Read16(hw.PhysAddr(pa))), nil
-	default:
-		return e.mem.Read32(hw.PhysAddr(pa)), nil
 	}
+	return e.mem.Read32(hw.PhysAddr(pa)), nil
 }
 
 // MemWrite implements x86.Env.
 func (e *guestEnv) MemWrite(st *x86.CPUState, va uint32, size int, val uint32) error {
-	pa, err := e.translate(st, va, true)
-	if err != nil {
-		return err
+	m := e.writes.entry(va)
+	if e.memoHit(m, st, va, true) {
+		m.page.Write(va, size, val)
+		return nil
 	}
-	switch size {
-	case 1:
+	p, pa, plain, err := e.access(m, st, va, true)
+	switch {
+	case err != nil:
+		return err
+	case plain:
+		p.Write(va, size, val)
+	case size == 1:
 		e.mem.Write8(hw.PhysAddr(pa), uint8(val))
-	case 2:
+	case size == 2:
 		e.mem.Write16(hw.PhysAddr(pa), uint16(val))
 	default:
 		e.mem.Write32(hw.PhysAddr(pa), val)
@@ -392,11 +469,9 @@ func (e *guestEnv) MemWrite(st *x86.CPUState, va uint32, size int, val uint32) e
 	return nil
 }
 
-// In implements x86.Env. The native OS owns every port; a VM reaches
-// only those its domain's I/O space holds (non-intercepted I/O of
-// passthrough guests).
+// In implements x86.Env for non-intercepted I/O; see ioAllowed.
 func (e *guestEnv) In(port uint16, size int) (uint32, error) {
-	if e.pd != nil && !e.pd.IO.Allowed(port) {
+	if !e.ioAllowed(port, size) {
 		return 0, x86.GPFault(0)
 	}
 	return e.plat.Ports.Read(port, size), nil
@@ -404,11 +479,28 @@ func (e *guestEnv) In(port uint16, size int) (uint32, error) {
 
 // Out implements x86.Env; see In.
 func (e *guestEnv) Out(port uint16, size int, val uint32) error {
-	if e.pd != nil && !e.pd.IO.Allowed(port) {
+	if !e.ioAllowed(port, size) {
 		return x86.GPFault(0)
 	}
 	e.plat.Ports.Write(port, size, val)
 	return nil
+}
+
+// ioAllowed reports whether an access of size ports from port may
+// proceed. The native OS owns every port; a VM reaches only those its
+// domain's I/O space holds (passthrough guests, §4.2). As VT-x checks
+// the I/O-bitmap bit of every port an access touches, every port must
+// be held, and an access that wraps past 0xffff is denied.
+func (e *guestEnv) ioAllowed(port uint16, size int) bool {
+	if e.pd == nil {
+		return true
+	}
+	for p := int(port); p < int(port)+size; p++ {
+		if p > 0xffff || !e.pd.IO.Allowed(uint16(p)) {
+			return false
+		}
+	}
+	return true
 }
 
 // InvalidateTLB implements x86.Env for CR writes and INVLPG that do not

@@ -4,13 +4,11 @@ package hypervisor
 // riding the same zero-perturbation contract as the tracer: no cycle
 // charges, no guest-visible state changes, no MMIO routing. The memory
 // readers handed to the profiler's stack walker therefore go through
-// hw.Memory.CodePage — the pure, bounds-checked, MMIO-declining window
-// onto RAM — and guest page-table walks run with setAD=false so no
+// hw.Memory.Page — the pure, bounds-checked, MMIO-declining window onto
+// RAM — and guest page-table walks run with setAD=false so no
 // accessed/dirty bits move.
 
 import (
-	"encoding/binary"
-
 	"nova/internal/hw"
 	"nova/internal/prof"
 	"nova/internal/x86"
@@ -19,23 +17,22 @@ import (
 // pureReadByte reads one byte of host-physical RAM with no side
 // effects; MMIO and out-of-range addresses decline.
 func pureReadByte(mem *hw.Memory, pa uint64) (byte, bool) {
-	data, _, ok := mem.CodePage(hw.PhysAddr(pa))
+	p, ok := mem.Page(hw.PhysAddr(pa))
 	if !ok {
 		return 0, false
 	}
-	return data[pa&(hw.PageSize-1)], true
+	return byte(p.Read(uint32(pa), 1)), true
 }
 
 // pureRead32 reads a little-endian 32-bit word of host-physical RAM
 // with no side effects.
 func pureRead32(mem *hw.Memory, pa uint64) (uint32, bool) {
-	data, _, ok := mem.CodePage(hw.PhysAddr(pa))
+	p, ok := mem.Page(hw.PhysAddr(pa))
 	if !ok {
 		return 0, false
 	}
-	off := pa & (hw.PageSize - 1)
-	if off+4 <= hw.PageSize {
-		return binary.LittleEndian.Uint32(data[off:]), true
+	if pa&(hw.PageSize-1)+4 <= hw.PageSize {
+		return p.Read(uint32(pa), 4), true
 	}
 	var v uint32
 	for i := uint64(0); i < 4; i++ {
