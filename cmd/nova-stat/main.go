@@ -47,7 +47,7 @@ func main() {
 		os.Stdout.Write(b) //nolint:errcheck
 	case "openmetrics":
 		fs := flag.NewFlagSet("openmetrics", flag.ExitOnError)
-		fs.Parse(os.Args[2:]) //nolint:errcheck
+		fs.Parse(os.Args[2:])                   //nolint:errcheck
 		os.Stdout.Write(load(fs).OpenMetrics()) //nolint:errcheck
 	default:
 		usage()

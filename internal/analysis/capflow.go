@@ -896,7 +896,7 @@ type targetKind uint8
 
 const (
 	tgtNone targetKind = iota
-	tgtRecv             // the frame's receiver: kernel state in a hypercall
+	tgtRecv            // the frame's receiver: kernel state in a hypercall
 	tgtGlobal
 	tgtTracked // hypercall mode: an object the hypercall validated
 	tgtParam

@@ -102,16 +102,44 @@ type AHCI struct {
 
 	inflight uint32 // slots issued to the media but not yet complete
 
+	// slots holds each command slot's in-flight command and completion
+	// event. scratch is where command headers, CFISes and PRDs land,
+	// prds the decoded PRDT of the command being transferred, and buf
+	// the data buffer, grown to the largest command seen (at most
+	// 65536 sectors, 32 MiB). The controller owns them all, so a
+	// command in steady state allocates nothing.
+	slots   [32]ahciSlot
+	scratch [32]byte
+	prds    []prd
+	buf     []byte
+
 	Stats AHCIStats
+}
+
+// ahciSlot is one command slot's in-flight state: the command fetched
+// at issue and the event that completes it when the media is done.
+type ahciSlot struct {
+	n     int
+	h     cmdHeader
+	cmd   uint8
+	lba   uint64
+	count int
+	done  Event
 }
 
 // NewAHCI creates the controller. raise is invoked for each interrupt
 // assertion.
 func NewAHCI(dev DeviceID, disk *Disk, dma DMABus, queue *EventQueue, clock func() Cycles, raise func()) *AHCI {
-	return &AHCI{
+	a := &AHCI{
 		Dev: dev, disk: disk, dma: dma, queue: queue, clock: clock, raise: raise,
 		tfd: 0x50, // DRDY | seek complete
 	}
+	for i := range a.slots {
+		s := &a.slots[i]
+		s.n = i
+		s.done.Do = func() { a.complete(s) }
+	}
+	return a
 }
 
 // SetDMA replaces the DMA path (e.g., after the hypervisor interposes an
@@ -223,7 +251,13 @@ func (a *AHCI) MMIOWrite(off uint32, size int, val uint32) {
 	}
 }
 
+// reset is GHC.HR: every register returns to its reset value and every
+// data-transfer state machine to idle, so commands in flight are
+// aborted: their completions never fire.
 func (a *AHCI) reset() {
+	for i := range a.slots {
+		a.queue.Cancel(&a.slots[i].done)
+	}
 	a.ghc, a.is = 0, 0
 	a.pis, a.pie, a.pcmd, a.ci, a.serr, a.inflight = 0, 0, 0, 0, 0, 0
 	a.tfd = 0x50
@@ -238,8 +272,8 @@ type cmdHeader struct {
 }
 
 func (a *AHCI) readHeader(slot int) (cmdHeader, error) {
-	var raw [32]byte
-	if err := a.dma.DMARead(a.Dev, a.clb+uint64(slot)*32, raw[:]); err != nil {
+	raw := a.scratch[:32]
+	if err := a.dma.DMARead(a.Dev, a.clb+uint64(slot)*32, raw); err != nil {
 		return cmdHeader{}, err
 	}
 	dw0 := binary.LittleEndian.Uint32(raw[0:])
@@ -257,17 +291,20 @@ type prd struct {
 	bytes int
 }
 
+// readPRDT fetches the whole PRDT of h into a.prds, which stays valid
+// until the next call.
 func (a *AHCI) readPRDT(h cmdHeader) ([]prd, error) {
-	out := make([]prd, 0, h.prdtl)
+	out := a.prds[:0]
+	raw := a.scratch[:16]
 	for i := 0; i < h.prdtl; i++ {
-		var raw [16]byte
-		if err := a.dma.DMARead(a.Dev, h.ctba+0x80+uint64(i)*16, raw[:]); err != nil {
+		if err := a.dma.DMARead(a.Dev, h.ctba+0x80+uint64(i)*16, raw); err != nil {
 			return nil, err
 		}
 		dba := uint64(binary.LittleEndian.Uint32(raw[0:])) | uint64(binary.LittleEndian.Uint32(raw[4:]))<<32
 		dbc := binary.LittleEndian.Uint32(raw[12:])&0x3fffff + 1 // zero-based count
 		out = append(out, prd{dba: dba, bytes: int(dbc)})
 	}
+	a.prds = out
 	return out, nil
 }
 
@@ -279,8 +316,8 @@ func (a *AHCI) issue(slot int) {
 		a.fail(slot, err)
 		return
 	}
-	var cfis [20]byte
-	if err := a.dma.DMARead(a.Dev, h.ctba, cfis[:]); err != nil {
+	cfis := a.scratch[:20]
+	if err := a.dma.DMARead(a.Dev, h.ctba, cfis); err != nil {
 		a.fail(slot, err)
 		return
 	}
@@ -313,28 +350,35 @@ func (a *AHCI) issue(slot int) {
 		return
 	}
 
-	done := a.disk.Schedule(a.clock(), bytes)
-	a.queue.At(done, func() {
-		a.complete(slot, h, cmd, lba, count)
-	})
+	s := &a.slots[slot]
+	s.h, s.cmd, s.lba, s.count = h, cmd, lba, count
+	a.queue.Schedule(&s.done, a.disk.Schedule(a.clock(), bytes))
 }
 
-func (a *AHCI) complete(slot int, h cmdHeader, cmd uint8, lba uint64, count int) {
-	bit := uint32(1) << uint(slot)
+// data returns the controller's data buffer resized to n bytes.
+func (a *AHCI) data(n int) []byte {
+	if cap(a.buf) < n {
+		a.buf = make([]byte, n)
+	}
+	return a.buf[:n]
+}
+
+func (a *AHCI) complete(s *ahciSlot) {
+	bit := uint32(1) << uint(s.n)
 	var err error
-	switch cmd {
+	switch s.cmd {
 	case ataReadDMAExt:
-		buf := make([]byte, count*SectorSize)
-		if err = a.disk.ReadSectors(lba, count, buf); err == nil {
-			err = a.scatter(h, buf)
+		buf := a.data(s.count * SectorSize)
+		if err = a.disk.ReadSectors(s.lba, s.count, buf); err == nil {
+			err = a.scatter(s.h, buf)
 		}
 	case ataWriteDMAExt:
-		buf := make([]byte, count*SectorSize)
-		if err = a.gather(h, buf); err == nil {
-			err = a.disk.WriteSectors(lba, count, buf)
+		buf := a.data(s.count * SectorSize)
+		if err = a.gather(s.h, buf); err == nil {
+			err = a.disk.WriteSectors(s.lba, s.count, buf)
 		}
 	case ataIdentify:
-		err = a.scatter(h, a.identify())
+		err = a.scatter(s.h, a.identify())
 	case ataFlushCache:
 		// No data.
 	}

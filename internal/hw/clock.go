@@ -55,17 +55,20 @@ func (c *Clock) AdvanceTo(t Cycles) {
 	}
 }
 
-// Event is a scheduled callback in virtual time.
+// Event is a scheduled callback in virtual time. A device that fires
+// the same kind of event over and over owns one Event and reschedules
+// it (EventQueue.Schedule); EventQueue.At allocates one per call.
 type Event struct {
 	When Cycles
 	Do   func()
 
-	index int // heap index; -1 when popped or cancelled
-	seq   uint64
+	pos       int // 1 + heap index while pending, 0 otherwise
+	seq       uint64
+	cancelled bool
 }
 
 // Cancelled reports whether the event was removed before firing.
-func (e *Event) Cancelled() bool { return e.index == -2 }
+func (e *Event) Cancelled() bool { return e.cancelled }
 
 type eventHeap []*Event
 
@@ -78,20 +81,20 @@ func (h eventHeap) Less(i, j int) bool {
 }
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+	h[i].pos = i + 1
+	h[j].pos = j + 1
 }
 func (h *eventHeap) Push(x any) {
 	e := x.(*Event)
-	e.index = len(*h)
 	*h = append(*h, e)
+	e.pos = len(*h)
 }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
+	e.pos = 0
 	*h = old[:n-1]
 	return e
 }
@@ -107,23 +110,38 @@ type EventQueue struct {
 // NewEventQueue returns an empty queue.
 func NewEventQueue() *EventQueue { return &EventQueue{} }
 
+// Schedule queues the caller-owned event e to run e.Do at absolute
+// time when. It takes the same place in the firing order as an At call
+// would. e must not be pending: it is in the heap already, and pushing
+// it twice would corrupt the queue.
+func (q *EventQueue) Schedule(e *Event, when Cycles) {
+	if e.pos != 0 {
+		// invariant: every owner of a reusable event schedules it only
+		// when it is idle (fired or cancelled); a second Schedule of a
+		// pending event is a simulator bug, not guest input.
+		panic("hw: Schedule of a pending event")
+	}
+	q.seq++
+	e.When, e.seq, e.cancelled = when, q.seq, false
+	heap.Push(&q.heap, e)
+}
+
 // At schedules do to run at absolute time when and returns the event so
 // the caller may cancel it.
 func (q *EventQueue) At(when Cycles, do func()) *Event {
-	q.seq++
-	e := &Event{When: when, Do: do, seq: q.seq}
-	heap.Push(&q.heap, e)
+	e := &Event{Do: do}
+	q.Schedule(e, when)
 	return e
 }
 
 // Cancel removes a pending event. Cancelling an already-fired or
 // already-cancelled event is a no-op.
 func (q *EventQueue) Cancel(e *Event) {
-	if e == nil || e.index < 0 {
+	if e == nil || e.pos == 0 {
 		return
 	}
-	heap.Remove(&q.heap, e.index)
-	e.index = -2
+	heap.Remove(&q.heap, e.pos-1)
+	e.cancelled = true
 }
 
 // Empty reports whether no events are pending.

@@ -1,6 +1,9 @@
 package hw
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestClockChargeAndIdle(t *testing.T) {
 	var c Clock
@@ -159,4 +162,42 @@ func TestVMTransitCostTagging(t *testing.T) {
 	if wfd.VMTransitCost(true) != wfd.VMTransitCost(false) {
 		t.Error("WFD has no VPID; tagged and untagged transit must match")
 	}
+}
+
+// TestEventQueueScheduleReusesEvent: a caller-owned event takes the
+// same place in the firing order as an At call, can be scheduled again
+// once it fired or was cancelled, and must not be scheduled while it
+// is pending.
+func TestEventQueueScheduleReusesEvent(t *testing.T) {
+	q := NewEventQueue()
+	var fired []string
+	var e Event
+	e.Do = func() { fired = append(fired, "e") }
+	q.At(10, func() { fired = append(fired, "a") })
+	q.Schedule(&e, 10)
+	q.At(10, func() { fired = append(fired, "b") })
+	for q.PopDue(10) {
+	}
+	q.Schedule(&e, 20)
+	q.Cancel(&e)
+	if !e.Cancelled() {
+		t.Error("cancelled event not marked cancelled")
+	}
+	q.Schedule(&e, 30)
+	if e.Cancelled() {
+		t.Error("rescheduled event still marked cancelled")
+	}
+	for q.PopDue(100) {
+	}
+	if got := fmt.Sprint(fired); got != "[a e b e]" {
+		t.Errorf("fired %s, want [a e b e]", got)
+	}
+
+	q.Schedule(&e, 40)
+	defer func() {
+		if recover() == nil {
+			t.Error("scheduling a pending event did not panic")
+		}
+	}()
+	q.Schedule(&e, 50)
 }

@@ -42,13 +42,48 @@ func NewDisk(sectors uint64, bandwidthMBs, maxIOPS float64, freqMHz int) *Disk {
 	}
 }
 
+// The synthetic content is a 64-bit LCG, x' = lcgA·x + lcgC, whose
+// state after each step gives one byte. Four steps at once are
+// x' = lcgA4·x + lcgC4 (all arithmetic mod 2^64).
+const (
+	lcgA  = 6364136223846793005
+	lcgC  = 1442695040888963407
+	lcgA2 = lcgA * lcgA % (1 << 64)
+	lcgA3 = lcgA2 * lcgA % (1 << 64)
+	lcgA4 = lcgA2 * lcgA2 % (1 << 64)
+	lcgC4 = lcgC * (lcgA3 + lcgA2 + lcgA + 1) % (1 << 64)
+)
+
 // synthSector fills b with the deterministic content of sector lba:
 // reproducible pseudo-data standing in for a real filesystem image.
+// Byte i is the top bits of the LCG state after i+1 steps from a seed
+// derived from lba. The states are computed in four independent lanes,
+// lane j holding the states of bytes j, j+4, j+8, ..., so the loop has
+// no serial chain of multiplies; the bytes are those of stepping once
+// per byte.
 func synthSector(lba uint64, b []byte) {
 	x := lba*2654435761 + 0x9e3779b9
-	for i := range b {
-		x = x*6364136223846793005 + 1442695040888963407
-		b[i] = byte(x >> 33)
+	x0 := x*lcgA + lcgC
+	x1 := x0*lcgA + lcgC
+	x2 := x1*lcgA + lcgC
+	x3 := x2*lcgA + lcgC
+	for len(b) >= 4 {
+		b[0], b[1], b[2], b[3] = byte(x0>>33), byte(x1>>33), byte(x2>>33), byte(x3>>33)
+		x0 = x0*lcgA4 + lcgC4
+		x1 = x1*lcgA4 + lcgC4
+		x2 = x2*lcgA4 + lcgC4
+		x3 = x3*lcgA4 + lcgC4
+		b = b[4:]
+	}
+	switch len(b) {
+	case 3:
+		b[2] = byte(x2 >> 33)
+		fallthrough
+	case 2:
+		b[1] = byte(x1 >> 33)
+		fallthrough
+	case 1:
+		b[0] = byte(x0 >> 33)
 	}
 }
 
@@ -81,10 +116,11 @@ func (d *Disk) WriteSectors(lba uint64, count int, buf []byte) error {
 	if lba+uint64(count) > d.Sectors {
 		return fmt.Errorf("hw: disk write [%d,%d) beyond capacity %d", lba, lba+uint64(count), d.Sectors)
 	}
+	// One copy per request, each sector a slice of it.
+	store := make([]byte, count*SectorSize)
+	copy(store, buf)
 	for i := 0; i < count; i++ {
-		s := make([]byte, SectorSize)
-		copy(s, buf[i*SectorSize:])
-		d.written[lba+uint64(i)] = s
+		d.written[lba+uint64(i)] = store[i*SectorSize : (i+1)*SectorSize : (i+1)*SectorSize]
 	}
 	d.Writes++
 	d.BytesWritten += uint64(count) * SectorSize

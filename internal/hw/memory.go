@@ -326,11 +326,19 @@ func (m *Memory) Write64(addr PhysAddr, v uint64) {
 	m.WriteBytes(addr, b[:])
 }
 
+// ReadInto fills b with the RAM starting at addr. Like every bulk
+// access it reads RAM only: a device window is not routed to its
+// handler.
+func (m *Memory) ReadInto(addr PhysAddr, b []byte) {
+	m.checkRAM(addr, len(b))
+	m.readAt(b, uint64(addr))
+}
+
 // ReadBytes copies n bytes of RAM starting at addr into a fresh slice.
 func (m *Memory) ReadBytes(addr PhysAddr, n int) []byte {
 	m.checkRAM(addr, n)
 	out := make([]byte, n)
-	m.readAt(out, uint64(addr))
+	m.ReadInto(addr, out)
 	return out
 }
 

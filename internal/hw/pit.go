@@ -18,7 +18,7 @@ type I8254 struct {
 	partial   uint16
 	mode      uint8
 	running   bool
-	pending   *Event
+	tick      Event // the next channel-0 edge, rescheduled per period
 	periodCyc Cycles
 
 	Ticks uint64 // interrupts generated
@@ -28,7 +28,9 @@ type I8254 struct {
 // supplies the current time, freqMHz converts PIT periods to cycles, and
 // raise is invoked on every channel-0 output edge.
 func NewI8254(queue *EventQueue, clock func() Cycles, freqMHz int, raise func()) *I8254 {
-	return &I8254{queue: queue, clock: clock, freqMHz: freqMHz, raise: raise}
+	p := &I8254{queue: queue, clock: clock, freqMHz: freqMHz, raise: raise}
+	p.tick.Do = p.fire
+	return p
 }
 
 // Period returns the current channel-0 period in cycles (0 if not
@@ -55,25 +57,24 @@ func (p *I8254) start() {
 }
 
 func (p *I8254) stop() {
-	if p.pending != nil {
-		p.queue.Cancel(p.pending)
-		p.pending = nil
-	}
+	p.queue.Cancel(&p.tick)
 	p.running = false
 }
 
 func (p *I8254) schedule() {
-	p.pending = p.queue.At(p.clock()+p.periodCyc, func() {
-		p.pending = nil
-		if !p.running {
-			return
-		}
-		p.Ticks++
-		p.raise()
-		if p.mode != 0 { // mode 2/3: periodic
-			p.schedule()
-		}
-	})
+	p.queue.Schedule(&p.tick, p.clock()+p.periodCyc)
+}
+
+// fire is the channel-0 output edge.
+func (p *I8254) fire() {
+	if !p.running {
+		return
+	}
+	p.Ticks++
+	p.raise()
+	if p.mode != 0 { // mode 2/3: periodic
+		p.schedule()
+	}
 }
 
 // Stop halts the timer (used when tearing a platform down).

@@ -143,6 +143,10 @@ type guestEnv struct {
 	// reads memoizes the TLB hits of reads and fetches, writes those
 	// of writes (see memoHit).
 	reads, writes memo
+
+	// exit backs the EPT violations hostAccess returns: a *VMExit from
+	// the env stays valid until its vCPU steps again.
+	exit x86.VMExit
 }
 
 // memo is a direct-mapped cache of TLB hits, indexed by the low bits of
@@ -369,7 +373,8 @@ func (e *guestEnv) fillShadow(st *x86.CPUState, va uint32, write, paging bool) (
 func (e *guestEnv) hostAccess(gpa uint64, write bool) (hpa uint64, writable bool, err error) {
 	hpa, writable, ok := hostTranslate(e.pd, gpa)
 	if !ok || write && !writable {
-		return 0, false, &x86.VMExit{Reason: x86.ExitEPTViolation, GPA: gpa, Write: write}
+		e.exit = x86.VMExit{Reason: x86.ExitEPTViolation, GPA: gpa, Write: write}
+		return 0, false, &e.exit
 	}
 	return hpa, writable, nil
 }

@@ -764,8 +764,12 @@ func (k *Kernel) semUp(sm *Semaphore) {
 	sm.Ups++
 	woken := uint64(0)
 	if len(sm.waiters) > 0 {
+		// Copy down, as runqueue.pop does, so blocking appends into
+		// the same backing array.
 		ec := sm.waiters[0]
-		sm.waiters = sm.waiters[1:]
+		n := copy(sm.waiters, sm.waiters[1:])
+		sm.waiters[n] = nil
+		sm.waiters = sm.waiters[:n]
 		ec.waitingOn = nil
 		if !ec.dead {
 			ec.runnable = true

@@ -251,7 +251,9 @@ func (k *Kernel) runVCPU(ec *EC, deadline hw.Cycles) {
 // fused superblock of up to limit instructions (x86.StepBlock), then one
 // batched charge of the base cost per retired instruction plus the
 // extra latency of slow ones. An instruction that faults into the guest
-// or exits retires nothing but still costs one base instruction.
+// or exits retires nothing but still costs one base instruction. A
+// *x86.VMExit in err belongs to the interpreter or the guest env and
+// stays valid until ip steps again, so callers dispatch it first.
 func step(ip *x86.Interp, clk *hw.Clock, instCost hw.Cycles, limit uint64) error {
 	before := ip.InstRet
 	extraBefore := ip.ExtraCycles

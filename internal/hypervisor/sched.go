@@ -48,9 +48,14 @@ func (q *runqueue) pop() *SC {
 			}
 		}
 		p := w*64 + b
-		sc := q.levels[p][0]
-		q.levels[p] = q.levels[p][1:]
-		if len(q.levels[p]) == 0 {
+		// Copy the level down rather than re-slicing past its head, so
+		// push appends into the same backing array forever.
+		l := q.levels[p]
+		sc := l[0]
+		n := copy(l, l[1:])
+		l[n] = nil
+		q.levels[p] = l[:n]
+		if n == 0 {
 			q.bitmap[w] &^= 1 << uint(b)
 		}
 		sc.queued = false

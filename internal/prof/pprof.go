@@ -188,8 +188,8 @@ func (d *Data) WritePprof(w io.Writer) error {
 		for _, f := range r.frames {
 			ids = append(ids, internLoc(f))
 		}
-		s.packed(1, ids)                           // location_id, leaf first
-		s.packed(2, []uint64{r.count, r.cycles})   // value
+		s.packed(1, ids)                         // location_id, leaf first
+		s.packed(2, []uint64{r.count, r.cycles}) // value
 		for _, lab := range [...][2]uint64{{modeKey, intern(r.mode)}, {eventKey, intern(r.event)}} {
 			var l pbuf
 			l.uintField(1, lab[0]) // key
@@ -201,8 +201,8 @@ func (d *Data) WritePprof(w io.Writer) error {
 
 	guestFile := intern("[guest]")
 	var m pbuf
-	m.uintField(1, 1)       // id
-	m.uintField(3, 1<<32)   // memory_limit: the 32-bit guest space
+	m.uintField(1, 1)     // id
+	m.uintField(3, 1<<32) // memory_limit: the 32-bit guest space
 	m.uintField(5, guestFile)
 	m.uintField(7, 1) // has_functions
 	p.msg(3, &m)      // mapping
@@ -224,7 +224,7 @@ func (d *Data) WritePprof(w io.Writer) error {
 		fn.uintField(2, name)        // name
 		fn.uintField(3, name)        // system_name
 		fn.uintField(4, guestFile)   // filename
-		p.msg(5, &fn) // function
+		p.msg(5, &fn)                // function
 	}
 
 	cyclesStr := intern("cycles")
@@ -234,9 +234,9 @@ func (d *Data) WritePprof(w io.Writer) error {
 	var pt pbuf
 	pt.uintField(1, cyclesStr)
 	pt.uintField(2, cyclesStr)
-	p.msg(11, &pt)                        // period_type
-	p.uintField(12, d.Meta.Period)        // period
-	p.uintField(14, cyclesStr)            // default_sample_type
+	p.msg(11, &pt)                 // period_type
+	p.uintField(12, d.Meta.Period) // period
+	p.uintField(14, cyclesStr)     // default_sample_type
 
 	if _, err := w.Write(p.Bytes()); err != nil {
 		return fmt.Errorf("prof: pprof write: %w", err)

@@ -18,7 +18,7 @@ func TestWalkEBPValidChain(t *testing.T) {
 	read := stackImage(map[uint32]uint32{
 		0x1000: 0x1100, 0x1004: 0x8010,
 		0x1100: 0x1200, 0x1104: 0x8020,
-		0x1200: 0,      0x1204: 0x8030,
+		0x1200: 0, 0x1204: 0x8030,
 	})
 	var out [MaxFrames]uint32
 	n := WalkEBP(0x8000, 0x1000, 0, 0, read, out[:])

@@ -54,6 +54,7 @@ type CompletionRecord struct {
 type diskClient struct {
 	id          uint64
 	completions []CompletionRecord // the shared-memory ring
+	drained     []CompletionRecord // what the client's last drain returned
 	doorbell    *hypervisor.Semaphore
 	signal      bool // a completion is due in this IRQ's doorbell round
 }
@@ -75,7 +76,12 @@ type DiskServer struct {
 
 	clients []*diskClient // by id-1; ids are dense from 1
 
+	// inflight[slot] is the request in a controller slot, or nil;
+	// when set it points at slots[slot], the slot's own storage. req
+	// is what the request being served decodes into.
 	inflight [32]*pendingReq
+	slots    [32]pendingReq
+	req      DiskRequest
 
 	// MaxOutstanding throttles each client (DoS defence, §4.2).
 	MaxOutstanding int
@@ -95,7 +101,8 @@ type DiskServer struct {
 
 type pendingReq struct {
 	client *diskClient
-	req    DiskRequest
+	req    DiskRequest // req.Bufs is a slice of segs
+	segs   [MaxDMASegs]DMASeg
 	span   span.ID // the request's span, carried across the host IRQ
 }
 
@@ -217,20 +224,23 @@ func (ds *DiskServer) AddClient(clientPD *hypervisor.PD, name string) (*hypervis
 }
 
 // Completions drains and returns the client's completion records (the
-// client reads its shared region after a doorbell signal).
+// client reads its shared region after a doorbell signal). The records
+// are double-buffered: the returned slice stays valid until the
+// client's next drain, which hands its storage back to the ring.
 func (ds *DiskServer) Completions(clientID uint64) []CompletionRecord {
 	if clientID == 0 || clientID > uint64(len(ds.clients)) {
 		return nil
 	}
 	cl := ds.clients[clientID-1]
 	recs := cl.completions
-	cl.completions = nil
+	cl.completions, cl.drained = cl.drained[:0], recs
 	return recs
 }
 
-// EncodeRequest packs a DiskRequest into UTCB words.
-func EncodeRequest(r *DiskRequest) []uint64 {
-	w := []uint64{uint64(r.Op), r.LBA, uint64(r.Count), r.Cookie, uint64(len(r.Bufs))}
+// AppendRequest appends the UTCB words of r to w and returns the
+// extended slice.
+func AppendRequest(w []uint64, r *DiskRequest) []uint64 {
+	w = append(w, uint64(r.Op), r.LBA, uint64(r.Count), r.Cookie, uint64(len(r.Bufs)))
 	for _, b := range r.Bufs {
 		w = append(w, b.HPA, uint64(b.Len))
 	}
@@ -243,23 +253,25 @@ func EncodeRequest(r *DiskRequest) []uint64 {
 // table in driver memory.
 const MaxDMASegs = 24
 
-// DecodeRequest unpacks UTCB words.
-func DecodeRequest(w []uint64) (DiskRequest, error) {
+// DecodeRequest unpacks UTCB words into r, reusing r.Bufs' storage.
+// On error r is unchanged.
+func DecodeRequest(w []uint64, r *DiskRequest) error {
 	if len(w) < 5 {
-		return DiskRequest{}, fmt.Errorf("services: short disk request (%d words)", len(w))
+		return fmt.Errorf("services: short disk request (%d words)", len(w))
 	}
-	r := DiskRequest{Op: int(w[0]), LBA: w[1], Count: int(w[2]), Cookie: w[3]}
 	n := int(w[4])
 	if n < 0 || n > MaxDMASegs {
-		return DiskRequest{}, fmt.Errorf("services: scatter list of %d segments exceeds %d", n, MaxDMASegs)
+		return fmt.Errorf("services: scatter list of %d segments exceeds %d", n, MaxDMASegs)
 	}
 	if len(w) < 5+2*n {
-		return DiskRequest{}, fmt.Errorf("services: truncated scatter list")
+		return fmt.Errorf("services: truncated scatter list")
 	}
+	r.Op, r.LBA, r.Count, r.Cookie = int(w[0]), w[1], int(w[2]), w[3]
+	r.Bufs = r.Bufs[:0]
 	for i := 0; i < n; i++ {
 		r.Bufs = append(r.Bufs, DMASeg{HPA: w[5+2*i], Len: int(w[6+2*i])})
 	}
-	return r, nil
+	return nil
 }
 
 // handleRequest runs on the client's donated SC: it validates, throttles
@@ -276,10 +288,10 @@ func (ds *DiskServer) handleRequest(cl *diskClient, msg *hypervisor.UTCB) error 
 }
 
 func (ds *DiskServer) serveRequest(cl *diskClient, msg *hypervisor.UTCB, sp span.ID) error {
-	req, err := DecodeRequest(msg.Words)
-	if err != nil {
+	req := &ds.req
+	if err := DecodeRequest(msg.Words, req); err != nil {
 		ds.Stats.Failures++
-		msg.Words = []uint64{0}
+		msg.Words = append(msg.Words[:0], 0)
 		return nil
 	}
 	outstanding := 0
@@ -291,7 +303,7 @@ func (ds *DiskServer) serveRequest(cl *diskClient, msg *hypervisor.UTCB, sp span
 	if outstanding >= ds.MaxOutstanding {
 		// Throttle a client flooding the channel (§4.2).
 		ds.Stats.Throttled++
-		msg.Words = []uint64{0}
+		msg.Words = append(msg.Words[:0], 0)
 		return nil
 	}
 	slot := -1
@@ -303,18 +315,18 @@ func (ds *DiskServer) serveRequest(cl *diskClient, msg *hypervisor.UTCB, sp span
 	}
 	if slot < 0 {
 		ds.Stats.Throttled++
-		msg.Words = []uint64{0}
+		msg.Words = append(msg.Words[:0], 0)
 		return nil
 	}
 	ds.issue(slot, cl, req, sp)
-	msg.Words = []uint64{1}
+	msg.Words = append(msg.Words[:0], 1)
 	return nil
 }
 
 // issue builds the command structures in driver memory and rings the
 // controller. The client's DMA buffers are mapped into the controller's
 // IOMMU domain for exactly the duration of the transfer.
-func (ds *DiskServer) issue(slot int, cl *diskClient, req DiskRequest, sp span.ID) {
+func (ds *DiskServer) issue(slot int, cl *diskClient, req *DiskRequest, sp span.ID) {
 	mem := ds.K.Plat.Mem
 	ctba := ds.ctba[slot]
 	// Command header.
@@ -352,12 +364,14 @@ func (ds *DiskServer) issue(slot int, cl *diskClient, req DiskRequest, sp span.I
 		mem.Write32(hw.PhysAddr(base+4), uint32(b.HPA>>32))
 		mem.Write32(hw.PhysAddr(base+12), uint32(b.Len-1))
 		if ds.dmaDomain != nil {
-			lo := b.HPA &^ (hw.PageSize - 1)
-			hi := (b.HPA + uint64(b.Len) + hw.PageSize - 1) &^ (hw.PageSize - 1)
+			lo, hi := dmaPages(b)
 			ds.dmaDomain.Map(lo, lo, hi-lo, hw.IOMMURead|hw.IOMMUWrite) //nolint:errcheck
 		}
 	}
-	ds.inflight[slot] = &pendingReq{client: cl, req: req, span: sp}
+	p := &ds.slots[slot]
+	p.client, p.span, p.req = cl, sp, *req
+	p.req.Bufs = append(p.segs[:0], req.Bufs...)
+	ds.inflight[slot] = p
 	ds.record(trace.KindDiskIssue, uint64(req.Op), req.LBA, uint64(req.Count), uint64(slot)|dma<<8)
 	ds.mmioWrite(portCI, 1<<uint(slot))
 }
@@ -404,9 +418,12 @@ func (ds *DiskServer) handleIRQ() {
 		ds.K.Spans.Transition(ds.K.CurCPU(), ds.K.Now(), p.span, span.SegQueue)
 		if ds.dmaDomain != nil {
 			for _, b := range p.req.Bufs {
-				lo := b.HPA &^ (hw.PageSize - 1)
-				hi := (b.HPA + uint64(b.Len) + hw.PageSize - 1) &^ (hw.PageSize - 1)
-				ds.dmaDomain.Unmap(lo, hi-lo)
+				lo, hi := dmaPages(b)
+				for pg := lo; pg < hi; pg += hw.PageSize {
+					if !ds.dmaPageInUse(pg) {
+						ds.dmaDomain.Unmap(pg, hw.PageSize)
+					}
+				}
 			}
 		}
 		p.client.signal = true
@@ -417,4 +434,30 @@ func (ds *DiskServer) handleIRQ() {
 		}
 		cl.signal = false
 	}
+}
+
+// dmaPages returns the page-aligned bounds [lo, hi) of the pages
+// segment b touches.
+func dmaPages(b DMASeg) (lo, hi uint64) {
+	lo = b.HPA &^ (hw.PageSize - 1)
+	hi = (b.HPA + uint64(b.Len) + hw.PageSize - 1) &^ (hw.PageSize - 1)
+	return lo, hi
+}
+
+// dmaPageInUse reports whether a request still in flight has a segment
+// on page pg, which must then stay mapped in the controller's IOMMU
+// domain. Two requests may share a page: a client may read two
+// sectors into one page with two commands.
+func (ds *DiskServer) dmaPageInUse(pg uint64) bool {
+	for _, p := range ds.inflight {
+		if p == nil {
+			continue
+		}
+		for _, b := range p.req.Bufs {
+			if lo, hi := dmaPages(b); lo <= pg && pg < hi {
+				return true
+			}
+		}
+	}
+	return false
 }

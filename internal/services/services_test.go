@@ -70,7 +70,7 @@ func TestDiskServerRequestCompletion(t *testing.T) {
 	bufHPA := uint64(bufPage) << 12
 	req := DiskRequest{Op: DiskOpRead, LBA: 500, Count: 8,
 		Bufs: []DMASeg{{HPA: bufHPA, Len: 8 * hw.SectorSize}}, Cookie: 42}
-	msg := &hypervisor.UTCB{Words: EncodeRequest(&req)}
+	msg := &hypervisor.UTCB{Words: AppendRequest(nil, &req)}
 	if err := k.Call(client, 100, msg); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestDiskServerThrottlesFloodingClient(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		req := DiskRequest{Op: DiskOpRead, LBA: uint64(i), Count: 1,
 			Bufs: []DMASeg{{HPA: uint64(bufPage) << 12, Len: hw.SectorSize}}, Cookie: uint64(i)}
-		msg := &hypervisor.UTCB{Words: EncodeRequest(&req)}
+		msg := &hypervisor.UTCB{Words: AppendRequest(nil, &req)}
 		if err := k.Call(client, 100, msg); err != nil {
 			t.Fatal(err)
 		}
@@ -161,18 +161,25 @@ func TestDiskServerMalformedRequest(t *testing.T) {
 func TestRequestEncodingRoundTrip(t *testing.T) {
 	r := DiskRequest{Op: DiskOpWrite, LBA: 0x123456789a, Count: 77, Cookie: 9,
 		Bufs: []DMASeg{{HPA: 0x1000, Len: 512}, {HPA: 0x9000, Len: 1024}}}
-	got, err := DecodeRequest(EncodeRequest(&r))
-	if err != nil {
+	// Decode into a request whose scatter list has room: the decode
+	// reuses its storage.
+	storage := make([]DMASeg, 1, MaxDMASegs)
+	got := DiskRequest{Bufs: storage}
+	if err := DecodeRequest(AppendRequest([]uint64{7}, &r)[1:], &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Op != r.Op || got.LBA != r.LBA || got.Count != r.Count || got.Cookie != r.Cookie {
 		t.Errorf("header mismatch: %+v", got)
 	}
-	if len(got.Bufs) != 2 || got.Bufs[1] != r.Bufs[1] {
+	if len(got.Bufs) != 2 || got.Bufs[0] != r.Bufs[0] || got.Bufs[1] != r.Bufs[1] || &got.Bufs[0] != &storage[0] {
 		t.Errorf("bufs mismatch: %+v", got.Bufs)
 	}
-	if _, err := DecodeRequest([]uint64{1, 2, 3, 4, 9}); err == nil {
+	before := got
+	if err := DecodeRequest([]uint64{1, 2, 3, 4, 9}, &got); err == nil {
 		t.Error("truncated scatter list accepted")
+	}
+	if got.Op != before.Op || got.LBA != before.LBA || len(got.Bufs) != 2 {
+		t.Errorf("a failed decode changed the request: %+v", got)
 	}
 }
 
@@ -379,5 +386,66 @@ func TestNetServerWakesClientsInIDOrder(t *testing.T) {
 		if len(woke) != 2 || woke[0] != 1 || woke[1] != 2 {
 			t.Fatalf("run %d: clients woke in order %v, want [1 2]", rep, woke)
 		}
+	}
+}
+
+// TestDiskServerKeepsSharedPageMapped sends two one-sector reads into
+// one page, at offsets 0 and 2048, both in flight at once. The first
+// completion must not unmap the page from the controller's IOMMU
+// domain while the second request still targets it (§4.2: the driver
+// reaches exactly the buffers of its in-flight requests). Once both
+// are done, a DMA to the page faults again.
+func TestDiskServerKeepsSharedPageMapped(t *testing.T) {
+	k, root := newStack(t)
+	ds, err := root.StartDiskServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := k.CreatePD(k.Root, k.Root.Caps.AllocSel(), "client", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, _, id, err := ds.AddClient(client, "client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := DelegatePortal(k, ds.PD, pt, client, 100); err != nil {
+		t.Fatal(err)
+	}
+	bufPage, _ := root.AllocPages("buf", 1)
+	page := uint64(bufPage) << 12
+	for i, off := range []uint64{0, 2048} {
+		req := DiskRequest{Op: DiskOpRead, LBA: 500 + uint64(i), Count: 1,
+			Bufs: []DMASeg{{HPA: page + off, Len: hw.SectorSize}}, Cookie: uint64(i)}
+		msg := &hypervisor.UTCB{Words: AppendRequest(nil, &req)}
+		if err := k.Call(client, 100, msg); err != nil {
+			t.Fatal(err)
+		}
+		if msg.Words[0] != 1 {
+			t.Fatalf("request %d rejected", i)
+		}
+	}
+	k.Run(k.Now() + 100_000_000)
+
+	var recs []CompletionRecord
+	recs = append(recs, ds.Completions(id)...)
+	want := []CompletionRecord{{Cookie: 0, OK: true}, {Cookie: 1, OK: true}}
+	if len(recs) != len(want) || recs[0] != want[0] || recs[1] != want[1] {
+		t.Fatalf("completions = %v, want %v", recs, want)
+	}
+	iommu := k.Plat.IOMMU
+	if len(iommu.Faults) != 0 {
+		t.Fatalf("IOMMU faults %+v, want none", iommu.Faults)
+	}
+	for i, off := range []uint64{0, 2048} {
+		sector := make([]byte, hw.SectorSize)
+		k.Plat.AHCI.Disk().ReadSectors(500+uint64(i), 1, sector) //nolint:errcheck
+		got := k.Plat.Mem.ReadBytes(hw.PhysAddr(page+off), hw.SectorSize)
+		if string(got) != string(sector) {
+			t.Errorf("request %d: buffer does not hold LBA %d", i, 500+i)
+		}
+	}
+	if err := iommu.DMAWrite(hw.AHCIDeviceID, page, []byte{1}); err == nil {
+		t.Error("DMA to the page after both requests completed was allowed")
 	}
 }

@@ -122,7 +122,8 @@ func (m *VMM) biosCall(msg *hypervisor.UTCB) {
 func (m *VMM) setCF(msg *hypervisor.UTCB, cf bool) {
 	sp := msg.State.GPR[x86.ESP] & 0xffff
 	flagsGPA := uint64(msg.State.Seg[x86.SS].Base) + uint64((sp+4)&0xffff)
-	b := m.GuestRead(flagsGPA, 2)
+	var buf [2]byte
+	b := m.GuestRead(flagsGPA, buf[:])
 	if b == nil {
 		return
 	}
@@ -170,7 +171,8 @@ func (m *VMM) bios13(msg *hypervisor.UTCB) {
 		m.biosDiskRead(msg, lba, count, buf)
 	case 0x42: // extended read: DS:SI -> disk address packet
 		dap := uint64(st.Seg[x86.DS].Base) + uint64(st.Reg(x86.ESI, 2))
-		pkt := m.GuestRead(dap, 16)
+		var buf [16]byte
+		pkt := m.GuestRead(dap, buf[:])
 		if pkt == nil {
 			m.setCF(msg, true)
 			return
@@ -300,7 +302,8 @@ func (m *VMM) bios16(msg *hypervisor.UTCB) {
 	case 0x01: // poll: ZF in the stacked flags mirrors queue state
 		sp := st.GPR[x86.ESP] & 0xffff
 		flagsGPA := uint64(st.Seg[x86.SS].Base) + uint64((sp+4)&0xffff)
-		if b := m.GuestRead(flagsGPA, 2); b != nil {
+		var buf [2]byte
+		if b := m.GuestRead(flagsGPA, buf[:]); b != nil {
 			fl := binary.LittleEndian.Uint16(b)
 			if len(m.biosKeys) == 0 {
 				fl |= uint16(x86.FlagZF)

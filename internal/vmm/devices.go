@@ -147,7 +147,7 @@ func (m *VMM) InjectString(s string) {
 // buffers) into 25 lines of 80 characters.
 func (m *VMM) TextScreen() []string {
 	const base, cols, rows = 0xb8000, 80, 25
-	raw := m.GuestRead(base, cols*rows*2)
+	raw := m.GuestRead(base, make([]byte, cols*rows*2))
 	if raw == nil {
 		return nil
 	}

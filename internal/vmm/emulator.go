@@ -1,6 +1,7 @@
 package vmm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -63,9 +64,11 @@ func (e *emuEnv) MemRead(st *x86.CPUState, va uint32, size int, kind x86.AccessK
 		// Unclaimed bus address: reads float high (PCI master abort).
 		return 0xffffffff >> (32 - uint(size)*8), nil
 	}
+	var b [4]byte
+	r := e.m.GuestRead(gpa, b[:size])
 	var v uint32
-	for i := size - 1; i >= 0; i-- {
-		v = v<<8 | uint32(e.m.GuestRead(gpa+uint64(i), 1)[0])
+	for i := len(r) - 1; i >= 0; i-- {
+		v = v<<8 | uint32(r[i])
 	}
 	return v, nil
 }
@@ -81,11 +84,9 @@ func (e *emuEnv) MemWrite(st *x86.CPUState, va uint32, size int, val uint32) err
 	if !e.m.inGuest(gpa, uint64(size)) {
 		return nil // unclaimed bus address: write dropped
 	}
-	b := make([]byte, size)
-	for i := 0; i < size; i++ {
-		b[i] = byte(val >> (8 * uint(i)))
-	}
-	return e.m.GuestWrite(gpa, b)
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], val)
+	return e.m.GuestWrite(gpa, b[:size])
 }
 
 func (e *emuEnv) In(port uint16, size int) (uint32, error) {
@@ -102,23 +103,37 @@ func (e *emuEnv) InvalidateTLB(st *x86.CPUState, all bool, va uint32) {}
 // emulate runs the faulting instruction to completion in the VMM (§7.1:
 // fetch, decode, execute with fixup, write back, advance). It is the
 // handler for EPT-violation (MMIO) exits.
+//
+// The emulator is one interpreter per VMM, built on first use, over the
+// emulation environment and the VMM's own copy of the guest state. Each
+// exit copies the exit message's state in and resets what a fresh
+// interpreter would start without (retired-instruction count, extra
+// cycles, MSRs written by an earlier emulation), so every emulation
+// behaves like one on a new interpreter. emulate is not re-entered: the
+// one portal call an emulated store can make, a doorbell's call to the
+// disk server, only programs the host controller, whose completion
+// arrives later as an event.
 func (m *VMM) emulate(msg *hypervisor.UTCB) error {
 	m.record(trace.KindEmulate, uint64(msg.State.EIP), 0, 0, 0)
 	m.K.ChargeUser(m.K.Plat.Cost.EmulateInstruction)
 	m.K.ProfEmulate(msg.State.Seg[x86.CS].Base+msg.State.EIP, msg.State.Seg[x86.CS].Def32,
 		m.K.Plat.Cost.EmulateInstruction)
 
-	// The emulator is a full interpreter instance over the emulation
-	// environment; guest state comes from (and returns to) the exit
-	// message. Exceptions raised by the emulated instruction are
-	// delivered through the guest's IDT exactly as §7.1's fixup path
-	// does.
-	st := msg.State
-	interp := x86.NewInterp(&emuEnv{m: m}, &st, x86.Intercepts{})
-	interp.TSC = func() uint64 { return uint64(m.K.Now()) }
-	if err := interp.Step(); err != nil {
+	// Exceptions raised by the emulated instruction are delivered
+	// through the guest's IDT exactly as §7.1's fixup path does.
+	if m.emu == nil {
+		m.emu = x86.NewInterp(&emuEnv{m: m}, &m.emuState, x86.Intercepts{})
+		m.emu.TSC = func() uint64 { return uint64(m.K.Now()) }
+	}
+	ip := m.emu
+	m.emuState = msg.State
+	ip.InstRet, ip.ExtraCycles = 0, 0
+	clear(ip.MSRs)
+	if err := ip.Step(); err != nil {
+		// err may point into the interpreter (its exit record); the
+		// kernel formats it before this VMM emulates again.
 		return fmt.Errorf("vmm: emulation failed at eip=%#x: %w", msg.State.EIP, err)
 	}
-	msg.State = st
+	msg.State = m.emuState
 	return nil
 }

@@ -58,7 +58,7 @@ func TestEmulatorPageCrossingAccess(t *testing.T) {
 		{0x30000, []byte{0x33, 0x44}}, // high half, page 0x11 = frame 0x30
 		{0x11000, []byte{0, 0}},       // frame 0x11 is not mapped there
 	} {
-		if got := m.GuestRead(c.gpa, 2); !bytes.Equal(got, c.want) {
+		if got := m.GuestRead(c.gpa, make([]byte, 2)); !bytes.Equal(got, c.want) {
 			t.Errorf("push: guest %#x = % x, want % x", c.gpa, got, c.want)
 		}
 	}
@@ -72,5 +72,44 @@ func TestEmulatorPageCrossingAccess(t *testing.T) {
 	}
 	if ebx := msg.State.GPR[x86.EBX]; ebx != 0x44332211 {
 		t.Errorf("load: ebx = %#x, want 0x44332211", ebx)
+	}
+}
+
+// TestEmulationsAreIndependent: the VMM reuses one emulator, yet each
+// emulation behaves like one on a fresh interpreter. An MSR written by
+// one emulated instruction is not seen by the next, and a failed
+// emulation leaves the exit message's state as it was.
+func TestEmulationsAreIndependent(t *testing.T) {
+	_, m, _ := testStack(t, hypervisor.ModeEPT, false)
+
+	msg := &hypervisor.UTCB{State: pagedEmuState(t, m, "wrmsr")}
+	msg.State.GPR[x86.ECX] = 0x10
+	msg.State.GPR[x86.EAX], msg.State.GPR[x86.EDX] = 0x1234, 0x5678
+	if err := m.emulate(msg); err != nil {
+		t.Fatal(err)
+	}
+
+	// An undefined opcode with an empty IDT escalates to a triple fault.
+	msg = &hypervisor.UTCB{State: pagedEmuState(t, m, "ud2")}
+	msg.State.IDTR.Limit = 0
+	before := msg.State
+	if err := m.emulate(msg); err == nil {
+		t.Fatal("emulating ud2 with an empty IDT succeeded")
+	}
+	if msg.State != before {
+		t.Error("a failed emulation changed the exit message's state")
+	}
+
+	msg = &hypervisor.UTCB{State: pagedEmuState(t, m, "rdmsr")}
+	msg.State.GPR[x86.ECX] = 0x10
+	msg.State.GPR[x86.EAX], msg.State.GPR[x86.EDX] = 0xdead, 0xbeef
+	if err := m.emulate(msg); err != nil {
+		t.Fatal(err)
+	}
+	if a, d := msg.State.GPR[x86.EAX], msg.State.GPR[x86.EDX]; a != 0 || d != 0 {
+		t.Errorf("rdmsr after an earlier emulation's wrmsr = %#x:%#x, want 0:0", d, a)
+	}
+	if msg.State.EIP != 0x8002 {
+		t.Errorf("eip = %#x after rdmsr, want 0x8002", msg.State.EIP)
 	}
 }

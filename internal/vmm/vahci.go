@@ -43,6 +43,13 @@ type VAHCI struct {
 	// Zero entries mean "no span" and record nothing.
 	spans [32]span.ID
 
+	// cfis, bufs and msg are issue's storage for the command FIS it
+	// reads from the guest, the scatter list it forwards and the portal
+	// message it sends, reused by every command.
+	cfis [20]byte
+	bufs []services.DMASeg
+	msg  hypervisor.UTCB
+
 	Commands uint64
 	IRQs     uint64
 }
@@ -153,7 +160,7 @@ func (a *VAHCI) issue(slot int) {
 	}
 	ctba := uint64(m.guestRead32(hdrGPA+8)) | uint64(m.guestRead32(hdrGPA+12))<<32
 
-	cfis := m.GuestRead(ctba, 20)
+	cfis := m.GuestRead(ctba, a.cfis[:])
 	if cfis == nil || cfis[0] != 0x27 {
 		a.fail(slot)
 		return
@@ -169,7 +176,7 @@ func (a *VAHCI) issue(slot int) {
 	// Gather the PRDT and translate guest-physical buffer addresses to
 	// host-physical for the driver. Only these buffer ranges are
 	// exposed to the device (§4.2).
-	var bufs []services.DMASeg
+	bufs := a.bufs[:0]
 	for i := 0; i < prdtl; i++ {
 		base := ctba + 0x80 + uint64(i)*16
 		dba := uint64(m.guestRead32(base)) | uint64(m.guestRead32(base+4))<<32
@@ -180,6 +187,7 @@ func (a *VAHCI) issue(slot int) {
 		}
 		bufs = append(bufs, services.DMASeg{HPA: m.base + dba, Len: dbc})
 	}
+	a.bufs = bufs
 
 	switch cmd {
 	case 0xec: // IDENTIFY: served by the device model itself
@@ -219,7 +227,8 @@ func (a *VAHCI) issue(slot int) {
 		m.K.Spans.Annotate(cpu, m.K.Now(), sp, span.AnnotSectors, uint64(count))
 		a.spans[slot] = sp
 		req := services.DiskRequest{Op: op, LBA: lba, Count: count, Bufs: bufs, Cookie: uint64(slot)}
-		msg := &hypervisor.UTCB{Words: services.EncodeRequest(&req)}
+		msg := &a.msg
+		msg.Words = services.AppendRequest(msg.Words[:0], &req)
 		m.K.Spans.Begin(cpu, sp, span.SegEmul)
 		err := m.K.Call(m.PD, m.diskPortalSel, msg)
 		m.K.Spans.End(cpu)

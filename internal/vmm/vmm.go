@@ -90,6 +90,11 @@ type VMM struct {
 
 	MSRs map[uint32]uint64
 
+	// emu is the instruction emulator, built on first use, and
+	// emuState the guest state it runs on (see emulate).
+	emu      *x86.Interp
+	emuState x86.CPUState
+
 	// inHandler marks that we are inside an exit handler, where
 	// injection rides on the reply instead of a recall hypercall.
 	inHandler  bool
@@ -290,12 +295,15 @@ func (m *VMM) inGuest(gpa, n uint64) bool {
 	return gpa <= m.size && n <= m.size-gpa
 }
 
-// GuestRead copies guest-physical memory (the VMM's own mapping of it).
-func (m *VMM) GuestRead(gpa uint64, n int) []byte {
-	if !m.inGuest(gpa, uint64(n)) {
+// GuestRead fills b from guest-physical memory at gpa (the VMM's own
+// mapping of it, RAM only) and returns it, or returns nil when the
+// range leaves guest memory.
+func (m *VMM) GuestRead(gpa uint64, b []byte) []byte {
+	if !m.inGuest(gpa, uint64(len(b))) {
 		return nil
 	}
-	return m.K.Plat.Mem.ReadBytes(hw.PhysAddr(m.base+gpa), n)
+	m.K.Plat.Mem.ReadInto(hw.PhysAddr(m.base+gpa), b)
+	return b
 }
 
 // GuestWrite fills guest-physical memory.

@@ -144,7 +144,7 @@ fail:
 	if m.Console() != "O" {
 		t.Fatalf("console = %q (killed=%v)", m.Console(), k.Killed)
 	}
-	got := m.GuestRead(0x9000, len(want))
+	got := m.GuestRead(0x9000, make([]byte, len(want)))
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("extended read data mismatch at %d", i)

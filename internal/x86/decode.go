@@ -207,8 +207,18 @@ func (d *decodeCursor) uz(size int) uint32 {
 // Decode reads and decodes one instruction from f. def32 selects the
 // default operand/address size (the D bit of the current code segment).
 func Decode(f ByteFetcher, def32 bool) (*Inst, error) {
+	inst := new(Inst)
+	if err := decodeInto(f, def32, inst); err != nil {
+		return nil, err
+	}
+	return inst, nil
+}
+
+// decodeInto is Decode into caller-owned storage; on error inst holds
+// no meaningful decode.
+func decodeInto(f ByteFetcher, def32 bool, inst *Inst) error {
 	d := &decodeCursor{f: f}
-	inst := &Inst{SegOv: -1, Index: -1, Base: -1}
+	*inst = Inst{SegOv: -1, Index: -1, Base: -1}
 
 	defSize := 2
 	if def32 {
@@ -222,7 +232,7 @@ prefixes:
 	for {
 		op = d.byte()
 		if d.err != nil {
-			return nil, d.err
+			return d.err
 		}
 		switch op {
 		case 0x26:
@@ -270,7 +280,7 @@ prefixes:
 
 	if modrmTab[op] {
 		if err := decodeModRM(d, inst); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
@@ -302,10 +312,10 @@ prefixes:
 		// No immediate bytes; immGrp3 was rewritten above for TEST.
 	}
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
 	inst.Len = d.n
-	return inst, nil
+	return nil
 }
 
 func decodeModRM(d *decodeCursor, inst *Inst) error {

@@ -297,7 +297,7 @@ func (ip *Interp) exec(inst *Inst) error {
 			port = uint16(st.GPR[EDX])
 		}
 		if ip.IC.IO {
-			return &VMExit{Reason: ExitIO, Port: port, Size: size, In: true}
+			return ip.vmexit(VMExit{Reason: ExitIO, Port: port, Size: size, In: true})
 		}
 		v, err := ip.Env.In(port, size)
 		if err != nil {
@@ -313,7 +313,7 @@ func (ip *Interp) exec(inst *Inst) error {
 		}
 		val := st.Reg(EAX, size)
 		if ip.IC.IO {
-			return &VMExit{Reason: ExitIO, Port: port, Size: size, In: false, OutVal: val}
+			return ip.vmexit(VMExit{Reason: ExitIO, Port: port, Size: size, In: false, OutVal: val})
 		}
 		return ip.Env.Out(port, size, val)
 	case 0xe8: // CALL relZ
@@ -345,7 +345,7 @@ func (ip *Interp) exec(inst *Inst) error {
 		return nil
 	case 0xf4: // HLT
 		if ip.IC.HLT {
-			return &VMExit{Reason: ExitHLT}
+			return ip.vmexit(VMExit{Reason: ExitHLT})
 		}
 		st.Halted = true
 		return nil

@@ -59,7 +59,7 @@ func (ip *Interp) execTwoByte(inst *Inst) error {
 			return UDFault()
 		}
 		if ip.IC.CR {
-			return &VMExit{Reason: ExitCRAccess, CR: inst.RegOp, CRWrite: false, CRGPR: inst.RM}
+			return ip.vmexit(VMExit{Reason: ExitCRAccess, CR: inst.RegOp, CRWrite: false, CRGPR: inst.RM})
 		}
 		st.GPR[inst.RM] = ip.readCR(inst.RegOp)
 		return nil
@@ -69,7 +69,7 @@ func (ip *Interp) execTwoByte(inst *Inst) error {
 		}
 		val := st.GPR[inst.RM]
 		if ip.IC.CR {
-			return &VMExit{Reason: ExitCRAccess, CR: inst.RegOp, CRWrite: true, CRGPR: inst.RM, CRVal: val}
+			return ip.vmexit(VMExit{Reason: ExitCRAccess, CR: inst.RegOp, CRWrite: true, CRGPR: inst.RM, CRVal: val})
 		}
 		return ip.writeCR(inst.RegOp, val)
 	case 0x21, 0x23: // MOV r, DRn / MOV DRn, r — debug registers ignored
@@ -79,14 +79,14 @@ func (ip *Interp) execTwoByte(inst *Inst) error {
 		return nil
 	case 0x30: // WRMSR
 		if ip.IC.MSR {
-			return &VMExit{Reason: ExitMSR, MSR: st.GPR[ECX], MSRWrite: true,
-				MSRVal: uint64(st.GPR[EDX])<<32 | uint64(st.GPR[EAX])}
+			return ip.vmexit(VMExit{Reason: ExitMSR, MSR: st.GPR[ECX], MSRWrite: true,
+				MSRVal: uint64(st.GPR[EDX])<<32 | uint64(st.GPR[EAX])})
 		}
 		ip.MSRs[st.GPR[ECX]] = uint64(st.GPR[EDX])<<32 | uint64(st.GPR[EAX])
 		return nil
 	case 0x31: // RDTSC
 		if ip.IC.RDTSC {
-			return &VMExit{Reason: ExitRDTSC}
+			return ip.vmexit(VMExit{Reason: ExitRDTSC})
 		}
 		v := ip.tsc()
 		st.GPR[EAX] = uint32(v)
@@ -94,7 +94,7 @@ func (ip *Interp) execTwoByte(inst *Inst) error {
 		return nil
 	case 0x32: // RDMSR
 		if ip.IC.MSR {
-			return &VMExit{Reason: ExitMSR, MSR: st.GPR[ECX], MSRWrite: false}
+			return ip.vmexit(VMExit{Reason: ExitMSR, MSR: st.GPR[ECX], MSRWrite: false})
 		}
 		v := ip.MSRs[st.GPR[ECX]]
 		st.GPR[EAX] = uint32(v)
@@ -118,7 +118,7 @@ func (ip *Interp) execTwoByte(inst *Inst) error {
 		return ip.loadSeg(GS, uint16(v))
 	case 0xa2: // CPUID
 		if ip.IC.CPUID {
-			return &VMExit{Reason: ExitCPUID}
+			return ip.vmexit(VMExit{Reason: ExitCPUID})
 		}
 		a, b, c, d := CPUIDValues(st.GPR[EAX], st.GPR[ECX])
 		st.GPR[EAX], st.GPR[EBX], st.GPR[ECX], st.GPR[EDX] = a, b, c, d
@@ -360,8 +360,8 @@ func (ip *Interp) execGroup7(inst *Inst) error {
 			return err
 		}
 		if ip.IC.CR {
-			return &VMExit{Reason: ExitCRAccess, CR: 0, CRWrite: true,
-				CRVal: st.CR0&^0xf | v&0xf}
+			return ip.vmexit(VMExit{Reason: ExitCRAccess, CR: 0, CRWrite: true,
+				CRVal: st.CR0&^0xf | v&0xf})
 		}
 		return ip.writeCR(0, st.CR0&^0xf|v&0xf)
 	case 7: // INVLPG
@@ -371,7 +371,7 @@ func (ip *Interp) execGroup7(inst *Inst) error {
 		off, seg := inst.effectiveAddr(st)
 		la := ip.linear(seg, off)
 		if ip.IC.INVLPG {
-			return &VMExit{Reason: ExitINVLPG, Linear: la}
+			return ip.vmexit(VMExit{Reason: ExitINVLPG, Linear: la})
 		}
 		ip.Env.InvalidateTLB(st, false, la)
 		return nil

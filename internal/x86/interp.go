@@ -43,6 +43,14 @@ type Interp struct {
 	// not touch guest state or clocks, and a nil hook costs exactly
 	// one predicted branch, so execution is unchanged when disabled.
 	StepHook func()
+
+	// The interpreter owns the records its steps hand out: exit backs
+	// every *VMExit that exec returns, and fetch and inst the slow
+	// path's per-byte decode (decodeSlow). A returned *VMExit or *Inst
+	// stays valid until the interpreter steps again.
+	exit  VMExit
+	fetch execFetcher
+	inst  Inst
 }
 
 // NewInterp binds an interpreter to an environment and CPU state.
@@ -91,8 +99,24 @@ func (ip *Interp) fetchDecode(st *CPUState) (*Inst, error) {
 			return ip.decodeFromPage(dp, data, int(va&(codePageSize-1)), def32, fresh)
 		}
 	}
-	f := &execFetcher{ip: ip, pos: st.EIP}
-	return Decode(f, def32)
+	return ip.decodeSlow(def32)
+}
+
+// decodeSlow decodes the instruction at CS:EIP by per-byte fetches
+// through Env.MemRead, into the interpreter's own Inst.
+func (ip *Interp) decodeSlow(def32 bool) (*Inst, error) {
+	ip.fetch = execFetcher{ip: ip, pos: ip.St.EIP}
+	if err := decodeInto(&ip.fetch, def32, &ip.inst); err != nil {
+		return nil, err
+	}
+	return &ip.inst, nil
+}
+
+// vmexit stores e as the interpreter's exit record and returns it; the
+// record stays valid until the interpreter steps again.
+func (ip *Interp) vmexit(e VMExit) *VMExit {
+	ip.exit = e
+	return &ip.exit
 }
 
 // decodeFromPage returns the cached decode at page offset off, filling
@@ -117,8 +141,7 @@ func (ip *Interp) decodeFromPage(dp *decodedPage, data []byte, off int, def32, f
 	if _, spill := err.(errPageSpill); !spill {
 		return nil, err
 	}
-	f := &execFetcher{ip: ip, pos: ip.St.EIP}
-	return Decode(f, def32)
+	return ip.decodeSlow(def32)
 }
 
 // Step fetches, decodes and executes one instruction (or a bounded burst

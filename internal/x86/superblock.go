@@ -192,8 +192,7 @@ func (ip *Interp) StepBlock(max uint64) error {
 		// exactly like Step's slow path (the translation just performed
 		// is hit in the TLB, so the re-reads are free).
 		ip.Cache.SB.CutSlow++
-		f := &execFetcher{ip: ip, pos: st.EIP}
-		inst, derr := Decode(f, def32)
+		inst, derr := ip.decodeSlow(def32)
 		return ip.stepDecoded(inst, derr, prevShadow)
 	}
 	off := int(va & (codePageSize - 1))
