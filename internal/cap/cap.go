@@ -145,7 +145,7 @@ func (s *Space) Len() int { return s.idx.len }
 
 // Selectors returns the occupied selectors in ascending order.
 func (s *Space) Selectors() []Selector {
-	out := make([]Selector, 0, s.idx.len)
+	out := make([]Selector, 0, min(s.idx.len, keyBound))
 	for n := s.idx.next(0); n != nil; n = s.idx.next(n.key + 1) {
 		out = append(out, Selector(n.key))
 	}
@@ -172,7 +172,7 @@ func (s *Space) Insert(sel Selector, obj Object, rights Rights) error {
 	if err := s.free(sel); err != nil {
 		return err
 	}
-	s.idx.insert(uint32(sel), &node{obj: obj, typ: obj.ObjectType(), rights: rights})
+	s.idx.insert(uint32(sel), 1, &node{obj: obj, typ: obj.ObjectType(), rights: rights})
 	s.Inserts++
 	return nil
 }
@@ -261,7 +261,7 @@ func (s *Space) Delegate(srcSel Selector, dst *Space, dstSel Selector, mask Righ
 	if err := dst.free(dstSel); err != nil {
 		return err
 	}
-	dst.idx.delegate(uint32(dstSel), &node{obj: src.obj, typ: src.typ, rights: src.rights & mask}, src)
+	dst.idx.delegate(uint32(dstSel), 1, &node{obj: src.obj, typ: src.typ, rights: src.rights & mask}, src, src.key)
 	s.Delegates++
 	return nil
 }

@@ -39,22 +39,19 @@ func pageRange(page uint32, npages int) error {
 }
 
 // InsertRoot installs a root mapping of npages pages starting at page
-// (address>>12) onto consecutive host frames starting at frame. Used by
-// the hypervisor at boot to hand all physical memory to the root
-// partition manager.
+// (address>>12) onto consecutive host frames starting at frame, as one
+// node. Used by the hypervisor at boot to hand all physical memory to
+// the root partition manager.
 func (m *MemSpace) InsertRoot(page uint32, frame uint64, npages int, rights Rights) error {
 	if err := pageRange(page, npages); err != nil {
 		return err
 	}
-	for i := 0; i < npages; i++ {
-		if p := page + uint32(i); m.idx.get(p) != nil {
-			return fmt.Errorf("cap: page %#x already mapped in %s", p, m.name)
-		}
+	end := page + uint32(npages)
+	if p := m.idx.firstHeld(page, end); p < end {
+		return fmt.Errorf("cap: page %#x already mapped in %s", p, m.name)
 	}
-	nodes := make([]node, npages)
-	for i := range nodes {
-		nodes[i].frame, nodes[i].rights = frame+uint64(i), rights
-		m.idx.insert(page+uint32(i), &nodes[i])
+	if npages > 0 {
+		m.idx.insert(page, uint32(npages), &node{frame: frame, rights: rights})
 	}
 	m.idx.version++
 	return nil
@@ -66,12 +63,13 @@ func (m *MemSpace) Translate(page uint32) (uint64, Rights, bool) {
 	if n == nil {
 		return 0, 0, false
 	}
-	return n.frame, n.rights, true
+	return n.frame + uint64(page-n.key), n.rights, true
 }
 
 // Delegate maps npages pages from srcPage in this space to dstPage in
-// dst, with rights reduced by mask. Partial overlap with existing
-// mappings in dst fails without side effects.
+// dst, with rights reduced by mask, as one child per source node the
+// range crosses. Partial overlap with existing mappings in dst fails
+// without side effects.
 func (m *MemSpace) Delegate(srcPage uint32, dst *MemSpace, dstPage uint32, npages int, mask Rights) error {
 	if err := pageRange(srcPage, npages); err != nil {
 		return err
@@ -79,19 +77,21 @@ func (m *MemSpace) Delegate(srcPage uint32, dst *MemSpace, dstPage uint32, npage
 	if err := pageRange(dstPage, npages); err != nil {
 		return err
 	}
-	for i := 0; i < npages; i++ {
-		if m.idx.get(srcPage+uint32(i)) == nil {
-			return fmt.Errorf("cap: source page %#x not mapped in %s", srcPage+uint32(i), m.name)
-		}
-		if dst.idx.get(dstPage+uint32(i)) != nil {
-			return fmt.Errorf("cap: destination page %#x already mapped in %s", dstPage+uint32(i), dst.name)
-		}
+	n := uint32(npages)
+	missing := m.idx.firstFree(srcPage, srcPage+n) - srcPage
+	held := dst.idx.firstHeld(dstPage, dstPage+n) - dstPage
+	if missing < n && missing <= held {
+		return fmt.Errorf("cap: source page %#x not mapped in %s", srcPage+missing, m.name)
 	}
-	nodes := make([]node, npages)
-	for i := range nodes {
-		src := m.idx.get(srcPage + uint32(i))
-		nodes[i].frame, nodes[i].rights = src.frame, src.rights&mask
-		dst.idx.delegate(dstPage+uint32(i), &nodes[i], src)
+	if held < n {
+		return fmt.Errorf("cap: destination page %#x already mapped in %s", dstPage+held, dst.name)
+	}
+	for off := uint32(0); off < n; {
+		at := srcPage + off
+		src := m.idx.get(at)
+		run := min(src.key+src.n-at, n-off)
+		dst.idx.delegate(dstPage+off, run, &node{frame: src.frame + uint64(at-src.key), rights: src.rights & mask}, src, at)
+		off += run
 	}
 	dst.idx.version++
 	return nil
@@ -132,35 +132,37 @@ func (s *IOSpace) Len() int { return s.idx.len }
 // Allowed reports whether the domain may access port.
 func (s *IOSpace) Allowed(port uint16) bool { return s.idx.get(uint32(port)) != nil }
 
-// InsertRoot grants ports [lo, hi] as root entries.
+// InsertRoot grants ports [lo, hi] as root entries, one node per run
+// of ports the space does not hold yet; held ports are left as they are.
 func (s *IOSpace) InsertRoot(lo, hi uint16) {
-	if hi < lo {
-		return
-	}
-	nodes := make([]node, int(hi-lo)+1)
-	for i := range nodes {
-		if p := uint32(lo) + uint32(i); s.idx.get(p) == nil {
-			s.idx.insert(p, &nodes[i])
+	for p, end := uint32(lo), uint32(hi)+1; p < end; {
+		if n := s.idx.get(p); n != nil {
+			p = n.key + n.n
+			continue
 		}
+		free := s.idx.firstHeld(p, end)
+		s.idx.insert(p, free-p, &node{})
+		p = free
 	}
 }
 
 // Delegate grants dst access to ports [lo, hi], which this space must
-// hold.
+// hold, one node per run of ports that one source node holds and dst
+// does not hold yet; ports dst holds are left as they are.
 func (s *IOSpace) Delegate(dst *IOSpace, lo, hi uint16) error {
-	for p := uint32(lo); p <= uint32(hi); p++ {
-		if s.idx.get(p) == nil {
-			return fmt.Errorf("cap: port %#x not held by %s", p, s.name)
-		}
+	end := uint32(hi) + 1
+	if p := s.idx.firstFree(uint32(lo), end); p < end {
+		return fmt.Errorf("cap: port %#x not held by %s", p, s.name)
 	}
-	if hi < lo {
-		return nil
-	}
-	nodes := make([]node, int(hi-lo)+1)
-	for i := range nodes {
-		if p := uint32(lo) + uint32(i); dst.idx.get(p) == nil {
-			dst.idx.delegate(p, &nodes[i], s.idx.get(p))
+	for p := uint32(lo); p < end; {
+		if n := dst.idx.get(p); n != nil {
+			p = n.key + n.n
+			continue
 		}
+		src := s.idx.get(p)
+		to := min(dst.idx.firstHeld(p, end), src.key+src.n)
+		dst.idx.delegate(p, to-p, &node{}, src, p)
+		p = to
 	}
 	return nil
 }

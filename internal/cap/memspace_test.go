@@ -148,3 +148,41 @@ func TestIOSpaceDelegation(t *testing.T) {
 		t.Error("root lost port on non-self revoke")
 	}
 }
+
+// TestRunGrantAllocs pins what building a machine costs in the mapping
+// database: a root grant or a delegation makes one node per run, not
+// one per page or port, and a 1024-key block it covers is stored as
+// that node, without a leaf. Each call acts on a fresh space.
+func TestRunGrantAllocs(t *testing.T) {
+	const runs = 10
+	var ios [runs + 1]*IOSpace
+	var mems, dsts [runs + 1]*MemSpace
+	for i := range ios {
+		ios[i], mems[i], dsts[i] = NewIOSpace("io"), NewMemSpace("m"), NewMemSpace("d")
+	}
+	root := NewMemSpace("root")
+	if err := root.InsertRoot(0, 0, 1<<16, RightsAll); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		max  float64
+		call func(i int)
+	}{
+		{"IOSpace.InsertRoot(0, 0xffff)", 3, func(i int) { ios[i].InsertRoot(0, 0xffff) }},
+		{"MemSpace.InsertRoot of 768 MiB", 3, func(i int) {
+			mems[i].InsertRoot(0x100, 0x100, 768<<20/PageSize, RightsAll) //nolint:errcheck
+		}},
+		{"MemSpace.Delegate of 4096 block-aligned pages", 2, func(i int) {
+			root.Delegate(0x1000, dsts[i], 0x4000, 4096, RightsAll) //nolint:errcheck
+		}},
+	} {
+		i := 0
+		if n := testing.AllocsPerRun(runs, func() { c.call(i); i++ }); n > c.max {
+			t.Errorf("%s: %v allocs, want at most %v", c.name, n, c.max)
+		}
+	}
+	if ios[runs].Len() != 1<<16 || mems[runs].Len() != 768<<20/PageSize || dsts[runs].Len() != 4096 {
+		t.Errorf("granted %d ports, %d and %d pages", ios[runs].Len(), mems[runs].Len(), dsts[runs].Len())
+	}
+}

@@ -61,6 +61,14 @@ func (d *IOMMUDomain) Translate(busAddr uint64, perm IOMMUPerm) (uint64, bool) {
 	return e.hpa + busAddr&0xfff, true
 }
 
+// DMASpace is what a device attached to the IOMMU may reach: the IOMMU
+// asks it to translate every DMA access. An IOMMUDomain is one.
+type DMASpace interface {
+	// Translate resolves one bus address, returning the host-physical
+	// address if it is mapped with the needed permission.
+	Translate(busAddr uint64, perm IOMMUPerm) (uint64, bool)
+}
+
 // IOMMUFault records one blocked DMA or interrupt-remapping violation.
 type IOMMUFault struct {
 	Dev   DeviceID
@@ -72,13 +80,13 @@ type IOMMUFault struct {
 }
 
 // IOMMU models VT-d-style DMA remapping plus interrupt remapping. It
-// wraps a direct DMA bus: attached devices get their domain's
+// wraps a direct DMA bus: attached devices get their DMA space's
 // translations, unattached devices are blocked entirely, and the
 // hypervisor's own memory can never be mapped (BlockRange).
 type IOMMU struct {
 	mem     *Memory
 	inner   DMABus
-	domains map[DeviceID]*IOMMUDomain
+	domains map[DeviceID]DMASpace
 
 	blockedLo, blockedHi uint64 // host-physical range that may never be mapped
 
@@ -97,7 +105,7 @@ func NewIOMMU(mem *Memory) *IOMMU {
 	return &IOMMU{
 		mem:            mem,
 		inner:          NewDirectDMA(mem),
-		domains:        make(map[DeviceID]*IOMMUDomain),
+		domains:        make(map[DeviceID]DMASpace),
 		allowedVectors: make(map[DeviceID]map[uint8]bool),
 	}
 }
@@ -106,14 +114,14 @@ func NewIOMMU(mem *Memory) *IOMMU {
 // microhypervisor's own image and page tables).
 func (u *IOMMU) BlockRange(lo, hi uint64) { u.blockedLo, u.blockedHi = lo, hi }
 
-// Attach binds a device to a translation domain.
-func (u *IOMMU) Attach(dev DeviceID, d *IOMMUDomain) { u.domains[dev] = d }
+// Attach binds a device to a DMA space.
+func (u *IOMMU) Attach(dev DeviceID, d DMASpace) { u.domains[dev] = d }
 
 // Detach removes a device's domain binding; subsequent DMA is blocked.
 func (u *IOMMU) Detach(dev DeviceID) { delete(u.domains, dev) }
 
-// Domain returns the domain a device is attached to, if any.
-func (u *IOMMU) Domain(dev DeviceID) (*IOMMUDomain, bool) {
+// Domain returns the DMA space a device is attached to, if any.
+func (u *IOMMU) Domain(dev DeviceID) (DMASpace, bool) {
 	d, ok := u.domains[dev]
 	return d, ok
 }

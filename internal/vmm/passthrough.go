@@ -10,14 +10,14 @@ import (
 // Direct device assignment (§4, §8.2, §8.3): on platforms with an
 // IOMMU, NOVA assigns hardware devices to VMs for secure driver reuse.
 // The device's MMIO window is mapped into guest-physical space, its DMA
-// is confined to the VM's memory through an IOMMU domain that
-// translates guest-physical bus addresses, and its interrupt line is
+// is confined to the VM's memory by translating guest-physical bus
+// addresses through the VM's memory space, and its interrupt line is
 // routed straight to the vCPU (still costing the virtualization exits
 // Figure 6/7 measure).
 
 // AssignDevice maps a host device at the guest-physical address equal
-// to its host MMIO base, builds the IOMMU domain from the VM's memory,
-// and routes its interrupt to the vCPU.
+// to its host MMIO base, confines its DMA to the VM's RAM, and routes
+// its interrupt to the vCPU.
 func (m *VMM) AssignDevice(dev hw.DeviceID, mmioBase hw.PhysAddr, mmioSize uint64, irqLine int, guestVector uint8) error {
 	k := m.K
 	if k.Plat.IOMMU == nil {
@@ -33,25 +33,33 @@ func (m *VMM) AssignDevice(dev hw.DeviceID, mmioBase hw.PhysAddr, mmioSize uint6
 		return err
 	}
 
-	// The IOMMU domain translates the device's guest-physical DMA
-	// addresses using the same mapping the VM's host page table has.
-	dom := hw.NewIOMMUDomain(m.Cfg.Name + "-" + dev.String())
-	for p := uint32(0); p < uint32(m.Cfg.MemPages); p++ {
-		frame, rights, ok := m.VM.Mem.Translate(p)
-		if !ok {
-			continue
-		}
-		perm := hw.IOMMURead
-		if rights&cap.RightWrite != 0 {
-			perm |= hw.IOMMUWrite
-		}
-		if err := dom.Map(uint64(p)<<12, frame<<12, hw.PageSize, perm); err != nil {
-			return err
-		}
-	}
-	k.Plat.IOMMU.Attach(dev, dom)
+	// The device's DMA goes through the VM's memory space at every
+	// access, so it loses a page the moment the VM does.
+	k.Plat.IOMMU.Attach(dev, vmDMA{mem: m.VM.Mem, pages: uint64(m.Cfg.MemPages)})
 	k.Plat.IOMMU.AllowVector(dev, guestVector)
 	return k.AssignGSIToVM(m.PD, irqLine, m.EC, guestVector)
+}
+
+// vmDMA is an assigned device's DMA space: the VM's RAM pages
+// [0, pages), translated through the VM's memory space at each access,
+// so a revoke or the VM's destruction ends the device's access too
+// (§6). A mapped page may be read; a write needs RightWrite.
+type vmDMA struct {
+	mem   *cap.MemSpace
+	pages uint64
+}
+
+// Translate implements hw.DMASpace.
+func (d vmDMA) Translate(busAddr uint64, perm hw.IOMMUPerm) (uint64, bool) {
+	page := busAddr >> 12
+	if page >= d.pages {
+		return 0, false
+	}
+	frame, rights, ok := d.mem.Translate(uint32(page))
+	if !ok || perm&hw.IOMMUWrite != 0 && rights&cap.RightWrite == 0 {
+		return 0, false
+	}
+	return frame<<12 | busAddr&0xfff, true
 }
 
 // AssignHostAHCI passes the platform's SATA controller through to the
