@@ -142,7 +142,7 @@ func report(d *prof.Data, top int) {
 	if codeWeight > 0 {
 		fmt.Printf("\nfusibility: %.1f%% of the sampled weight at hot addresses with captured code\n"+
 			"is superblock-fusible (see `fuse` rows); fusible runs of length >= 2 execute\n"+
-			"as fused blocks when no profiler is attached\n",
+			"as fused blocks, in profiled runs too (a block ends before a sample point)\n",
 			100*float64(fuseWeight)/float64(codeWeight))
 	}
 }

@@ -43,6 +43,9 @@ type block struct {
 type index struct {
 	dir [1024]block
 	len int // keys held
+	// top is one past the highest key ever stored, never lowered:
+	// every slot from top on is empty, so a walk stops there.
+	top uint32
 	// version counts removals; MemSpace also bumps it once per call
 	// that maps or revokes pages (see MemSpace.Version).
 	version uint64
@@ -61,15 +64,16 @@ func (x *index) get(key uint32) *node {
 }
 
 // next returns the node holding the smallest held key at or above key,
-// or nil.
+// or nil. It visits no slot at or past top.
 func (x *index) next(key uint32) *node {
-	for ; key < keyBound; key = key&^1023 + 1024 {
+	for ; key < x.top; key = key&^1023 + 1024 {
 		b := &x.dir[key>>10&1023]
 		if b.whole != nil {
 			return b.whole
 		}
 		if b.leaf != nil {
-			for _, n := range b.leaf[key&1023:] {
+			end := min(x.top-(key&^1023), 1024) // slots below top
+			for _, n := range b.leaf[key&1023 : end] {
 				if n != nil {
 					return n
 				}
@@ -104,6 +108,7 @@ func (x *index) firstFree(lo, end uint32) uint32 {
 // nil. A block the range covers is stored as nd alone; a block it cuts
 // gets a leaf, filled from the block's whole node if it had one.
 func (x *index) set(key, n uint32, nd *node) {
+	x.top = max(x.top, key+n)
 	for end := key + n; key < end; {
 		b := &x.dir[key>>10&1023]
 		lo := key & 1023

@@ -749,6 +749,24 @@ func TestLookupObjAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkLookupObjMiss times the reverse lookup of an object that a
+// space holding eight capabilities does not name: the scan ends after
+// the highest selector the space ever held, not at keyBound.
+func BenchmarkLookupObjMiss(b *testing.B) {
+	s := NewSpace("s")
+	for i := 0; i < 8; i++ {
+		s.Insert(s.AllocSel(), &fakeObj{t: ObjSemaphore}, RightsAll) //nolint:errcheck
+	}
+	missing := &fakeObj{t: ObjSemaphore}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.LookupObj(missing, ObjSemaphore, RightCall); err == nil {
+			b.Fatal("LookupObj found an object the space does not hold")
+		}
+	}
+}
+
 // TestMemSpaceTranslateAllocs guards the host-translation path.
 func TestMemSpaceTranslateAllocs(t *testing.T) {
 	m := NewMemSpace("m")

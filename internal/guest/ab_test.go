@@ -18,9 +18,11 @@ import (
 //
 // must finish with the same cycle total, the same physical memory and
 // the same final vCPU state, and cells that share a sink must encode
-// byte-identical output from it. Only "all" attaches the profiler, so
-// comparing it with "obs" also holds the trace, stats and spans of a
-// single-stepped run to those of a fused one. Each cell runs once per test binary; the tests below are views
+// byte-identical output from it. Only "all" attaches the profiler,
+// whose samples the run loops take at their step boundaries and whose
+// next sample point caps every fused block, so comparing it with "obs"
+// holds the other sinks of a profiled run to those of an unprofiled
+// one. Each cell runs once per test binary; the tests below are views
 // that compare pairs of cells.
 
 // abCase is one workload of the matrix.
@@ -31,8 +33,8 @@ type abCase struct {
 	params []uint32
 }
 
-// abCases is the one case table: the native baseline (interpreter
-// StepHook path), EPT (exits, disk server), vTLB (fills, flushes) and a
+// abCases is the one case table: the native baseline (the bare-metal
+// run loop), EPT (exits, disk server), vTLB (fills, flushes) and a
 // disk-backed boot (injections, DMA completions, per-client accounting).
 func abCases() []abCase {
 	compute := MustBuild(ComputeKernelWithSwitches(true, false, 8))
@@ -51,9 +53,9 @@ const (
 	// sinksTrace attaches the tracer alone.
 	sinksTrace
 	// sinksObs adds the stat registry and the span recorder: every sink
-	// that sets no StepHook, so superblocks still fuse.
+	// but the profiler.
 	sinksObs
-	// sinksAll adds the profiler, whose StepHook forces single-stepping.
+	// sinksAll adds the profiler, whose sample points cut fused blocks.
 	sinksAll
 )
 
@@ -221,7 +223,8 @@ var (
 )
 
 // TestDecodeCacheABIdentity: the decoded-instruction cache on and off,
-// with superblocks fused (tracer) and single-stepped (all sinks).
+// with the tracer alone and with every sink. With the cache off nothing
+// fuses, so each pair also compares a fused run with a stepped one.
 func TestDecodeCacheABIdentity(t *testing.T) {
 	abMatrix(t, abView{"", [][2]abCell{
 		{abTrace, {sinks: sinksTrace, noCache: true}},
@@ -231,9 +234,9 @@ func TestDecodeCacheABIdentity(t *testing.T) {
 
 // TestSuperblockABIdentity: fused superblocks on and off. The plain view
 // also compares stat and span output between fused and stepped runs;
-// the profiled view pins the degrade contract: an attached StepHook
-// forces single-stepping, so the sample stream and every other sink
-// output must match exactly.
+// the profiled view compares a fused profiled run with a stepped one:
+// with the next sample point in the fuse window, every sample and every
+// other sink output must match exactly.
 func TestSuperblockABIdentity(t *testing.T) {
 	abMatrix(t,
 		abView{"plain", [][2]abCell{
@@ -243,9 +246,9 @@ func TestSuperblockABIdentity(t *testing.T) {
 		abView{"profiled", [][2]abCell{{abAll, {sinks: sinksAll, noSB: true}}}})
 }
 
-// TestProfilerABIdentity: attaching the profiler changes nothing, and
-// the trace, stats and spans of its single-stepped run equal those of
-// the fused run without it.
+// TestProfilerABIdentity: attaching the profiler changes nothing: the
+// trace, stats and spans of a profiled run, whose fused blocks end at
+// sample points, equal those of the run without it.
 func TestProfilerABIdentity(t *testing.T) {
 	abMatrix(t, abView{"", [][2]abCell{{abTrace, abAll}, {abObs, abAll}}})
 }

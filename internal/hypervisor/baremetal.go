@@ -20,8 +20,10 @@ type BareMetal struct {
 	Interp *x86.Interp
 
 	// Prof, when set, samples execution on the virtual-time grid (same
-	// zero-perturbation contract as the kernel's profiler).
-	Prof *prof.Profiler
+	// zero-perturbation contract as the kernel's profiler); profRead is
+	// the pure memory reader its stack walks use.
+	Prof     *prof.Profiler
+	profRead prof.MemReader
 
 	// Stat, when set, carries the native run's resource accounting
 	// (instruction and device totals; a native run has no exits or IPC).
@@ -43,11 +45,7 @@ func (b *BareMetal) AttachProfiler(period uint64) *prof.Profiler {
 	cost := b.Plat.Cost
 	meta := prof.Meta{Model: cost.Model.String(), FreqMHz: cost.FreqMHz}
 	b.Prof = prof.New(meta, len(b.Plat.CPUs), period, profCapacity)
-	read := profGuestReader(b.Plat.Mem, nil, &b.State)
-	clk := &b.Plat.BootCPU().Clock
-	b.Interp.StepHook = func() {
-		b.Prof.Tick(0, clk.Now(), prof.ModeGuest, profCtx(&b.State, read))
-	}
+	b.profRead = profGuestReader(b.Plat.Mem, nil, &b.State)
 	return b.Prof
 }
 
@@ -105,8 +103,12 @@ func (b *BareMetal) Run(until hw.Cycles) error {
 			}
 			continue
 		}
-		limit := fuseLimit(b.Plat, b.Interp, clk.Now(), until, b.DisableSuperblocks, pending)
-		if err := step(b.Interp, clk, b.Plat.Cost.InstructionCost, limit); err != nil {
+		horizon := until
+		if b.Prof != nil {
+			horizon = min(horizon, profSample(b.Prof, 0, clk.Now(), &b.State, b.profRead))
+		}
+		window := fuseLimit(b.Plat, b.Interp, clk.Now(), horizon, b.DisableSuperblocks, pending)
+		if err := step(b.Interp, clk, b.Plat.Cost.InstructionCost, window); err != nil {
 			return fmt.Errorf("hypervisor: native execution: %w", err)
 		}
 	}

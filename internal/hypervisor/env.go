@@ -120,6 +120,7 @@ type guestEnv struct {
 	mem  *hw.Memory
 	tlb  *hw.TLB
 	tag  hw.TLBTag
+	clk  *hw.Clock // the clock the CPU's translation work is charged to
 
 	// space is the domain's memory space, and memVer its version the
 	// TLB entries under tag were made at. The native OS has no domain;
@@ -169,7 +170,7 @@ func (h *memo) entry(va uint32) *memoEntry { return &h[va>>12%uint32(len(h))] }
 func newNativeEnv(plat *hw.Platform) *guestEnv {
 	return &guestEnv{
 		plat: plat, mem: plat.Mem, tlb: plat.BootCPU().TLB, tag: hw.HostTag,
-		space: cap.NewMemSpace("native"), needPG: x86.CR0PG,
+		clk: &plat.BootCPU().Clock, space: cap.NewMemSpace("native"), needPG: x86.CR0PG,
 	}
 }
 
@@ -178,6 +179,7 @@ func newNativeEnv(plat *hw.Platform) *guestEnv {
 func newVCPUEnv(k *Kernel, ec *EC, v *VCPU) *guestEnv {
 	e := &guestEnv{
 		plat: k.Plat, mem: k.Plat.Mem, tlb: k.Plat.CPUs[ec.CPU].TLB, tag: ec.PD.Tag,
+		clk:   &k.Plat.CPUs[ec.CPU].Clock,
 		space: ec.PD.Mem, k: k, ec: ec, pd: ec.PD, shadow: v.Shadow,
 	}
 	if v.Shadow != nil {
@@ -415,19 +417,22 @@ func (e *guestEnv) tableAddr(pa uint64) (hpa uint64, writable, ok bool) {
 // address (charged, traced and faulting exactly like the slow path's
 // first byte fetch) plus direct host access to the backing RAM page for
 // the decoded-instruction cache. MMIO-backed pages are declined (nil
-// data) so fetch side effects stay on the MMIO-routed path.
-func (e *guestEnv) ExecPage(st *x86.CPUState, va uint32) ([]byte, uint64, uint64, error) {
+// data) so fetch side effects stay on the MMIO-routed path. charged is
+// how far the translation moved the CPU's clock.
+func (e *guestEnv) ExecPage(st *x86.CPUState, va uint32) ([]byte, uint64, uint64, uint64, error) {
 	m := e.reads.entry(va)
 	p := m.page
+	var charged hw.Cycles
 	if !e.memoHit(m, st, va, false) {
+		before := e.clk.Now()
 		q, _, plain, err := e.access(m, st, va, false)
 		if err != nil || !plain {
-			return nil, 0, 0, err
+			return nil, 0, 0, 0, err
 		}
-		p = q
+		p, charged = q, e.clk.Now()-before
 	}
 	data, frame, gen := p.View()
-	return data, frame, gen, nil
+	return data, frame, gen, uint64(charged), nil
 }
 
 // MemRead implements x86.Env. Device windows route to their MMIO

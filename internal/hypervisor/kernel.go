@@ -510,7 +510,7 @@ func (k *Kernel) CreateVCPU(caller *PD, sel cap.Selector, vm *PD, cpu int, name 
 	v.Interp.TSC = func() uint64 { return uint64(k.Plat.CPUs[cpu].Clock.Now()) }
 	ec.VCPU = v
 	if k.Prof != nil {
-		k.attachProfHook(ec)
+		k.attachProfReader(ec)
 	}
 	if err := caller.Caps.Insert(sel, ec, cap.RightsAll); err != nil {
 		return nil, err

@@ -89,8 +89,8 @@ func (c envCase) apply(op memoOp) string {
 	case memoWrite:
 		return fmt.Sprint(e.MemWrite(st, va, op.size, op.arg*0x101))
 	case memoExec:
-		data, frame, gen, err := e.ExecPage(st, va)
-		return fmt.Sprint(data != nil, frame, gen, err)
+		data, frame, gen, charged, err := e.ExecPage(st, va)
+		return fmt.Sprint(data != nil, frame, gen, charged, err)
 	case memoInvlpg:
 		e.InvalidateTLB(st, false, va)
 	case memoCR3:

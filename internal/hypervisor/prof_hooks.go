@@ -129,32 +129,45 @@ func profCtx(st *x86.CPUState, read prof.MemReader) prof.GuestCtx {
 	}
 }
 
-// attachProfHook installs the per-instruction sampling hook on a vCPU.
-// The hook fires before each instruction executes, so the sample lands
-// on the address about to run; virtually every invocation is a single
-// time comparison inside Tick.
-func (k *Kernel) attachProfHook(ec *EC) {
+// attachProfReader gives a vCPU the pure memory reader its guest
+// samples walk the stack with; the run loop takes the samples
+// (profSample).
+func (k *Kernel) attachProfReader(ec *EC) {
 	v := ec.VCPU
 	v.profRead = profGuestReader(k.Plat.Mem, ec.PD, &v.State)
-	cpu := ec.CPU
-	clk := &k.Plat.CPUs[cpu].Clock
-	v.Interp.StepHook = func() {
-		k.Prof.Tick(cpu, clk.Now(), prof.ModeGuest, profCtx(&v.State, v.profRead))
+}
+
+// profSample is the run loops' guest observation point, called at the
+// step boundary before every step while a profiler is attached: when a
+// sample is due on cpu it takes it, on the address about to run, and it
+// returns cpu's next sample point for the loop to pass to fuseLimit
+// with the deadline. A fused block then holds only instructions that
+// start before that point, where a check before each would have sampled
+// nothing, so fused and single-stepped runs record the same samples.
+func profSample(p *prof.Profiler, cpu int, now hw.Cycles, st *x86.CPUState, read prof.MemReader) hw.Cycles {
+	next := p.Next(cpu)
+	if now >= next {
+		p.Tick(cpu, now, prof.ModeGuest, profCtx(st, read))
+		next = p.Next(cpu)
 	}
+	return next
 }
 
 // profExit attributes one VM-exit window (exit to resume, cycles =
 // exact modeled cost) to the guest instruction that took the exit, and
 // gives the sampler a kernel-mode observation point so exit-handling
-// time lands in the profile under the faulting guest stack.
+// time lands in the profile under the faulting guest stack. The sample
+// context is built only when a sample is due.
 func (k *Kernel) profExit(ec *EC, rip uint32, def32 bool, cycles hw.Cycles) {
 	if k.Prof == nil {
 		return
 	}
 	k.Prof.Attribute(prof.AttribExit, rip, def32, uint64(cycles))
-	g := profCtx(&ec.VCPU.State, ec.VCPU.profRead)
-	g.RIP, g.Def32 = rip, def32
-	k.Prof.Tick(k.cpu, k.Now(), prof.ModeKernel, g)
+	if now := k.Now(); now >= k.Prof.Next(k.cpu) {
+		g := profCtx(&ec.VCPU.State, ec.VCPU.profRead)
+		g.RIP, g.Def32 = rip, def32
+		k.Prof.Tick(k.cpu, now, prof.ModeKernel, g)
+	}
 }
 
 // profVTLBFill attributes one shadow-page-table fill to the guest
@@ -194,8 +207,7 @@ const profCapacity = 1 << 16
 // AttachProfiler enables virtual-time sampling with one buffer of
 // profCapacity samples per CPU and a sampling grid of period cycles,
 // and returns the profiler for later encoding. Existing vCPUs get their
-// sampling hooks retrofitted; vCPUs created afterwards are hooked at
-// creation.
+// stack readers now; vCPUs created afterwards get theirs at creation.
 //
 // nocharge: observability plumbing; attaching the profiler models no
 // hardware work and must not move the clocks (zero-perturbation rule).
@@ -205,7 +217,7 @@ func (k *Kernel) AttachProfiler(period uint64) *prof.Profiler {
 	k.Prof = prof.New(meta, len(k.Plat.CPUs), period, profCapacity)
 	for _, ec := range k.ecs {
 		if ec.Kind == ECVCPU {
-			k.attachProfHook(ec)
+			k.attachProfReader(ec)
 		}
 	}
 	return k.Prof

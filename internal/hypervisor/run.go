@@ -237,8 +237,12 @@ func (k *Kernel) runVCPU(ec *EC, deadline hw.Cycles) {
 		// A recall or injection still waiting here is taken at the next
 		// loop top, so it forces single-stepping like a raised PIC line.
 		pending = pending || v.RecallPending || v.PendingValid
-		limit := fuseLimit(k.Plat, v.Interp, clk.Now(), deadline, k.Cfg.DisableSuperblocks, pending)
-		if err := step(v.Interp, clk, cost.InstructionCost, limit); err != nil {
+		until := deadline
+		if k.Prof != nil {
+			until = min(until, profSample(k.Prof, ec.CPU, clk.Now(), &v.State, v.profRead))
+		}
+		window := fuseLimit(k.Plat, v.Interp, clk.Now(), until, k.Cfg.DisableSuperblocks, pending)
+		if err := step(v.Interp, clk, cost.InstructionCost, window); err != nil {
 			k.handleGuestRunError(ec, err)
 		}
 	}
@@ -248,18 +252,19 @@ func (k *Kernel) runVCPU(ec *EC, deadline hw.Cycles) {
 }
 
 // step is the execution core of both run loops: one instruction, or a
-// fused superblock of up to limit instructions (x86.StepBlock), then one
-// batched charge of the base cost per retired instruction plus the
-// extra latency of slow ones. An instruction that faults into the guest
-// or exits retires nothing but still costs one base instruction. A
-// *x86.VMExit in err belongs to the interpreter or the guest env and
-// stays valid until ip steps again, so callers dispatch it first.
-func step(ip *x86.Interp, clk *hw.Clock, instCost hw.Cycles, limit uint64) error {
+// fused superblock of the instructions that start within window cycles
+// (x86.StepBlock), then one batched charge of the base cost per retired
+// instruction plus the extra latency of slow ones. An instruction that
+// faults into the guest or exits retires nothing but still costs one
+// base instruction. A *x86.VMExit in err belongs to the interpreter or
+// the guest env and stays valid until ip steps again, so callers
+// dispatch it first.
+func step(ip *x86.Interp, clk *hw.Clock, instCost, window hw.Cycles) error {
 	before := ip.InstRet
 	extraBefore := ip.ExtraCycles
 	var err error
-	if limit > 1 {
-		err = ip.StepBlock(limit)
+	if window > instCost {
+		err = ip.StepBlock(uint64(window), uint64(instCost))
 	} else {
 		err = ip.Step()
 	}
@@ -271,25 +276,28 @@ func step(ip *x86.Interp, clk *hw.Clock, instCost hw.Cycles, limit uint64) error
 	return err
 }
 
-// fuseLimit bounds a fused superblock run: the number of base-cost
-// instructions that fit strictly between now and the nearer of the next
-// platform event and until. Within that window the run loops' per-step
-// top-of-loop work (RunEventsUntil, PIC, recall, injection and halt
-// checks) is provably a no-op, so batching it at the block boundary
-// cannot change simulated behaviour. Anything already pending forces
-// single-stepping: delivery timing must stay per-instruction exact
-// (interrupt shadows, halt wake-ups). pending carries the caller's
-// loop-top PIC.HasPending result: nothing between the loop top and the
-// step site can raise a line, so re-querying would only duplicate the
-// hottest check in the run loop. off is the configuration's
-// DisableSuperblocks.
-func fuseLimit(plat *hw.Platform, ip *x86.Interp, now, until hw.Cycles, off, pending bool) uint64 {
+// fuseLimit is the window of a fused superblock run: the cycles from now
+// to the nearer of the next platform event and until, which is the run
+// deadline or, with a profiler attached, the next sample point if that
+// comes first. StepBlock runs the block's instructions that start
+// strictly inside it, so the run loops' per-step top-of-loop work
+// (RunEventsUntil, PIC, recall, injection and halt checks, profSample)
+// is provably a no-op for every instruction but the first, and
+// batching it at the block boundary cannot change simulated behaviour
+// or the samples taken. A window of 0 means single-step: anything
+// already pending forces it, because delivery timing must stay
+// per-instruction exact (interrupt shadows, halt wake-ups). pending
+// carries the caller's loop-top PIC.HasPending result: nothing between
+// the loop top and the step site can raise a line, so re-querying
+// would only duplicate the hottest check in the run loop. off is the
+// configuration's DisableSuperblocks.
+func fuseLimit(plat *hw.Platform, ip *x86.Interp, now, until hw.Cycles, off, pending bool) hw.Cycles {
 	if off || ip.Cache == nil {
-		return 1
+		return 0
 	}
 	if pending {
 		ip.Cache.SB.CutPending++
-		return 1
+		return 0
 	}
 	limit := until
 	if !plat.Queue.Empty() {
@@ -298,13 +306,9 @@ func fuseLimit(plat *hw.Platform, ip *x86.Interp, now, until hw.Cycles, off, pen
 		}
 	}
 	if limit <= now {
-		return 1
+		return 0
 	}
-	ic := plat.Cost.InstructionCost
-	if ic == 1 {
-		return uint64(limit - now)
-	}
-	return uint64((limit - now + ic - 1) / ic)
+	return limit - now
 }
 
 // idle moves an idle or halted CPU's clock to the next platform event,

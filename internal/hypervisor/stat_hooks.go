@@ -76,7 +76,6 @@ func statSuperblocks(r *stat.Registry, ip *x86.Interp, vm, vcpu string) {
 		{"interp_sb_invalidated", &sb.Invalidated},
 		{"interp_sb_cut_pending", &sb.CutPending},
 		{"interp_sb_cut_clamp", &sb.CutClamp},
-		{"interp_sb_cut_hook", &sb.CutHook},
 		{"interp_sb_cut_short", &sb.CutShort},
 		{"interp_sb_cut_slow", &sb.CutSlow},
 	} {

@@ -263,6 +263,18 @@ func (p *Profiler) Tick(cpu int, now hw.Cycles, mode Mode, g GuestCtx) {
 	p.bufs[cpu].push(r)
 }
 
+// Next returns cpu's next sampling grid point: the earliest virtual
+// time at which Tick records a sample. It is 0 until cpu's first Tick
+// or SkipIdle anchors the grid, so a caller that ticks whenever
+// now >= Next(cpu) makes that anchoring call too. Run loops use it as a
+// fuse horizon: no instruction that starts before it can be sampled.
+func (p *Profiler) Next(cpu int) hw.Cycles {
+	if p == nil || cpu < 0 || cpu >= len(p.next) {
+		return 0
+	}
+	return p.next[cpu]
+}
+
 // SkipIdle advances cpu's sampling grid past an idle period (HLT, event
 // waits) without recording: idle virtual time belongs to no code
 // address. Grid points crossed while idle are simply dropped.

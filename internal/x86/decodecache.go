@@ -18,15 +18,16 @@ const codePageSize = 4096
 // exactly the translation work — cycle charges, TLB fills, trace events,
 // faults and exits — that a one-byte MemRead(va, AccessExec) would, and
 // additionally return the whole backing physical page as a raw slice,
-// a stable identifier for it (its physical page number), and the page's
-// current write generation.
+// a stable identifier for it (its physical page number), the page's
+// current write generation, and the cycles the translation charged
+// (zero on a TLB hit), which StepBlock counts against its window.
 //
 // A nil data slice with a nil error means "no fast path" (the page is
 // MMIO-backed or otherwise not plain RAM); the interpreter then falls
 // back to fetching through MemRead, which is free of double charging
 // because the translation just performed is hit in the TLB.
 type ExecPager interface {
-	ExecPage(st *CPUState, va uint32) (data []byte, page uint64, gen uint64, err error)
+	ExecPage(st *CPUState, va uint32) (data []byte, page, gen, charged uint64, err error)
 }
 
 // decodeKey identifies one cached code page: decoded instructions depend

@@ -39,17 +39,17 @@ func (e *pagerEnv) write(addr uint32, b []byte) {
 	}
 }
 
-func (e *pagerEnv) ExecPage(st *CPUState, va uint32) ([]byte, uint64, uint64, error) {
+func (e *pagerEnv) ExecPage(st *CPUState, va uint32) ([]byte, uint64, uint64, uint64, error) {
 	e.calls++
 	page := va >> 12
 	base := int(page) << 12
 	if base+4096 > len(e.mem) {
-		return nil, 0, 0, PageFault(va, false, false, false)
+		return nil, 0, 0, 0, PageFault(va, false, false, false)
 	}
 	if e.declined[page] {
-		return nil, 0, 0, nil
+		return nil, 0, 0, 0, nil
 	}
-	return e.mem[base : base+4096], uint64(page), e.gen[page], nil
+	return e.mem[base : base+4096], uint64(page), e.gen[page], 0, nil
 }
 
 // runCached assembles 32-bit code at org, loads it, and returns an
@@ -246,6 +246,41 @@ func TestInstNoFaultClassification(t *testing.T) {
 		}
 		if got := instNoFault(inst); got != tc.safe {
 			t.Errorf("instNoFault(%q) = %v, want %v", tc.asm, got, tc.safe)
+		}
+	}
+}
+
+// TestBlockFit pins how a fuse window becomes a fused run's length:
+// instruction i starts charged+i·instCost cycles into the step, and
+// the run admits exactly those that start inside the window, always
+// including the first.
+func TestBlockFit(t *testing.T) {
+	for _, tc := range []struct {
+		window, charged, instCost, want uint64
+	}{
+		{50, 0, 1, 50},
+		{50, 0, 3, 17}, // instruction 16 starts at 48, 17 at 51
+		{51, 0, 3, 17},
+		{52, 0, 3, 18},
+		{2, 0, 1, 2},
+		{4, 0, 3, 2},
+		{100, 30, 1, 70},
+		{100, 30, 3, 24}, // instruction 23 starts at 99
+		{100, 31, 3, 23},
+		{100, 100, 1, 1}, // the fetch alone fills the window
+		{100, 250, 3, 1},
+	} {
+		got := blockFit(tc.window, tc.charged, tc.instCost)
+		if got != tc.want {
+			t.Errorf("blockFit(%d, %d, %d) = %d, want %d", tc.window, tc.charged, tc.instCost, got, tc.want)
+		}
+		if last := tc.charged + (got-1)*tc.instCost; got > 1 && last >= tc.window {
+			t.Errorf("blockFit(%d, %d, %d): instruction %d starts at %d, outside the window",
+				tc.window, tc.charged, tc.instCost, got-1, last)
+		}
+		if next := tc.charged + got*tc.instCost; next < tc.window {
+			t.Errorf("blockFit(%d, %d, %d): instruction %d starts at %d, inside the window, but is refused",
+				tc.window, tc.charged, tc.instCost, got, next)
 		}
 	}
 }

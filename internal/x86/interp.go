@@ -37,13 +37,6 @@ type Interp struct {
 	// pager is Env's ExecPager extension, captured once at creation.
 	pager ExecPager
 
-	// StepHook, when set, is invoked at the top of every Step, before
-	// the instruction at the current EIP is fetched. The profiler's
-	// virtual-time sampler hangs off it. Host-side only: the hook must
-	// not touch guest state or clocks, and a nil hook costs exactly
-	// one predicted branch, so execution is unchanged when disabled.
-	StepHook func()
-
 	// The interpreter owns the records its steps hand out: exit backs
 	// every *VMExit that exec returns, and fetch and inst the slow
 	// path's per-byte decode (decodeSlow). A returned *VMExit or *Inst
@@ -90,7 +83,7 @@ func (ip *Interp) fetchDecode(st *CPUState) (*Inst, error) {
 	def32 := st.Seg[CS].Def32
 	if ip.Cache != nil && ip.pager != nil {
 		va := st.Seg[CS].Base + st.EIP
-		data, page, gen, err := ip.pager.ExecPage(st, va)
+		data, page, gen, _, err := ip.pager.ExecPage(st, va)
 		if err != nil {
 			return nil, err
 		}
@@ -152,9 +145,6 @@ func (ip *Interp) Step() error {
 	st := ip.St
 	if st.Halted {
 		return nil // waiting for an interrupt; the run loop advances time
-	}
-	if ip.StepHook != nil {
-		ip.StepHook()
 	}
 	prevShadow := st.IntShadow
 	st.IntShadow = false

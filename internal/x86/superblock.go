@@ -25,9 +25,13 @@ import "fmt"
 //     changes only hw.TLBStats.Hits, the sanctioned host-side counter
 //     (DESIGN.md §3a).
 //   - The binding layer caps the block (StepBlock's max) so virtual
-//     time cannot run past the next platform event or the run-loop
-//     deadline: no event, interrupt-window or preemption check that the
+//     time cannot run past the next platform event, the run-loop
+//     deadline or the profiler's next sample point: no event,
+//     interrupt-window, preemption or sampling check that the
 //     sequential loop would have performed mid-block could have fired.
+//     A block's single fetch translation may miss the TLB and charge a
+//     walk or fill before the first instruction; the instructions after
+//     it start that much later, so the cap counts the charge (blockFit).
 //     When anything is already pending, the binding layer forces
 //     max=1 and the existing single-step path runs instead.
 //   - A relative branch may only terminate a block, so the cached
@@ -71,11 +75,9 @@ type SuperblockStats struct {
 	// because an interrupt, recall or injection was already pending.
 	CutPending uint64
 	// CutClamp counts fused executions truncated below the cached
-	// block's length by the event-horizon/deadline cap.
+	// block's length by the binding layer's window: the next platform
+	// event, the run deadline or the profiler's next sample point.
 	CutClamp uint64
-	// CutHook counts single-steps forced by an attached StepHook
-	// (profiler sampling needs per-instruction granularity).
-	CutHook uint64
 	// CutShort counts entry points with no fusible run of length >= 2.
 	CutShort uint64
 	// CutSlow counts fallbacks where the fetch had no fast path
@@ -158,31 +160,46 @@ func (ip *Interp) buildSuperblock(dp *decodedPage, data []byte, off int, def32, 
 	return &Superblock{insts: insts, enc: enc}
 }
 
-// StepBlock fetches the superblock at CS:EIP and executes up to max of
-// its instructions as one fused run, or falls back to the single-step
-// path when no block applies. The caller charges the retired-instruction
-// delta exactly as it does after Step — a fused run retires n
-// instructions with zero ExtraCycles, so the one batched charge equals
-// the n sequential charges it replaces. The caller must ensure max
-// instructions fit before the next platform event and the run deadline,
-// and must force max=1 (or call Step) when an interrupt, recall or
-// injection is pending.
-func (ip *Interp) StepBlock(max uint64) error {
+// blockFit is the number of a block's instructions that start within
+// window cycles when the fetch charged charged cycles and each
+// instruction retires for instCost: instruction i starts at
+// charged+i·instCost. The first instruction always counts, as in a
+// single step: the caller's checks before the step were its.
+func blockFit(window, charged, instCost uint64) uint64 {
+	if window <= charged {
+		return 1
+	}
+	if instCost == 1 {
+		return window - charged
+	}
+	return (window - charged + instCost - 1) / instCost
+}
+
+// StepBlock fetches the superblock at CS:EIP and executes, as one fused
+// run, those of its instructions that start within window cycles of the
+// step, or falls back to the single-step path when no block applies.
+// The fetch translation's charge comes first, then each instruction
+// retires for instCost, so instruction i starts charged+i·instCost
+// cycles in; the first always runs (see blockFit). The caller charges
+// the retired-instruction delta exactly as it does after Step — a fused
+// run retires n instructions with zero ExtraCycles, so the one batched
+// charge equals the n sequential charges it replaces. The caller must
+// pass a window that ends no later than the next platform event, the
+// run deadline and the next profiler sample point, and must call Step
+// instead when an interrupt, recall or injection is pending.
+func (ip *Interp) StepBlock(window, instCost uint64) error {
 	st := ip.St
 	if st.Halted {
 		return nil // waiting for an interrupt; the run loop advances time
 	}
-	if ip.StepHook != nil || ip.Cache == nil || ip.pager == nil || max < 2 {
-		if ip.Cache != nil && ip.StepHook != nil {
-			ip.Cache.SB.CutHook++
-		}
+	if ip.Cache == nil || ip.pager == nil || window <= instCost {
 		return ip.Step()
 	}
 	prevShadow := st.IntShadow
 	st.IntShadow = false
 	def32 := st.Seg[CS].Def32
 	va := st.Seg[CS].Base + st.EIP
-	data, page, gen, err := ip.pager.ExecPage(st, va)
+	data, page, gen, charged, err := ip.pager.ExecPage(st, va)
 	if err != nil {
 		ip.Cache.SB.CutSlow++
 		return ip.stepDecoded(nil, err, prevShadow)
@@ -223,8 +240,8 @@ func (ip *Interp) StepBlock(max uint64) error {
 		return ip.stepDecoded(inst, derr, prevShadow)
 	}
 	n := len(sb.insts)
-	if uint64(n) > max {
-		n = int(max)
+	if fit := blockFit(window, charged, instCost); uint64(n) > fit {
+		n = int(fit)
 		ip.Cache.SB.CutClamp++
 	}
 	ip.Cache.SB.Hits++
