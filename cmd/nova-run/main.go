@@ -5,13 +5,14 @@
 //	nova-run -workload compile -mode ept -model blm
 //	nova-run -workload diskread -mode native
 //	nova-run -workload boot -image bootsector.bin
+//	nova-run -workload compile -mode vtlb -obs run.obs   # then: nova-obs attrib run.obs
 package main
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -19,11 +20,9 @@ import (
 	"nova/internal/guest"
 	"nova/internal/hw"
 	"nova/internal/hypervisor"
-	"nova/internal/prof"
+	"nova/internal/obs"
 	"nova/internal/services"
-	"nova/internal/span"
 	"nova/internal/stat"
-	"nova/internal/trace"
 	"nova/internal/vmm"
 	"nova/internal/x86"
 )
@@ -44,19 +43,11 @@ func main() {
 	modelName := flag.String("model", "blm", "k8|k10|ynh|cnr|wfd|blm")
 	image := flag.String("image", "", "boot-sector binary for -workload boot")
 	maxCycles := flag.Uint64("max-cycles", 1<<34, "run budget in cycles")
-	traceFile := flag.String("trace", "", "write the encoded event trace to this file (read it with nova-trace)")
-	metricsFile := flag.String("metrics", "", "write counters and histograms as JSON to this file")
-	traceCap := flag.Int("trace-capacity", 65536, "per-CPU event-ring capacity for -trace/-metrics")
+	obsFile := flag.String("obs", "", "attach every observability sink the mode supports and write what they record to this file (read it with nova-obs)")
 	decodeCache := flag.Bool("decode-cache", true, "host-side decoded-instruction cache (results are bit-identical either way)")
 	superblocks := flag.Bool("superblocks", true, "fused superblock execution on top of the decode cache (results are bit-identical either way)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the host process to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile of the host process to this file")
-	profFile := flag.String("prof", "", "write a virtual-time guest profile to this file (read it with nova-prof)")
-	profPeriod := flag.Uint64("prof-period", 10_000, "virtual cycles between profile samples for -prof")
-	statsFile := flag.String("stats", "", "write the encoded resource-accounting snapshot to this file (read it with nova-stat)")
-	statsEpoch := flag.Uint64("stats-epoch", 0, "virtual-time epoch length in cycles for -stats (0 = default)")
-	spanFile := flag.String("span", "", "write the encoded request spans to this file (read it with nova-span)")
-	spanCap := flag.Int("span-capacity", 65536, "per-CPU span-ring capacity for -span")
 	flag.Parse()
 
 	stopProfiles := startProfiles(*cpuProfile, *memProfile)
@@ -71,9 +62,12 @@ func main() {
 		fail("unknown mode %q", *modeName)
 	}
 
+	var sinks hypervisor.Sinks
+	if *obsFile != "" {
+		sinks = obsSinks
+	}
 	if *workload == "boot" {
-		runBoot(model, *image, *traceFile, *metricsFile, *traceCap, !*decodeCache, !*superblocks,
-			*profFile, *profPeriod, *statsFile, hw.Cycles(*statsEpoch), *spanFile, *spanCap)
+		runBoot(model, *image, !*decodeCache, !*superblocks, sinks, *obsFile)
 		stopProfiles()
 		return
 	}
@@ -99,30 +93,9 @@ func main() {
 
 	img := guest.MustBuild(opts)
 	cfg := guest.RunnerConfig{Model: model, Mode: mode, UseVPID: true, HostLargePages: true,
-		DisableDecodeCache: !*decodeCache, DisableSuperblocks: !*superblocks}
+		DisableDecodeCache: !*decodeCache, DisableSuperblocks: !*superblocks, Sinks: sinks}
 	if withDisk && (mode == guest.ModeVirtEPT || mode == guest.ModeVirtVTLB) {
 		cfg.WithDiskServer = true
-	}
-	if *traceFile != "" || *metricsFile != "" {
-		if mode == guest.ModeNative {
-			fail("-trace/-metrics require a virtualized mode (the tracer lives in the microhypervisor)")
-		}
-		cfg.TraceCapacity = *traceCap
-	}
-	if *profFile != "" {
-		cfg.ProfilePeriod = *profPeriod
-	}
-	if *statsFile != "" {
-		cfg.StatEpoch = hw.Cycles(*statsEpoch)
-		if cfg.StatEpoch == 0 {
-			cfg.StatEpoch = stat.DefaultEpochLen
-		}
-	}
-	if *spanFile != "" {
-		if mode == guest.ModeNative {
-			fail("-span requires a virtualized mode (request origins live in the VMM and servers)")
-		}
-		cfg.SpanCapacity = *spanCap
 	}
 	r, err := guest.NewRunner(cfg, img)
 	if err != nil {
@@ -171,85 +144,54 @@ func main() {
 	if r.VMM != nil && r.VMM.Console() != "" {
 		fmt.Printf("console: %q\n", r.VMM.Console())
 	}
-	writeTraceOutputs(r.Tracer, *traceFile, *metricsFile)
-	if *profFile != "" {
-		b, err := r.EncodeProfile(hotSiteCode)
-		if err != nil {
-			fail("encode profile: %v", err)
-		}
-		writeProfile(*profFile, b, r.Prof)
+	if v := r.VCPU(); v != nil {
+		fmt.Fprintln(os.Stderr, superblockLine(v.Interp))
+	} else {
+		fmt.Fprintln(os.Stderr, superblockLine(r.BM.Interp))
 	}
-	if *statsFile != "" {
-		b, err := r.EncodeStats()
-		if err != nil {
-			fail("encode stats: %v", err)
-		}
-		writeStats(*statsFile, b, r.Stat)
-	}
-	writeSpans(r.Spans, *spanFile)
+	writeObs(*obsFile, r.Obs())
 }
 
-// writeSpans saves the encoded request spans.
-func writeSpans(sr *span.Recorder, path string) {
-	if path == "" || sr == nil {
+// obsSinks are the sink settings of -obs.
+var obsSinks = hypervisor.Sinks{
+	TraceCapacity: 65536,
+	SpanCapacity:  65536,
+	ProfilePeriod: 10_000,
+	StatEpoch:     stat.DefaultEpochLen,
+}
+
+// writeObs saves the observability file, if one was asked for, and
+// prints what it holds.
+func writeObs(path string, f *obs.File) {
+	if path == "" {
 		return
 	}
-	b, err := sr.Encode()
-	if err != nil {
-		fail("encode spans: %v", err)
-	}
+	b := f.Encode()
 	if err := os.WriteFile(path, b, 0o644); err != nil {
-		fail("write spans: %v", err)
+		fail("write %s: %v", path, err)
 	}
-	fmt.Printf("spans: %s (%d opened, %d closed, hash %#x)\n", path, sr.Opened, sr.Closed, sr.Hash())
+	h := fnv.New64a()
+	h.Write(b)
+	line := fmt.Sprintf("obs: %s (%d bytes, hash %#x", path, len(b), h.Sum64())
+	if f.Trace != nil {
+		line += fmt.Sprintf("; %d events", len(f.Trace.Events()))
+	}
+	if f.Spans != nil {
+		line += fmt.Sprintf("; %d spans opened, %d closed", f.Spans.Opened, f.Spans.Closed)
+	}
+	if f.Prof != nil {
+		line += fmt.Sprintf("; %d samples", f.Prof.TotalSamples())
+	}
+	fmt.Println(line + ")")
 }
 
-// writeStats saves an encoded resource-accounting snapshot.
-func writeStats(path string, b []byte, r *stat.Registry) {
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		fail("write stats: %v", err)
+// superblockLine reports an interpreter's superblock counters, which
+// are host-side facts no sink records.
+func superblockLine(ip *x86.Interp) string {
+	if ip.Cache == nil {
+		return "host: decode cache off, no superblocks"
 	}
-	fmt.Printf("stats: %s (epoch length %d cycles)\n", path, r.EpochLen())
-}
-
-// hotSiteCode is how many of the hottest addresses get their
-// instruction bytes captured into the profile for disassembly.
-const hotSiteCode = 64
-
-// writeProfile saves an encoded guest profile and prints a summary.
-func writeProfile(path string, b []byte, p *prof.Profiler) {
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		fail("write profile: %v", err)
-	}
-	fmt.Printf("profile: %s (%d samples, period %d cycles)\n",
-		path, p.TotalSamples(), p.Meta.Period)
-}
-
-// writeTraceOutputs saves the encoded trace and/or the metrics JSON.
-func writeTraceOutputs(tr *trace.Tracer, traceFile, metricsFile string) {
-	if tr == nil {
-		return
-	}
-	if traceFile != "" {
-		b, err := tr.Encode()
-		if err != nil {
-			fail("encode trace: %v", err)
-		}
-		if err := os.WriteFile(traceFile, b, 0o644); err != nil {
-			fail("write trace: %v", err)
-		}
-		fmt.Printf("trace: %s (%d events recorded, hash %#x)\n", traceFile, len(tr.Events()), tr.Hash())
-	}
-	if metricsFile != "" {
-		b, err := json.MarshalIndent(tr.MetricsData(), "", "  ")
-		if err != nil {
-			fail("encode metrics: %v", err)
-		}
-		if err := os.WriteFile(metricsFile, append(b, '\n'), 0o644); err != nil {
-			fail("write metrics: %v", err)
-		}
-		fmt.Printf("metrics: %s\n", metricsFile)
-	}
+	return fmt.Sprintf("host: %d superblocks built, %d of %d instructions fused", ip.Cache.SB.Built, ip.Cache.SB.Fused, ip.InstRet)
 }
 
 // startProfiles begins host-side pprof profiling as requested and
@@ -294,9 +236,8 @@ func startProfiles(cpuFile, memFile string) func() {
 
 // runBoot performs the full BIOS boot path on a user-provided boot
 // sector (or a built-in demo that prints via INT 10h).
-func runBoot(model hw.CPUModel, imagePath, traceFile, metricsFile string, traceCap int,
-	disableDecodeCache, disableSuperblocks bool, profFile string, profPeriod uint64,
-	statsFile string, statsEpoch hw.Cycles, spanFile string, spanCap int) {
+func runBoot(model hw.CPUModel, imagePath string, disableDecodeCache, disableSuperblocks bool,
+	sinks hypervisor.Sinks, obsFile string) {
 	var sector []byte
 	if imagePath != "" {
 		b, err := os.ReadFile(imagePath)
@@ -356,43 +297,15 @@ msg:
 	if err := m.Start(10, 10_000_000); err != nil {
 		fail("start: %v", err)
 	}
-	var tr *trace.Tracer
-	if traceFile != "" || metricsFile != "" {
-		tr = k.AttachTracer(traceCap)
-	}
-	if profFile != "" {
-		k.AttachProfiler(profPeriod)
-	}
-	if statsFile != "" {
-		k.AttachStats(statsEpoch)
-	}
-	if spanFile != "" {
-		k.AttachSpans(spanCap)
-	}
+	k.Observe(sinks)
 	k.Run(k.Now() + 500_000_000)
 	fmt.Printf("console: %q\n", m.Console())
 	fmt.Printf("BIOS calls: %d, VM exits: %d\n", m.Stats.BIOSCalls, m.EC.VCPU.TotalExits())
 	if len(k.Killed) > 0 {
 		fmt.Printf("killed: %v\n", k.Killed)
 	}
-	writeTraceOutputs(tr, traceFile, metricsFile)
-	if profFile != "" {
-		read := k.ProfCodeReader(m.EC)
-		k.Prof.CaptureCode(hotSiteCode, read)
-		b, err := k.Prof.Encode()
-		if err != nil {
-			fail("encode profile: %v", err)
-		}
-		writeProfile(profFile, b, k.Prof)
-	}
-	if statsFile != "" {
-		b, err := k.Stat.Snapshot(k.Now()).Encode()
-		if err != nil {
-			fail("encode stats: %v", err)
-		}
-		writeStats(statsFile, b, k.Stat)
-	}
-	writeSpans(k.Spans, spanFile)
+	fmt.Fprintln(os.Stderr, superblockLine(m.EC.VCPU.Interp))
+	writeObs(obsFile, k.Obs())
 }
 
 func fail(format string, args ...any) {

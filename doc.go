@@ -24,6 +24,7 @@
 //	internal/tcb        Figure 1 TCB accounting
 //	cmd/nova-bench      run the evaluation
 //	cmd/nova-run        boot and run guests
+//	cmd/nova-obs        render a run's observability file (nova-run -obs)
 //	cmd/nova-asm        the assembler CLI
 //	cmd/nova-tcb        TCB line counting
 package nova

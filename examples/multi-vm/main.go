@@ -17,11 +17,12 @@ import (
 	"nova/internal/hw"
 	"nova/internal/hypervisor"
 	"nova/internal/services"
+	"nova/internal/stat"
 	"nova/internal/vmm"
 )
 
 func main() {
-	statsFile := flag.String("stats", "", "write a resource-accounting snapshot (view with nova-stat)")
+	statsFile := flag.String("stats", "", "write a resource-accounting snapshot (view with nova-obs stat report)")
 	flag.Parse()
 
 	plat := hw.MustNewPlatform(hw.Config{Model: hw.BLM, RAMSize: 256 << 20})
@@ -30,7 +31,7 @@ func main() {
 	ds, err := root.StartDiskServer()
 	check(err)
 	if *statsFile != "" {
-		k.AttachStats(0) // per-VM attribution; 0 = default epoch length
+		k.Observe(hypervisor.Sinks{StatEpoch: stat.DefaultEpochLen}) // per-VM attribution
 	}
 	k.StartSchedulingTimer(667)
 
@@ -98,10 +99,8 @@ func main() {
 		plat.AHCI.Stats.Commands, plat.AHCI.Stats.DMABytes)
 
 	if *statsFile != "" {
-		b, err := k.Stat.Snapshot(k.Now()).Encode()
-		check(err)
-		check(os.WriteFile(*statsFile, b, 0o644))
-		fmt.Printf("stats: %s (try: nova-stat report -filter kernel_vmexits %s)\n", *statsFile, *statsFile)
+		check(os.WriteFile(*statsFile, k.Obs().Encode(), 0o644))
+		fmt.Printf("stats: %s (try: nova-obs stat report -filter kernel_vmexits %s)\n", *statsFile, *statsFile)
 	}
 }
 

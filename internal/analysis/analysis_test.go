@@ -6,6 +6,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"nova/internal/cap"
 )
 
 // repoRoot locates the repository root (the directory with go.mod).
@@ -79,6 +81,24 @@ func fixtureExpectations(prog *Program, pkg *Package) []expectation {
 	return exps
 }
 
+// capflowFixtureRights are the rights-table rows of the capflow fixture
+// (testdata/src/capflow), whose hypercall-shaped methods exercise the
+// analyzer's rules. TestAnalyzersOnFixtures adds them to HypercallRights
+// only while it runs that fixture, so the production table holds the
+// kernel's hypercalls alone.
+var capflowFixtureRights = map[string][]DeclaredLookup{
+	"FixSignalBadRights": {{Param: 1, Type: cap.ObjSemaphore, Need: cap.RightRead}},
+	"FixSignalOK":        {{Param: 1, Type: cap.ObjSemaphore, Need: cap.RightCall}},
+	"FixOverRequest":     {{Param: 1, Type: cap.ObjEC, Need: cap.RightCtrl | cap.RightCall}},
+	"FixRetain":          {{Param: 1, Type: cap.ObjSemaphore, Need: cap.RightCtrl}},
+	"FixHold":            {{Param: 1, Type: cap.ObjSemaphore, Need: cap.RightCtrl}},
+	"FixHoldBadTeardown": {{Param: 1, Type: cap.ObjEC, Need: cap.RightCtrl}},
+	"FixChain":           {{Param: 1, Type: cap.ObjEC, Need: cap.RightCtrl}},
+	"FixDrift":           {{Param: 1, Type: cap.ObjEC, Need: cap.RightCtrl}},
+	"FixCallPortal":      {{Param: -1, Type: cap.ObjPortal, Need: cap.RightCall}},
+	"FixCallBadRights":   {{Param: -1, Type: cap.ObjPortal, Need: cap.RightRead}},
+}
+
 // TestAnalyzersOnFixtures runs each analyzer over its testdata fixture
 // package and requires an exact match between reported diagnostics and
 // the `// want "..."` comments: every seeded violation is caught, and
@@ -103,6 +123,16 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.analyzer.Name, func(t *testing.T) {
+			if tc.dir == "capflow" {
+				for name, rows := range capflowFixtureRights {
+					HypercallRights[name] = rows
+				}
+				t.Cleanup(func() {
+					for name := range capflowFixtureRights {
+						delete(HypercallRights, name)
+					}
+				})
+			}
 			dir := filepath.Join(root, "internal", "analysis", "testdata", "src", tc.dir)
 			prog, err := LoadDirs(root, []string{dir})
 			if err != nil {

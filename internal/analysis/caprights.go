@@ -34,12 +34,8 @@ type DeclaredLookup struct {
 // declared validations. An empty row declares that the hypercall
 // validates no kernel-object argument (creation calls, which insert
 // into the caller's own space, and revocation calls, which operate on
-// the caller's own selectors).
-//
-// The Fix* rows belong to the capflow fixture package
-// (testdata/src/capflow), whose hypercall-shaped methods exercise the
-// analyzer's rules; they coexist here because the table is keyed by
-// method name and the fixture names never collide with real hypercalls.
+// the caller's own selectors). The capflow fixture's rows live in its
+// test (capflowFixtureRights).
 var HypercallRights = map[string][]DeclaredLookup{
 	// --- object creation: the new object lands in the caller's own
 	// capability space; only container arguments need validation.
@@ -70,18 +66,6 @@ var HypercallRights = map[string][]DeclaredLookup{
 	// rights, not control.
 	"SemUp": {{Param: 1, Type: cap.ObjSemaphore, Need: cap.RightCall}},
 	"Call":  {{Param: -1, Type: cap.ObjPortal, Need: cap.RightCall}},
-
-	// --- capflow fixture rows (testdata/src/capflow).
-	"FixSignalBadRights": {{Param: 1, Type: cap.ObjSemaphore, Need: cap.RightRead}},
-	"FixSignalOK":        {{Param: 1, Type: cap.ObjSemaphore, Need: cap.RightCall}},
-	"FixOverRequest":     {{Param: 1, Type: cap.ObjEC, Need: cap.RightCtrl | cap.RightCall}},
-	"FixRetain":          {{Param: 1, Type: cap.ObjSemaphore, Need: cap.RightCtrl}},
-	"FixHold":            {{Param: 1, Type: cap.ObjSemaphore, Need: cap.RightCtrl}},
-	"FixHoldBadTeardown": {{Param: 1, Type: cap.ObjEC, Need: cap.RightCtrl}},
-	"FixChain":           {{Param: 1, Type: cap.ObjEC, Need: cap.RightCtrl}},
-	"FixDrift":           {{Param: 1, Type: cap.ObjEC, Need: cap.RightCtrl}},
-	"FixCallPortal":      {{Param: -1, Type: cap.ObjPortal, Need: cap.RightCall}},
-	"FixCallBadRights":   {{Param: -1, Type: cap.ObjPortal, Need: cap.RightRead}},
 }
 
 // opKind classifies what a hypercall does with a looked-up object.

@@ -67,7 +67,7 @@ func runCompileConfig(sc Scale, cfg guest.RunnerConfig, disk bool, rs *Resources
 		exits = v.TotalExits()
 	}
 	rs.AddRun(r)
-	return cycles, exits, r.Prof.Data(), nil
+	return cycles, exits, r.Obs().Prof, nil
 }
 
 // RunFig5 reproduces Figure 5: the kernel-compilation workload across

@@ -75,11 +75,10 @@ func RunFig6(sc Scale) (*Table, []Fig6Point, error) {
 				p.ExitsPerRq = float64(v.TotalExits()) / float64(requests)
 				_ = v.Exits[x86.ExitEPTViolation]
 			}
-			mergeProf(&profSum, r.Prof.Data())
+			f := r.Obs()
+			mergeProf(&profSum, f.Prof)
 			res.AddRun(r)
-			if err := lat.add(r.Spans); err != nil {
-				return nil, nil, fmt.Errorf("fig6 %v bs=%d spans: %w", cfg.Mode, bs, err)
-			}
+			lat.add(f.Spans)
 			points = append(points, p)
 		}
 	}

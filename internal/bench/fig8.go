@@ -63,7 +63,8 @@ func RunFig8() (*Table, []Fig8Row, error) {
 		// call→reply round trip, and the syscall entry (charged before
 		// the portal path begins) is added back to reconstruct the full
 		// call cost. A call is two one-way transfers (call + reply).
-		tr := k.AttachTracer(16)
+		k.Observe(hypervisor.Sinks{TraceCapacity: 16})
+		tr := k.Tracer
 		const iters = 1000
 		measure := func(sel cap.Selector) (hw.Cycles, error) {
 			msg := &hypervisor.UTCB{Words: []uint64{1, 2}}

@@ -5,6 +5,7 @@ import (
 
 	"nova/internal/guest"
 	"nova/internal/hw"
+	"nova/internal/hypervisor"
 )
 
 // Fig9Row is one vTLB-miss measurement.
@@ -84,8 +85,8 @@ func RunFig9() (*Table, []Fig9Row, error) {
 	for _, s := range specs {
 		r, err := guest.NewRunner(guest.RunnerConfig{
 			Model: s.model, Mode: guest.ModeVirtVTLB, UseVPID: s.vpid,
-			SchedTimerHz:  -1, // no preemption noise in the microbenchmark
-			TraceCapacity: 16,
+			SchedTimerHz: -1, // no preemption noise in the microbenchmark
+			Sinks:        hypervisor.Sinks{TraceCapacity: 16},
 		}, img)
 		if err != nil {
 			return nil, nil, err
@@ -108,7 +109,7 @@ func RunFig9() (*Table, []Fig9Row, error) {
 		// tracer records every vTLB-fill duration; subtracting the warm
 		// shadow-hit cost must land on the guest-observed per-miss
 		// figure. Catches drift between the cost model and the trace.
-		fills := &r.Tracer.VTLBFill
+		fills := &r.K.Tracer.VTLBFill
 		if fills.Count == 0 {
 			return nil, nil, fmt.Errorf("fig9 %s: tracer saw no vTLB fills", s.label)
 		}

@@ -38,18 +38,10 @@ type latencyAcc struct {
 }
 
 // add folds one run's recorded spans into the accumulator. A nil
-// recorder (spans not attached) is a no-op.
-func (a *latencyAcc) add(rec *span.Recorder) error {
-	if rec == nil {
-		return nil
-	}
-	b, err := rec.Encode()
-	if err != nil {
-		return err
-	}
-	d, err := span.Decode(b)
-	if err != nil {
-		return err
+// section (spans not attached) is a no-op.
+func (a *latencyAcc) add(d *span.Data) {
+	if d == nil {
+		return
 	}
 	for _, s := range span.BuildSpans(d) {
 		if !s.Closed || int(s.Class) >= int(span.NumClasses) {
@@ -60,7 +52,6 @@ func (a *latencyAcc) add(rec *span.Recorder) error {
 			a.segs[s.Class][i] += v
 		}
 	}
-	return nil
 }
 
 // block renders the accumulated spans as the experiment's Latency

@@ -3,10 +3,10 @@ package guest
 import (
 	"fmt"
 	"hash/fnv"
-	"strings"
 	"testing"
 
 	"nova/internal/hw"
+	"nova/internal/obs"
 	"nova/internal/stat"
 )
 
@@ -67,7 +67,8 @@ type abCell struct {
 }
 
 // abResult is everything a cell must reproduce. Sink outputs are FNV
-// hashes of the encoded outputs (0 when the sink is off).
+// hashes of each sink's file section, encoded alone (0 when the sink
+// is off).
 type abResult struct {
 	cycles                   hw.Cycles
 	ram                      uint64
@@ -118,27 +119,22 @@ func abRun(t *testing.T, tc abCase, c abCell) abResult {
 	} else {
 		res.state = r.BM.State.String()
 	}
-	if r.Tracer != nil {
-		res.trace = r.Tracer.Hash()
+	f := r.Obs()
+	alone := func(g obs.File) uint64 {
+		g.Header = f.Header
+		return fnvHash(g.Encode())
 	}
-	if r.Stat != nil {
-		// The interp_sb_* samplers measure the host layers themselves,
-		// so they are the one part of a snapshot allowed to differ.
-		d := r.Stat.Snapshot(cycles)
-		kept := d.Metrics[:0]
-		for _, m := range d.Metrics {
-			if !strings.HasPrefix(m.Name, "interp_sb_") {
-				kept = append(kept, m)
-			}
-		}
-		d.Metrics = kept
-		res.stats = fnvHash(mustEncode(t)(d.JSON()))
+	if f.Trace != nil {
+		res.trace = alone(obs.File{Trace: f.Trace})
 	}
-	if r.Spans != nil {
-		res.spans = r.Spans.Hash()
+	if f.Stat != nil {
+		res.stats = alone(obs.File{Stat: f.Stat})
 	}
-	if r.Prof != nil {
-		res.prf = fnvHash(mustEncode(t)(r.EncodeProfile(16)))
+	if f.Spans != nil {
+		res.spans = alone(obs.File{Spans: f.Spans})
+	}
+	if f.Prof != nil {
+		res.prf = alone(obs.File{Prof: f.Prof})
 	}
 	abMemo[key] = res
 	return res
@@ -148,16 +144,6 @@ func fnvHash(b []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(b)
 	return h.Sum64()
-}
-
-func mustEncode(t *testing.T) func([]byte, error) []byte {
-	return func(b []byte, err error) []byte {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		return b
-	}
 }
 
 // abSame requires cells a and b of one case to be indistinguishable:

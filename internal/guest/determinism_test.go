@@ -32,10 +32,10 @@ func determinismRun(t *testing.T, cfg RunnerConfig, img []byte, params []uint32)
 		t.Fatalf("run: %v", err)
 	}
 	var exits uint64
-	for _, n := range r.Tracer.ExitCounts {
+	for _, n := range r.K.Tracer.ExitCounts {
 		exits += n
 	}
-	return cycles, r.Tracer.Hash(), exits
+	return cycles, fnvHash(r.Obs().Encode()), exits
 }
 
 // TestDeterministicBootDoubleRun boots the same guest workload twice on

@@ -62,7 +62,7 @@ func finish(r *Runner, cycles hw.Cycles) machineResult {
 	r.Plat.Mem.WriteTo(h) // a hash.Hash never returns a write error
 	return machineResult{
 		cycles:    cycles,
-		traceHash: r.Tracer.Hash(),
+		traceHash: fnvHash(r.Obs().Encode()),
 		ramHash:   h.Sum64(),
 		state:     r.VCPU().State.String(),
 	}

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"nova/internal/hw"
-	"nova/internal/prof"
+	"nova/internal/obs"
 )
 
 // caseRun runs an A/B case to completion under cfg, with the base
@@ -31,17 +31,13 @@ func caseRun(t *testing.T, tc abCase, cfg RunnerConfig, ic hw.Cycles) (*Runner, 
 	return r, cycles
 }
 
-// profEncodeRun performs one profiled run and returns the encoded
-// profile bytes and the cycle total.
+// profEncodeRun performs one profiled run and returns the encoded file,
+// which holds the profile alone, and the cycle total.
 func profEncodeRun(t *testing.T, tc abCase, cfg RunnerConfig, period uint64, ic hw.Cycles) ([]byte, hw.Cycles) {
 	t.Helper()
 	cfg.ProfilePeriod = period
 	r, cycles := caseRun(t, tc, cfg, ic)
-	b, err := r.EncodeProfile(16)
-	if err != nil {
-		t.Fatalf("encode profile: %v", err)
-	}
-	return b, cycles
+	return r.Obs().Encode(), cycles
 }
 
 // TestProfileDoubleRunByteIdentity runs each workload twice with
@@ -57,10 +53,11 @@ func TestProfileDoubleRunByteIdentity(t *testing.T) {
 			if !bytes.Equal(b1, b2) {
 				t.Fatalf("two profiled runs encode differently (%d vs %d bytes)", len(b1), len(b2))
 			}
-			d, err := prof.Decode(b1)
+			f, err := obs.Decode(b1)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
+			d := f.Prof
 			if d.TotalSamples() == 0 {
 				t.Fatal("profiled run recorded zero samples")
 			}

@@ -5,11 +5,8 @@ import (
 
 	"nova/internal/hw"
 	"nova/internal/hypervisor"
-	"nova/internal/prof"
+	"nova/internal/obs"
 	"nova/internal/services"
-	"nova/internal/span"
-	"nova/internal/stat"
-	"nova/internal/trace"
 	"nova/internal/vmm"
 	"nova/internal/x86"
 )
@@ -89,32 +86,12 @@ type RunnerConfig struct {
 	// either way; see hypervisor.Config.
 	DisableSuperblocks bool
 
-	// TraceCapacity, when non-zero, attaches a tracer with per-CPU
-	// event rings of that many entries once the stack is built (so
-	// construction noise is excluded from the trace). Only meaningful
-	// for the virtualized modes.
-	TraceCapacity int
-
-	// ProfilePeriod, when non-zero, attaches the virtual-time sampling
-	// profiler with one sample every that many virtual cycles. Works in
-	// every mode, native included. Zero-perturbation: cycle totals,
-	// traces and final state are bit-identical with profiling on or
-	// off.
-	ProfilePeriod uint64
-
-	// StatEpoch, when non-zero, attaches the resource-accounting
-	// registry with that virtual-time epoch length in cycles (use
-	// stat.DefaultEpochLen for the default; zero leaves accounting
-	// off). Works in every mode, native included. Zero-perturbation:
-	// cycle totals, traces and final state are bit-identical with
-	// accounting on or off.
-	StatEpoch hw.Cycles
-
-	// SpanCapacity, when non-zero, attaches the request-span recorder
-	// with per-CPU rings of that many records. Only meaningful for the
-	// virtualized modes (request origins live in the VMM and servers).
-	// Zero-perturbation like the tracer: bit-identical runs either way.
-	SpanCapacity int
+	// Sinks selects the observability sinks to attach once the stack
+	// is built (so construction is not observed). Zero-perturbation:
+	// cycle totals and final state are bit-identical with any sinks
+	// attached or none. A native run attaches only the profiler and the
+	// stat registry.
+	hypervisor.Sinks
 }
 
 // Runner executes one guest kernel under one configuration and exposes
@@ -134,20 +111,6 @@ type Runner struct {
 
 	// Chunk is the scheduling/polling granularity of RunUntilDone.
 	Chunk hw.Cycles
-
-	// Tracer is the event tracer, set when Cfg.TraceCapacity > 0.
-	Tracer *trace.Tracer
-
-	// Prof is the sampling profiler, set when Cfg.ProfilePeriod > 0.
-	Prof *prof.Profiler
-
-	// Stat is the resource-accounting registry, set when Cfg.StatEpoch
-	// is non-zero.
-	Stat *stat.Registry
-
-	// Spans is the request-span recorder, set when Cfg.SpanCapacity > 0
-	// (virtualized modes only).
-	Spans *span.Recorder
 
 	guestBase uint64
 }
@@ -180,12 +143,7 @@ func NewRunner(cfg RunnerConfig, image []byte) (*Runner, error) {
 			r.BM.Interp.Cache = nil
 		}
 		r.BM.DisableSuperblocks = cfg.DisableSuperblocks
-		if cfg.ProfilePeriod > 0 {
-			r.Prof = r.BM.AttachProfiler(cfg.ProfilePeriod)
-		}
-		if cfg.StatEpoch != 0 {
-			r.Stat = r.BM.AttachStats(cfg.StatEpoch)
-		}
+		r.BM.Observe(cfg.Sinks)
 		return r, nil
 	}
 
@@ -274,54 +232,17 @@ func NewRunner(cfg RunnerConfig, image []byte) (*Runner, error) {
 	if err := m.Start(10, 10_000_000); err != nil {
 		return nil, err
 	}
-	if cfg.TraceCapacity > 0 {
-		r.Tracer = k.AttachTracer(cfg.TraceCapacity)
-	}
-	if cfg.ProfilePeriod > 0 {
-		r.Prof = k.AttachProfiler(cfg.ProfilePeriod)
-	}
-	if cfg.StatEpoch != 0 {
-		r.Stat = k.AttachStats(cfg.StatEpoch)
-	}
-	if cfg.SpanCapacity > 0 {
-		r.Spans = k.AttachSpans(cfg.SpanCapacity)
-	}
+	k.Observe(cfg.Sinks)
 	return r, nil
 }
 
-// EncodeProfile captures code bytes at the topN hottest addresses and
-// serializes the profile. Call it after the run finishes.
-func (r *Runner) EncodeProfile(topN int) ([]byte, error) {
-	if r.Prof == nil {
-		return nil, fmt.Errorf("guest: no profiler attached (set ProfilePeriod)")
-	}
+// Obs returns what the attached sinks recorded so far. Call it after
+// the run finishes.
+func (r *Runner) Obs() *obs.File {
 	if r.BM != nil {
-		read := r.BM.ProfCodeReader()
-		r.Prof.CaptureCode(topN, read)
-	} else if v := r.VMM; v != nil {
-		read := r.K.ProfCodeReader(v.EC)
-		r.Prof.CaptureCode(topN, read)
+		return r.BM.Obs()
 	}
-	return r.Prof.Encode()
-}
-
-// EncodeStats snapshots the resource-accounting registry at the
-// current virtual time and serializes it. Call it after the run
-// finishes.
-func (r *Runner) EncodeStats() ([]byte, error) {
-	if r.Stat == nil {
-		return nil, fmt.Errorf("guest: no stat registry attached (set StatEpoch)")
-	}
-	return r.Stat.Snapshot(r.Clock().Now()).Encode()
-}
-
-// EncodeSpans serializes the recorded request spans. Call it after the
-// run finishes.
-func (r *Runner) EncodeSpans() ([]byte, error) {
-	if r.Spans == nil {
-		return nil, fmt.Errorf("guest: no span recorder attached (set SpanCapacity)")
-	}
-	return r.Spans.Encode()
+	return r.K.Obs()
 }
 
 // NICVector is the guest interrupt vector of the passthrough NIC

@@ -5,16 +5,18 @@ import (
 	"testing"
 
 	"nova/internal/hw"
+	"nova/internal/hypervisor"
+	"nova/internal/obs"
 	"nova/internal/span"
 )
 
 // spanRun executes the disk-checksum workload with spans attached and
-// returns the recorder's encoded bytes.
+// returns the encoded file, which holds the spans alone.
 func spanRun(t *testing.T) []byte {
 	t.Helper()
 	cfg := RunnerConfig{
 		Model: hw.BLM, Mode: ModeVirtEPT, UseVPID: true,
-		WithDiskServer: true, SpanCapacity: 4096,
+		WithDiskServer: true, Sinks: hypervisor.Sinks{SpanCapacity: 4096},
 	}
 	r, err := NewRunner(cfg, MustBuild(DiskChecksumKernel()))
 	if err != nil {
@@ -24,11 +26,7 @@ func spanRun(t *testing.T) []byte {
 	if _, err := r.RunUntilDone(10_000_000_000); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	b, err := r.EncodeSpans()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return r.Obs().Encode()
 }
 
 // TestSpanDiskDecomposition checks the tentpole's core claims on the
@@ -40,12 +38,13 @@ func spanRun(t *testing.T) []byte {
 // byte-identity of the encoded span file.
 func TestSpanDiskDecomposition(t *testing.T) {
 	b := spanRun(t)
-	d, err := span.Decode(b)
+	f, err := obs.Decode(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Summary.Opened == 0 || d.Summary.Opened != d.Summary.Closed {
-		t.Fatalf("summary opened=%d closed=%d, want equal and nonzero", d.Summary.Opened, d.Summary.Closed)
+	d := f.Spans
+	if d.Opened == 0 || d.Opened != d.Closed {
+		t.Fatalf("opened=%d closed=%d, want equal and nonzero", d.Opened, d.Closed)
 	}
 
 	// Every span ID must carry exactly one close record: requests whose

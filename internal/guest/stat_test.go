@@ -5,11 +5,13 @@ import (
 	"testing"
 
 	"nova/internal/hw"
+	"nova/internal/hypervisor"
+	"nova/internal/obs"
 	"nova/internal/stat"
 )
 
 // statRun boots one workload with accounting on and returns the encoded
-// snapshot.
+// file, which holds the snapshot alone.
 func statRun(t *testing.T, cfg RunnerConfig, img []byte, params []uint32) []byte {
 	t.Helper()
 	cfg.StatEpoch = 250_000
@@ -22,11 +24,7 @@ func statRun(t *testing.T, cfg RunnerConfig, img []byte, params []uint32) []byte
 	if _, err := r.RunUntilDone(10_000_000_000); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	b, err := r.EncodeStats()
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	return b
+	return r.Obs().Encode()
 }
 
 // TestStatsDoubleRunByteIdentity runs each workload twice with
@@ -41,10 +39,11 @@ func TestStatsDoubleRunByteIdentity(t *testing.T) {
 			if !bytes.Equal(b1, b2) {
 				t.Fatalf("two identical runs encoded different snapshots (%d vs %d bytes)", len(b1), len(b2))
 			}
-			d, err := stat.Decode(b1)
+			f, err := obs.Decode(b1)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
+			d := f.Stat
 			if len(d.Metrics) == 0 {
 				t.Fatal("snapshot has no metrics")
 			}
@@ -58,7 +57,7 @@ func TestStatsDoubleRunByteIdentity(t *testing.T) {
 // vTLB fills, scheduler consumption and epoch cells that sum to the
 // totals.
 func TestStatsContentSanity(t *testing.T) {
-	cfg := RunnerConfig{Model: hw.BLM, Mode: ModeVirtVTLB, StatEpoch: 250_000}
+	cfg := RunnerConfig{Model: hw.BLM, Mode: ModeVirtVTLB, Sinks: hypervisor.Sinks{StatEpoch: 250_000}}
 	img := MustBuild(ComputeKernelWithSwitches(true, false, 8))
 	r, err := NewRunner(cfg, img)
 	if err != nil {
@@ -69,7 +68,7 @@ func TestStatsContentSanity(t *testing.T) {
 	if _, err := r.RunUntilDone(10_000_000_000); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	d := r.Stat.Snapshot(r.Clock().Now())
+	d := r.Obs().Stat
 	byName := map[string]uint64{}
 	for _, m := range d.Metrics {
 		byName[m.Name] = m.Total

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"nova/internal/hw"
+	"nova/internal/hypervisor"
 	"nova/internal/trace"
+	"nova/internal/x86"
 )
 
 // tinyTraceKernel is a minimal EPT guest for the golden-trace test: two
@@ -26,8 +28,8 @@ func tinyTraceRun(t *testing.T, capacity int) *Runner {
 	t.Helper()
 	r, err := NewRunner(RunnerConfig{
 		Model: hw.BLM, Mode: ModeVirtEPT, UseVPID: true,
-		SchedTimerHz:  -1, // no preemption: the event sequence is closed-form
-		TraceCapacity: capacity,
+		SchedTimerHz: -1, // no preemption: the event sequence is closed-form
+		Sinks:        hypervisor.Sinks{TraceCapacity: capacity},
 	}, MustBuild(tinyTraceKernel()))
 	if err != nil {
 		t.Fatal(err)
@@ -45,14 +47,15 @@ func tinyTraceRun(t *testing.T, capacity int) *Runner {
 // interception or boot flow shows up here as a diff, not a flake.
 func TestTraceGoldenSequence(t *testing.T) {
 	r := tinyTraceRun(t, 4096)
-	events := r.Tracer.Events()
+	d := r.K.Tracer.Data()
+	events := d.Events()
 
 	var got []string
 	for _, e := range events {
 		s := e.Kind.String()
 		switch e.Kind {
 		case trace.KindVMExit, trace.KindVMResume:
-			s += ":" + x86ExitName(r, e.A0)
+			s += ":" + x86.ExitReason(e.A0).String()
 		case trace.KindPIO:
 			s += fmt.Sprintf(":%#x=%#x", e.A0, e.A2)
 		}
@@ -83,9 +86,9 @@ func TestTraceGoldenSequence(t *testing.T) {
 	}
 
 	// Per-CPU invariants: contiguous sequence numbers, monotone time.
-	for cpu, ring := range r.Tracer.Rings() {
+	for cpu, ring := range d.PerCPU {
 		prev := hw.Cycles(0)
-		for i, e := range ring.Events() {
+		for i, e := range ring {
 			if e.Seq != uint64(i) {
 				t.Fatalf("cpu%d event %d has seq %d (gap)", cpu, i, e.Seq)
 			}
@@ -94,18 +97,10 @@ func TestTraceGoldenSequence(t *testing.T) {
 			}
 			prev = e.Time
 		}
-		if ring.Overwritten() != 0 {
-			t.Errorf("cpu%d overwrote %d events in an undersized run", cpu, ring.Overwritten())
+		if d.Overwritten[cpu] != 0 {
+			t.Errorf("cpu%d overwrote %d events in an undersized run", cpu, d.Overwritten[cpu])
 		}
 	}
-}
-
-func x86ExitName(r *Runner, reason uint64) string {
-	names := r.Tracer.Meta.ExitReasons
-	if int(reason) < len(names) {
-		return names[reason]
-	}
-	return fmt.Sprintf("reason-%d", reason)
 }
 
 // TestTracedRunsByteIdentical runs the same guest twice and requires
@@ -113,11 +108,7 @@ func x86ExitName(r *Runner, reason uint64) string {
 // determinism statement the tracer makes.
 func TestTracedRunsByteIdentical(t *testing.T) {
 	enc := func() []byte {
-		b, err := tinyTraceRun(t, 4096).Tracer.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+		return tinyTraceRun(t, 4096).Obs().Encode()
 	}
 	b1, b2 := enc(), enc()
 	if !bytes.Equal(b1, b2) {
@@ -132,7 +123,7 @@ func TestTracingZeroPerturbation(t *testing.T) {
 	run := func(capacity int) hw.Cycles {
 		r, err := NewRunner(RunnerConfig{
 			Model: hw.BLM, Mode: ModeVirtEPT, UseVPID: true,
-			SchedTimerHz: -1, TraceCapacity: capacity,
+			SchedTimerHz: -1, Sinks: hypervisor.Sinks{TraceCapacity: capacity},
 		}, MustBuild(tinyTraceKernel()))
 		if err != nil {
 			t.Fatal(err)
@@ -141,7 +132,7 @@ func TestTracingZeroPerturbation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (capacity > 0) != (r.Tracer != nil) {
+		if (capacity > 0) != (r.K.Tracer != nil) {
 			t.Fatalf("tracer presence does not match capacity %d", capacity)
 		}
 		return cycles

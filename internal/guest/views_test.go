@@ -59,7 +59,7 @@ func TestViewsAgree(t *testing.T) {
 			if _, err := r.RunUntilDone(20_000_000_000); err != nil {
 				t.Fatalf("run: %v", err)
 			}
-			snap := r.Stat.Snapshot(r.Clock().Now())
+			snap := r.Obs().Stat
 			metric := map[string]uint64{}
 			for _, m := range snap.Metrics {
 				metric[m.Name] = m.Total
@@ -81,16 +81,17 @@ func TestViewsAgree(t *testing.T) {
 // when the sinks attached.
 func checkViews(t *testing.T, r *Runner, base hypervisor.Stats, metric map[string]uint64) {
 	t.Helper()
-	ks, tr, v := r.K.Stats, r.Tracer, r.VCPU()
-	for cpu, ring := range tr.Rings() {
-		if ring.Overwritten() != 0 {
+	ks, tr, v := r.K.Stats, r.K.Tracer, r.VCPU()
+	d := tr.Data()
+	for cpu, over := range d.Overwritten {
+		if over != 0 {
 			t.Fatalf("cpu%d ring wrapped; the ring view needs the whole run", cpu)
 		}
 	}
 	var kinds [trace.NumKinds]uint64
 	var exits [x86.NumExitReasons]uint64
 	var words, flushes, kernelInjects, directInjects uint64
-	for _, e := range tr.Events() {
+	for _, e := range d.Events() {
 		kinds[e.Kind]++
 		switch e.Kind {
 		case trace.KindVMExit:

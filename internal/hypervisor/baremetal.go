@@ -37,39 +37,6 @@ type BareMetal struct {
 	DisableSuperblocks bool
 }
 
-// AttachProfiler enables virtual-time sampling on the native run.
-//
-// nocharge: observability plumbing; attaching the profiler models no
-// hardware work and must not move the clock (zero-perturbation rule).
-func (b *BareMetal) AttachProfiler(period uint64) *prof.Profiler {
-	cost := b.Plat.Cost
-	meta := prof.Meta{Model: cost.Model.String(), FreqMHz: cost.FreqMHz}
-	b.Prof = prof.New(meta, len(b.Plat.CPUs), period, profCapacity)
-	b.profRead = profGuestReader(b.Plat.Mem, nil, &b.State)
-	return b.Prof
-}
-
-// AttachStats enables resource accounting on the native run: retired
-// instructions plus the host device-model totals, so native and
-// virtualized profiles of the same workload are directly comparable.
-//
-// nocharge: observability plumbing; attaching the registry models no
-// hardware work and must not move the clock (zero-perturbation rule).
-func (b *BareMetal) AttachStats(epochLen hw.Cycles) *stat.Registry {
-	r := newStatRegistry(b.Plat, epochLen)
-	b.Stat = r
-	r.RegisterSampler(stat.Name("guest_instructions", "vm", "native", "vcpu", "0"),
-		func() uint64 { return b.Interp.InstRet })
-	statSuperblocks(r, b.Interp, "native", "0")
-	return r
-}
-
-// ProfCodeReader returns a pure byte reader over the OS's address
-// space, for Profiler.CaptureCode after a run.
-func (b *BareMetal) ProfCodeReader() func(uint32) (byte, bool) {
-	return profGuestByteReader(b.Plat.Mem, nil, &b.State)
-}
-
 // NewBareMetal prepares a native run of the OS image already loaded in
 // platform memory, entered at the given address in real mode.
 func NewBareMetal(plat *hw.Platform, entry uint32) *BareMetal {

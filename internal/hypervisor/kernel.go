@@ -146,7 +146,7 @@ type Kernel struct {
 	// the request crosses records a critical-path segment transition.
 	// Same zero-perturbation contract as Tracer/Prof/Stat: recording is
 	// nil-safe, charges nothing, and two span-recorded runs of the same
-	// workload produce byte-identical span files.
+	// workload produce byte-identical span sections.
 	Spans *span.Recorder
 
 	// Kernel-object identity counters: every PD, EC and semaphore gets
@@ -250,49 +250,6 @@ func (k *Kernel) allocPDID() int     { id := k.nextPDID; k.nextPDID++; return id
 func (k *Kernel) allocECID() int     { id := k.nextECID; k.nextECID++; return id }
 func (k *Kernel) allocSemID() int    { id := k.nextSemID; k.nextSemID++; return id }
 func (k *Kernel) allocPtUID() uint64 { id := k.nextPtUID; k.nextPtUID++; return id }
-
-// AttachTracer enables event tracing and metrics with one ring of the
-// given capacity per CPU, and returns the tracer for later rendering.
-// The recorded metadata carries the cost-model constants the
-// attribution pass needs to decompose measured durations.
-//
-// nocharge: observability plumbing; attaching the tracer models no
-// hardware work and must not move the clocks (zero-perturbation rule).
-func (k *Kernel) AttachTracer(capacity int) *trace.Tracer {
-	cost := k.Plat.Cost
-	meta := trace.Meta{
-		Model:            cost.Model.String(),
-		FreqMHz:          cost.FreqMHz,
-		VPID:             k.tagged(),
-		SyscallEntryExit: uint64(cost.SyscallEntryExit),
-		VMTransit:        uint64(cost.VMTransitCost(k.tagged())),
-		VMRead:           uint64(cost.VMRead),
-		TLBRefill:        uint64(cost.TLBRefill),
-		PageWalkLevel:    uint64(cost.PageWalkLevel),
-		CacheLineAccess:  uint64(cost.CacheLineAccess),
-		ExitReasons:      x86.ExitReasonNames(),
-		KindNames:        trace.KindNames(),
-	}
-	k.Tracer = trace.New(meta, len(k.Plat.CPUs), capacity)
-	return k.Tracer
-}
-
-// AttachSpans enables request-span recording with one ring of the
-// given capacity per CPU, and returns the recorder for later encoding.
-// Like AttachTracer, attachment is retrofit-able at any point; only
-// requests originating after it are recorded.
-//
-// nocharge: observability plumbing; attaching the recorder models no
-// hardware work and must not move the clocks (zero-perturbation rule).
-func (k *Kernel) AttachSpans(capacity int) *span.Recorder {
-	cost := k.Plat.Cost
-	meta := span.Meta{
-		Model:   cost.Model.String(),
-		FreqMHz: cost.FreqMHz,
-	}
-	k.Spans = span.New(meta, len(k.Plat.CPUs), capacity)
-	return k.Spans
-}
 
 // CurCPU returns the CPU whose run loop is active, for span recording
 // from user-level components (VMM, servers) running on it.

@@ -199,32 +199,3 @@ func (k *Kernel) ProfEmulate(rip uint32, def32 bool, cycles hw.Cycles) {
 func (k *Kernel) profServerTick(ec *EC) {
 	k.Prof.Tick(k.cpu, k.Now(), prof.ModeServer, prof.GuestCtx{RIP: uint32(ec.ID)})
 }
-
-// profCapacity is the number of samples each CPU's profile buffer
-// holds.
-const profCapacity = 1 << 16
-
-// AttachProfiler enables virtual-time sampling with one buffer of
-// profCapacity samples per CPU and a sampling grid of period cycles,
-// and returns the profiler for later encoding. Existing vCPUs get their
-// stack readers now; vCPUs created afterwards get theirs at creation.
-//
-// nocharge: observability plumbing; attaching the profiler models no
-// hardware work and must not move the clocks (zero-perturbation rule).
-func (k *Kernel) AttachProfiler(period uint64) *prof.Profiler {
-	cost := k.Plat.Cost
-	meta := prof.Meta{Model: cost.Model.String(), FreqMHz: cost.FreqMHz}
-	k.Prof = prof.New(meta, len(k.Plat.CPUs), period, profCapacity)
-	for _, ec := range k.ecs {
-		if ec.Kind == ECVCPU {
-			k.attachProfReader(ec)
-		}
-	}
-	return k.Prof
-}
-
-// ProfCodeReader returns a pure byte reader over ec's guest address
-// space, for Profiler.CaptureCode after a run.
-func (k *Kernel) ProfCodeReader(ec *EC) func(uint32) (byte, bool) {
-	return profGuestByteReader(k.Plat.Mem, ec.PD, &ec.VCPU.State)
-}

@@ -54,14 +54,14 @@ func TestProfSampleHorizon(t *testing.T) {
 			plat.Queue.At(tc.event, func() {})
 		}
 		ip := &x86.Interp{Cache: x86.NewDecodeCache()}
-		p := prof.New(prof.Meta{}, 1, period, 16)
+		p := prof.New(1, period, 16)
 		if tc.anchor != 0 {
 			p.Tick(0, tc.anchor, prof.ModeGuest, prof.GuestCtx{})
 		}
 		var st x86.CPUState
 		next := profSample(p, 0, tc.now, &st, nil)
 		window := fuseLimit(plat, ip, tc.now, min(tc.deadline, next), false, tc.pending)
-		if got := p.TotalSamples() > 0; got != tc.sampled {
+		if got := p.Data().TotalSamples() > 0; got != tc.sampled {
 			t.Errorf("%s: sampled = %v, want %v", tc.name, got, tc.sampled)
 		}
 		if next != tc.next {
@@ -122,11 +122,11 @@ func TestGuestSamplesLandOnTheInstructionAboutToRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		t1 := clk.Now()
-		p := bm.AttachProfiler(period)
+		bm.Observe(Sinks{ProfilePeriod: period})
 		if err := bm.Run(1 << 30); err != nil {
 			t.Fatal(err)
 		}
-		return p.Data().Samples[0], t1, bm.Interp.Cache.SB.Fused
+		return bm.Obs().Prof.Samples[0], t1, bm.Interp.Cache.SB.Fused
 	}
 	virt := func(ic hw.Cycles, period uint64, noSB bool) ([]prof.Sample, hw.Cycles, uint64) {
 		k := newTestKernel(t, Config{UseVPID: true, DisableSuperblocks: noSB})
@@ -134,12 +134,12 @@ func TestGuestSamplesLandOnTheInstructionAboutToRun(t *testing.T) {
 		tv := makeVM(t, k, ModeEPT, 64, code, entry, nil)
 		k.Run(k.Now() + 1)
 		t1 := k.Now()
-		p := k.AttachProfiler(period)
+		k.Observe(Sinks{ProfilePeriod: period})
 		k.Run(k.Now() + 1<<30)
 		if v := tv.ec.VCPU; !v.State.Halted || v.Interp.InstRet != n {
 			t.Fatalf("guest did not run to its HLT: %d instructions, %v", v.Interp.InstRet, v.State.String())
 		}
-		return p.Data().Samples[0], t1, tv.ec.VCPU.Interp.Cache.SB.Fused
+		return k.Obs().Prof.Samples[0], t1, tv.ec.VCPU.Interp.Cache.SB.Fused
 	}
 	for _, loop := range []struct {
 		name string

@@ -13,7 +13,6 @@ import (
 
 	"nova/internal/hw"
 	"nova/internal/stat"
-	"nova/internal/x86"
 )
 
 // attachStatPD registers one protection domain with the registry's
@@ -36,8 +35,7 @@ func (k *Kernel) attachStatPD(pd *PD) {
 }
 
 // attachStatEC registers one execution context with the registry's
-// event fold and, for vCPUs, registers the retired-instruction and
-// superblock samplers.
+// event fold and, for vCPUs, registers the retired-instruction sampler.
 func (k *Kernel) attachStatEC(ec *EC) {
 	r := k.Stat
 	if ec.Kind != ECVCPU {
@@ -51,37 +49,6 @@ func (k *Kernel) attachStatEC(ec *EC) {
 	r.RegisterSampler(stat.Name("guest_instructions", "vm", vm, "vcpu", vcpu), func() uint64 {
 		return v.Interp.InstRet
 	})
-	statSuperblocks(r, v.Interp, vm, vcpu)
-}
-
-// statSuperblocks registers the superblock-layer samplers for one
-// interpreter: blocks built, fused executions and instructions,
-// invalidations, and the single-step fallbacks by cause. These are
-// host-side counters (the fused path is invisible to the simulation);
-// they quantify how much of the instruction stream executes fused, so
-// the next interpreter hotspot is measurable.
-func statSuperblocks(r *stat.Registry, ip *x86.Interp, vm, vcpu string) {
-	c := ip.Cache
-	if c == nil {
-		return
-	}
-	sb := &c.SB
-	for _, s := range []struct {
-		name string
-		v    *uint64
-	}{
-		{"interp_sb_built", &sb.Built},
-		{"interp_sb_hits", &sb.Hits},
-		{"interp_sb_fused_insts", &sb.Fused},
-		{"interp_sb_invalidated", &sb.Invalidated},
-		{"interp_sb_cut_pending", &sb.CutPending},
-		{"interp_sb_cut_clamp", &sb.CutClamp},
-		{"interp_sb_cut_short", &sb.CutShort},
-		{"interp_sb_cut_slow", &sb.CutSlow},
-	} {
-		v := s.v
-		r.RegisterSampler(stat.Name(s.name, "vm", vm, "vcpu", vcpu), func() uint64 { return *v })
-	}
 }
 
 // statObjects registers the kernel-wide live object-count samplers.
@@ -111,12 +78,7 @@ func (k *Kernel) statObjects() {
 // hardware device-model samplers: DMA volume and command/packet counts
 // straight off the hw models.
 func newStatRegistry(plat *hw.Platform, epochLen hw.Cycles) *stat.Registry {
-	cost := plat.Cost
-	r := stat.New(stat.Meta{
-		Model:   cost.Model.String(),
-		FreqMHz: cost.FreqMHz,
-		NumCPUs: len(plat.CPUs),
-	}, epochLen)
+	r := stat.New(epochLen)
 	if ahci := plat.AHCI; ahci != nil {
 		r.RegisterSampler("hw_ahci_commands", func() uint64 { return ahci.Stats.Commands })
 		r.RegisterSampler("hw_ahci_dma_bytes", func() uint64 { return ahci.Stats.DMABytes })
@@ -128,29 +90,5 @@ func newStatRegistry(plat *hw.Platform, epochLen hw.Cycles) *stat.Registry {
 		r.RegisterSampler("hw_nic_irqs", func() uint64 { return nic.Stats.IRQs })
 		r.RegisterSampler("hw_nic_dropped", func() uint64 { return nic.Stats.PacketsDropped })
 	}
-	return r
-}
-
-// AttachStats enables resource accounting with the given virtual-time
-// epoch length (zero selects stat.DefaultEpochLen) and returns the
-// registry for later snapshotting. Existing PDs and ECs get their
-// metric handles retrofitted; objects created afterwards are hooked at
-// creation.
-//
-// nocharge: observability plumbing; attaching the registry models no
-// hardware work and must not move the clocks (zero-perturbation rule).
-func (k *Kernel) AttachStats(epochLen hw.Cycles) *stat.Registry {
-	r := newStatRegistry(k.Plat, epochLen)
-	k.Stat = r
-	for cpu := range k.Plat.CPUs {
-		r.AddCPU(cpu)
-	}
-	for _, pd := range k.pds {
-		k.attachStatPD(pd)
-	}
-	for _, ec := range k.ecs {
-		k.attachStatEC(ec)
-	}
-	k.statObjects()
 	return r
 }

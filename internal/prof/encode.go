@@ -1,21 +1,9 @@
 package prof
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
-	"fmt"
-	"hash/fnv"
-	"io"
-
 	"nova/internal/hw"
 	"nova/internal/trace"
 )
-
-// magic identifies a serialized profile (version 1). The file layout
-// mirrors NOVATRC1: magic, then length-prefixed sections using the
-// trace package's shared framing.
-const magic = "NOVAPRF1"
 
 // recHdrSize is the fixed prefix of one sample record:
 // time(8) + weight(8) + mode(1) + def32(1) + nframes(1).
@@ -25,273 +13,82 @@ const recHdrSize = 8 + 8 + 1 + 1 + 1
 // kind(1) + def32(1) + rip(4) + count(8) + cycles(8).
 const attribEntrySize = 1 + 1 + 4 + 8 + 8
 
-// WriteTo serializes the profile: magic, meta JSON, per-CPU sample
-// buffers, attribution table, code sites. Every section is
-// deterministic — struct-based JSON, fixed little-endian records, and
-// pre-sorted attribution keys — so two runs from identical inputs
-// serialize to identical bytes.
-func (d *Data) WriteTo(w io.Writer) (int64, error) {
-	if d == nil {
-		return 0, fmt.Errorf("prof: nil profile")
-	}
-	var buf bytes.Buffer
-	buf.WriteString(magic)
+// codeHdrSize is the fixed prefix of one code site: addr(4) + def32(1)
+// + length(1).
+const codeHdrSize = 4 + 1 + 1
 
-	metaJSON, err := json.Marshal(d.Meta)
-	if err != nil {
-		return 0, err
-	}
-	trace.WriteSection(&buf, metaJSON)
-
-	var samples bytes.Buffer
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(d.Samples)))
-	samples.Write(tmp[:4])
+// WriteBody appends the profile section body: the grid period and
+// buffer capacity, the per-CPU sample buffers, the attribution table
+// and the code sites. The attribution keys are pre-sorted, so two runs
+// from identical inputs write identical bytes.
+func (d *Data) WriteBody(e *trace.Enc) {
+	e.U64(d.Period)
+	e.U32(uint32(d.Capacity))
 	for cpu, per := range d.Samples {
-		var hdr [12]byte
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(len(per)))
-		var over uint64
-		if cpu < len(d.Overwritten) {
-			over = d.Overwritten[cpu]
-		}
-		binary.LittleEndian.PutUint64(hdr[4:], over)
-		samples.Write(hdr[:])
+		e.U64(d.Overwritten[cpu])
+		e.U32(uint32(len(per)))
 		for _, s := range per {
-			var rec [recHdrSize]byte
-			binary.LittleEndian.PutUint64(rec[0:], uint64(s.Time))
-			binary.LittleEndian.PutUint64(rec[8:], s.Weight)
-			rec[16] = uint8(s.Mode)
-			rec[17] = b2u(s.Def32)
-			n := len(s.Frames)
-			if n > MaxFrames {
-				n = MaxFrames
-			}
-			rec[18] = uint8(n)
-			samples.Write(rec[:])
-			for _, f := range s.Frames[:n] {
-				binary.LittleEndian.PutUint32(tmp[:4], f)
-				samples.Write(tmp[:4])
+			e.U64(uint64(s.Time))
+			e.U64(s.Weight)
+			e.U8(uint8(s.Mode))
+			e.Bool(s.Def32)
+			e.U8(uint8(len(s.Frames)))
+			for _, f := range s.Frames {
+				e.U32(f)
 			}
 		}
 	}
-	trace.WriteSection(&buf, samples.Bytes())
-
-	var attrib bytes.Buffer
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(d.Attrib)))
-	attrib.Write(tmp[:4])
+	e.U32(uint32(len(d.Attrib)))
 	for _, a := range d.Attrib {
-		var rec [attribEntrySize]byte
-		rec[0] = uint8(a.Kind)
-		rec[1] = b2u(a.Def32)
-		binary.LittleEndian.PutUint32(rec[2:], a.RIP)
-		binary.LittleEndian.PutUint64(rec[6:], a.Count)
-		binary.LittleEndian.PutUint64(rec[14:], a.Cycles)
-		attrib.Write(rec[:])
+		e.U8(uint8(a.Kind))
+		e.Bool(a.Def32)
+		e.U32(a.RIP)
+		e.U64(a.Count)
+		e.U64(a.Cycles)
 	}
-	trace.WriteSection(&buf, attrib.Bytes())
-
-	var code bytes.Buffer
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(d.Code)))
-	code.Write(tmp[:4])
+	e.U32(uint32(len(d.Code)))
 	for _, c := range d.Code {
-		n := len(c.Bytes)
-		if n > maxInstBytes {
-			n = maxInstBytes
-		}
-		var rec [6]byte
-		binary.LittleEndian.PutUint32(rec[0:], c.Addr)
-		rec[4] = b2u(c.Def32)
-		rec[5] = uint8(n)
-		code.Write(rec[:])
-		code.Write(c.Bytes[:n])
+		e.U32(c.Addr)
+		e.Bool(c.Def32)
+		e.U8(uint8(len(c.Bytes)))
+		e.B = append(e.B, c.Bytes...)
 	}
-	trace.WriteSection(&buf, code.Bytes())
-
-	n, err := w.Write(buf.Bytes())
-	return int64(n), err
 }
 
-func b2u(b bool) uint8 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// Encode returns the serialized profile as a byte slice.
-func (d *Data) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Hash returns the FNV-64a hash of the serialized profile. The
-// byte-identity regression test compares this across runs.
-func (d *Data) Hash() uint64 {
-	b, err := d.Encode()
-	if err != nil {
-		return 0
-	}
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}
-
-// Encode serializes the live profiler (convenience for runners).
-func (p *Profiler) Encode() ([]byte, error) {
-	if p == nil {
-		return nil, fmt.Errorf("prof: nil profiler")
-	}
-	return p.Data().Encode()
-}
-
-// Decode parses a serialized profile.
-func Decode(b []byte) (*Data, error) {
-	if len(b) < len(magic) || string(b[:len(magic)]) != magic {
-		return nil, fmt.Errorf("prof: bad magic (not a nova profile file)")
-	}
-	b = b[len(magic):]
-
-	metaJSON, b, err := trace.ReadSection(b)
-	if err != nil {
-		return nil, fmt.Errorf("prof: meta: %w", err)
-	}
-	d := &Data{}
-	if err := json.Unmarshal(metaJSON, &d.Meta); err != nil {
-		return nil, fmt.Errorf("prof: meta: %w", err)
-	}
-
-	samples, b, err := trace.ReadSection(b)
-	if err != nil {
-		return nil, fmt.Errorf("prof: samples: %w", err)
-	}
-	if err := d.decodeSamples(samples); err != nil {
-		return nil, err
-	}
-
-	attrib, b, err := trace.ReadSection(b)
-	if err != nil {
-		return nil, fmt.Errorf("prof: attrib: %w", err)
-	}
-	if err := d.decodeAttrib(attrib); err != nil {
-		return nil, err
-	}
-
-	code, b, err := trace.ReadSection(b)
-	if err != nil {
-		return nil, fmt.Errorf("prof: code: %w", err)
-	}
-	if err := d.decodeCode(code); err != nil {
-		return nil, err
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("prof: %d trailing bytes", len(b))
-	}
-	return d, nil
-}
-
-func (d *Data) decodeSamples(b []byte) error {
-	if len(b) < 4 {
-		return fmt.Errorf("prof: truncated CPU count")
-	}
-	cpus := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if cpus < 0 || cpus > 1<<16 {
-		return fmt.Errorf("prof: implausible CPU count %d", cpus)
-	}
-	for cpu := 0; cpu < cpus; cpu++ {
-		if len(b) < 12 {
-			return fmt.Errorf("prof: truncated buffer header (cpu %d)", cpu)
-		}
-		count := int(binary.LittleEndian.Uint32(b))
-		over := binary.LittleEndian.Uint64(b[4:])
-		b = b[12:]
-		if count < 0 || count > 1<<28 {
-			return fmt.Errorf("prof: implausible sample count %d (cpu %d)", count, cpu)
-		}
-		per := make([]Sample, 0, count)
-		for i := 0; i < count; i++ {
-			if len(b) < recHdrSize {
-				return fmt.Errorf("prof: truncated sample (cpu %d)", cpu)
+// ReadBody reads a profile section body of cpus sample buffers. Every
+// count is checked against the bytes left before anything is
+// allocated for it.
+func ReadBody(dec *trace.Dec, cpus int) *Data {
+	d := &Data{Period: dec.U64(), Capacity: int(dec.U32())}
+	for cpu := 0; cpu < cpus && dec.Err == nil; cpu++ {
+		d.Overwritten = append(d.Overwritten, dec.U64())
+		per := make([]Sample, dec.Count(recHdrSize))
+		for i := range per {
+			s := Sample{Time: hw.Cycles(dec.U64()), Weight: dec.U64(), Mode: Mode(dec.U8()), Def32: dec.Bool()}
+			nf := int(dec.U8())
+			if nf > MaxFrames {
+				dec.Fail("prof: %d frames in one sample", nf)
 			}
-			s := Sample{
-				Time:   hw.Cycles(binary.LittleEndian.Uint64(b[0:])),
-				Weight: binary.LittleEndian.Uint64(b[8:]),
-				Mode:   Mode(b[16]),
-				Def32:  b[17] != 0,
+			for f := 0; f < nf && dec.Err == nil; f++ {
+				s.Frames = append(s.Frames, dec.U32())
 			}
-			nf := int(b[18])
-			b = b[recHdrSize:]
-			if nf > MaxFrames || len(b) < nf*4 {
-				return fmt.Errorf("prof: truncated frames (cpu %d)", cpu)
-			}
-			for f := 0; f < nf; f++ {
-				s.Frames = append(s.Frames, binary.LittleEndian.Uint32(b[f*4:]))
-			}
-			b = b[nf*4:]
-			per = append(per, s)
+			per[i] = s
 		}
 		d.Samples = append(d.Samples, per)
-		d.Overwritten = append(d.Overwritten, over)
 	}
-	if len(b) != 0 {
-		return fmt.Errorf("prof: %d trailing sample bytes", len(b))
+	d.Attrib = make([]AttribEntry, dec.Count(attribEntrySize))
+	for i := range d.Attrib {
+		d.Attrib[i] = AttribEntry{Kind: AttribKind(dec.U8()), Def32: dec.Bool(), RIP: dec.U32(), Count: dec.U64(), Cycles: dec.U64()}
 	}
-	return nil
-}
-
-func (d *Data) decodeAttrib(b []byte) error {
-	if len(b) < 4 {
-		return fmt.Errorf("prof: truncated attrib count")
-	}
-	count := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if count < 0 || len(b) != count*attribEntrySize {
-		return fmt.Errorf("prof: malformed attrib table")
-	}
-	for i := 0; i < count; i++ {
-		rec := b[i*attribEntrySize:]
-		d.Attrib = append(d.Attrib, AttribEntry{
-			Kind:   AttribKind(rec[0]),
-			Def32:  rec[1] != 0,
-			RIP:    binary.LittleEndian.Uint32(rec[2:]),
-			Count:  binary.LittleEndian.Uint64(rec[6:]),
-			Cycles: binary.LittleEndian.Uint64(rec[14:]),
-		})
-	}
-	return nil
-}
-
-func (d *Data) decodeCode(b []byte) error {
-	if len(b) < 4 {
-		return fmt.Errorf("prof: truncated code count")
-	}
-	count := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if count < 0 || count > 1<<20 {
-		return fmt.Errorf("prof: implausible code-site count %d", count)
-	}
-	for i := 0; i < count; i++ {
-		if len(b) < 6 {
-			return fmt.Errorf("prof: truncated code site")
+	d.Code = make([]CodeSite, dec.Count(codeHdrSize))
+	for i := range d.Code {
+		c := CodeSite{Addr: dec.U32(), Def32: dec.Bool()}
+		n := int(dec.U8())
+		if n == 0 || n > maxInstBytes {
+			dec.Fail("prof: %d code bytes at one site", n)
 		}
-		site := CodeSite{
-			Addr:  binary.LittleEndian.Uint32(b[0:]),
-			Def32: b[4] != 0,
-		}
-		n := int(b[5])
-		b = b[6:]
-		if n > maxInstBytes || len(b) < n {
-			return fmt.Errorf("prof: truncated code bytes")
-		}
-		site.Bytes = append(site.Bytes, b[:n]...)
-		b = b[n:]
-		d.Code = append(d.Code, site)
+		c.Bytes = append([]byte(nil), dec.Raw(n)...)
+		d.Code[i] = c
 	}
-	if len(b) != 0 {
-		return fmt.Errorf("prof: %d trailing code bytes", len(b))
-	}
-	return nil
+	return d
 }

@@ -100,7 +100,7 @@ func (d *Data) WritePprof(w io.Writer) error {
 				continue
 			}
 			r := row{mode: s.Mode.String(), event: "sample", count: s.Weight,
-				cycles: s.Weight * d.Meta.Period}
+				cycles: s.Weight * d.Period}
 			for _, f := range s.Frames {
 				ref := frameRef{name: FrameName(s.Mode, f)}
 				if s.Mode != ModeServer {
@@ -234,9 +234,9 @@ func (d *Data) WritePprof(w io.Writer) error {
 	var pt pbuf
 	pt.uintField(1, cyclesStr)
 	pt.uintField(2, cyclesStr)
-	p.msg(11, &pt)                 // period_type
-	p.uintField(12, d.Meta.Period) // period
-	p.uintField(14, cyclesStr)     // default_sample_type
+	p.msg(11, &pt)             // period_type
+	p.uintField(12, d.Period)  // period
+	p.uintField(14, cyclesStr) // default_sample_type
 
 	if _, err := w.Write(p.Bytes()); err != nil {
 		return fmt.Errorf("prof: pprof write: %w", err)

@@ -1,6 +1,6 @@
 // Package prof is the virtual-time sampling profiler of the simulation:
-// where nova-trace answers "which virtualization events happened",
-// nova-prof answers "which guest code is paying for them".
+// where the tracer answers "which virtualization events happened", the
+// profiler answers "which guest code is paying for them".
 //
 // The profiler is driven entirely by the virtual clock. Every Period
 // cycles of virtual time a sample of (guest RIP, CS default size,
@@ -59,13 +59,6 @@ func (m Mode) String() string {
 	return "mode?"
 }
 
-// ModeNames returns the mode-name table in mode order (for Meta).
-func ModeNames() []string {
-	names := make([]string, NumModes)
-	copy(names, modeNames[:])
-	return names
-}
-
 // AttribKind classifies an exact-cost attribution record: which
 // virtualization event charged the cycles that land on a guest address.
 type AttribKind uint8
@@ -95,18 +88,6 @@ func (k AttribKind) String() string {
 		return attribKindNames[k]
 	}
 	return "attrib?"
-}
-
-// Meta describes the run that produced a profile.
-type Meta struct {
-	Model   string `json:"model"`
-	FreqMHz int    `json:"freq_mhz"`
-	NumCPUs int    `json:"num_cpus"`
-	// Period is the sampling grid spacing in virtual cycles.
-	Period uint64 `json:"period_cycles"`
-	// Capacity is the per-CPU sample-buffer capacity.
-	Capacity  int      `json:"capacity"`
-	ModeNames []string `json:"mode_names"`
 }
 
 // MemReader reads one little-endian 32-bit word of guest-virtual
@@ -199,7 +180,8 @@ func (b *Buf) recs() []rec {
 // so instrumented code needs no enablement checks: a nil *Profiler
 // means profiling is off and every call is a two-instruction no-op.
 type Profiler struct {
-	Meta Meta
+	// Period is the sampling grid spacing in virtual cycles.
+	Period uint64
 
 	bufs []*Buf
 	// next is the per-CPU virtual time of the next sampling grid
@@ -208,20 +190,15 @@ type Profiler struct {
 	next []hw.Cycles
 
 	attrib attribSet
-	code   []CodeSite
 }
 
 // New creates a profiler sampling every period cycles with one buffer
 // of the given capacity per CPU.
-func New(meta Meta, cpus int, period uint64, capacity int) *Profiler {
+func New(cpus int, period uint64, capacity int) *Profiler {
 	if period == 0 {
 		period = 10_000
 	}
-	p := &Profiler{Meta: meta}
-	p.Meta.NumCPUs = cpus
-	p.Meta.Period = period
-	p.Meta.Capacity = capacity
-	p.Meta.ModeNames = ModeNames()
+	p := &Profiler{Period: period}
 	for i := 0; i < cpus; i++ {
 		p.bufs = append(p.bufs, newBuf(capacity))
 		p.next = append(p.next, 0)
@@ -240,13 +217,13 @@ func (p *Profiler) Tick(cpu int, now hw.Cycles, mode Mode, g GuestCtx) {
 	next := p.next[cpu]
 	if next == 0 {
 		// First observation on this CPU: anchor the grid.
-		p.next[cpu] = now + hw.Cycles(p.Meta.Period)
+		p.next[cpu] = now + hw.Cycles(p.Period)
 		return
 	}
 	if now < next {
 		return
 	}
-	period := hw.Cycles(p.Meta.Period)
+	period := hw.Cycles(p.Period)
 	weight := uint64((now-next)/period) + 1
 	p.next[cpu] = next + hw.Cycles(weight)*period
 
@@ -284,13 +261,13 @@ func (p *Profiler) SkipIdle(cpu int, now hw.Cycles) {
 	}
 	next := p.next[cpu]
 	if next == 0 {
-		p.next[cpu] = now + hw.Cycles(p.Meta.Period)
+		p.next[cpu] = now + hw.Cycles(p.Period)
 		return
 	}
 	if now < next {
 		return
 	}
-	period := hw.Cycles(p.Meta.Period)
+	period := hw.Cycles(p.Period)
 	crossed := uint64((now-next)/period) + 1
 	p.next[cpu] = next + hw.Cycles(crossed)*period
 }
@@ -302,21 +279,6 @@ func (p *Profiler) Attribute(kind AttribKind, rip uint32, def32 bool, cycles uin
 		return
 	}
 	p.attrib.add(attribKey(kind, rip, def32), cycles)
-}
-
-// TotalSamples returns the number of grid points recorded so far
-// (the sum of live sample weights across CPUs).
-func (p *Profiler) TotalSamples() uint64 {
-	if p == nil {
-		return 0
-	}
-	var total uint64
-	for _, b := range p.bufs {
-		for _, r := range b.recs() {
-			total += r.weight
-		}
-	}
-	return total
 }
 
 // attribKey packs (kind, def32, rip) into one ordered key.
@@ -380,13 +342,13 @@ const maxInstBytes = 15
 
 // CaptureCode snapshots up to maxInstBytes of code at each of the topN
 // hottest addresses, through a pure byte reader (same contract as
-// MemReader). Call it when the run has finished, before encoding.
-func (p *Profiler) CaptureCode(topN int, read func(va uint32) (byte, bool)) {
-	if p == nil || read == nil {
+// MemReader). Nil-safe on both.
+func (d *Data) CaptureCode(topN int, read func(va uint32) (byte, bool)) {
+	if d == nil || read == nil {
 		return
 	}
-	p.code = p.code[:0]
-	for _, h := range p.Data().Hot(topN) {
+	d.Code = d.Code[:0]
+	for _, h := range d.Hot(topN) {
 		var buf [maxInstBytes]byte
 		n := 0
 		for n < maxInstBytes {
@@ -402,7 +364,7 @@ func (p *Profiler) CaptureCode(topN int, read func(va uint32) (byte, bool)) {
 		}
 		site := CodeSite{Addr: h.Addr, Def32: h.Def32}
 		site.Bytes = append(site.Bytes, buf[:n]...)
-		p.code = append(p.code, site)
+		d.Code = append(d.Code, site)
 	}
 }
 
@@ -429,23 +391,26 @@ type AttribEntry struct {
 	Cycles uint64
 }
 
-// Data is a decoded (or snapshotted) profile, the unit every renderer
-// operates on.
+// Data is the profile section of an observability file, the unit every
+// renderer operates on.
 type Data struct {
-	Meta        Meta
+	Period      uint64     // sampling grid spacing, virtual cycles
+	Capacity    int        // per-CPU sample-buffer capacity
 	Samples     [][]Sample // index = CPU, oldest first
 	Overwritten []uint64   // per CPU
 	Attrib      []AttribEntry
 	Code        []CodeSite
 }
 
-// Data snapshots the live profiler into the decoded form.
+// Data snapshots the live profiler; nil when profiling is off. Code is
+// empty until CaptureCode fills it.
 func (p *Profiler) Data() *Data {
 	if p == nil {
-		return &Data{}
+		return nil
 	}
-	d := &Data{Meta: p.Meta}
+	d := &Data{Period: p.Period}
 	for _, b := range p.bufs {
+		d.Capacity = len(b.buf)
 		recs := b.recs()
 		samples := make([]Sample, 0, len(recs))
 		for _, r := range recs {
@@ -463,7 +428,6 @@ func (p *Profiler) Data() *Data {
 			Count: p.attrib.counts[i], Cycles: p.attrib.cycles[i],
 		})
 	}
-	d.Code = append(d.Code, p.code...)
 	return d
 }
 

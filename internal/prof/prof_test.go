@@ -3,15 +3,15 @@ package prof
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"nova/internal/hw"
+	"nova/internal/trace"
 )
 
-func testMeta() Meta { return Meta{Model: "TEST", FreqMHz: 1000} }
-
 func TestTickGridAndWeights(t *testing.T) {
-	p := New(testMeta(), 1, 100, 16)
+	p := New(1, 100, 16)
 	g := GuestCtx{RIP: 0x1000}
 
 	// First observation anchors the grid at now+period; nothing records.
@@ -36,7 +36,7 @@ func TestTickGridAndWeights(t *testing.T) {
 	if recs[0].weight != 1 || recs[1].weight != 3 {
 		t.Fatalf("weights = %d, %d, want 1, 3", recs[0].weight, recs[1].weight)
 	}
-	if got := p.TotalSamples(); got != 4 {
+	if got := p.Data().TotalSamples(); got != 4 {
 		t.Fatalf("TotalSamples = %d, want 4", got)
 	}
 	// The grid stays aligned: next should be 550, so 549 records nothing.
@@ -47,7 +47,7 @@ func TestTickGridAndWeights(t *testing.T) {
 }
 
 func TestSkipIdleAdvancesWithoutRecording(t *testing.T) {
-	p := New(testMeta(), 1, 100, 16)
+	p := New(1, 100, 16)
 	p.Tick(0, 0, ModeGuest, GuestCtx{RIP: 1}) // anchor; next = 100
 	p.SkipIdle(0, 1000)                       // crosses many grid points
 	if n := p.bufs[0].Len(); n != 0 {
@@ -69,17 +69,15 @@ func TestNilProfilerIsNoOp(t *testing.T) {
 	p.Tick(0, 100, ModeGuest, GuestCtx{})
 	p.SkipIdle(0, 100)
 	p.Attribute(AttribExit, 0, false, 1)
-	p.CaptureCode(4, func(uint32) (byte, bool) { return 0, false })
-	if p.TotalSamples() != 0 {
-		t.Fatal("nil profiler reported samples")
-	}
-	if d := p.Data(); len(d.Samples) != 0 {
+	d := p.Data()
+	if d != nil {
 		t.Fatal("nil profiler produced sample data")
 	}
+	d.CaptureCode(4, func(uint32) (byte, bool) { return 0, false })
 }
 
 func TestBufOverwrite(t *testing.T) {
-	p := New(testMeta(), 1, 10, 4)
+	p := New(1, 10, 4)
 	p.Tick(0, 0, ModeGuest, GuestCtx{}) // anchor
 	for i := 1; i <= 7; i++ {
 		p.Tick(0, hw.Cycles(i*10), ModeGuest, GuestCtx{RIP: uint32(i)})
@@ -98,7 +96,7 @@ func TestBufOverwrite(t *testing.T) {
 }
 
 func TestAttribSetSortedAggregation(t *testing.T) {
-	p := New(testMeta(), 1, 10, 4)
+	p := New(1, 10, 4)
 	// Insert out of order, with one repeat.
 	p.Attribute(AttribVTLBFill, 0x300, false, 7)
 	p.Attribute(AttribExit, 0x200, true, 5)
@@ -116,11 +114,11 @@ func TestAttribSetSortedAggregation(t *testing.T) {
 	}
 }
 
-// populated builds a profiler with samples on two CPUs, attributions
-// and captured code, exercising every section of the encoding.
-func populated(t *testing.T) *Profiler {
+// populated builds a profile with samples on two CPUs, attributions
+// and captured code, exercising every part of the encoding.
+func populated(t *testing.T) *Data {
 	t.Helper()
-	p := New(testMeta(), 2, 100, 8)
+	p := New(2, 100, 8)
 	stack := map[uint32]uint32{0x1000: 0, 0x1004: 0x8010}
 	read := func(va uint32) (uint32, bool) { v, ok := stack[va]; return v, ok }
 	for cpu := 0; cpu < 2; cpu++ {
@@ -134,64 +132,118 @@ func populated(t *testing.T) *Profiler {
 	p.Attribute(AttribExit, 0x8001, true, 400)
 	p.Attribute(AttribEmulate, 0x9000, false, 450)
 	code := []byte{0x90, 0xc3}
-	p.CaptureCode(4, func(va uint32) (byte, bool) {
+	d := p.Data()
+	d.CaptureCode(4, func(va uint32) (byte, bool) {
 		if int(va-0x8000) < len(code)*1000 {
 			return code[va%2], true
 		}
 		return 0, false
 	})
-	return p
+	return d
+}
+
+// encode writes a profile section body.
+func encode(d *Data) []byte {
+	var e trace.Enc
+	d.WriteBody(&e)
+	return e.B
+}
+
+// decode reads a profile section body of two CPUs.
+func decode(b []byte) (*Data, error) {
+	dec := &trace.Dec{B: b}
+	d := ReadBody(dec, 2)
+	return d, dec.End()
 }
 
 func TestEncodeDecodeRoundtrip(t *testing.T) {
 	p := populated(t)
-	b, err := p.Encode()
+	if len(p.Code) == 0 {
+		t.Fatal("no code captured")
+	}
+	b := encode(p)
+	d, err := decode(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Decode(b)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(d, p) {
+		t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", d, p)
 	}
-	if !reflect.DeepEqual(d, p.Data()) {
-		t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", d, p.Data())
+	if !bytes.Equal(encode(d), b) {
+		t.Fatal("a decoded profile re-encodes differently")
 	}
 }
 
 func TestEncodeByteIdentity(t *testing.T) {
-	p := populated(t)
-	b1, err := p.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := p.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatal("two encodings of the same profiler differ")
+	if !bytes.Equal(encode(populated(t)), encode(populated(t))) {
+		t.Fatal("two encodings of the same profile differ")
 	}
 }
 
 func TestDecodeRejectsCorrupt(t *testing.T) {
-	p := populated(t)
-	b, err := p.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Decode(b[:len(b)-1]); err == nil {
+	b := encode(populated(t))
+	if _, err := decode(b[:len(b)-1]); err == nil {
 		t.Error("truncated profile decoded")
 	}
-	if _, err := Decode([]byte("NOVAPRF9")); err == nil {
-		t.Error("bad magic decoded")
+	if _, err := decode(append(append([]byte{}, b...), 0)); err == nil {
+		t.Error("trailing bytes decoded")
 	}
-	if _, err := Decode(nil); err == nil {
+	if _, err := decode(nil); err == nil {
 		t.Error("empty profile decoded")
 	}
 }
 
+// TestDecodeAllocationBounded: a section whose counts claim more
+// records than its bytes can hold fails before allocating them, so
+// decoding allocates in proportion to the input, whatever the counts
+// say.
+func TestDecodeAllocationBounded(t *testing.T) {
+	hdr := func(counts ...uint32) []byte {
+		var e trace.Enc
+		e.U64(10_000) // period
+		e.U32(16)     // capacity
+		e.U64(0)      // cpu0 overwritten
+		e.U32(counts[0])
+		for _, c := range counts[1:] {
+			e.U32(c)
+		}
+		return e.B
+	}
+	cases := []struct {
+		name string
+		b    []byte
+	}{
+		{"samples 2^20", hdr(1 << 20)},
+		{"samples 2^28", hdr(1 << 28)},
+		{"samples 2^32-1", hdr(1<<32 - 1)},
+		{"attrib 2^28", hdr(0, 1<<28)},
+		{"code 2^28", hdr(0, 0, 1<<28)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var err error
+			allocs := testing.AllocsPerRun(5, func() {
+				dec := &trace.Dec{B: tc.b}
+				ReadBody(dec, 1)
+				err = dec.End()
+			})
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			dec := &trace.Dec{B: tc.b}
+			ReadBody(dec, 1)
+			runtime.ReadMemStats(&ms1)
+			if err == nil || dec.End() == nil {
+				t.Fatal("a count larger than the section decoded")
+			}
+			if grew := ms1.TotalAlloc - ms0.TotalAlloc; grew > 64*uint64(len(tc.b))+4096 || allocs > 16 {
+				t.Errorf("decoding %d bytes allocated %d bytes in %.0f allocations", len(tc.b), grew, allocs)
+			}
+		})
+	}
+}
+
 func TestHotRanking(t *testing.T) {
-	d := populated(t).Data()
+	d := populated(t)
 	hot := d.Hot(3)
 	if len(hot) == 0 {
 		t.Fatal("no hot rows")
@@ -216,7 +268,7 @@ func TestHotRanking(t *testing.T) {
 }
 
 func TestFoldedDeterministicAndMerged(t *testing.T) {
-	d := populated(t).Data()
+	d := populated(t)
 	lines := d.Folded()
 	if len(lines) == 0 {
 		t.Fatal("no folded output")
@@ -232,7 +284,7 @@ func TestFoldedDeterministicAndMerged(t *testing.T) {
 }
 
 func TestWritePprofDeterministic(t *testing.T) {
-	d := populated(t).Data()
+	d := populated(t)
 	var b1, b2 bytes.Buffer
 	if err := d.WritePprof(&b1); err != nil {
 		t.Fatal(err)

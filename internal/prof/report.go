@@ -57,7 +57,7 @@ func (d *Data) Hot(topN int) []HotAddr {
 			rows = append(rows, HotAddr{
 				Addr: s.Frames[0], Def32: s.Def32,
 				Samples:      s.Weight,
-				SampleCycles: s.Weight * d.Meta.Period,
+				SampleCycles: s.Weight * d.Period,
 			})
 		}
 	}

@@ -1,162 +1,34 @@
 package span
 
-import (
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
-	"fmt"
-	"hash/fnv"
+import "nova/internal/trace"
 
-	"nova/internal/hw"
-	"nova/internal/trace"
-)
-
-// magic identifies a serialized span file (version 1). The framing
-// reuses trace.WriteSection: magic, meta JSON section, per-CPU rings,
-// summary JSON section.
-const magic = "NOVASPN1"
-
-// recordSize is the fixed on-disk size of one span record:
-// time(8) + seq(8) + kind(1) + span(8) + a1(8) + a2(8).
-const recordSize = 8 + 8 + 1 + 3*8
-
-// Summary is the trailing section: whole-run counters that survive
-// ring wraps.
-type Summary struct {
-	Opened uint64 `json:"opened"`
-	Closed uint64 `json:"closed"`
-}
-
-// Encode serializes the recorder deterministically: struct-based JSON
-// (fixed field order) and fixed-size little-endian records, so two runs
-// from identical inputs produce identical bytes (the double-run
-// byte-identity test depends on this).
-func (r *Recorder) Encode() ([]byte, error) {
-	if r == nil {
-		return nil, fmt.Errorf("span: nil recorder")
-	}
-	var buf bytes.Buffer
-	buf.WriteString(magic)
-
-	metaJSON, err := json.Marshal(r.Meta)
-	if err != nil {
-		return nil, err
-	}
-	trace.WriteSection(&buf, metaJSON)
-
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], uint32(len(r.rings)))
-	buf.Write(tmp[:])
-	for _, ring := range r.rings {
-		events := ring.Events()
-		var hdr [12]byte
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(len(events)))
-		binary.LittleEndian.PutUint64(hdr[4:], ring.Overwritten())
-		buf.Write(hdr[:])
-		var rec [recordSize]byte
-		for _, e := range events {
-			binary.LittleEndian.PutUint64(rec[0:], uint64(e.Time))
-			binary.LittleEndian.PutUint64(rec[8:], e.Seq)
-			rec[16] = uint8(e.Kind)
-			binary.LittleEndian.PutUint64(rec[17:], e.A0)
-			binary.LittleEndian.PutUint64(rec[25:], e.A1)
-			binary.LittleEndian.PutUint64(rec[33:], e.A2)
-			buf.Write(rec[:])
-		}
-	}
-
-	sumJSON, err := json.Marshal(Summary{Opened: r.Opened, Closed: r.Closed})
-	if err != nil {
-		return nil, err
-	}
-	trace.WriteSection(&buf, sumJSON)
-	return buf.Bytes(), nil
-}
-
-// Hash returns the FNV-64a hash of the serialized spans, for the
-// determinism regression tests.
-func (r *Recorder) Hash() uint64 {
-	b, err := r.Encode()
-	if err != nil {
-		return 0
-	}
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}
-
-// Data is a decoded span file.
+// Data is the span section of an observability file: the span rings
+// (the tracer's ring codec; A3 is always zero) and the whole-run
+// counters, which survive ring wraps.
 type Data struct {
-	Meta        Meta
-	PerCPU      [][]trace.Event // index = CPU, ordered by sequence
-	Overwritten []uint64        // per CPU
-	Summary     Summary
+	trace.Rings
+	Opened uint64
+	Closed uint64
 }
 
-// Events returns all records merged into the (time, CPU, seq) order.
-func (d *Data) Events() []trace.Event { return trace.MergeEvents(d.PerCPU) }
+// Data snapshots the recorder; nil when span recording is off.
+func (r *Recorder) Data() *Data {
+	if r == nil {
+		return nil
+	}
+	return &Data{Rings: trace.SnapshotRings(r.rings), Opened: r.Opened, Closed: r.Closed}
+}
 
-// Decode parses a serialized span file.
-func Decode(b []byte) (*Data, error) {
-	if len(b) < len(magic) || string(b[:len(magic)]) != magic {
-		return nil, fmt.Errorf("span: bad magic (not a nova span file)")
-	}
-	b = b[len(magic):]
+// WriteBody appends the span section body.
+func (d *Data) WriteBody(e *trace.Enc) {
+	e.U64(d.Opened)
+	e.U64(d.Closed)
+	d.Rings.WriteBody(e)
+}
 
-	metaJSON, b, err := trace.ReadSection(b)
-	if err != nil {
-		return nil, fmt.Errorf("span: meta: %w", err)
-	}
-	d := &Data{}
-	if err := json.Unmarshal(metaJSON, &d.Meta); err != nil {
-		return nil, fmt.Errorf("span: meta: %w", err)
-	}
-
-	if len(b) < 4 {
-		return nil, fmt.Errorf("span: truncated CPU count")
-	}
-	cpus := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if cpus < 0 || cpus > 1<<16 {
-		return nil, fmt.Errorf("span: implausible CPU count %d", cpus)
-	}
-	for cpu := 0; cpu < cpus; cpu++ {
-		if len(b) < 12 {
-			return nil, fmt.Errorf("span: truncated ring header (cpu %d)", cpu)
-		}
-		count := int(binary.LittleEndian.Uint32(b))
-		over := binary.LittleEndian.Uint64(b[4:])
-		b = b[12:]
-		if count < 0 || len(b) < count*recordSize {
-			return nil, fmt.Errorf("span: truncated ring (cpu %d)", cpu)
-		}
-		events := make([]trace.Event, count)
-		for i := range events {
-			rec := b[i*recordSize:]
-			events[i] = trace.Event{
-				Time: hw.Cycles(binary.LittleEndian.Uint64(rec[0:])),
-				Seq:  binary.LittleEndian.Uint64(rec[8:]),
-				CPU:  uint8(cpu),
-				Kind: trace.Kind(rec[16]),
-				A0:   binary.LittleEndian.Uint64(rec[17:]),
-				A1:   binary.LittleEndian.Uint64(rec[25:]),
-				A2:   binary.LittleEndian.Uint64(rec[33:]),
-			}
-		}
-		b = b[count*recordSize:]
-		d.PerCPU = append(d.PerCPU, events)
-		d.Overwritten = append(d.Overwritten, over)
-	}
-
-	sumJSON, b, err := trace.ReadSection(b)
-	if err != nil {
-		return nil, fmt.Errorf("span: summary: %w", err)
-	}
-	if err := json.Unmarshal(sumJSON, &d.Summary); err != nil {
-		return nil, fmt.Errorf("span: summary: %w", err)
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("span: %d trailing bytes", len(b))
-	}
-	return d, nil
+// ReadBody reads a span section body of cpus rings.
+func ReadBody(dec *trace.Dec, cpus int) *Data {
+	d := &Data{Opened: dec.U64(), Closed: dec.U64()}
+	d.Rings = trace.ReadRings(dec, cpus)
+	return d
 }

@@ -52,7 +52,7 @@ type Span struct {
 // Duration returns the end-to-end latency of a closed span.
 func (s *Span) Duration() uint64 { return uint64(s.End - s.Open) }
 
-// BuildSpans reconstructs spans from a decoded span file, in span-ID
+// BuildSpans reconstructs spans from a span section, in span-ID
 // order. Spans whose open record was overwritten by a wrapped ring are
 // dropped (their decomposition would be incomplete).
 func BuildSpans(d *Data) []*Span {
@@ -165,7 +165,7 @@ type ClassReport struct {
 	Segs []SegTotal `json:"segs,omitempty"`
 }
 
-// Report is the nova-span report: per-class latency tails and
+// Report is the span report of nova-obs: per-class latency tails and
 // critical-path decomposition.
 type Report struct {
 	FreqMHz int           `json:"freq_mhz"`
@@ -193,8 +193,8 @@ func Percentile(sorted []uint64, q float64) uint64 {
 }
 
 // BuildReport aggregates reconstructed spans into the per-class report.
-func BuildReport(d *Data, spans []*Span) *Report {
-	rep := &Report{FreqMHz: d.Meta.FreqMHz, Opened: d.Summary.Opened, Closed: d.Summary.Closed}
+func BuildReport(d *Data, spans []*Span, freqMHz int) *Report {
+	rep := &Report{FreqMHz: freqMHz, Opened: d.Opened, Closed: d.Closed}
 	var durs [NumClasses][]uint64
 	var segs [NumClasses][NumSegs]int64
 	var open, failed [NumClasses]int

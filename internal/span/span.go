@@ -67,13 +67,6 @@ func (c Class) String() string {
 	return "class?"
 }
 
-// ClassNames returns the class-name table in class order (for Meta).
-func ClassNames() []string {
-	names := make([]string, NumClasses)
-	copy(names, classNames[:])
-	return names
-}
-
 // Seg is one critical-path segment of a request. A span is in exactly
 // one segment at any time; transitions are recorded as events and the
 // per-segment durations telescope to close minus open.
@@ -116,13 +109,6 @@ func (s Seg) String() string {
 	return "seg?"
 }
 
-// SegNames returns the segment-name table in segment order (for Meta).
-func SegNames() []string {
-	names := make([]string, NumSegs)
-	copy(names, segNames[:])
-	return names
-}
-
 // Kind classifies a span event. Span events ride in trace.Ring records;
 // the payload mapping is fixed: A0 is always the span ID, A1/A2 are the
 // kind-specific arguments below, A3 is unused.
@@ -160,13 +146,6 @@ func (k Kind) String() string {
 	return "kind?"
 }
 
-// KindNames returns the kind-name table in kind order (for Meta).
-func KindNames() []string {
-	names := make([]string, NumKinds)
-	copy(names, kindNames[:])
-	return names
-}
-
 // Close statuses (the A1 payload of KindClose).
 const (
 	// StatusOK: the request completed and its effect reached the
@@ -188,18 +167,6 @@ const (
 	AnnotVector  uint64 = 4
 )
 
-// Meta describes the run that produced a span file, mirroring
-// trace.Meta so span files are self-describing.
-type Meta struct {
-	Model        string   `json:"model"`
-	FreqMHz      int      `json:"freq_mhz"`
-	NumCPUs      int      `json:"num_cpus"`
-	RingCapacity int      `json:"ring_capacity"`
-	ClassNames   []string `json:"class_names"`
-	SegNames     []string `json:"seg_names"`
-	KindNames    []string `json:"kind_names"`
-}
-
 // active is one entry of a CPU's active-span stack: the span currently
 // being worked on by the code executing on that CPU, plus the segment
 // it was in when it became current (so nested portal calls can restore
@@ -213,7 +180,6 @@ type active struct {
 // rings. All methods are nil-safe: a nil *Recorder means span tracing
 // is off and every call is a cheap no-op, exactly like trace.Tracer.
 type Recorder struct {
-	Meta  Meta
 	rings []*trace.Ring
 	cur   [][]active // per-CPU active-span stack
 	next  uint64     // last assigned span ID
@@ -224,13 +190,8 @@ type Recorder struct {
 }
 
 // New creates a recorder with one ring of the given capacity per CPU.
-func New(meta Meta, cpus, capacity int) *Recorder {
-	r := &Recorder{Meta: meta}
-	r.Meta.NumCPUs = cpus
-	r.Meta.RingCapacity = capacity
-	r.Meta.ClassNames = ClassNames()
-	r.Meta.SegNames = SegNames()
-	r.Meta.KindNames = KindNames()
+func New(cpus, capacity int) *Recorder {
+	r := &Recorder{}
 	for i := 0; i < cpus; i++ {
 		r.rings = append(r.rings, trace.NewRing(i, capacity))
 		r.cur = append(r.cur, nil)
@@ -314,25 +275,4 @@ func (r *Recorder) Current(cpu int) (ID, Seg) {
 		return top.id, top.seg
 	}
 	return 0, 0
-}
-
-// Rings returns the per-CPU rings (index = CPU).
-func (r *Recorder) Rings() []*trace.Ring {
-	if r == nil {
-		return nil
-	}
-	return r.rings
-}
-
-// Events returns all live span records merged across CPUs in the
-// (time, CPU, seq) total order.
-func (r *Recorder) Events() []trace.Event {
-	if r == nil {
-		return nil
-	}
-	var per [][]trace.Event
-	for _, ring := range r.rings {
-		per = append(per, ring.Events())
-	}
-	return trace.MergeEvents(per)
 }

@@ -3,6 +3,8 @@ package span
 import (
 	"bytes"
 	"testing"
+
+	"nova/internal/trace"
 )
 
 // TestNilSafety exercises every Recorder method on a nil receiver and
@@ -21,21 +23,18 @@ func TestNilSafety(t *testing.T) {
 	if id, seg := r.Current(0); id != 0 || seg != 0 {
 		t.Errorf("nil Current = (%d, %d), want (0, 0)", id, seg)
 	}
-	if r.Rings() != nil || r.Events() != nil {
-		t.Error("nil Rings/Events should return nil")
-	}
-	if _, err := r.Encode(); err == nil {
-		t.Error("nil Encode should error")
+	if r.Data() != nil {
+		t.Error("nil Data should return nil")
 	}
 
 	// ID 0 is a no-op on a live recorder.
-	live := New(Meta{Model: "test", FreqMHz: 1000}, 1, 16)
+	live := New(1, 16)
 	live.Transition(0, 10, 0, SegIPC)
 	live.Annotate(0, 10, 0, AnnotLBA, 1)
 	live.Close(0, 10, 0, StatusOK)
 	live.Begin(0, 0, SegIPC)
-	if len(live.Events()) != 0 {
-		t.Errorf("ID-0 calls recorded %d events, want 0", len(live.Events()))
+	if n := len(live.Data().Events()); n != 0 {
+		t.Errorf("ID-0 calls recorded %d events, want 0", n)
 	}
 	// Out-of-range CPUs are no-ops too.
 	if id := live.Open(5, 10, ClassDisk, SegEmul, 0); id != 0 {
@@ -46,7 +45,7 @@ func TestNilSafety(t *testing.T) {
 // TestActiveStack checks the per-CPU current-span stack used by the
 // kernel portal path to find the enclosing request.
 func TestActiveStack(t *testing.T) {
-	r := New(Meta{}, 2, 16)
+	r := New(2, 16)
 	a := r.Open(0, 10, ClassDisk, SegEmul, 0)
 	r.Begin(0, a, SegEmul)
 	if id, seg := r.Current(0); id != a || seg != SegEmul {
@@ -74,7 +73,7 @@ func TestActiveStack(t *testing.T) {
 // durations sum exactly to close minus open, with zero-width hops
 // dropped and contiguous same-segment hops merged.
 func TestBuildSpansTelescoping(t *testing.T) {
-	r := New(Meta{Model: "test", FreqMHz: 2000}, 1, 64)
+	r := New(1, 64)
 	id := r.Open(0, 100, ClassDisk, SegEmul, 7)
 	r.Transition(0, 130, id, SegIPC)
 	r.Transition(0, 180, id, SegServer)
@@ -84,11 +83,7 @@ func TestBuildSpansTelescoping(t *testing.T) {
 	r.Transition(0, 520, id, SegGuest)
 	r.Close(0, 600, id, StatusOK)
 
-	b, err := r.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Decode(b)
+	_, d, err := roundTrip(r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,52 +160,62 @@ func TestPercentileNearestRank(t *testing.T) {
 	}
 }
 
-// TestEncodeDecodeRoundTrip checks that Decode inverts Encode and that
-// encoding is deterministic.
+// roundTrip writes the recorder's section body and reads it back.
+func roundTrip(r *Recorder, cpus int) ([]byte, *Data, error) {
+	var e trace.Enc
+	r.Data().WriteBody(&e)
+	return e.B, readBody(e.B, cpus), readErr(e.B, cpus)
+}
+
+func readBody(b []byte, cpus int) *Data { return ReadBody(&trace.Dec{B: b}, cpus) }
+
+func readErr(b []byte, cpus int) error {
+	dec := &trace.Dec{B: b}
+	ReadBody(dec, cpus)
+	return dec.End()
+}
+
+// TestEncodeDecodeRoundTrip checks that ReadBody inverts WriteBody and
+// that encoding is deterministic.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	r := New(Meta{Model: "test", FreqMHz: 2670}, 2, 32)
+	r := New(2, 32)
 	a := r.Open(0, 10, ClassDisk, SegEmul, 1)
 	b2 := r.Open(1, 15, ClassNetRX, SegServer, 64)
 	r.Annotate(1, 15, b2, AnnotBytes, 64)
 	r.Close(0, 50, a, StatusOK)
-	// b2 stays open: Summary must still count it as opened.
+	// b2 stays open: the counters must still count it as opened.
 
-	enc1, err := r.Encode()
+	enc1, d, err := roundTrip(r, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc2, err := r.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc2, _, _ := roundTrip(r, 2)
 	if !bytes.Equal(enc1, enc2) {
 		t.Error("two encodes of the same recorder differ")
 	}
-	d, err := Decode(enc1)
-	if err != nil {
-		t.Fatal(err)
+	if d.Capacity != 32 || len(d.PerCPU) != 2 {
+		t.Errorf("rings round-trip: capacity %d, %d CPUs", d.Capacity, len(d.PerCPU))
 	}
-	if d.Meta.Model != "test" || d.Meta.NumCPUs != 2 || d.Meta.RingCapacity != 32 {
-		t.Errorf("meta round-trip: %+v", d.Meta)
+	if d.Opened != 2 || d.Closed != 1 {
+		t.Errorf("counters opened=%d closed=%d, want opened=2 closed=1", d.Opened, d.Closed)
 	}
-	if d.Summary.Opened != 2 || d.Summary.Closed != 1 {
-		t.Errorf("summary = %+v, want opened=2 closed=1", d.Summary)
-	}
-	if len(d.PerCPU) != 2 || len(d.PerCPU[0]) != 3 || len(d.PerCPU[1]) != 3 {
+	if len(d.PerCPU[0]) != 3 || len(d.PerCPU[1]) != 3 {
 		t.Fatalf("per-CPU record counts: %d/%d", len(d.PerCPU[0]), len(d.PerCPU[1]))
 	}
-	if r.Hash() == 0 || r.Hash() != r.Hash() {
-		t.Error("Hash should be stable and nonzero")
+	var e trace.Enc
+	d.WriteBody(&e)
+	if !bytes.Equal(e.B, enc1) {
+		t.Error("a decoded section re-encodes differently")
 	}
 
 	// Corrupt inputs are rejected, not misparsed.
-	if _, err := Decode(enc1[:len(enc1)-1]); err == nil {
-		t.Error("truncated file decoded")
+	if readErr(enc1[:len(enc1)-1], 2) == nil {
+		t.Error("truncated section decoded")
 	}
-	if _, err := Decode([]byte("NOTSPANS")); err == nil {
-		t.Error("bad magic decoded")
+	if readErr(enc1, 3) == nil {
+		t.Error("section decoded with a ring too many")
 	}
-	if _, err := Decode(append(append([]byte{}, enc1...), 0)); err == nil {
+	if readErr(append(append([]byte{}, enc1...), 0), 2) == nil {
 		t.Error("trailing bytes decoded")
 	}
 }

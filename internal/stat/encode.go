@@ -1,16 +1,10 @@
 package stat
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"strings"
 
 	"nova/internal/trace"
 )
-
-// magic identifies a serialized stats snapshot (version 1).
-const magic = "NOVASTA1"
 
 // MetricData is the serialized form of one metric.
 type MetricData struct {
@@ -31,68 +25,22 @@ func (m *MetricData) Family() (family, labels string) {
 	return m.Name, ""
 }
 
-// Data is a decoded (or freshly snapshotted) stats file.
+// Data is the stat section of an observability file: a snapshot of
+// the registry.
 type Data struct {
-	Meta        Meta         `json:"meta"`
+	EpochLen    uint64       `json:"epoch_len"`
 	FinalCycles uint64       `json:"final_cycles"`
 	Metrics     []MetricData `json:"metrics"` // sorted by name
 }
 
-// body is the second file section: everything but the meta.
-type body struct {
-	FinalCycles uint64       `json:"final_cycles"`
-	Metrics     []MetricData `json:"metrics"`
-}
+// WriteBody appends the stat section body, the snapshot as JSON:
+// struct-based (fixed field order) with the metrics name-sorted, so two
+// snapshots of identical runs write identical bytes.
+func (d *Data) WriteBody(e *trace.Enc) { e.JSON(d) }
 
-// Encode serializes the snapshot: magic, meta JSON section, body JSON
-// section (the trace package's length-prefixed framing). Struct-based
-// JSON has a fixed field order and the metrics are name-sorted, so two
-// snapshots of identical runs serialize to identical bytes.
-func (d *Data) Encode() ([]byte, error) {
-	if d == nil {
-		return nil, fmt.Errorf("stat: nil snapshot")
-	}
-	var buf bytes.Buffer
-	buf.WriteString(magic)
-	metaJSON, err := json.Marshal(d.Meta)
-	if err != nil {
-		return nil, err
-	}
-	trace.WriteSection(&buf, metaJSON)
-	bodyJSON, err := json.Marshal(body{FinalCycles: d.FinalCycles, Metrics: d.Metrics})
-	if err != nil {
-		return nil, err
-	}
-	trace.WriteSection(&buf, bodyJSON)
-	return buf.Bytes(), nil
-}
-
-// Decode parses a serialized stats snapshot.
-func Decode(b []byte) (*Data, error) {
-	if len(b) < len(magic) || string(b[:len(magic)]) != magic {
-		return nil, fmt.Errorf("stat: bad magic (not a nova stats file)")
-	}
-	b = b[len(magic):]
-	metaJSON, b, err := trace.ReadSection(b)
-	if err != nil {
-		return nil, fmt.Errorf("stat: meta: %w", err)
-	}
+// ReadBody reads a stat section body.
+func ReadBody(dec *trace.Dec) *Data {
 	d := &Data{}
-	if err := json.Unmarshal(metaJSON, &d.Meta); err != nil {
-		return nil, fmt.Errorf("stat: meta: %w", err)
-	}
-	bodyJSON, b, err := trace.ReadSection(b)
-	if err != nil {
-		return nil, fmt.Errorf("stat: body: %w", err)
-	}
-	var bd body
-	if err := json.Unmarshal(bodyJSON, &bd); err != nil {
-		return nil, fmt.Errorf("stat: body: %w", err)
-	}
-	d.FinalCycles = bd.FinalCycles
-	d.Metrics = bd.Metrics
-	if len(b) != 0 {
-		return nil, fmt.Errorf("stat: %d trailing bytes", len(b))
-	}
-	return d, nil
+	dec.JSON(d)
+	return d
 }

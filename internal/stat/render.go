@@ -2,30 +2,20 @@ package stat
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 )
-
-// JSON renders the snapshot as indented JSON (struct-based, fixed field
-// order, metrics name-sorted — deterministic).
-func (d *Data) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(d, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
 
 // OpenMetrics renders the snapshot in the OpenMetrics text format:
 // counters as `family_total`, gauges and samples as plain gauges,
 // histograms as cumulative `_bucket{le=...}` series plus `_count` and
 // `_sum`. Epoch cells are not rendered here (they are a simulation
-// concept); use JSON or the nova-stat epochs view for the time series.
+// concept); use the nova-obs stat json or stat epochs view for the
+// time series.
 // Percentiles are deliberately NOT emitted here — OpenMetrics
 // histograms carry buckets only, and scrapers derive quantiles
 // themselves — keeping this output byte-compatible with older
-// consumers; use `nova-stat report` (HistogramData.Quantile) for
+// consumers; use `nova-obs stat report` (HistogramData.Quantile) for
 // p50/p99/p999.
 func (d *Data) OpenMetrics() []byte {
 	var buf bytes.Buffer

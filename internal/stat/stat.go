@@ -158,19 +158,10 @@ type sampler struct {
 	fn   func() uint64
 }
 
-// Meta describes the run that produced a snapshot.
-type Meta struct {
-	Model    string `json:"model"`
-	FreqMHz  int    `json:"freq_mhz"`
-	NumCPUs  int    `json:"num_cpus"`
-	EpochLen uint64 `json:"epoch_len"`
-}
-
 // Registry is the metrics sink for one machine. All methods are
 // nil-safe so instrumented code needs no enablement checks: a nil
 // *Registry means stats are off and every call is a cheap no-op.
 type Registry struct {
-	Meta     Meta
 	epochLen hw.Cycles
 
 	metrics  []*Metric          // registration order
@@ -186,26 +177,16 @@ const DefaultEpochLen hw.Cycles = 1_000_000
 
 // New creates a registry with the given epoch length (<= 0 selects
 // DefaultEpochLen).
-func New(meta Meta, epochLen hw.Cycles) *Registry {
+func New(epochLen hw.Cycles) *Registry {
 	if epochLen <= 0 {
 		epochLen = DefaultEpochLen
 	}
-	meta.EpochLen = uint64(epochLen)
 	r := &Registry{
-		Meta:     meta,
 		epochLen: epochLen,
 		index:    make(map[string]*Metric),
 	}
 	r.initFold()
 	return r
-}
-
-// EpochLen returns the registry's epoch length in virtual cycles.
-func (r *Registry) EpochLen() hw.Cycles {
-	if r == nil {
-		return 0
-	}
-	return r.epochLen
 }
 
 // metric returns the named metric, creating it with the given kind on
@@ -289,7 +270,7 @@ func (r *Registry) Snapshot(finalCycles hw.Cycles) *Data {
 	if r == nil {
 		return nil
 	}
-	d := &Data{Meta: r.Meta, FinalCycles: uint64(finalCycles)}
+	d := &Data{EpochLen: uint64(r.epochLen), FinalCycles: uint64(finalCycles)}
 	for _, m := range r.metrics {
 		if (m.kind == KindCounter || m.kind == KindHistogram) && m.total == 0 {
 			continue

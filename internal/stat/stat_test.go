@@ -6,11 +6,8 @@ import (
 	"testing"
 
 	"nova/internal/hw"
+	"nova/internal/trace"
 )
-
-func testMeta() Meta {
-	return Meta{Model: "test", FreqMHz: 1000, NumCPUs: 1}
-}
 
 func TestNilSafety(t *testing.T) {
 	var r *Registry
@@ -23,9 +20,6 @@ func TestNilSafety(t *testing.T) {
 	if r.Snapshot(100) != nil {
 		t.Fatal("nil registry snapshot should be nil")
 	}
-	if r.EpochLen() != 0 {
-		t.Fatal("nil registry epoch length should be 0")
-	}
 	var c Counter
 	var g Gauge
 	var h Histogram
@@ -35,7 +29,7 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestEpochBucketing(t *testing.T) {
-	r := New(testMeta(), 100)
+	r := New(100)
 	c := r.Counter("x")
 	c.Add(10, 1)  // epoch 0
 	c.Add(99, 2)  // epoch 0
@@ -63,7 +57,7 @@ func TestEpochBucketing(t *testing.T) {
 func TestEpochOutOfOrderInsert(t *testing.T) {
 	// A lagging CPU clock delivers an earlier epoch after later ones
 	// exist; the cell must land at its ordered position.
-	r := New(testMeta(), 100)
+	r := New(100)
 	c := r.Counter("x")
 	c.Add(500, 1) // epoch 5
 	c.Add(150, 2) // epoch 1, arrives late
@@ -82,7 +76,7 @@ func TestEpochOutOfOrderInsert(t *testing.T) {
 }
 
 func TestGaugeEpochMax(t *testing.T) {
-	r := New(testMeta(), 100)
+	r := New(100)
 	g := r.Gauge("depth")
 	g.Set(10, 3)
 	g.Set(20, 7)
@@ -101,7 +95,7 @@ func TestGaugeEpochMax(t *testing.T) {
 }
 
 func TestZeroCountersDropped(t *testing.T) {
-	r := New(testMeta(), 100)
+	r := New(100)
 	r.Counter("never")
 	r.Histogram("empty")
 	g := r.Gauge("level") // gauges stay even at zero
@@ -113,7 +107,7 @@ func TestZeroCountersDropped(t *testing.T) {
 }
 
 func TestSamplers(t *testing.T) {
-	r := New(testMeta(), 100)
+	r := New(100)
 	live := uint64(7)
 	r.RegisterSampler("objects", func() uint64 { return live })
 	d := r.Snapshot(10)
@@ -135,55 +129,59 @@ func TestName(t *testing.T) {
 	}
 }
 
+// encode writes a stat section body.
+func encode(d *Data) []byte {
+	var e trace.Enc
+	d.WriteBody(&e)
+	return e.B
+}
+
+// decode reads a stat section body.
+func decode(b []byte) (*Data, error) {
+	dec := &trace.Dec{B: b}
+	d := ReadBody(dec)
+	return d, dec.End()
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	r := New(testMeta(), 100)
+	r := New(100)
 	r.Counter(Name("exits", "vm", "a")).Add(10, 3)
 	r.Gauge("depth").Set(20, 5)
 	r.Histogram("lat").Observe(30, 1234)
 	r.RegisterSampler("objs", func() uint64 { return 2 })
-	d := r.Snapshot(500)
-	b, err := d.Encode()
+	b := encode(r.Snapshot(500))
+	got, err := decode(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.FinalCycles != 500 || got.Meta.EpochLen != 100 || len(got.Metrics) != 4 {
+	if got.FinalCycles != 500 || got.EpochLen != 100 || len(got.Metrics) != 4 {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
-	b2, err := got.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b, b2) {
+	if !bytes.Equal(b, encode(got)) {
 		t.Error("re-encode is not byte-identical")
 	}
 	// Corrupted inputs decline instead of panicking.
-	if _, err := Decode(b[:4]); err == nil {
+	if _, err := decode(b[:4]); err == nil {
 		t.Error("truncated input accepted")
 	}
-	if _, err := Decode(append([]byte("XXXXXXXX"), b[8:]...)); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if _, err := Decode(append(b, 0)); err == nil {
+	if _, err := decode(append(b, 0)); err == nil {
 		t.Error("trailing bytes accepted")
+	}
+	var e trace.Enc
+	e.Bytes([]byte(`{"final_cycles":500,"epoch_len":100,"metrics":null}`))
+	if _, err := decode(e.B); err == nil {
+		t.Error("JSON with reordered fields accepted")
 	}
 }
 
 func TestDoubleSnapshotByteIdentity(t *testing.T) {
 	build := func() []byte {
-		r := New(testMeta(), 64)
+		r := New(64)
 		for i := 0; i < 100; i++ {
 			r.Counter(Name("c", "i", string(rune('a'+i%5)))).Add(hw.Cycles(i*13), uint64(i))
 		}
 		r.Histogram("h").Observe(700, 42)
-		b, err := r.Snapshot(1300).Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+		return encode(r.Snapshot(1300))
 	}
 	if !bytes.Equal(build(), build()) {
 		t.Fatal("two identical runs encoded differently")
@@ -191,7 +189,7 @@ func TestDoubleSnapshotByteIdentity(t *testing.T) {
 }
 
 func TestOpenMetrics(t *testing.T) {
-	r := New(testMeta(), 100)
+	r := New(100)
 	r.Counter(Name("exits", "vm", "a")).Add(10, 3)
 	r.Gauge("depth").Set(20, 5)
 	r.Histogram("lat").Observe(30, 3)

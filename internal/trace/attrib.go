@@ -1,10 +1,12 @@
 package trace
 
+import "nova/internal/x86"
+
 // Attribution distills a trace into the paper's §8 cost-accounting
 // views: a per-exit-reason cost table (where do the cycles of a
 // virtualized run go?) and the Figure 8 / Figure 9 box breakdowns that
 // the evaluation decomposes by hand. Everything here is computed from
-// the event stream and the cost constants recorded in Meta — no access
+// the event stream and the cost constants recorded in Costs — no access
 // to the live system, so the same numbers come out of a saved trace
 // file.
 
@@ -27,8 +29,8 @@ type ExitRow struct {
 // duration. The scan is per CPU: between a KindVMExit and its matching
 // KindVMResume, any KindIPCReply latency is VMM time. Exits with no
 // resume record (a killed VM, or a wrapped ring) are dropped.
-func ExitBreakdown(d *TraceData) []ExitRow {
-	n := len(d.Meta.ExitReasons)
+func ExitBreakdown(d *Data) []ExitRow {
+	n := x86.NumExitReasons
 	type acc struct {
 		count, total, vmm uint64
 	}
@@ -63,13 +65,13 @@ func ExitBreakdown(d *TraceData) []ExitRow {
 		if a.count == 0 {
 			continue
 		}
-		hardware := a.count * d.Meta.VMTransit
+		hardware := a.count * d.Costs.VMTransit
 		kernel := uint64(0)
 		if a.total > a.vmm+hardware {
 			kernel = a.total - a.vmm - hardware
 		}
 		rows = append(rows, ExitRow{
-			Reason:   d.Meta.ExitReasons[r],
+			Reason:   x86.ExitReason(r).String(),
 			Count:    a.count,
 			Total:    a.total,
 			Hardware: hardware,
@@ -99,7 +101,7 @@ type IPCBreakdown struct {
 // after the caller's kernel entry, so one-way = (latency + entry
 // cost) / 2 — the same arithmetic the bench harness applies to its
 // clock deltas.
-func ComputeIPCBreakdown(d *TraceData) IPCBreakdown {
+func ComputeIPCBreakdown(d *Data) IPCBreakdown {
 	var sameSum, sameN, crossSum, crossN uint64
 	for _, events := range d.PerCPU {
 		for _, e := range events {
@@ -115,12 +117,12 @@ func ComputeIPCBreakdown(d *TraceData) IPCBreakdown {
 			}
 		}
 	}
-	b := IPCBreakdown{SameCount: sameN, CrossCount: crossN, EntryExit: d.Meta.SyscallEntryExit}
+	b := IPCBreakdown{SameCount: sameN, CrossCount: crossN, EntryExit: d.Costs.SyscallEntryExit}
 	if sameN > 0 {
-		b.SameOneWay = (sameSum/sameN + d.Meta.SyscallEntryExit) / 2
+		b.SameOneWay = (sameSum/sameN + d.Costs.SyscallEntryExit) / 2
 	}
 	if crossN > 0 {
-		b.CrossOneWay = (crossSum/crossN + d.Meta.SyscallEntryExit) / 2
+		b.CrossOneWay = (crossSum/crossN + d.Costs.SyscallEntryExit) / 2
 	}
 	if b.SameOneWay > b.EntryExit {
 		b.IPCPath = b.SameOneWay - b.EntryExit
@@ -148,18 +150,18 @@ type VTLBBreakdown struct {
 // the shadow-table walk a warm access would have paid anyway (two page
 // walk levels), matching the cold-minus-warm methodology of the bench
 // kernel.
-func ComputeVTLBBreakdown(d *TraceData) VTLBBreakdown {
+func ComputeVTLBBreakdown(d *Data) VTLBBreakdown {
 	h := d.Metrics.VTLBFill
 	b := VTLBBreakdown{
 		Fills:      h.Count,
-		ExitResume: d.Meta.VMTransit,
-		VMReads:    6 * d.Meta.VMRead,
+		ExitResume: d.Costs.VMTransit,
+		VMReads:    6 * d.Costs.VMRead,
 	}
 	if h.Count == 0 {
 		return b
 	}
 	b.AvgFill = h.Sum / h.Count
-	warm := 2 * d.Meta.PageWalkLevel
+	warm := 2 * d.Costs.PageWalkLevel
 	if b.AvgFill > warm {
 		b.PerMiss = b.AvgFill - warm
 	}

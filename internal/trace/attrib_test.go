@@ -2,32 +2,31 @@ package trace
 
 import "testing"
 
-// synthMeta is a cost model for the attribution tests: easy round
+// synthCosts is a cost model for the attribution tests: easy round
 // numbers, unrelated to any real CPU.
-var synthMeta = Meta{
+var synthCosts = Costs{
 	SyscallEntryExit: 100,
 	VMTransit:        1000,
 	VMRead:           40,
 	PageWalkLevel:    30,
-	ExitReasons:      []string{"none", "io", "ept-violation"},
 }
 
 func TestExitBreakdown(t *testing.T) {
-	d := &TraceData{
-		Meta: synthMeta,
-		PerCPU: [][]Event{{
-			// One io exit: 3000 cycles total, 800 of them in the VMM.
-			{Time: 0, Kind: KindVMExit, A0: 1, A1: 0x8000, A2: 2},
+	d := &Data{
+		Costs: synthCosts,
+		Rings: Rings{PerCPU: [][]Event{{
+			// One io exit (x86.ExitIO): 3000 cycles total, 800 of them in the VMM.
+			{Time: 0, Kind: KindVMExit, A0: 3, A1: 0x8000, A2: 2},
 			{Time: 2800, Kind: KindIPCReply, A0: 4, A1: 800, A2: 1},
-			{Time: 3000, Kind: KindVMResume, A0: 1, A1: 3000, A2: 2},
-			// One ept-violation: 5000 total, two IPC legs of 700 each.
-			{Time: 4000, Kind: KindVMExit, A0: 2, A1: 0x9000, A2: 2},
+			{Time: 3000, Kind: KindVMResume, A0: 3, A1: 3000, A2: 2},
+			// One ept-violation (x86.ExitEPTViolation): 5000 total, two IPC legs of 700 each.
+			{Time: 4000, Kind: KindVMExit, A0: 4, A1: 0x9000, A2: 2},
 			{Time: 5000, Kind: KindIPCReply, A0: 4, A1: 700, A2: 1},
 			{Time: 6000, Kind: KindIPCReply, A0: 5, A1: 700, A2: 1},
-			{Time: 9000, Kind: KindVMResume, A0: 2, A1: 5000, A2: 2},
+			{Time: 9000, Kind: KindVMResume, A0: 4, A1: 5000, A2: 2},
 			// An exit with no resume (ring wrapped): dropped.
-			{Time: 10000, Kind: KindVMExit, A0: 1, A1: 0xa000, A2: 2},
-		}},
+			{Time: 10000, Kind: KindVMExit, A0: 3, A1: 0xa000, A2: 2},
+		}}},
 	}
 	rows := ExitBreakdown(d)
 	if len(rows) != 2 {
@@ -48,13 +47,13 @@ func TestExitBreakdown(t *testing.T) {
 func TestExitBreakdownClampsKernel(t *testing.T) {
 	// VMM + hardware exceeding the total must clamp Kernel to 0, not
 	// underflow.
-	d := &TraceData{
-		Meta: synthMeta,
-		PerCPU: [][]Event{{
+	d := &Data{
+		Costs: synthCosts,
+		Rings: Rings{PerCPU: [][]Event{{
 			{Time: 0, Kind: KindVMExit, A0: 1, A2: 2},
 			{Time: 100, Kind: KindIPCReply, A0: 4, A1: 900, A2: 1},
 			{Time: 200, Kind: KindVMResume, A0: 1, A1: 1200, A2: 2},
-		}},
+		}}},
 	}
 	rows := ExitBreakdown(d)
 	if len(rows) != 1 || rows[0].Kernel != 0 {
@@ -66,13 +65,13 @@ func TestComputeIPCBreakdown(t *testing.T) {
 	// Figure 8 reconstruction: same-AS one-way of 300 cycles means a
 	// recorded call latency of 2*300 - 100 (entry charged before the
 	// recorded window opens) = 500; cross-AS one-way 450 -> latency 800.
-	d := &TraceData{
-		Meta: synthMeta,
-		PerCPU: [][]Event{{
+	d := &Data{
+		Costs: synthCosts,
+		Rings: Rings{PerCPU: [][]Event{{
 			{Kind: KindIPCReply, A0: 1, A1: 500, A2: 0},
 			{Kind: KindIPCReply, A0: 1, A1: 500, A2: 0},
 			{Kind: KindIPCReply, A0: 2, A1: 800, A2: 1},
-		}},
+		}}},
 	}
 	b := ComputeIPCBreakdown(d)
 	if b.SameCount != 2 || b.CrossCount != 1 {
@@ -97,7 +96,7 @@ func TestComputeVTLBBreakdown(t *testing.T) {
 	var h Histogram
 	h.Observe(1400)
 	h.Observe(1600)
-	d := &TraceData{Meta: synthMeta, Metrics: Metrics{VTLBFill: h.Data()}}
+	d := &Data{Costs: synthCosts, Metrics: Metrics{VTLBFill: h.Data()}}
 	b := ComputeVTLBBreakdown(d)
 	if b.Fills != 2 || b.AvgFill != 1500 || b.PerMiss != 1440 {
 		t.Fatalf("breakdown: %+v", b)
@@ -111,7 +110,7 @@ func TestComputeVTLBBreakdown(t *testing.T) {
 }
 
 func TestComputeVTLBBreakdownEmpty(t *testing.T) {
-	d := &TraceData{Meta: synthMeta}
+	d := &Data{Costs: synthCosts}
 	b := ComputeVTLBBreakdown(d)
 	if b.Fills != 0 || b.PerMiss != 0 || b.Fill != 0 {
 		t.Errorf("empty trace produced fills: %+v", b)

@@ -1,45 +1,22 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
-	"fmt"
-	"hash/fnv"
-	"io"
-
 	"nova/internal/hw"
+	"nova/internal/x86"
 )
 
-// magic identifies a serialized trace (version 1).
-const magic = "NOVATRC1"
-
-// eventSize is the fixed on-disk size of one event record:
-// time(8) + seq(8) + kind(1) + 4×arg(8).
-const eventSize = 8 + 8 + 1 + 4*8
-
-// Meta describes the run that produced a trace: the cost-model
-// constants a renderer needs to decompose measured durations into the
-// paper's Figure 8/9 boxes, plus the enum name tables so traces are
-// self-describing.
-type Meta struct {
-	Model        string `json:"model"`
-	FreqMHz      int    `json:"freq_mhz"`
-	NumCPUs      int    `json:"num_cpus"`
-	RingCapacity int    `json:"ring_capacity"`
-	VPID         bool   `json:"vpid"`
-
-	// Cost-model constants, in cycles. VMTransit is the effective
-	// world-switch cost of the run (tagged-aware).
+// Costs are the cost-model constants, in cycles, that the attribution
+// pass decomposes measured durations with (the paper's Figure 8/9
+// boxes). VMTransit is the run's effective world-switch cost, which
+// depends on whether VPID tags the TLB.
+type Costs struct {
+	VPID             bool   `json:"vpid"`
 	SyscallEntryExit uint64 `json:"syscall_entry_exit"`
 	VMTransit        uint64 `json:"vm_transit"`
 	VMRead           uint64 `json:"vm_read"`
 	TLBRefill        uint64 `json:"tlb_refill"`
 	PageWalkLevel    uint64 `json:"page_walk_level"`
 	CacheLineAccess  uint64 `json:"cache_line_access"`
-
-	ExitReasons []string `json:"exit_reasons"`
-	KindNames   []string `json:"kind_names"`
 }
 
 // NamedCount is one (name, count) pair in the metrics section.
@@ -122,11 +99,12 @@ type RingStatus struct {
 	Overwritten uint64 `json:"overwritten"`
 }
 
-// Metrics is the counters-and-histograms section of a trace.
+// Metrics are the whole-run aggregates of a trace section, exact even
+// when a ring wraps.
 type Metrics struct {
 	Exits           []NamedCount  `json:"exits,omitempty"` // reason order, non-zero only
 	VTLBMisses      uint64        `json:"vtlb_misses"`
-	Rings           []RingStatus  `json:"rings,omitempty"` // CPU order
+	Rings           []RingStatus  `json:"rings,omitempty"` // CPU order; views fill it from Data.Status
 	IPCLatency      HistogramData `json:"ipc_latency"`
 	DispatchLatency HistogramData `json:"dispatch_latency"`
 	ExitLatency     HistogramData `json:"exit_latency"`
@@ -146,191 +124,120 @@ func (t *Tracer) MetricsData() Metrics {
 		VTLBFill:        t.VTLBFill.Data(),
 	}
 	for r, n := range t.ExitCounts {
-		if n == 0 {
-			continue
+		if n > 0 {
+			m.Exits = append(m.Exits, NamedCount{Name: x86.ExitReason(r).String(), Count: n})
 		}
-		name := fmt.Sprintf("reason-%d", r)
-		if r < len(t.Meta.ExitReasons) {
-			name = t.Meta.ExitReasons[r]
-		}
-		m.Exits = append(m.Exits, NamedCount{Name: name, Count: n})
-	}
-	for cpu, r := range t.rings {
-		m.Rings = append(m.Rings, RingStatus{
-			CPU: cpu, Capacity: r.Cap(), Live: r.Len(), Overwritten: r.Overwritten(),
-		})
 	}
 	return m
 }
 
-// WriteTo serializes the trace: magic, meta JSON, per-CPU event rings,
-// metrics JSON. Every section is deterministic — struct-based JSON
-// (fixed field order) and fixed-size little-endian event records — so
-// two runs from identical inputs serialize to identical bytes.
-func (t *Tracer) WriteTo(w io.Writer) (int64, error) {
-	if t == nil {
-		return 0, fmt.Errorf("trace: nil tracer")
-	}
-	var buf bytes.Buffer
-	buf.WriteString(magic)
+// Rings is the recorded content of one sink's per-CPU rings (the
+// tracer's, or the span recorder's), the part of its file section both
+// sinks share.
+type Rings struct {
+	Capacity    int
+	PerCPU      [][]Event // index = CPU, oldest first
+	Overwritten []uint64  // records dropped per CPU
+}
 
-	metaJSON, err := json.Marshal(t.Meta)
-	if err != nil {
-		return 0, err
+// SnapshotRings copies the live events of rings.
+func SnapshotRings(rings []*Ring) Rings {
+	var d Rings
+	for _, r := range rings {
+		d.Capacity = r.Cap()
+		d.PerCPU = append(d.PerCPU, r.Events())
+		d.Overwritten = append(d.Overwritten, r.Overwritten())
 	}
-	WriteSection(&buf, metaJSON)
+	return d
+}
 
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], uint32(len(t.rings)))
-	buf.Write(tmp[:])
-	for _, r := range t.rings {
-		events := r.Events()
-		var hdr [12]byte
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(len(events)))
-		binary.LittleEndian.PutUint64(hdr[4:], r.Overwritten())
-		buf.Write(hdr[:])
-		var rec [eventSize]byte
-		for _, e := range events {
-			binary.LittleEndian.PutUint64(rec[0:], uint64(e.Time))
-			binary.LittleEndian.PutUint64(rec[8:], e.Seq)
-			rec[16] = uint8(e.Kind)
-			binary.LittleEndian.PutUint64(rec[17:], e.A0)
-			binary.LittleEndian.PutUint64(rec[25:], e.A1)
-			binary.LittleEndian.PutUint64(rec[33:], e.A2)
-			binary.LittleEndian.PutUint64(rec[41:], e.A3)
-			buf.Write(rec[:])
+// Events returns all events merged across CPUs in the (time, CPU, seq)
+// order.
+func (d *Rings) Events() []Event { return mergeEvents(d.PerCPU) }
+
+// Status reports each ring's occupancy, in CPU order.
+func (d *Rings) Status() []RingStatus {
+	var out []RingStatus
+	for cpu, events := range d.PerCPU {
+		out = append(out, RingStatus{CPU: cpu, Capacity: d.Capacity, Live: len(events), Overwritten: d.Overwritten[cpu]})
+	}
+	return out
+}
+
+// recordSize is the encoded size of one ring record:
+// time(8) + kind(1) + 4×arg(8). A record's CPU is its ring's, and its
+// sequence number follows from the ring's overwrite count: the first
+// surviving record's Seq equals Overwritten, and Seq has no gaps.
+const recordSize = 8 + 1 + 4*8
+
+// WriteBody appends the rings: the capacity, then per CPU the
+// overwrite count and the live records.
+func (d *Rings) WriteBody(e *Enc) {
+	e.U32(uint32(d.Capacity))
+	for cpu, events := range d.PerCPU {
+		e.U64(d.Overwritten[cpu])
+		e.U32(uint32(len(events)))
+		for _, ev := range events {
+			e.U64(uint64(ev.Time))
+			e.U8(uint8(ev.Kind))
+			e.U64(ev.A0)
+			e.U64(ev.A1)
+			e.U64(ev.A2)
+			e.U64(ev.A3)
 		}
 	}
-
-	metricsJSON, err := json.Marshal(t.MetricsData())
-	if err != nil {
-		return 0, err
-	}
-	WriteSection(&buf, metricsJSON)
-
-	n, err := w.Write(buf.Bytes())
-	return int64(n), err
 }
 
-// Encode returns the serialized trace as a byte slice.
-func (t *Tracer) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := t.WriteTo(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Hash returns the FNV-64a hash of the serialized trace. The
-// determinism regression test compares this across runs: identical
-// inputs must produce identical traces, not merely identical counts.
-func (t *Tracer) Hash() uint64 {
-	b, err := t.Encode()
-	if err != nil {
-		return 0
-	}
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}
-
-// WriteSection appends one length-prefixed section (u32 LE length, then
-// the body) to buf. The framing is shared by the trace (NOVATRC1) and
-// profile (NOVAPRF1) file formats.
-func WriteSection(buf *bytes.Buffer, b []byte) {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], uint32(len(b)))
-	buf.Write(tmp[:])
-	buf.Write(b)
-}
-
-// TraceData is a decoded trace.
-type TraceData struct {
-	Meta        Meta
-	PerCPU      [][]Event // index = CPU, ordered by sequence
-	Overwritten []uint64  // per CPU
-	Metrics     Metrics
-}
-
-// Events returns all events merged into the (time, CPU, seq) order.
-func (d *TraceData) Events() []Event { return MergeEvents(d.PerCPU) }
-
-// Decode parses a serialized trace.
-func Decode(b []byte) (*TraceData, error) {
-	if len(b) < len(magic) || string(b[:len(magic)]) != magic {
-		return nil, fmt.Errorf("trace: bad magic (not a nova trace file)")
-	}
-	b = b[len(magic):]
-
-	metaJSON, b, err := ReadSection(b)
-	if err != nil {
-		return nil, fmt.Errorf("trace: meta: %w", err)
-	}
-	d := &TraceData{}
-	if err := json.Unmarshal(metaJSON, &d.Meta); err != nil {
-		return nil, fmt.Errorf("trace: meta: %w", err)
-	}
-
-	if len(b) < 4 {
-		return nil, fmt.Errorf("trace: truncated CPU count")
-	}
-	cpus := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if cpus < 0 || cpus > 1<<16 {
-		return nil, fmt.Errorf("trace: implausible CPU count %d", cpus)
-	}
-	for cpu := 0; cpu < cpus; cpu++ {
-		if len(b) < 12 {
-			return nil, fmt.Errorf("trace: truncated ring header (cpu %d)", cpu)
-		}
-		count := int(binary.LittleEndian.Uint32(b))
-		over := binary.LittleEndian.Uint64(b[4:])
-		b = b[12:]
-		if count < 0 || len(b) < count*eventSize {
-			return nil, fmt.Errorf("trace: truncated ring (cpu %d)", cpu)
-		}
-		events := make([]Event, count)
+// ReadRings reads the rings of cpus CPUs back.
+func ReadRings(d *Dec, cpus int) Rings {
+	r := Rings{Capacity: int(d.U32())}
+	for cpu := 0; cpu < cpus && d.Err == nil; cpu++ {
+		over := d.U64()
+		events := make([]Event, d.Count(recordSize))
 		for i := range events {
-			rec := b[i*eventSize:]
 			events[i] = Event{
-				Time: hw.Cycles(binary.LittleEndian.Uint64(rec[0:])),
-				Seq:  binary.LittleEndian.Uint64(rec[8:]),
+				Seq:  over + uint64(i),
+				Time: hw.Cycles(d.U64()),
 				CPU:  uint8(cpu),
-				Kind: Kind(rec[16]),
-				A0:   binary.LittleEndian.Uint64(rec[17:]),
-				A1:   binary.LittleEndian.Uint64(rec[25:]),
-				A2:   binary.LittleEndian.Uint64(rec[33:]),
-				A3:   binary.LittleEndian.Uint64(rec[41:]),
+				Kind: Kind(d.U8()),
+				A0:   d.U64(), A1: d.U64(), A2: d.U64(), A3: d.U64(),
 			}
 		}
-		b = b[count*eventSize:]
-		d.PerCPU = append(d.PerCPU, events)
-		d.Overwritten = append(d.Overwritten, over)
+		r.PerCPU = append(r.PerCPU, events)
+		r.Overwritten = append(r.Overwritten, over)
 	}
-
-	metricsJSON, b, err := ReadSection(b)
-	if err != nil {
-		return nil, fmt.Errorf("trace: metrics: %w", err)
-	}
-	if err := json.Unmarshal(metricsJSON, &d.Metrics); err != nil {
-		return nil, fmt.Errorf("trace: metrics: %w", err)
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("trace: %d trailing bytes", len(b))
-	}
-	return d, nil
+	return r
 }
 
-// ReadSection splits one length-prefixed section (as written by
-// WriteSection) off the front of b.
-func ReadSection(b []byte) (section, rest []byte, err error) {
-	if len(b) < 4 {
-		return nil, nil, fmt.Errorf("truncated section length")
+// Data is the trace section of an observability file: the cost
+// constants, the rings and the whole-run aggregates, which stay exact
+// when a ring wraps.
+type Data struct {
+	Costs Costs
+	Rings
+	Metrics Metrics
+}
+
+// Data snapshots the tracer; nil when tracing is off.
+func (t *Tracer) Data() *Data {
+	if t == nil {
+		return nil
 	}
-	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if n < 0 || len(b) < n {
-		return nil, nil, fmt.Errorf("truncated section body")
-	}
-	return b[:n], b[n:], nil
+	return &Data{Costs: t.Costs, Rings: SnapshotRings(t.rings), Metrics: t.MetricsData()}
+}
+
+// WriteBody appends the trace section body.
+func (d *Data) WriteBody(e *Enc) {
+	e.JSON(d.Costs)
+	d.Rings.WriteBody(e)
+	e.JSON(d.Metrics)
+}
+
+// ReadBody reads a trace section body of cpus rings.
+func ReadBody(dec *Dec, cpus int) *Data {
+	d := &Data{}
+	dec.JSON(&d.Costs)
+	d.Rings = ReadRings(dec, cpus)
+	dec.JSON(&d.Metrics)
+	return d
 }

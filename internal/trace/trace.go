@@ -138,8 +138,8 @@ const (
 // CauseINVLPG is the KindVTLBFlush cause of a single-page INVLPG prune.
 const CauseINVLPG = 0xff
 
-// NumKinds counts the ring kinds, the ones a trace file stores and
-// names; NumAllKinds adds the aggregate-only kinds.
+// NumKinds counts the ring kinds, the ones a ring stores;
+// NumAllKinds adds the aggregate-only kinds.
 const (
 	NumKinds    = int(KindNetRX) + 1
 	NumAllKinds = int(KindNetIRQ) + 1
@@ -181,13 +181,6 @@ func (k Kind) String() string {
 		return kindNames[k]
 	}
 	return "kind?"
-}
-
-// KindNames returns the ring kinds' name table in kind order (for Meta).
-func KindNames() []string {
-	names := make([]string, NumKinds)
-	copy(names, kindNames[:NumKinds])
-	return names
 }
 
 // Event is one trace record. Seq is the per-CPU sequence number (gaps
@@ -277,7 +270,7 @@ func (r *Ring) Events() []Event {
 // no-op. The aggregates below are folded from the emitted events, so
 // they stay exact when a ring wraps.
 type Tracer struct {
-	Meta  Meta
+	Costs Costs
 	rings []*Ring
 
 	// ExitCounts counts VM exits by reason (indexed by x86.ExitReason).
@@ -293,10 +286,8 @@ type Tracer struct {
 }
 
 // New creates a tracer with one ring of the given capacity per CPU.
-func New(meta Meta, cpus, capacity int) *Tracer {
-	t := &Tracer{Meta: meta}
-	t.Meta.NumCPUs = cpus
-	t.Meta.RingCapacity = capacity
+func New(costs Costs, cpus, capacity int) *Tracer {
+	t := &Tracer{Costs: costs}
 	for i := 0; i < cpus; i++ {
 		t.rings = append(t.rings, NewRing(i, capacity))
 	}
@@ -331,32 +322,10 @@ func (t *Tracer) Emit(cpu int, now hw.Cycles, k Kind, a0, a1, a2, a3 uint64) {
 	}
 }
 
-// Rings returns the per-CPU rings (index = CPU).
-func (t *Tracer) Rings() []*Ring {
-	if t == nil {
-		return nil
-	}
-	return t.rings
-}
-
-// Events returns all live events merged across CPUs, ordered by
-// (time, CPU, sequence) — a deterministic total order because each
-// CPU's ring is already time- and sequence-ordered.
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	var per [][]Event
-	for _, r := range t.rings {
-		per = append(per, r.Events())
-	}
-	return MergeEvents(per)
-}
-
-// MergeEvents merges per-CPU, already-ordered event slices into the
-// (time, CPU, seq) total order. Exported because the span recorder's
-// per-CPU rings merge the same way.
-func MergeEvents(per [][]Event) []Event {
+// mergeEvents merges per-CPU, already-ordered event slices into the
+// (time, CPU, seq) total order, a deterministic total order because
+// each CPU's ring is already time- and sequence-ordered.
+func mergeEvents(per [][]Event) []Event {
 	total := 0
 	for _, p := range per {
 		total += len(p)

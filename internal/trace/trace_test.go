@@ -2,6 +2,7 @@ package trace
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"nova/internal/hw"
@@ -110,19 +111,19 @@ func TestHistogramObserve(t *testing.T) {
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(0, 1, KindVMExit, 1, 2, 3, 4)
-	if tr.Rings() != nil || tr.Events() != nil {
+	if tr.Data() != nil {
 		t.Error("nil tracer returned data")
 	}
 	if m := tr.MetricsData(); len(m.Exits) != 0 {
 		t.Error("nil tracer returned metrics")
 	}
-	if _, err := tr.WriteTo(nil); err == nil {
-		t.Error("nil tracer serialized without error")
+	if tr.Data() != nil {
+		t.Error("nil tracer returned a section")
 	}
 }
 
 func TestMergeEventsOrder(t *testing.T) {
-	tr := New(Meta{}, 2, 8)
+	tr := New(Costs{}, 2, 8)
 	tr.Emit(0, 10, KindPIO, 0, 0, 0, 0)
 	tr.Emit(1, 5, KindPIO, 1, 0, 0, 0)
 	tr.Emit(0, 20, KindPIO, 2, 0, 0, 0)
@@ -131,7 +132,7 @@ func TestMergeEventsOrder(t *testing.T) {
 	tr.Emit(2, 1, KindPIO, 9, 0, 0, 0)
 	tr.Emit(-1, 1, KindPIO, 9, 0, 0, 0)
 	var got []uint64
-	for _, e := range tr.Events() {
+	for _, e := range tr.Data().Events() {
 		got = append(got, e.A0)
 	}
 	// Time order; CPU 0 before CPU 1 at equal times.
@@ -140,31 +141,34 @@ func TestMergeEventsOrder(t *testing.T) {
 	}
 }
 
+// roundTrip writes d's section body and reads it back.
+func roundTrip(t *testing.T, d *Data, cpus int) ([]byte, *Data, error) {
+	t.Helper()
+	var e Enc
+	d.WriteBody(&e)
+	dec := &Dec{B: e.B}
+	got := ReadBody(dec, cpus)
+	return e.B, got, dec.End()
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	meta := Meta{
-		Model: "BLM", FreqMHz: 2670, VPID: true,
-		SyscallEntryExit: 124, VMTransit: 1016, VMRead: 44,
+	costs := Costs{
+		VPID: true, SyscallEntryExit: 124, VMTransit: 1016, VMRead: 44,
 		TLBRefill: 310, PageWalkLevel: 30, CacheLineAccess: 15,
-		ExitReasons: []string{"none", "io"},
-		KindNames:   KindNames(),
 	}
-	tr := New(meta, 2, 2)
+	tr := New(costs, 2, 2)
 	tr.Emit(0, 100, KindVMExit, 1, 0x8000, 2, 0)
 	tr.Emit(0, 200, KindIPCReply, 4, 90, 1, 0)
 	tr.Emit(0, 300, KindVMResume, 1, 200, 2, 0) // wraps: drops the first
 	tr.Emit(1, 150, KindVTLBFill, 0x1000, 500, 2, 0)
 	tr.Emit(1, 160, KindSchedRan, 2, 999, 0, 0) // aggregate-only: no record
 
-	b, err := tr.Encode()
+	b, d, err := roundTrip(t, tr.Data(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Decode(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(d.Meta, tr.Meta) {
-		t.Errorf("meta mismatch:\n got %+v\nwant %+v", d.Meta, tr.Meta)
+	if d.Costs != tr.Costs || d.Capacity != 2 {
+		t.Errorf("costs/capacity mismatch:\n got %+v, %d\nwant %+v, 2", d.Costs, d.Capacity, tr.Costs)
 	}
 	if len(d.PerCPU) != 2 || len(d.PerCPU[0]) != 2 || len(d.PerCPU[1]) != 1 {
 		t.Fatalf("per-CPU shapes: %d/%d", len(d.PerCPU[0]), len(d.PerCPU[1]))
@@ -172,6 +176,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if d.Overwritten[0] != 1 || d.Overwritten[1] != 0 {
 		t.Errorf("overwritten = %v", d.Overwritten)
 	}
+	// Sequence numbers and CPUs are not stored; they come back from
+	// the ring's overwrite count and position.
 	if !reflect.DeepEqual(d.PerCPU[0], tr.rings[0].Events()) {
 		t.Errorf("cpu0 events: got %+v want %+v", d.PerCPU[0], tr.rings[0].Events())
 	}
@@ -181,39 +187,49 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		d.Metrics.IPCLatency.Count != 1 || d.Metrics.VTLBFill.Sum != 500 || d.Metrics.VTLBMisses != 1 {
 		t.Errorf("metrics: %+v", d.Metrics)
 	}
-	if !reflect.DeepEqual(d.Events(), tr.Events()) {
+	if !reflect.DeepEqual(d.Events(), tr.Data().Events()) {
 		t.Error("merged events differ after round trip")
 	}
-
-	// Serialization is deterministic byte for byte.
-	b2, err := tr.Encode()
-	if err != nil {
-		t.Fatal(err)
+	if st := d.Status(); st[0] != (RingStatus{CPU: 0, Capacity: 2, Live: 2, Overwritten: 1}) {
+		t.Errorf("ring status %+v", st)
 	}
-	if string(b) != string(b2) {
-		t.Error("two encodings of the same tracer differ")
+
+	// Serialization is deterministic byte for byte, and a decoded
+	// section re-encodes to the same bytes.
+	b2, _, _ := roundTrip(t, tr.Data(), 2)
+	b3, _, _ := roundTrip(t, d, 2)
+	if string(b) != string(b2) || string(b) != string(b3) {
+		t.Error("encodings of the same trace differ")
 	}
 }
 
 func TestDecodeRejectsCorruptInput(t *testing.T) {
-	tr := New(Meta{Model: "K8"}, 1, 4)
+	tr := New(Costs{}, 1, 4)
 	tr.Emit(0, 1, KindPIO, 0, 0, 0, 0)
-	b, err := tr.Encode()
+	b, _, err := roundTrip(t, tr.Data(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode([]byte("NOTATRACE")); err == nil {
-		t.Error("bad magic accepted")
+	read := func(b []byte) error {
+		dec := &Dec{B: b}
+		ReadBody(dec, 1)
+		return dec.End()
 	}
-	if _, err := Decode(b[:len(b)-3]); err == nil {
+	if err := read(b[:len(b)-3]); err == nil {
 		t.Error("truncated trace accepted")
 	}
-	if _, err := Decode(append(append([]byte{}, b...), 0)); err == nil {
+	if err := read(append(append([]byte{}, b...), 0)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
-	for cut := range []int{8, 10, 12} {
-		if _, err := Decode(b[:cut]); err == nil {
+	for _, cut := range []int{0, 3, 10} {
+		if err := read(b[:cut]); err == nil {
 			t.Errorf("prefix of %d bytes accepted", cut)
 		}
+	}
+	// Costs JSON with a space is not the canonical encoding.
+	var e Enc
+	e.Bytes([]byte(` {"vpid":false,"syscall_entry_exit":0,"vm_transit":0,"vm_read":0,"tlb_refill":0,"page_walk_level":0,"cache_line_access":0}`))
+	if err := read(e.B); err == nil || !strings.Contains(err.Error(), "canonical") {
+		t.Errorf("non-canonical costs: %v", err)
 	}
 }

@@ -108,8 +108,8 @@ func instBranch(inst *Inst) bool {
 // fused run's cost is exactly its instruction count times the base
 // instruction cost. MUL and DIV group-3 forms charge extra latency and
 // are excluded; everything else instNoFault admits retires for the flat
-// base cost. Exported for nova-prof, which annotates hot addresses with
-// their fusibility.
+// base cost. Exported for nova-obs, whose profile report annotates hot
+// addresses with their fusibility.
 func InstFusible(inst *Inst) bool {
 	if !instNoFault(inst) {
 		return false
