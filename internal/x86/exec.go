@@ -465,28 +465,33 @@ func (ip *Interp) execALUBlock(inst *Inst) error {
 		size = 1
 	}
 
-	var dst, src uint32
-	var writeBack func(uint32) error
 	switch form {
 	case 0, 1: // r/m, r
-		v, err := ip.readRM(inst, size)
+		dst, err := ip.readRM(inst, size)
 		if err != nil {
 			return err
 		}
-		dst, src = v, st.Reg(inst.RegOp, size)
-		writeBack = func(r uint32) error { return ip.writeRM(inst, size, r) }
+		res := st.aluOp(aluOp, dst, st.Reg(inst.RegOp, size), size)
+		if aluOp == aluCMP {
+			return nil
+		}
+		return ip.writeRM(inst, size, res)
 	case 2, 3: // r, r/m
-		v, err := ip.readRM(inst, size)
+		src, err := ip.readRM(inst, size)
 		if err != nil {
 			return err
 		}
-		dst, src = st.Reg(inst.RegOp, size), v
-		writeBack = func(r uint32) error { st.SetReg(inst.RegOp, size, r); return nil }
-	case 4, 5: // AL/eAX, imm
-		dst, src = st.Reg(EAX, size), inst.Imm
-		writeBack = func(r uint32) error { st.SetReg(EAX, size, r); return nil }
+		res := st.aluOp(aluOp, st.Reg(inst.RegOp, size), src, size)
+		if aluOp != aluCMP {
+			st.SetReg(inst.RegOp, size, res)
+		}
+	default: // 4, 5: AL/eAX, imm
+		res := st.aluOp(aluOp, st.Reg(EAX, size), inst.Imm, size)
+		if aluOp != aluCMP {
+			st.SetReg(EAX, size, res)
+		}
 	}
-	return ip.aluOp(aluOp, dst, src, size, writeBack)
+	return nil
 }
 
 // execGroup1 handles 0x80-0x83: ALU r/m, imm.
@@ -503,52 +508,53 @@ func (ip *Interp) execGroup1(inst *Inst) error {
 	if err != nil {
 		return err
 	}
-	return ip.aluOp(inst.RegOp, dst, src, size, func(r uint32) error {
-		return ip.writeRM(inst, size, r)
-	})
+	res := ip.St.aluOp(inst.RegOp, dst, src, size)
+	if inst.RegOp == aluCMP {
+		return nil
+	}
+	return ip.writeRM(inst, size, res)
 }
 
-// aluOp executes one of the 8 classic ALU operations and writes flags.
-// CMP (7) discards the result.
-func (ip *Interp) aluOp(aluOp int, dst, src uint32, size int, writeBack func(uint32) error) error {
-	st := ip.St
+// aluCMP is the ALU operation that only sets flags.
+const aluCMP = 7
+
+// aluOp executes one of the 8 classic ALU operations, sets its flags
+// and returns the result masked to size; the caller writes it back
+// unless the operation is aluCMP.
+func (c *CPUState) aluOp(aluOp int, dst, src uint32, size int) uint32 {
 	var res uint32
 	switch aluOp {
 	case 0: // ADD
 		res = dst + src
-		st.flagsAdd(dst, src, res, size, 0)
+		c.flagsAdd(dst, src, res, size, 0)
 	case 1: // OR
 		res = dst | src
-		st.flagsLogic(res, size)
+		c.flagsLogic(res, size)
 	case 2: // ADC
-		c := uint32(0)
-		if st.GetFlag(FlagCF) {
-			c = 1
+		cf := uint32(0)
+		if c.GetFlag(FlagCF) {
+			cf = 1
 		}
-		res = dst + src + c
-		st.flagsAdd(dst, src, res, size, c)
+		res = dst + src + cf
+		c.flagsAdd(dst, src, res, size, cf)
 	case 3: // SBB
 		b := uint32(0)
-		if st.GetFlag(FlagCF) {
+		if c.GetFlag(FlagCF) {
 			b = 1
 		}
 		res = dst - src - b
-		st.flagsSub(dst, src, res, size, b)
+		c.flagsSub(dst, src, res, size, b)
 	case 4: // AND
 		res = dst & src
-		st.flagsLogic(res, size)
-	case 5: // SUB
+		c.flagsLogic(res, size)
+	case 5, aluCMP: // SUB, CMP
 		res = dst - src
-		st.flagsSub(dst, src, res, size, 0)
+		c.flagsSub(dst, src, res, size, 0)
 	case 6: // XOR
 		res = dst ^ src
-		st.flagsLogic(res, size)
-	case 7: // CMP
-		res = dst - src
-		st.flagsSub(dst, src, res, size, 0)
-		return nil
+		c.flagsLogic(res, size)
 	}
-	return writeBack(res & sizeMask(size))
+	return res & sizeMask(size)
 }
 
 // pusha pushes all eight GPRs.

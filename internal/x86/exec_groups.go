@@ -27,7 +27,8 @@ func (ip *Interp) execShiftGroup(inst *Inst) error {
 	}
 	bits := uint32(size) * 8
 	v &= sizeMask(size)
-	var res uint32
+	var res, cf, fl uint32
+	written := FlagCF | FlagOF // rotates leave SF, ZF, AF and PF alone
 	switch inst.RegOp {
 	case 0: // ROL
 		c := count % bits
@@ -35,75 +36,57 @@ func (ip *Interp) execShiftGroup(inst *Inst) error {
 		if c == 0 {
 			res = v
 		}
-		st.SetFlag(FlagCF, res&1 != 0)
-		st.SetFlag(FlagOF, (res&1)^(res>>(bits-1)&1) != 0)
+		cf = res & 1
+		fl = cf | (cf^msb(res, size))*FlagOF
 	case 1: // ROR
 		c := count % bits
 		res = v>>c | v<<(bits-c)
 		if c == 0 {
 			res = v
 		}
-		st.SetFlag(FlagCF, res&signBit(size) != 0)
-		st.SetFlag(FlagOF, (res>>(bits-1)&1)^(res>>(bits-2)&1) != 0)
+		cf = msb(res, size)
+		fl = cf | (cf^res>>(bits-2)&1)*FlagOF
 	case 2: // RCL
-		cf := uint32(0)
-		if st.GetFlag(FlagCF) {
-			cf = 1
-		}
-		wide := uint64(v) | uint64(cf)<<bits
+		wide := uint64(v) | uint64(boolBit(st.GetFlag(FlagCF)))<<bits
 		c := count % (bits + 1)
 		wide = wide<<c | wide>>(uint64(bits)+1-uint64(c))
 		res = uint32(wide) & sizeMask(size)
-		st.SetFlag(FlagCF, wide>>bits&1 != 0)
-		st.SetFlag(FlagOF, (uint32(wide>>bits)&1)^(res>>(bits-1)&1) != 0)
+		cf = uint32(wide>>bits) & 1
+		fl = cf | (cf^msb(res, size))*FlagOF
 	case 3: // RCR
-		cf := uint32(0)
-		if st.GetFlag(FlagCF) {
-			cf = 1
-		}
-		wide := uint64(v) | uint64(cf)<<bits
+		wide := uint64(v) | uint64(boolBit(st.GetFlag(FlagCF)))<<bits
 		c := count % (bits + 1)
 		wide = wide>>c | wide<<(uint64(bits)+1-uint64(c))
 		res = uint32(wide) & sizeMask(size)
-		st.SetFlag(FlagCF, wide>>bits&1 != 0)
-		st.SetFlag(FlagOF, (res>>(bits-1)&1)^(res>>(bits-2)&1) != 0)
-	case 4, 6: // SHL/SAL
-		if count > bits {
-			res = 0
-			st.SetFlag(FlagCF, false)
-		} else {
-			res = v << count
-			st.SetFlag(FlagCF, v>>(bits-count)&1 != 0)
+		cf = uint32(wide>>bits) & 1
+		fl = cf | (msb(res, size)^res>>(bits-2)&1)*FlagOF
+	case 4, 6: // SHL/SAL; a shift past the operand leaves 0 and CF clear
+		written = shiftFlags
+		if count <= bits {
+			res = v << count & sizeMask(size)
+			cf = v >> (bits - count) & 1
 		}
-		res &= sizeMask(size)
-		st.setSZP(res, size)
-		st.SetFlag(FlagOF, (res>>(bits-1)&1) != boolBit(st.GetFlag(FlagCF)))
+		fl = cf | szp(res, size) | (msb(res, size)^cf)*FlagOF
 	case 5: // SHR
-		if count > bits {
-			res = 0
-			st.SetFlag(FlagCF, false)
-		} else {
+		written = shiftFlags
+		if count <= bits {
 			res = v >> count
-			st.SetFlag(FlagCF, v>>(count-1)&1 != 0)
+			cf = v >> (count - 1) & 1
 		}
-		st.setSZP(res, size)
-		st.SetFlag(FlagOF, v&signBit(size) != 0)
-	case 7: // SAR
+		fl = cf | szp(res, size) | msb(v, size)*FlagOF
+	case 7: // SAR: OF clear
+		written = shiftFlags
 		sv := int64(int32(signExtend(v, size)))
 		if count >= bits {
 			count = bits - 1
-			st.SetFlag(FlagCF, sv>>count&1 != 0)
-			res = uint32(sv>>count) & sizeMask(size)
+			cf = uint32(sv>>count) & 1
 		} else {
-			st.SetFlag(FlagCF, sv>>(count-1)&1 != 0)
-			res = uint32(sv>>count) & sizeMask(size)
+			cf = uint32(sv>>(count-1)) & 1
 		}
-		st.setSZP(res, size)
-		st.SetFlag(FlagOF, false)
+		res = uint32(sv>>count) & sizeMask(size)
+		fl = cf | szp(res, size)
 	}
-	if inst.RegOp == 0 || inst.RegOp == 1 || inst.RegOp == 2 || inst.RegOp == 3 {
-		// Rotates don't change SZP.
-	}
+	st.setFlags(written, fl)
 	return ip.writeRM(inst, size, res)
 }
 
@@ -140,8 +123,7 @@ func (ip *Interp) execGroup3(inst *Inst) error {
 		return ip.writeRM(inst, size, ^v&sizeMask(size))
 	case 3: // NEG
 		res := -v & sizeMask(size)
-		st.flagsSub(0, v, res, size, 0)
-		st.SetFlag(FlagCF, v != 0)
+		st.flagsSub(0, v, res, size, 0) // CF = v != 0
 		return ip.writeRM(inst, size, res)
 	case 4: // MUL
 		a := st.Reg(EAX, size)
@@ -157,8 +139,7 @@ func (ip *Interp) execGroup3(inst *Inst) error {
 		if size == 1 {
 			over = uint32(prod)>>8 != 0
 		}
-		st.SetFlag(FlagCF, over)
-		st.SetFlag(FlagOF, over)
+		st.setFlags(FlagCF|FlagOF, flagIf(over, FlagCF|FlagOF))
 		return nil
 	case 5: // IMUL (one operand)
 		a := int64(int32(signExtend(st.Reg(EAX, size), size)))
@@ -171,8 +152,7 @@ func (ip *Interp) execGroup3(inst *Inst) error {
 			st.SetReg(EDX, size, uint32(prod>>(uint(size)*8)))
 		}
 		over := prod != int64(int32(signExtend(uint32(prod), size)))
-		st.SetFlag(FlagCF, over)
-		st.SetFlag(FlagOF, over)
+		st.setFlags(FlagCF|FlagOF, flagIf(over, FlagCF|FlagOF))
 		return nil
 	case 6: // DIV
 		if v == 0 {
@@ -317,7 +297,6 @@ func (ip *Interp) imul2(inst *Inst, src, imm uint32) error {
 	prod := a * b
 	st.SetReg(inst.RegOp, size, uint32(prod))
 	over := prod != int64(int32(signExtend(uint32(prod), size)))
-	st.SetFlag(FlagCF, over)
-	st.SetFlag(FlagOF, over)
+	st.setFlags(FlagCF|FlagOF, flagIf(over, FlagCF|FlagOF))
 	return nil
 }

@@ -138,3 +138,110 @@ org 0x1000
 		t.Errorf("edx=%#x ecx=%#x", st.GPR[EDX], st.GPR[ECX])
 	}
 }
+
+// TestXaddSameRegister checks XADD's write order: SRC ← DEST, then
+// DEST ← sum, so xadd eax, eax doubles EAX.
+func TestXaddSameRegister(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		want uint32
+	}{
+		{"mov eax, 5\nxadd eax, eax\nhlt", 10},
+		{"mov eax, 0x1205\nxadd al, al\nhlt", 0x120a},
+		{"mov eax, 0x12348001\nxadd ax, ax\nhlt", 0x12340002},
+	} {
+		ip, _ := run32(t, tc.src, 10)
+		if got := ip.St.GPR[EAX]; got != tc.want {
+			t.Errorf("%q: eax = %#x, want %#x", tc.src, got, tc.want)
+		}
+	}
+}
+
+// roEnv is a flat machine whose page at 0x7000 is read-only.
+type roEnv struct{ *flatEnv }
+
+func (e roEnv) MemWrite(st *CPUState, va uint32, size int, val uint32) error {
+	if va>>12 == 7 {
+		return PageFault(va, true, true, false)
+	}
+	return e.flatEnv.MemWrite(st, va, size, val)
+}
+
+// TestCmpxchgWritesDestinationOnBothPaths checks that CMPXCHG writes
+// its destination whether or not the compare succeeds (SDM: DEST ←
+// TEMP on failure), so a read-only destination faults either way and
+// Step leaves the CPU state as it was.
+func TestCmpxchgWritesDestinationOnBothPaths(t *testing.T) {
+	code := MustAssemble("bits 32\norg 0x1000\ncmpxchg [0x7000], ecx")
+	for _, acc := range []uint32{7, 8} { // equal, then unequal to [0x7000]
+		env := roEnv{newFlatEnv(1 << 16)}
+		copy(env.mem[0x1000:], code)
+		env.mem[0x7000] = 7
+		st := &CPUState{}
+		st.Reset()
+		st.CR0 = CR0PE
+		for i := range st.Seg {
+			st.Seg[i] = Segment{Limit: 0xffffffff, Def32: true}
+		}
+		st.EIP = 0x1000
+		st.GPR[EAX], st.GPR[ECX] = acc, 42
+		ip := NewInterp(env, st, Intercepts{})
+		inst, err := ip.fetchDecode(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := *st
+		err = ip.exec(inst)
+		if e, ok := err.(*Exception); !ok || e.Vector != VecPF || e.CR2 != 0x7000 {
+			t.Errorf("eax=%d: exec = %v, want #PF at 0x7000", acc, err)
+		}
+		// Through Step the fault rolls the accumulator back. With no
+		// IDT the #PF escalates to a triple-fault exit, which is all
+		// Step can return here.
+		*st = before
+		if _, ok := ip.Step().(*VMExit); !ok {
+			t.Errorf("eax=%d: Step did not exit on the undeliverable #PF", acc)
+		}
+		if st.GPR[EAX] != acc || st.CR2 != 0x7000 {
+			t.Errorf("eax=%d: after Step eax = %d, cr2 = %#x", acc, st.GPR[EAX], st.CR2)
+		}
+	}
+	// A failed compare loads the accumulator and leaves a writable
+	// destination as it was.
+	ip, env := run32(t, "mov dword [0x7000], 7\nmov eax, 8\nmov ecx, 42\ncmpxchg [0x7000], ecx\nhlt", 10)
+	if ip.St.GPR[EAX] != 7 || env.mem[0x7000] != 7 || ip.St.GetFlag(FlagZF) {
+		t.Errorf("failed cmpxchg: eax = %d, [m] = %d, zf = %v", ip.St.GPR[EAX], env.mem[0x7000], ip.St.GetFlag(FlagZF))
+	}
+}
+
+// TestBitTestOffsets checks where BT and friends find their bit in
+// memory: an immediate offset is taken modulo the operand size, a
+// register offset is signed and may address beyond the operand.
+func TestBitTestOffsets(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		src    string
+		wantCF bool
+		byteAt uint32 // the byte at 0x2000+byteAt must read want afterwards
+		want   byte
+	}{
+		{"bt imm mod 32", "mov byte [0x2001], 1\nbt dword [0x2000], 40", true, 5, 0},
+		{"bt imm ignores far byte", "mov byte [0x2005], 1\nbt dword [0x2000], 40", false, 5, 1},
+		{"bt imm mod 16", "mov byte [0x2000], 0x10\nbt word [0x2000], 20", true, 0, 0x10},
+		{"bts imm mod 32", "bts dword [0x2000], 40", false, 1, 1},
+		{"btr imm mod 32", "mov byte [0x2001], 3\nbtr dword [0x2000], 40", true, 1, 2},
+		{"btc imm mod 32", "btc dword [0x2000], 41", false, 1, 2},
+		{"bt reg beyond operand", "mov byte [0x2005], 1\nmov ecx, 40\nbt dword [0x2000], ecx", true, 5, 1},
+		{"bts reg beyond operand", "mov ecx, 40\nbts dword [0x2000], ecx", false, 5, 1},
+		{"bt reg negative", "mov byte [0x1fff], 0x80\nmov ecx, -1\nbt dword [0x2000], ecx", true, 0, 0},
+		{"bt reg16 negative", "mov byte [0x1fff], 0x80\nmov cx, 0xffff\nbt word [0x2000], cx", true, 0, 0},
+	} {
+		ip, env := run32(t, tc.src+"\nhlt", 10)
+		if got := ip.St.GetFlag(FlagCF); got != tc.wantCF {
+			t.Errorf("%s: CF = %v, want %v", tc.name, got, tc.wantCF)
+		}
+		if got := env.mem[0x2000+tc.byteAt]; got != tc.want {
+			t.Errorf("%s: byte %#x = %#x, want %#x", tc.name, 0x2000+tc.byteAt, got, tc.want)
+		}
+	}
+}

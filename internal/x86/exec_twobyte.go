@@ -123,15 +123,15 @@ func (ip *Interp) execTwoByte(inst *Inst) error {
 		a, b, c, d := CPUIDValues(st.GPR[EAX], st.GPR[ECX])
 		st.GPR[EAX], st.GPR[EBX], st.GPR[ECX], st.GPR[EDX] = a, b, c, d
 		return nil
-	case 0xa3, 0xab, 0xb3, 0xbb: // BT/BTS/BTR/BTC r/m, r
-		return ip.execBitTest(inst, op, st.Reg(inst.RegOp, inst.OpSize))
-	case 0xba: // group 8: BT/BTS/BTR/BTC r/m, imm8
+	case 0xa3, 0xab, 0xb3, 0xbb: // BT/BTS/BTR/BTC r/m, r: a signed offset
+		return ip.execBitTest(inst, op>>3&3, signExtend(st.Reg(inst.RegOp, inst.OpSize), inst.OpSize))
+	case 0xba: // group 8: /4 BT, /5 BTS, /6 BTR, /7 BTC r/m, imm8
 		if inst.RegOp < 4 {
 			return UDFault()
 		}
-		// Group 8: /4 BT, /5 BTS, /6 BTR, /7 BTC.
-		fake := map[int]int{4: 0xa3, 5: 0xab, 6: 0xb3, 7: 0xbb}[inst.RegOp]
-		return ip.execBitTest(inst, fake, inst.Imm)
+		// An immediate offset is taken modulo the operand size, so it
+		// never leaves the operand.
+		return ip.execBitTest(inst, inst.RegOp-4, inst.Imm%(uint32(inst.OpSize)*8))
 	case 0xa4, 0xac: // SHLD/SHRD r/m, r, imm8
 		return ip.execDblShift(inst, op == 0xa4, inst.Imm&31)
 	case 0xa5, 0xad: // SHLD/SHRD r/m, r, CL
@@ -149,14 +149,14 @@ func (ip *Interp) execTwoByte(inst *Inst) error {
 			return err
 		}
 		acc := st.Reg(EAX, size)
-		st.flagsSub(acc, dst, acc-dst, size, 0)
+		st.flagsSub(acc, dst, acc-dst, size, 0) // ZF = acc == dst
 		if acc == dst {
-			st.SetFlag(FlagZF, true)
 			return ip.writeRM(inst, size, st.Reg(inst.RegOp, size))
 		}
-		st.SetFlag(FlagZF, false)
+		// A failed compare writes the destination back too (SDM: DEST ←
+		// TEMP), so a read-only destination faults either way.
 		st.SetReg(EAX, size, dst)
-		return nil
+		return ip.writeRM(inst, size, dst)
 	case 0xb6, 0xb7: // MOVZX
 		srcSize := 1
 		if op == 0xb7 {
@@ -223,62 +223,54 @@ func (ip *Interp) execTwoByte(inst *Inst) error {
 		}
 		src := st.Reg(inst.RegOp, size)
 		res := dst + src
-		if err := ip.writeRM(inst, size, res); err != nil {
-			return err
-		}
-		st.SetReg(inst.RegOp, size, dst)
 		st.flagsAdd(dst, src, res, size, 0)
-		return nil
+		// SRC ← DEST, then DEST ← sum: xadd eax, eax doubles EAX.
+		st.SetReg(inst.RegOp, size, dst)
+		return ip.writeRM(inst, size, res)
 	}
 	return UDFault()
 }
 
-// execBitTest implements BT/BTS/BTR/BTC with a register or immediate bit
-// index.
-func (ip *Interp) execBitTest(inst *Inst, op int, bitIdx uint32) error {
+// execBitTest implements BT, BTS, BTR and BTC (kind 0-3) with a
+// register or immediate bit offset; they set CF to the tested bit.
+func (ip *Interp) execBitTest(inst *Inst, kind int, bitIdx uint32) error {
 	st := ip.St
-	bits := uint32(inst.OpSize) * 8
 	if inst.Mod == 3 {
 		v := st.Reg(inst.RM, inst.OpSize)
-		idx := bitIdx % bits
-		st.SetFlag(FlagCF, v>>idx&1 != 0)
-		switch op {
-		case 0xab:
-			v |= 1 << idx
-		case 0xb3:
-			v &^= 1 << idx
-		case 0xbb:
-			v ^= 1 << idx
-		default:
+		idx := bitIdx % (uint32(inst.OpSize) * 8)
+		st.setFlags(FlagCF, v>>idx&1)
+		if kind == 0 {
 			return nil
 		}
-		st.SetReg(inst.RM, inst.OpSize, v)
+		st.SetReg(inst.RM, inst.OpSize, flipBit(kind, v, idx))
 		return nil
 	}
-	// Memory form: the bit index can address beyond the operand.
+	// Memory form: a register offset can address beyond the operand;
+	// the byte holding the bit is read and written.
 	off, seg := inst.effectiveAddr(st)
-	byteOff := int32(bitIdx) >> 3
-	if int32(bitIdx) < 0 {
-		byteOff = (int32(bitIdx) - 7) / 8
-	}
-	addr := off + uint32(byteOff)
+	addr := off + uint32(int32(bitIdx)>>3)
 	v, err := ip.memRead(seg, addr, 1)
 	if err != nil {
 		return err
 	}
 	idx := bitIdx & 7
-	st.SetFlag(FlagCF, v>>idx&1 != 0)
-	switch op {
-	case 0xab:
-		v |= 1 << idx
-	case 0xb3:
-		v &^= 1 << idx
-	case 0xbb:
-		v ^= 1 << idx
-	default:
+	st.setFlags(FlagCF, v>>idx&1)
+	if kind == 0 {
 		return nil
 	}
-	return ip.memWrite(seg, addr, 1, v)
+	return ip.memWrite(seg, addr, 1, flipBit(kind, v, idx))
+}
+
+// flipBit sets (BTS, kind 1), clears (BTR, 2) or complements (BTC, 3)
+// bit idx of v.
+func flipBit(kind int, v, idx uint32) uint32 {
+	switch kind {
+	case 1:
+		return v | 1<<idx
+	case 2:
+		return v &^ (1 << idx)
+	}
+	return v ^ 1<<idx
 }
 
 // execDblShift implements SHLD/SHRD.
@@ -297,19 +289,19 @@ func (ip *Interp) execDblShift(inst *Inst, left bool, count uint32) error {
 		return err
 	}
 	src := st.Reg(inst.RegOp, size)
-	var res uint32
+	var res, cf uint32
 	if left {
 		wide := uint64(dst)<<bits | uint64(src)
 		wide <<= count
 		res = uint32(wide>>bits) & sizeMask(size)
-		st.SetFlag(FlagCF, dst>>(bits-count)&1 != 0)
+		cf = dst >> (bits - count) & 1
 	} else {
 		wide := uint64(src)<<bits | uint64(dst)
 		wide >>= count
 		res = uint32(wide) & sizeMask(size)
-		st.SetFlag(FlagCF, dst>>(count-1)&1 != 0)
+		cf = dst >> (count - 1) & 1
 	}
-	st.setSZP(res, size)
+	st.setFlags(FlagCF|FlagSF|FlagZF|FlagPF, cf|szp(res, size))
 	return ip.writeRM(inst, size, res)
 }
 

@@ -3,6 +3,18 @@ package x86
 // Flag computation helpers. Arithmetic flags follow the Intel SDM
 // definitions for each operation class; size is the operand size in
 // bytes (1, 2 or 4).
+//
+// Every status-flag writer builds the flags it defines as one mask and
+// stores EFLAGS once (setFlags): the bits it leaves unchanged, TF, IF,
+// DF and the fixed bit among them, keep their value. EFLAGS holds the
+// architectural value after every instruction, so readers need no
+// materializing step.
+
+// arithFlags are the six status flags an ADD- or SUB-class op writes.
+const arithFlags = FlagCF | FlagPF | FlagAF | FlagZF | FlagSF | FlagOF
+
+// shiftFlags are the flags SHL, SHR and SAR write: all six but AF.
+const shiftFlags = arithFlags &^ FlagAF
 
 func signBit(size int) uint32 { return 1 << (uint(size)*8 - 1) }
 
@@ -17,63 +29,69 @@ func sizeMask(size int) uint32 {
 	}
 }
 
-// parity8 reports even parity of the low byte.
-func parity8(v uint32) bool {
-	v &= 0xff
-	v ^= v >> 4
-	v ^= v >> 2
-	v ^= v >> 1
-	return v&1 == 0
+// parityPF holds FlagPF for every byte of even parity, 0 otherwise.
+var parityPF = func() (t [256]uint8) {
+	for b := range t {
+		v := b ^ b>>4
+		v ^= v >> 2
+		v ^= v >> 1
+		if v&1 == 0 {
+			t[b] = uint8(FlagPF)
+		}
+	}
+	return t
+}()
+
+// msb returns the sign bit of a size-byte value as 0 or 1.
+func msb(v uint32, size int) uint32 { return v >> (uint(size)*8 - 1) & 1 }
+
+// flagIf returns f if b holds, else 0.
+func flagIf(b bool, f uint32) uint32 {
+	if b {
+		return f
+	}
+	return 0
 }
 
-// setSZP sets SF, ZF and PF from a result.
-func (c *CPUState) setSZP(res uint32, size int) {
-	res &= sizeMask(size)
-	c.SetFlag(FlagZF, res == 0)
-	c.SetFlag(FlagSF, res&signBit(size) != 0)
-	c.SetFlag(FlagPF, parity8(res))
+// szp returns SF, ZF and PF of a result already masked to size.
+func szp(res uint32, size int) uint32 {
+	return uint32(parityPF[uint8(res)]) | flagIf(res == 0, FlagZF) | msb(res, size)*FlagSF
 }
+
+// setFlags stores mask into the written bits of EFLAGS in one write.
+func (c *CPUState) setFlags(written, mask uint32) { c.EFLAGS = c.EFLAGS&^written | mask }
 
 // flagsAdd sets all arithmetic flags for dst + src (+carryIn) = res.
 func (c *CPUState) flagsAdd(dst, src, res uint32, size int, carryIn uint32) {
 	m := sizeMask(size)
 	dst, src, res = dst&m, src&m, res&m
-	c.setSZP(res, size)
-	c.SetFlag(FlagCF, uint64(dst)+uint64(src)+uint64(carryIn) > uint64(m))
-	c.SetFlag(FlagAF, (dst^src^res)&0x10 != 0)
-	c.SetFlag(FlagOF, (dst^res)&(src^res)&signBit(size) != 0)
+	cf := uint32((uint64(dst) + uint64(src) + uint64(carryIn)) >> (uint(size) * 8))
+	c.setFlags(arithFlags, szp(res, size)|cf|(dst^src^res)&FlagAF|msb((dst^res)&(src^res), size)*FlagOF)
 }
 
 // flagsSub sets all arithmetic flags for dst - src (- borrowIn) = res.
 func (c *CPUState) flagsSub(dst, src, res uint32, size int, borrowIn uint32) {
 	m := sizeMask(size)
 	dst, src, res = dst&m, src&m, res&m
-	c.setSZP(res, size)
-	c.SetFlag(FlagCF, uint64(dst) < uint64(src)+uint64(borrowIn))
-	c.SetFlag(FlagAF, (dst^src^res)&0x10 != 0)
-	c.SetFlag(FlagOF, (dst^src)&(dst^res)&signBit(size) != 0)
+	cf := uint32((uint64(dst) - uint64(src) - uint64(borrowIn)) >> 63)
+	c.setFlags(arithFlags, szp(res, size)|cf|(dst^src^res)&FlagAF|msb((dst^src)&(dst^res), size)*FlagOF)
 }
 
-// flagsLogic sets flags for AND/OR/XOR/TEST results: CF=OF=0.
+// flagsLogic sets flags for AND/OR/XOR/TEST results: CF=OF=AF=0.
 func (c *CPUState) flagsLogic(res uint32, size int) {
-	c.setSZP(res, size)
-	c.SetFlag(FlagCF, false)
-	c.SetFlag(FlagOF, false)
-	c.SetFlag(FlagAF, false)
+	c.setFlags(arithFlags, szp(res&sizeMask(size), size))
 }
 
 // flagsInc sets flags for INC (CF unchanged).
 func (c *CPUState) flagsInc(res uint32, size int) {
-	c.setSZP(res, size)
-	c.SetFlag(FlagAF, res&0xf == 0)
-	c.SetFlag(FlagOF, res&sizeMask(size) == signBit(size))
+	res &= sizeMask(size)
+	c.setFlags(arithFlags&^FlagCF, szp(res, size)|flagIf(res&0xf == 0, FlagAF)|flagIf(res == signBit(size), FlagOF))
 }
 
 // flagsDec sets flags for DEC (CF unchanged).
 func (c *CPUState) flagsDec(res uint32, size int) {
-	c.setSZP(res, size)
-	c.SetFlag(FlagAF, res&0xf == 0xf)
-	c.SetFlag(FlagOF, res&sizeMask(size) == signBit(size)-1)
+	res &= sizeMask(size)
+	c.setFlags(arithFlags&^FlagCF, szp(res, size)|flagIf(res&0xf == 0xf, FlagAF)|flagIf(res == signBit(size)-1, FlagOF))
 }
 
 // condition evaluates a Jcc/SETcc/CMOVcc condition code (low nibble of
