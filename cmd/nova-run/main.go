@@ -185,13 +185,14 @@ func writeObs(path string, f *obs.File) {
 	fmt.Println(line + ")")
 }
 
-// superblockLine reports an interpreter's superblock counters, which
-// are host-side facts no sink records.
+// superblockLine reports an interpreter's decode-cache and superblock
+// counters, which are host-side facts no sink records.
 func superblockLine(ip *x86.Interp) string {
 	if ip.Cache == nil {
 		return "host: decode cache off, no superblocks"
 	}
-	return fmt.Sprintf("host: %d superblocks built, %d of %d instructions fused", ip.Cache.SB.Built, ip.Cache.SB.Fused, ip.InstRet)
+	return fmt.Sprintf("host: %d superblocks built, %d of %d instructions fused, %d decoded pages dropped",
+		ip.Cache.SB.Built, ip.Cache.SB.Fused, ip.InstRet, ip.Cache.Dropped)
 }
 
 // startProfiles begins host-side pprof profiling as requested and

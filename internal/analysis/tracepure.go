@@ -50,9 +50,8 @@ var traceTypeNames = map[string]bool{
 	// a metric must never charge, mutate, or read the wall clock.
 	"Registry": true, "Metric": true, "Counter": true, "Gauge": true,
 	// The decoded-instruction cache and its superblock layer are
-	// host-side acceleration state: filling, byte-verifying, or
-	// invalidating them must be invisible to the simulation, exactly
-	// like emitting a trace record.
+	// host-side acceleration state: filling or dropping them must be
+	// invisible to the simulation, exactly like emitting a trace record.
 	"DecodeCache": true, "Superblock": true,
 	// internal/span's request recorder rides the same contract: opening,
 	// transitioning, or closing a span must never charge, mutate, or

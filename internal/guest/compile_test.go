@@ -45,6 +45,22 @@ func TestCompileWorkloadNative(t *testing.T) {
 	}
 }
 
+// TestCompileKernelDropsNoDecodedPage pins why the decode cache pays
+// off on the compile workload under EPT: the kernel's variables share a
+// page with its code, and a store to them must leave the page's decodes
+// alone. Only a store into cached code drops a decoded page, and the
+// kernel never writes its own code.
+func TestCompileKernelDropsNoDecodedPage(t *testing.T) {
+	r, _ := runCompile(t, RunnerConfig{Model: hw.BLM, Mode: ModeVirtEPT, UseVPID: true, HostLargePages: true}, 4, 128, 16, 2000, 1)
+	c := r.VCPU().Interp.Cache
+	if c.SB.Hits == 0 {
+		t.Fatal("the decode cache's superblocks never ran")
+	}
+	if c.Dropped != 0 {
+		t.Errorf("%d decoded pages dropped, want 0", c.Dropped)
+	}
+}
+
 func TestCompileWorkloadRelativePerformance(t *testing.T) {
 	// The Figure 5 ordering: native <= direct <= EPT << vTLB.
 	const slices, cache, priv, filler, disk = 10, 256, 32, 20000, 0

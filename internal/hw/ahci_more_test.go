@@ -114,8 +114,8 @@ func TestPITOneShotMode(t *testing.T) {
 	pit.PortWrite(0x43, 1, 0x30) // channel 0, lobyte/hibyte, mode 0
 	pit.PortWrite(0x40, 1, 0x10)
 	pit.PortWrite(0x40, 1, 0x00)
-	for !q.Empty() {
-		clk.AdvanceTo(q.NextTime())
+	for q.Len() > 0 {
+		clk.AdvanceTo(q.Next)
 		q.PopDue(clk.Now())
 	}
 	if ticks != 1 {

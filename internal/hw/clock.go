@@ -103,12 +103,28 @@ func (h *eventHeap) Pop() any {
 // asynchronous hardware activity in virtual time. It is deterministic:
 // events at the same instant fire in scheduling order.
 type EventQueue struct {
+	// Next is the time of the earliest pending event, or the largest
+	// Cycles value when none is pending. The run loops read it before
+	// every step; only the queue's own methods may write it.
+	Next Cycles
+
 	heap eventHeap
 	seq  uint64
 }
 
+// noEvent is EventQueue.Next while no event is pending.
+const noEvent = ^Cycles(0)
+
 // NewEventQueue returns an empty queue.
-func NewEventQueue() *EventQueue { return &EventQueue{} }
+func NewEventQueue() *EventQueue { return &EventQueue{Next: noEvent} }
+
+// setNext makes Next the head's time after the heap changed.
+func (q *EventQueue) setNext() {
+	q.Next = noEvent
+	if len(q.heap) > 0 {
+		q.Next = q.heap[0].When
+	}
+}
 
 // Schedule queues the caller-owned event e to run e.Do at absolute
 // time when. It takes the same place in the firing order as an At call
@@ -124,6 +140,7 @@ func (q *EventQueue) Schedule(e *Event, when Cycles) {
 	q.seq++
 	e.When, e.seq, e.cancelled = when, q.seq, false
 	heap.Push(&q.heap, e)
+	q.setNext()
 }
 
 // At schedules do to run at absolute time when and returns the event so
@@ -142,26 +159,11 @@ func (q *EventQueue) Cancel(e *Event) {
 	}
 	heap.Remove(&q.heap, e.pos-1)
 	e.cancelled = true
+	q.setNext()
 }
-
-// Empty reports whether no events are pending.
-func (q *EventQueue) Empty() bool { return len(q.heap) == 0 }
 
 // Len returns the number of pending events.
 func (q *EventQueue) Len() int { return len(q.heap) }
-
-// NextTime returns the time of the earliest pending event. It panics if
-// the queue is empty; check Empty first.
-func (q *EventQueue) NextTime() Cycles {
-	if len(q.heap) == 0 {
-		// invariant: callers must check Empty() first (API contract);
-		// the event queue is driven only by simulator-internal run
-		// loops, so an empty-queue query is a simulator bug, not a
-		// condition any guest or user domain can provoke.
-		panic("hw: NextTime on empty event queue")
-	}
-	return q.heap[0].When
-}
 
 // PopDue fires the earliest event if it is due at or before now.
 // It returns true if an event fired.
@@ -170,14 +172,15 @@ func (q *EventQueue) PopDue(now Cycles) bool {
 		return false
 	}
 	e := heap.Pop(&q.heap).(*Event)
+	q.setNext()
 	e.Do()
 	return true
 }
 
 // String summarizes the queue for debugging.
 func (q *EventQueue) String() string {
-	if q.Empty() {
+	if len(q.heap) == 0 {
 		return "eventqueue{empty}"
 	}
-	return fmt.Sprintf("eventqueue{%d pending, next @%d}", q.Len(), q.NextTime())
+	return fmt.Sprintf("eventqueue{%d pending, next @%d}", q.Len(), q.Next)
 }

@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -67,14 +68,62 @@ func TestEventQueueNotDueYet(t *testing.T) {
 	if ran {
 		t.Error("event ran early")
 	}
-	if q.NextTime() != 100 {
-		t.Errorf("NextTime = %d, want 100", q.NextTime())
+	if q.Next != 100 {
+		t.Errorf("Next = %d, want 100", q.Next)
 	}
 	if !q.PopDue(100) || !ran {
 		t.Error("event did not run at its due time")
 	}
-	if !q.Empty() {
+	if q.Len() != 0 {
 		t.Error("queue should be empty")
+	}
+}
+
+// TestEventQueueNextTracksHead drives a queue through random At calls,
+// Schedule calls of reused caller-owned events (one of which schedules
+// another when it fires), Cancel and PopDue, and checks after every
+// operation that Next is the earliest pending time, or noEvent when
+// nothing is pending.
+func TestEventQueueNextTracksHead(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	q := NewEventQueue()
+	var now Cycles
+	owned := make([]*Event, 4)
+	for i := range owned {
+		owned[i] = &Event{Do: func() {}}
+	}
+	owned[0].Do = func() {
+		if owned[1].pos == 0 {
+			q.Schedule(owned[1], now+Cycles(rng.Intn(10)))
+		}
+	}
+	cancellable := append([]*Event(nil), owned...)
+	for i := 0; i < 5000; i++ {
+		var op string
+		switch rng.Intn(4) {
+		case 0:
+			op = "At"
+			cancellable = append(cancellable, q.At(now+Cycles(rng.Intn(100)), func() {}))
+		case 1:
+			op = "Schedule"
+			if e := owned[rng.Intn(len(owned))]; e.pos == 0 {
+				q.Schedule(e, now+Cycles(rng.Intn(100)))
+			}
+		case 2:
+			op = "Cancel"
+			q.Cancel(cancellable[rng.Intn(len(cancellable))])
+		default:
+			op = "PopDue"
+			now += Cycles(rng.Intn(30))
+			q.PopDue(now)
+		}
+		want := noEvent
+		for _, e := range q.heap {
+			want = min(want, e.When)
+		}
+		if q.Next != want {
+			t.Fatalf("op %d (%s): Next = %d, earliest pending %d", i, op, q.Next, want)
+		}
 	}
 }
 

@@ -19,8 +19,8 @@ func TestPITPeriodicTicks(t *testing.T) {
 	}
 	// Run 10 periods of virtual time.
 	horizon := clk.Now() + 10*pit.Period()
-	for !q.Empty() && q.NextTime() <= horizon {
-		clk.AdvanceTo(q.NextTime())
+	for q.Next <= horizon {
+		clk.AdvanceTo(q.Next)
 		q.PopDue(clk.Now())
 	}
 	if ticks != 10 {
@@ -231,8 +231,8 @@ func ahciStart(a *AHCI, clb PhysAddr) {
 }
 
 func drain(q *EventQueue, clk *Clock) {
-	for !q.Empty() {
-		clk.AdvanceTo(q.NextTime())
+	for q.Len() > 0 {
+		clk.AdvanceTo(q.Next)
 		q.PopDue(clk.Now())
 	}
 }
@@ -449,8 +449,8 @@ func TestPacketSourceRate(t *testing.T) {
 	src := NewPacketSource(n, q, clk.Now, 2670, 1472, 100, 50)
 	src.Start()
 	// Keep the ring fed while draining events.
-	for !q.Empty() {
-		clk.AdvanceTo(q.NextTime())
+	for q.Len() > 0 {
+		clk.AdvanceTo(q.Next)
 		q.PopDue(clk.Now())
 		n.MMIOWrite(nicRDT, 4, (n.MMIORead(nicRDH, 4)+7)%8)
 	}

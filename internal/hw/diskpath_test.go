@@ -57,8 +57,8 @@ func TestAHCIResetAbortsInFlightCommand(t *testing.T) {
 	ahciStart(a, clb)
 	a.MMIOWrite(ahciPortBase+pxCI, 4, 1)
 	due := a.Disk().BusyUntil
-	for !q.Empty() {
-		clk.AdvanceTo(q.NextTime())
+	for q.Len() > 0 {
+		clk.AdvanceTo(q.Next)
 		if clk.Now() < due {
 			q.PopDue(clk.Now())
 			ci, is := a.MMIORead(ahciPortBase+pxCI, 4), a.MMIORead(ahciPortBase+pxIS, 4)

@@ -31,16 +31,67 @@ type mmioRegion struct {
 type page struct {
 	data [PageSize]byte
 
-	// gen counts the store calls that touched the page. Host-side
-	// caches of derived page contents (the interpreter's decoded-code
-	// cache) key on it to detect staleness; it is pure host bookkeeping
-	// and never affects simulated behaviour or cycle accounting.
+	// gen moves when a store overlaps a byte that code marks, that is,
+	// a byte some host-side decode cache holds an instruction for. A
+	// cache that sees gen move drops every decode of the page, so the
+	// move also clears the map; re-decoding marks the bytes again. gen
+	// is pure host bookkeeping and never affects simulated behaviour
+	// or cycle accounting.
 	gen uint64
 
 	// slow sends every access to the page down the MMIO-routed,
 	// bounds-checked path: the page overlaps a device window, or it is
 	// a trailing partial page that runs past the end of RAM.
 	slow bool
+
+	// hasCode says whether code marks any byte; while it is false the
+	// bits in code are left over from before the last move of gen and
+	// mean nothing. It shares gen's cache line, so a store to a page
+	// without code reads no other line of the map.
+	hasCode bool
+
+	// code holds one bit per byte of data, bit i&7 of code[i>>3] for
+	// byte i. The 7 spare bytes let an 8-byte load start at any byte.
+	code [PageSize/8 + 7]byte
+}
+
+// bump moves the generation after a store that overlapped marked code
+// and clears the map.
+func (p *page) bump() {
+	p.gen++
+	p.hasCode = false
+}
+
+// overlapsCode reports whether a store to bytes [off, off+n) of the
+// page overlaps marked code; the range must lie inside the page. One
+// 8-byte load of the map covers 57 bytes at any bit offset.
+func (p *page) overlapsCode(off, n uint32) bool {
+	for p.hasCode && n > 0 {
+		k := min(n, 57)
+		if binary.LittleEndian.Uint64(p.code[off>>3:])>>(off&7)<<(64-k) != 0 {
+			return true
+		}
+		off, n = off+k, n-k
+	}
+	return false
+}
+
+// CodeMap is the code map of one page as View hands it out.
+type CodeMap struct{ p *page }
+
+// Mark records that a host-side decode cache holds an instruction
+// decoded from bytes [off, off+n) of the page, so that a store to any
+// of them moves the page's write generation. The range must lie inside
+// the page.
+func (c CodeMap) Mark(off, n int) {
+	p := c.p
+	if !p.hasCode {
+		p.code = [len(p.code)]byte{}
+		p.hasCode = true
+	}
+	for i := off; i < off+n; i++ {
+		p.code[i>>3] |= 1 << (i & 7)
+	}
 }
 
 // Page is a handle on one 4 KiB page of plain RAM, as Memory.Page hands
@@ -78,29 +129,37 @@ func (h Page) Read(off uint32, n int) uint32 {
 }
 
 // Write stores the low n ∈ {1, 2, 4} bytes of v little-endian at page
-// offset off and bumps the page's write generation, as every store to
-// Memory does; the store must end inside the page.
+// offset off, moving the page's write generation if the store overlaps
+// marked code; the store must end inside the page. It spells out
+// resident and bump to stay small enough to inline.
 func (h Page) Write(off uint32, n int, v uint32) {
-	p := h.resident()
-	p.gen++
-	b := p.data[off&(PageSize-1):]
+	p := *h.dir
+	if p == nil {
+		p = new(page)
+		*h.dir = p
+	}
+	off &= PageSize - 1
+	if p.hasCode && binary.LittleEndian.Uint64(p.code[off>>3:])>>(off&7)<<(64-n) != 0 {
+		p.gen++
+		p.hasCode = false
+	}
 	switch n {
 	case 1:
-		b[0] = byte(v)
+		p.data[off] = byte(v)
 	case 2:
-		binary.LittleEndian.PutUint16(b, uint16(v))
+		binary.LittleEndian.PutUint16(p.data[off:], uint16(v))
 	default:
-		binary.LittleEndian.PutUint32(b, v)
+		binary.LittleEndian.PutUint32(p.data[off:], v)
 	}
 }
 
-// View makes the page resident and returns its bytes, its frame number
-// and its current write generation, for host-side caches of decoded
-// code. The bytes alias RAM, so they show every later store, and must
-// not be written through.
-func (h Page) View() (data []byte, frame, gen uint64) {
+// View makes the page resident and returns its bytes, its code map, its
+// frame number and its current write generation, for host-side caches
+// of decoded code. The bytes alias RAM, so they show every later store,
+// and must not be written through.
+func (h Page) View() (data []byte, code CodeMap, frame, gen uint64) {
 	p := h.resident()
-	return p.data[:], h.frame, p.gen
+	return p.data[:], CodeMap{p}, h.frame, p.gen
 }
 
 // Memory is the platform's physical memory plus the MMIO address space.
@@ -215,13 +274,17 @@ func (m *Memory) readAt(b []byte, addr uint64) {
 }
 
 // writeAt copies b into RAM at addr page by page, allocating absent
-// pages and bumping the generation of each page it touches once.
-// Callers have bounds-checked [addr, addr+len(b)).
+// pages and moving the generation of each page whose marked code it
+// overlaps. Callers have bounds-checked [addr, addr+len(b)).
 func (m *Memory) writeAt(addr uint64, b []byte) {
 	for len(b) > 0 {
 		p := m.resident(addr >> 12)
-		p.gen++
-		n := copy(p.data[addr&(PageSize-1):], b)
+		off := uint32(addr & (PageSize - 1))
+		n := min(uint32(len(b)), PageSize-off)
+		if p.overlapsCode(off, n) {
+			p.bump()
+		}
+		copy(p.data[off:], b[:n])
 		b, addr = b[n:], addr+uint64(n)
 	}
 }

@@ -13,17 +13,20 @@ import (
 
 // refMemory is the flat Memory this package had before RAM became a page
 // directory: one zeroed slice for all of RAM and a write generation per
-// page. The only change is that its range checks do not wrap near 2^64.
-// TestMemoryMatchesReference drives it and Memory through the same
-// operations.
+// page. Its range checks do not wrap near 2^64, and it keeps a code
+// flag per byte of RAM: a store moves a page's generation when it
+// overlaps a flagged byte of the page, and the move clears the page's
+// flags. TestMemoryMatchesReference drives it and Memory through the
+// same operations.
 type refMemory struct {
 	ram     []byte
+	code    []bool
 	regions []mmioRegion // sorted by base
 	pageGen []uint64
 }
 
 func newRefMemory(size uint64) *refMemory {
-	return &refMemory{ram: make([]byte, size), pageGen: make([]uint64, (size+PageSize-1)/PageSize)}
+	return &refMemory{ram: make([]byte, size), code: make([]bool, size), pageGen: make([]uint64, (size+PageSize-1)/PageSize)}
 }
 
 func (m *refMemory) MapMMIO(name string, base PhysAddr, size uint64, handler MMIOHandler) error {
@@ -52,12 +55,24 @@ func (m *refMemory) inRAM(addr, n uint64) bool {
 }
 
 func (m *refMemory) touch(addr PhysAddr, n int) {
-	if n <= 0 {
-		return
+	for a := uint64(addr); a < uint64(addr)+uint64(n); a++ {
+		if m.code[a] {
+			m.pageGen[a>>12]++
+			clear(m.code[a&^(PageSize-1) : min(a|(PageSize-1)+1, uint64(len(m.code)))])
+		}
 	}
-	for p := uint64(addr) >> 12; p <= (uint64(addr)+uint64(n)-1)>>12; p++ {
-		m.pageGen[p]++
+}
+
+// MarkCode flags n bytes at addr as code when CodePage serves addr's
+// page, clipping them at the end of the page.
+func (m *refMemory) MarkCode(addr PhysAddr, n int) bool {
+	if _, _, ok := m.CodePage(addr); !ok {
+		return false
 	}
+	for a := uint64(addr); a < min(uint64(addr)+uint64(n), uint64(addr)|(PageSize-1)+1); a++ {
+		m.code[a] = true
+	}
+	return true
 }
 
 func (m *refMemory) overlapsMMIO(base PhysAddr, size uint64) bool {
@@ -116,7 +131,7 @@ func (m *refMemory) Write8(addr PhysAddr, v uint8) {
 		return
 	}
 	m.checkRAM(addr, 1)
-	m.pageGen[addr>>12]++
+	m.touch(addr, 1)
 	m.ram[addr] = v
 }
 
@@ -358,6 +373,19 @@ func (s *memOps) data(n int) []byte {
 	return b
 }
 
+// markCode marks n bytes at addr in the code map of addr's page, the way
+// the decode cache marks an instruction it caches, clipping them at the
+// end of the page. It reports whether Page served the page.
+func markCode(m *Memory, addr PhysAddr, n int) bool {
+	h, ok := m.Page(addr)
+	if ok {
+		_, code, _, _ := h.View()
+		off := int(addr & (PageSize - 1))
+		code.Mark(off, min(n, PageSize-off))
+	}
+	return ok
+}
+
 // catch runs f and reports whether it panicked.
 func catch(f func()) (panicked bool) {
 	defer func() { panicked = recover() != nil }()
@@ -368,7 +396,7 @@ func catch(f func()) (panicked bool) {
 // step runs one operation on both memories and describes how their
 // results differ; "" means they agree.
 func (p *memPair) step(s *memOps) (desc, diff string) {
-	op := s.byte() % 15
+	op := s.byte() % 16
 	addr := s.addr()
 	var got, want any
 	var gotPanic, wantPanic bool
@@ -437,6 +465,10 @@ func (p *memPair) step(s *memOps) (desc, diff string) {
 					g.DMAPasses, g.DMABlocks, g.Faults, w.DMAPasses, w.DMABlocks, w.Faults)
 			}
 		}
+	case 15:
+		n := int(s.byte()%15) + 1
+		desc = fmt.Sprintf("MarkCode(%#x, %d)", addr, n)
+		got, want = markCode(p.m, addr, n), p.ref.MarkCode(addr, n)
 	default:
 		desc = fmt.Sprintf("CodePage(%#x)", addr)
 		gd, gg, gok := codePage(p.m, addr)
@@ -509,8 +541,8 @@ func runMemoryOps(t *testing.T, ops []byte) {
 
 // TestMemoryMatchesReference checks the page directory against the flat
 // memory it replaced, over seeded random operations: every access
-// width, page-crossing accesses, byte copies, direct and IOMMU DMA and
-// CodePage, around a device window inside a RAM page, one above RAM,
+// width, page-crossing accesses, byte copies, direct and IOMMU DMA,
+// CodePage and code marks, around a device window inside a RAM page, one above RAM,
 // the partial last page and the top of the address space.
 func TestMemoryMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {

@@ -149,16 +149,18 @@ func codePage(m *Memory, addr PhysAddr) (data []byte, gen uint64, ok bool) {
 	if !ok {
 		return nil, 0, false
 	}
-	data, _, gen = h.View()
+	data, _, _, gen = h.View()
 	return data, gen, true
 }
 
-// TestCodePageAndGenerations pins the decode-cache support contract:
-// a Page handle's view aliases RAM, with the page's frame number and
-// current write generation, and every write path — each store width,
-// bulk writes, DMA, Page.Write — bumps the generation of every page it
-// touches. A handle taken while its page is absent sees it become
-// resident.
+// TestCodePageAndGenerations pins the decode-cache support contract.
+// A Page handle's view aliases RAM, with the page's code map, frame
+// number and current write generation; a handle taken while its page
+// is absent sees it become resident. Every store path moves a page's
+// generation exactly when the store overlaps a byte its code map
+// marks: a store that ends on the byte just before the code, or starts
+// on the byte just after it, does not. A move clears the map, so the
+// same store again moves nothing.
 func TestCodePageAndGenerations(t *testing.T) {
 	m := NewMemory(1 << 20)
 	h, ok := m.Page(0x1234)
@@ -172,7 +174,7 @@ func TestCodePageAndGenerations(t *testing.T) {
 	if got := h.Read(0x80, 2); got != 0xa500 {
 		t.Fatalf("handle taken while absent reads %#x, want 0xa500", got)
 	}
-	data, frame, gen := h.View()
+	data, _, frame, _ := h.View()
 	if len(data) != int(PageSize) || frame != 1 {
 		t.Fatalf("page view is %d bytes of frame %d", len(data), frame)
 	}
@@ -181,45 +183,93 @@ func TestCodePageAndGenerations(t *testing.T) {
 		t.Error("page view does not alias RAM")
 	}
 
-	gen0 := gen
-	check := func(what string, want uint64) {
+	gen := func(addr PhysAddr) uint64 {
+		_, g, _ := codePage(m, addr)
+		return g
+	}
+	mark := func(addr PhysAddr, n int) {
 		t.Helper()
-		_, g, ok := codePage(m, 0x1000)
-		if !ok || g != gen0+want {
-			t.Errorf("after %s: gen = %d, want %d", what, g, gen0+want)
+		if !markCode(m, addr, n) {
+			t.Fatalf("Page(%#x) declined", addr)
 		}
 	}
-	check("Write8", 1)
-	m.Write16(0x1100, 1)
-	check("Write16", 2)
-	m.Write32(0x1100, 1)
-	check("Write32", 3)
-	m.Write64(0x1100, 1)
-	check("Write64", 4)
-	m.WriteBytes(0x1100, []byte{1, 2, 3})
-	check("WriteBytes", 5)
-	if err := NewDirectDMA(m).DMAWrite(0, 0x1100, []byte{9}); err != nil {
-		t.Fatal(err)
+	pageWrite := func(n int) func(PhysAddr) {
+		return func(a PhysAddr) {
+			h, _ := m.Page(a)
+			h.Write(uint32(a), n, 0xeeeeeeee)
+		}
 	}
-	check("DMAWrite", 6)
-	h.Write(0x100, 2, 0xbeef)
-	check("Page.Write", 7)
-	if got := m.Read16(0x1100); got != 0xbeef {
-		t.Errorf("Read16 after Page.Write = %#x, want 0xbeef", got)
+	stores := []struct {
+		name  string
+		n     int
+		store func(PhysAddr)
+	}{
+		{"Write8", 1, func(a PhysAddr) { m.Write8(a, 0xee) }},
+		{"Write16", 2, func(a PhysAddr) { m.Write16(a, 0xeeee) }},
+		{"Write32", 4, func(a PhysAddr) { m.Write32(a, 0xeeeeeeee) }},
+		{"Write64", 8, func(a PhysAddr) { m.Write64(a, 0xeeeeeeeeeeeeeeee) }},
+		{"Page.Write/1", 1, pageWrite(1)},
+		{"Page.Write/2", 2, pageWrite(2)},
+		{"Page.Write/4", 4, pageWrite(4)},
+		{"WriteBytes", 100, func(a PhysAddr) { m.WriteBytes(a, make([]byte, 100)) }},
+		{"DMAWrite", 100, func(a PhysAddr) {
+			if err := NewDirectDMA(m).DMAWrite(0, uint64(a), make([]byte, 100)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	// The code is one 4-byte instruction at 0x1100.
+	const code, codeLen = PhysAddr(0x1100), 4
+	for _, s := range stores {
+		for _, c := range []struct {
+			what  string
+			start PhysAddr
+			moves bool
+		}{
+			{"ends just before the code", code - PhysAddr(s.n), false},
+			{"starts just after the code", code + codeLen, false},
+			{"ends on the code's first byte", code - PhysAddr(s.n) + 1, true},
+			{"starts on the code's last byte", code + codeLen - 1, true},
+		} {
+			mark(code, codeLen)
+			g := gen(code)
+			s.store(c.start)
+			if moved := gen(code) != g; moved != c.moves {
+				t.Errorf("%s at %#x (%s): generation moved = %v, want %v", s.name, c.start, c.what, moved, c.moves)
+			}
+			if !c.moves {
+				continue
+			}
+			g = gen(code)
+			s.store(c.start)
+			if gen(code) != g {
+				t.Errorf("%s at %#x again: generation moved, but the first move should have cleared the map", s.name, c.start)
+			}
+		}
 	}
 
-	// A write elsewhere must not disturb this page's generation.
-	m.Write32(0x5000, 7)
-	check("unrelated write", 7)
-
-	// A write spanning a page boundary bumps both pages.
-	_, gA, _ := codePage(m, 0x1000)
-	_, gB, _ := codePage(m, 0x2000)
-	m.Write32(0x1ffe, 0xffffffff)
-	_, gA2, _ := codePage(m, 0x1000)
-	_, gB2, _ := codePage(m, 0x2000)
-	if gA2 != gA+1 || gB2 != gB+1 {
-		t.Errorf("page-crossing write: gens %d→%d, %d→%d (want both +1)", gA, gA2, gB, gB2)
+	// A store that crosses a page boundary moves the generation of each
+	// page whose code it overlaps, and only those.
+	for _, c := range []struct {
+		name      string
+		mark      PhysAddr
+		store     func()
+		low, high bool
+	}{
+		{"Write16 high byte on code", 0x2000, func() { m.Write16(0x1fff, 0xeeee) }, false, true},
+		{"Write32 low bytes on code", 0x1ffe, func() { m.Write32(0x1ffe, 0xeeeeeeee) }, true, false},
+		{"Write64 high byte on code", 0x2005, func() { m.Write64(0x1ffe, 0xeeeeeeeeeeeeeeee) }, false, true},
+		{"WriteBytes high byte on code", 0x2000, func() { m.WriteBytes(0x1ff0, make([]byte, 17)) }, false, true},
+	} {
+		mark(c.mark, 1)
+		gLow, gHigh := gen(0x1000), gen(0x2000)
+		c.store()
+		if low, high := gen(0x1000) != gLow, gen(0x2000) != gHigh; low != c.low || high != c.high {
+			t.Errorf("%s: generations moved %v/%v, want %v/%v", c.name, low, high, c.low, c.high)
+		}
+		// Leave no marks behind for the next case.
+		mark(c.mark, 1)
+		m.Write8(c.mark, 0)
 	}
 }
 

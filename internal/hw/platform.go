@@ -191,7 +191,6 @@ func (p *Platform) Now() Cycles { return p.CPUs[0].Clock.Now() }
 
 // RunEventsUntil fires all pending events up to and including time t.
 func (p *Platform) RunEventsUntil(t Cycles) {
-	for !p.Queue.Empty() && p.Queue.NextTime() <= t {
-		p.Queue.PopDue(t)
+	for p.Queue.Next <= t && p.Queue.PopDue(t) {
 	}
 }

@@ -415,11 +415,11 @@ func (e *guestEnv) tableAddr(pa uint64) (hpa uint64, writable, ok bool) {
 
 // ExecPage implements x86.ExecPager: one translation of the fetch
 // address (charged, traced and faulting exactly like the slow path's
-// first byte fetch) plus direct host access to the backing RAM page for
-// the decoded-instruction cache. MMIO-backed pages are declined (nil
-// data) so fetch side effects stay on the MMIO-routed path. charged is
-// how far the translation moved the CPU's clock.
-func (e *guestEnv) ExecPage(st *x86.CPUState, va uint32) ([]byte, uint64, uint64, uint64, error) {
+// first byte fetch) plus direct host access to the backing RAM page and
+// its code map for the decoded-instruction cache. MMIO-backed pages are
+// declined (nil data) so fetch side effects stay on the MMIO-routed
+// path. charged is how far the translation moved the CPU's clock.
+func (e *guestEnv) ExecPage(st *x86.CPUState, va uint32) ([]byte, x86.CodeMap, uint64, uint64, uint64, error) {
 	m := e.reads.entry(va)
 	p := m.page
 	var charged hw.Cycles
@@ -427,12 +427,12 @@ func (e *guestEnv) ExecPage(st *x86.CPUState, va uint32) ([]byte, uint64, uint64
 		before := e.clk.Now()
 		q, _, plain, err := e.access(m, st, va, false)
 		if err != nil || !plain {
-			return nil, 0, 0, 0, err
+			return nil, nil, 0, 0, 0, err
 		}
 		p, charged = q, e.clk.Now()-before
 	}
-	data, frame, gen := p.View()
-	return data, frame, gen, uint64(charged), nil
+	data, code, frame, gen := p.View()
+	return data, code, frame, gen, uint64(charged), nil
 }
 
 // MemRead implements x86.Env. Device windows route to their MMIO

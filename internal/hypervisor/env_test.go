@@ -168,7 +168,7 @@ func TestGuestEnvAllocs(t *testing.T) {
 			}
 			write := func() { check(e.MemWrite(st, va, 4, 0x600d)) }
 			fetch := func() {
-				_, _, _, _, err := e.ExecPage(st, va)
+				_, _, _, _, _, err := e.ExecPage(st, va)
 				check(err)
 			}
 			miss := func() {
@@ -245,7 +245,7 @@ func BenchmarkGuestEnv(b *testing.B) {
 		b.Run(c.name+"/ExecPage", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, _, _, _, err := e.ExecPage(st, resident)
+				_, _, _, _, _, err := e.ExecPage(st, resident)
 				check(b, err)
 			}
 		})

@@ -89,7 +89,12 @@ func (c envCase) apply(op memoOp) string {
 	case memoWrite:
 		return fmt.Sprint(e.MemWrite(st, va, op.size, op.arg*0x101))
 	case memoExec:
-		data, frame, gen, charged, err := e.ExecPage(st, va)
+		// Mark the fetched bytes as cached code, as the decode cache
+		// would, so that later stores to them move the generation.
+		data, code, frame, gen, charged, err := e.ExecPage(st, va)
+		if data != nil {
+			code.Mark(int(op.off), op.size)
+		}
 		return fmt.Sprint(data != nil, frame, gen, charged, err)
 	case memoInvlpg:
 		e.InvalidateTLB(st, false, va)

@@ -299,12 +299,7 @@ func fuseLimit(plat *hw.Platform, ip *x86.Interp, now, until hw.Cycles, off, pen
 		ip.Cache.SB.CutPending++
 		return 0
 	}
-	limit := until
-	if !plat.Queue.Empty() {
-		if t := plat.Queue.NextTime(); t < limit {
-			limit = t
-		}
-	}
+	limit := min(until, plat.Queue.Next)
 	if limit <= now {
 		return 0
 	}
@@ -317,10 +312,10 @@ func fuseLimit(plat *hw.Platform, ip *x86.Interp, now, until hw.Cycles, off, pen
 // stays put) and whether it is due by until (if not, the clock stops at
 // until).
 func idle(plat *hw.Platform, p *prof.Profiler, cpu int, until hw.Cycles) (queued, due bool) {
-	if plat.Queue.Empty() {
+	if plat.Queue.Len() == 0 {
 		return false, false
 	}
-	t := plat.Queue.NextTime()
+	t := plat.Queue.Next
 	due = t <= until
 	if !due {
 		t = until

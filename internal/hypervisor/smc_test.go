@@ -1,6 +1,7 @@
 package hypervisor
 
 import (
+	"fmt"
 	"testing"
 
 	"nova/internal/hw"
@@ -126,11 +127,10 @@ warm:
 
 // TestDMAIntoCachedCodePage patches the same mid-superblock immediate
 // from *outside* the vCPU — a device bus-master write through the DMA
-// path — while the guest spins on a flag. Device DMA goes through
-// hw.Memory.WriteBytes and must bump the page's write generation like
-// any other store, so the cached decodes and superblock over those
-// bytes are re-proved against the live page when the guest re-executes
-// them.
+// path — while the guest spins on a flag. Device DMA goes through the
+// same page code maps as every other store, so it moves the page's
+// write generation, and the cached decodes and superblock over those
+// bytes are dropped before the guest re-executes them.
 func TestDMAIntoCachedCodePage(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -198,5 +198,73 @@ wait:
 			}
 			t.Logf("%s: built=%d hits=%d fused=%d invalidated=%d", tc.name, sb.Built, sb.Hits, sb.Fused, sb.Invalidated)
 		})
+	}
+}
+
+// TestStoresIntoCachedCodeAcrossPathsDrop warms smcSubroutine at the
+// start of page 8 until it is a cached superblock, then rewrites its
+// first opcode from MOV AX to MOV CX in two ways that no other test
+// takes. The guest's own store crosses the page boundary: the
+// interpreter splits it, and only its high byte lands on cached code.
+// The VMM emulates an OUT as a store into the code while the vCPU is
+// in its exit, with the decode cache's memo still on that page. Either
+// way the page must be dropped exactly once and the new opcode run.
+func TestStoresIntoCachedCodeAcrossPathsDrop(t *testing.T) {
+	const entry = 0x8000
+	for _, tc := range []struct {
+		name, patch string
+	}{
+		{"split guest store", "mov word [0x7fff], 0xb990"}, // 0x90 at 0x7fff, 0xb9 at 0x8000
+		{"VMM-emulated store", "mov al, 0xb9\n\tout 0x80, al"},
+	} {
+		for _, mode := range []PagingMode{ModeEPT, ModeVTLB} {
+			t.Run(fmt.Sprintf("%s/%v", tc.name, mode), func(t *testing.T) {
+				k := newTestKernel(t, Config{UseVPID: true})
+				code := x86.MustAssemble(`bits 16
+org 0x7c00
+	mov cx, 32
+warm:
+	call 0x8000
+	dec cx
+	jnz warm
+	mov [0x600], ax
+	` + tc.patch + `
+	mov ax, 0x1000
+	call 0x8000
+	mov [0x604], ax
+	hlt`)
+				tv := makeVM(t, k, mode, 64, code, 0x7c00, map[x86.ExitReason]func(*testVM, *UTCB) error{
+					x86.ExitIO: func(tv *testVM, m *UTCB) error {
+						// Emulate the OUT as a store of AL over the first
+						// opcode, the way the VMM's emulator writes guest
+						// memory (VMM.GuestWrite).
+						tv.writeGuest(entry, []byte{byte(m.Exit.OutVal)})
+						m.State.EIP += uint32(m.Exit.InstLen)
+						return nil
+					},
+				})
+				tv.writeGuest(entry, smcSubroutine)
+				v := tv.ec.VCPU
+				v.State.GPR[x86.ESP] = 0x7000
+				k.Run(k.Now() + 50_000_000)
+				if !v.State.Halted {
+					t.Fatalf("guest did not halt: %v", v.State.String())
+				}
+				if got := tv.readGuest32(0x600) & 0xffff; got != 0x3333 {
+					t.Errorf("warm calls: ax = %#x, want 0x3333", got)
+				}
+				// MOV CX, 0x1111 leaves AX = 0x1000 for the ADD.
+				if got := tv.readGuest32(0x604) & 0xffff; got != 0x3222 {
+					t.Errorf("after the patch: ax = %#x, want 0x3222 (stale decode or superblock executed?)", got)
+				}
+				c := v.Interp.Cache
+				if c.SB.Built == 0 || c.SB.Hits == 0 {
+					t.Errorf("fused path never engaged (built=%d hits=%d)", c.SB.Built, c.SB.Hits)
+				}
+				if c.Dropped != 1 {
+					t.Errorf("%d decoded pages dropped, want 1", c.Dropped)
+				}
+			})
+		}
 	}
 }

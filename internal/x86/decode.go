@@ -27,13 +27,6 @@ type Inst struct {
 
 	Imm  uint32
 	Imm2 uint32 // segment selector of far pointers
-
-	// enc shadows the Len bytes this decode was made from. Filled only
-	// when the instruction enters the decoded-instruction cache: decode
-	// is a pure function of (bytes, default size), so a cached decode
-	// stays valid exactly as long as the live page bytes still equal
-	// enc[:Len]. See decodecache.go.
-	enc [15]byte
 }
 
 // immKind encodes what trails the ModRM bytes.

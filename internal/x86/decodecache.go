@@ -18,16 +18,25 @@ const codePageSize = 4096
 // exactly the translation work — cycle charges, TLB fills, trace events,
 // faults and exits — that a one-byte MemRead(va, AccessExec) would, and
 // additionally return the whole backing physical page as a raw slice,
-// a stable identifier for it (its physical page number), the page's
-// current write generation, and the cycles the translation charged
-// (zero on a TLB hit), which StepBlock counts against its window.
+// the page's code map, a stable identifier for it (its physical page
+// number), the page's current write generation, and the cycles the
+// translation charged (zero on a TLB hit), which StepBlock counts
+// against its window.
 //
 // A nil data slice with a nil error means "no fast path" (the page is
 // MMIO-backed or otherwise not plain RAM); the interpreter then falls
 // back to fetching through MemRead, which is free of double charging
 // because the translation just performed is hit in the TLB.
 type ExecPager interface {
-	ExecPage(st *CPUState, va uint32) (data []byte, page, gen, charged uint64, err error)
+	ExecPage(st *CPUState, va uint32) (data []byte, code CodeMap, page, gen, charged uint64, err error)
+}
+
+// CodeMap is the code map of the page ExecPage returned. Mark records
+// that the cache holds an instruction decoded from bytes [off, off+n)
+// of the page. From then on, until the page's write generation moves,
+// every store that overlaps a marked byte must move it.
+type CodeMap interface {
+	Mark(off, n int)
 }
 
 // decodeKey identifies one cached code page: decoded instructions depend
@@ -39,25 +48,22 @@ type decodeKey struct {
 
 // decodedPage holds the decode results of one physical page, indexed by
 // page offset. Only instructions contained entirely within the page are
-// cached; gen is the physical page's write generation at fill time.
+// cached, and each is marked in the page's code map when it is cached;
+// gen is the page's write generation at fill time.
 //
-// Staleness is detected in two tiers. While the page's write generation
-// still equals gen, every cached entry is trivially valid and lookups
-// are a bare array load. Once any store lands in the page — guest SMC,
-// VMM or BIOS writes, device DMA — the generation moves and the page
-// enters verify mode for good: each lookup then memcmps the entry's
-// recorded encoding (Inst.enc, Superblock.enc) against the live page
-// bytes, dropping and re-decoding only entries whose bytes actually
-// changed. Decode is pure in the bytes, so matching bytes prove the
-// cached result. This keeps code pages that also hold writable data
-// (a guest patching one routine, a DMA buffer sharing the page) from
-// repeatedly wiping every decode on the page, which would make the
-// cache a net loss on such workloads.
+// A cached decode is valid while gen still equals the page's write
+// generation: a store that changes any byte an entry was decoded from
+// overlaps a marked byte, so it moves the generation. Stores elsewhere
+// on the page, such as a guest's variables next to its code, leave
+// the generation and every decode alone. Once the generation moves,
+// DecodeCache.page drops the page's decodes and blocks in one go and
+// re-decodes on demand; the move cleared the code map, and re-decoding
+// marks the bytes again.
 //
-// blocks caches superblocks (see superblock.go) by their entry offset,
-// verified the same way over their whole byte span. nblocks counts the
-// real (non-sentinel) blocks currently cached, so whole-cache resets
-// can be accounted without scanning the array.
+// blocks caches superblocks (see superblock.go) by their entry offset.
+// nblocks counts the real (non-sentinel) blocks currently cached, so a
+// drop or a whole-cache reset can be accounted without scanning the
+// array.
 type decodedPage struct {
 	gen     uint64
 	insts   [codePageSize]*Inst
@@ -72,7 +78,7 @@ const decodeCacheMaxPages = 64
 
 // DecodeCache memoizes instruction decode per physical code page. It is
 // shared per vCPU and validated against physical-page write generations,
-// so guest stores into code pages (self-modifying code), VMM or BIOS
+// so guest stores into cached code (self-modifying code), VMM or BIOS
 // writes, and device DMA all invalidate stale decodes uniformly —
 // regardless of which virtual mapping the writes went through.
 type DecodeCache struct {
@@ -80,12 +86,19 @@ type DecodeCache struct {
 
 	// One-entry MRU memo: consecutive fetches overwhelmingly hit the
 	// same code page, and the map hash dominates the lookup otherwise.
+	// lastGen is last's generation, kept next to lastKey so that the
+	// inlined test in page needs no nil check of last.
 	lastKey decodeKey
+	lastGen uint64
 	last    *decodedPage
 
 	// SB counts superblock activity (see superblock.go). Host-side
 	// observability only; nothing simulated reads it.
 	SB SuperblockStats
+
+	// Dropped counts decoded pages dropped because their write
+	// generation moved. Host-side observability only, like SB.
+	Dropped uint64
 
 	// liveBlocks tracks the real superblocks across all cached pages,
 	// so a whole-cache reset can account its invalidations without
@@ -102,62 +115,51 @@ type DecodeCache struct {
 func NewDecodeCache() *DecodeCache {
 	return &DecodeCache{
 		pages:   make(map[decodeKey]*decodedPage),
+		lastGen: ^uint64(0), // no page reaches this generation: the memo starts empty
 		noBlock: &Superblock{},
 	}
 }
 
-// page returns the decoded page for key and whether it is fresh: fresh
-// means the backing page's write generation still matches fill time, so
-// every cached entry is valid as-is. A stale page is NOT reset — its
-// entries are individually byte-verified at lookup (see instValid and
-// the superblock span check), so stores into the data half of a mixed
-// code/data page cost a short memcmp instead of a full re-decode.
-func (c *DecodeCache) page(page uint64, def32 bool, gen uint64) (dp *decodedPage, fresh bool) {
+// page returns the decoded page for physical page page at write
+// generation gen. The same page at the same generation as the previous
+// call is served inline; lookup does the rest.
+func (c *DecodeCache) page(page uint64, def32 bool, gen uint64) *decodedPage {
+	if c.lastKey == (decodeKey{page, def32}) && c.lastGen == gen {
+		return c.last
+	}
+	return c.lookup(page, def32, gen)
+}
+
+// lookup is page's map path: it finds or creates the decoded page and
+// drops its decodes and blocks if the generation moved since they were
+// made.
+func (c *DecodeCache) lookup(page uint64, def32 bool, gen uint64) *decodedPage {
 	key := decodeKey{page: page, def32: def32}
-	dp = c.last
-	if dp == nil || c.lastKey != key {
-		dp = c.pages[key]
-		if dp == nil {
-			if len(c.pages) >= decodeCacheMaxPages {
-				c.SB.Invalidated += uint64(c.liveBlocks)
-				c.liveBlocks = 0
-				c.pages = make(map[decodeKey]*decodedPage, decodeCacheMaxPages)
-			}
-			dp = &decodedPage{gen: gen}
-			c.pages[key] = dp
+	dp := c.pages[key]
+	switch {
+	case dp == nil:
+		if len(c.pages) >= decodeCacheMaxPages {
+			c.SB.Invalidated += uint64(c.liveBlocks)
+			c.liveBlocks = 0
+			c.pages = make(map[decodeKey]*decodedPage, decodeCacheMaxPages)
 		}
-		c.lastKey, c.last = key, dp
+		dp = &decodedPage{gen: gen}
+		c.pages[key] = dp
+	case dp.gen != gen:
+		c.Dropped++
+		c.SB.Invalidated += uint64(dp.nblocks)
+		c.liveBlocks -= dp.nblocks
+		*dp = decodedPage{gen: gen}
 	}
-	return dp, dp.gen == gen
+	c.lastKey, c.lastGen, c.last = key, gen, dp
+	return dp
 }
 
-// instValid reports whether a cached decode still matches the live page
-// bytes it was made from. Called only on stale pages; on fresh pages the
-// generation match already proves validity.
-func instValid(inst *Inst, data []byte, off int) bool {
-	return bytesEqual(data[off:off+inst.Len], inst.enc[:inst.Len])
-}
-
-// cacheInst records a decode in the page, snapshotting the bytes it was
-// made from so later lookups can verify it after the page is written.
-func cacheInst(dp *decodedPage, data []byte, off int, inst *Inst) {
-	copy(inst.enc[:], data[off:off+inst.Len])
+// cacheInst records a decode in the page and marks its bytes in the
+// page's code map, so that a store to them drops it.
+func cacheInst(dp *decodedPage, code CodeMap, off int, inst *Inst) {
+	code.Mark(off, inst.Len)
 	dp.insts[off] = inst
-}
-
-// bytesEqual is bytes.Equal without the import: spans here are at most
-// 15 bytes (one instruction) or a few dozen (one superblock), where the
-// simple loop is as fast as the vectorized runtime call.
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // errPageSpill signals that a decode ran off the end of its code page;

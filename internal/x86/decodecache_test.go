@@ -3,20 +3,45 @@ package x86
 import "testing"
 
 // pagerEnv extends flatEnv with the ExecPager fast path: identity
-// translation, per-page write generations (mirroring hw.Memory), and a
-// way to decline pages (as MMIO-backed pages are declined).
+// translation, a write generation and a code map per page that follow
+// hw.Memory's contract, and a way to decline pages (as MMIO-backed
+// pages are declined).
 type pagerEnv struct {
 	*flatEnv
 	gen      []uint64
+	code     []pagerCode
 	declined map[uint32]bool
 	calls    int
 }
 
+// pagerCode is one page's code map: a flag per byte.
+type pagerCode [4096]bool
+
+func (c *pagerCode) Mark(off, n int) {
+	for i := off; i < off+n; i++ {
+		c[i] = true
+	}
+}
+
 func newPagerEnv(size int) *pagerEnv {
+	pages := (size + 4095) / 4096
 	return &pagerEnv{
 		flatEnv:  newFlatEnv(size),
-		gen:      make([]uint64, (size+4095)/4096),
+		gen:      make([]uint64, pages),
+		code:     make([]pagerCode, pages),
 		declined: make(map[uint32]bool),
+	}
+}
+
+// stored moves the generation of each page whose marked code the n
+// bytes stored at addr overlap, and clears that page's marks, as
+// hw.Memory does.
+func (e *pagerEnv) stored(addr uint32, n int) {
+	for a := addr; a < addr+uint32(n); a++ {
+		if p := a >> 12; e.code[p][a&0xfff] {
+			e.gen[p]++
+			e.code[p] = pagerCode{}
+		}
 	}
 }
 
@@ -24,32 +49,28 @@ func (e *pagerEnv) MemWrite(st *CPUState, va uint32, size int, val uint32) error
 	if err := e.flatEnv.MemWrite(st, va, size, val); err != nil {
 		return err
 	}
-	for p := va >> 12; p <= (va+uint32(size)-1)>>12; p++ {
-		e.gen[p]++
-	}
+	e.stored(va, size)
 	return nil
 }
 
-// write patches memory directly (the DMA/VMM analogue), bumping the
-// write generation like hw.Memory does.
+// write patches memory directly (the DMA/VMM analogue), with the
+// generation contract of every other store.
 func (e *pagerEnv) write(addr uint32, b []byte) {
 	copy(e.mem[addr:], b)
-	for p := addr >> 12; p <= (addr+uint32(len(b))-1)>>12; p++ {
-		e.gen[p]++
-	}
+	e.stored(addr, len(b))
 }
 
-func (e *pagerEnv) ExecPage(st *CPUState, va uint32) ([]byte, uint64, uint64, uint64, error) {
+func (e *pagerEnv) ExecPage(st *CPUState, va uint32) ([]byte, CodeMap, uint64, uint64, uint64, error) {
 	e.calls++
 	page := va >> 12
 	base := int(page) << 12
 	if base+4096 > len(e.mem) {
-		return nil, 0, 0, 0, PageFault(va, false, false, false)
+		return nil, nil, 0, 0, 0, PageFault(va, false, false, false)
 	}
 	if e.declined[page] {
-		return nil, 0, 0, 0, nil
+		return nil, nil, 0, 0, 0, nil
 	}
-	return e.mem[base : base+4096], uint64(page), e.gen[page], 0, nil
+	return e.mem[base : base+4096], &e.code[page], uint64(page), e.gen[page], 0, nil
 }
 
 // runCached assembles 32-bit code at org, loads it, and returns an
@@ -112,46 +133,51 @@ loop:
 	}
 }
 
-// TestDecodeCacheStaleGeneration pins the two-tier staleness contract:
-// on a fresh page (write generation unchanged since fill) hits are
-// served without looking at the bytes; once any write bumps the
-// generation, every hit is byte-verified against the live page and only
-// decodes whose bytes actually changed are re-decoded.
+// TestDecodeCacheStaleGeneration pins the staleness contract: while the
+// page's write generation is unchanged, hits are served without looking
+// at the bytes, and a store elsewhere on the page leaves the generation
+// and every decode alone. A store to an instruction's bytes moves the
+// generation; the cache then drops the page's decodes once and
+// re-decodes.
 func TestDecodeCacheStaleGeneration(t *testing.T) {
 	ip, env := runCached(t, "mov eax, 0x11111111\nhlt", 0x1000)
 	stepN(t, ip, 1)
 	if ip.St.GPR[EAX] != 0x11111111 {
 		t.Fatalf("eax = %#x", ip.St.GPR[EAX])
 	}
-	// Patch bytes behind the cache's back, with no generation bump: the
-	// page is fresh, so the cache must serve the cached decode without
-	// re-reading the bytes. (The real memory system can't do this —
-	// every write path bumps the generation — so this asserts the
-	// fresh-page path really serves unverified hits.)
+	// Patch bytes behind the cache's back, with no generation move: the
+	// cache must serve the cached decode without re-reading the bytes.
+	// (The real memory system can't do this — every store to cached
+	// code moves the generation — so this asserts that hits really go
+	// unverified.)
 	copy(env.mem[0x1001:], []byte{0x33, 0x33, 0x33, 0x33})
 	ip.St.EIP = 0x1000
 	stepN(t, ip, 1)
 	if ip.St.GPR[EAX] != 0x11111111 {
-		t.Errorf("fresh page did not serve a hit: eax = %#x", ip.St.GPR[EAX])
+		t.Errorf("an unchanged generation did not serve a hit: eax = %#x", ip.St.GPR[EAX])
 	}
-	// Patch the immediate in place with a generation bump; the stale
-	// decode's bytes differ and it must be re-decoded.
-	env.write(0x1001, []byte{0x22, 0x22, 0x22, 0x22})
+	// A data store elsewhere on the page, and one to the byte just after
+	// the cached instruction (the HLT, not decoded yet), keep the
+	// decode: the generation stays and the cached MOV still runs.
+	env.write(0x1800, []byte{0xff})
+	if err := ip.Env.MemWrite(ip.St, 0x1005, 1, 0xf4); err != nil {
+		t.Fatal(err)
+	}
 	ip.St.EIP = 0x1000
 	stepN(t, ip, 1)
+	if ip.St.GPR[EAX] != 0x11111111 || ip.Cache.Dropped != 0 {
+		t.Errorf("a data store dropped the decode: eax = %#x, %d pages dropped", ip.St.GPR[EAX], ip.Cache.Dropped)
+	}
+	// Patch the immediate in place: the store overlaps the cached MOV,
+	// so the page is dropped once and the MOV re-decoded.
+	env.write(0x1001, []byte{0x22, 0x22, 0x22, 0x22})
+	ip.St.EIP = 0x1000
+	stepN(t, ip, 2)
 	if ip.St.GPR[EAX] != 0x22222222 {
 		t.Errorf("after patch: eax = %#x, want 0x22222222 (stale decode executed)", ip.St.GPR[EAX])
 	}
-	// A write elsewhere in the page must not drop the (unchanged)
-	// decode, but it does put the page in verify mode: a subsequent
-	// behind-the-back change of the instruction bytes is now caught by
-	// the byte comparison even without its own generation bump.
-	env.write(0x1800, []byte{0xff})
-	copy(env.mem[0x1001:], []byte{0x44, 0x44, 0x44, 0x44})
-	ip.St.EIP = 0x1000
-	stepN(t, ip, 1)
-	if ip.St.GPR[EAX] != 0x44444444 {
-		t.Errorf("verify mode missed a byte change: eax = %#x, want 0x44444444", ip.St.GPR[EAX])
+	if ip.Cache.Dropped != 1 {
+		t.Errorf("%d pages dropped, want 1", ip.Cache.Dropped)
 	}
 }
 
@@ -180,6 +206,15 @@ func TestDecodeCacheDeclinedPage(t *testing.T) {
 	}
 	if env.calls == 0 {
 		t.Error("ExecPage never consulted")
+	}
+}
+
+// TestDecodeCacheMemoStartsEmpty checks that the one-entry memo of a
+// new cache serves nothing, not even physical page 0 in 16-bit code
+// at generation 0, which its zero key and generation would match.
+func TestDecodeCacheMemoStartsEmpty(t *testing.T) {
+	if NewDecodeCache().page(0, false, 0) == nil {
+		t.Error("a new cache returned no decoded page for page 0")
 	}
 }
 

@@ -83,13 +83,13 @@ func (ip *Interp) fetchDecode(st *CPUState) (*Inst, error) {
 	def32 := st.Seg[CS].Def32
 	if ip.Cache != nil && ip.pager != nil {
 		va := st.Seg[CS].Base + st.EIP
-		data, page, gen, _, err := ip.pager.ExecPage(st, va)
+		data, code, page, gen, _, err := ip.pager.ExecPage(st, va)
 		if err != nil {
 			return nil, err
 		}
 		if data != nil {
-			dp, fresh := ip.Cache.page(page, def32, gen)
-			return ip.decodeFromPage(dp, data, int(va&(codePageSize-1)), def32, fresh)
+			dp := ip.Cache.page(page, def32, gen)
+			return ip.decodeFromPage(dp, data, code, int(va&(codePageSize-1)), def32)
 		}
 	}
 	return ip.decodeSlow(def32)
@@ -113,22 +113,20 @@ func (ip *Interp) vmexit(e VMExit) *VMExit {
 }
 
 // decodeFromPage returns the cached decode at page offset off, filling
-// the cache on a miss. On a stale page (fresh=false: the page was
-// written since fill time) a hit is first byte-verified against the
-// live page; only decodes whose bytes actually changed re-decode. An
-// instruction that spills past the page's end re-fetches through the
-// environment, so the next page's translation happens (and faults and
-// charges) exactly as on the slow path; the first page's bytes re-read
-// for free — their translation was just inserted into the TLB. In-page
-// decode failures (the 15-byte limit) surface as-is: the slow path
-// would read the same bytes and fail identically.
-func (ip *Interp) decodeFromPage(dp *decodedPage, data []byte, off int, def32, fresh bool) (*Inst, error) {
-	if inst := dp.insts[off]; inst != nil && (fresh || instValid(inst, data, off)) {
+// the cache on a miss. An instruction that spills past the page's end
+// re-fetches through the environment, so the next page's translation
+// happens (and faults and charges) exactly as on the slow path; the
+// first page's bytes re-read for free — their translation was just
+// inserted into the TLB. In-page decode failures (the 15-byte limit)
+// surface as-is: the slow path would read the same bytes and fail
+// identically.
+func (ip *Interp) decodeFromPage(dp *decodedPage, data []byte, code CodeMap, off int, def32 bool) (*Inst, error) {
+	if inst := dp.insts[off]; inst != nil {
 		return inst, nil
 	}
 	inst, err := Decode(&pageFetcher{data: data, off: off}, def32)
 	if err == nil {
-		cacheInst(dp, data, off, inst)
+		cacheInst(dp, code, off, inst)
 		return inst, nil
 	}
 	if _, spill := err.(errPageSpill); !spill {

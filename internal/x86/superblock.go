@@ -39,22 +39,19 @@ import "fmt"
 //     actually visits; a taken branch simply ends the block where the
 //     sequential loop would re-fetch.
 //
-// Invalidation rides the decode cache's per-page write generations
-// (guest SMC, VMM/BIOS writes, DMA): once a page's generation moves,
-// every block hit on it re-proves the block with one memcmp of its
-// byte span against the snapshot taken at build time, and rebuilds on
-// mismatch. The cache key's def32 bit covers CS default-size changes;
-// paging-mode or mapping changes are caught by the per-fetch
-// translation that precedes every block run.
+// Invalidation rides the decode cache's per-page write generations.
+// Every instruction of a block is in the decode cache, so every byte of
+// the block's span is marked in the page's code map: a store into the
+// span (guest SMC, VMM/BIOS writes, DMA) moves the generation, and the
+// cache drops the page's blocks with its decodes. The cache key's def32
+// bit covers CS default-size changes; paging-mode or mapping changes
+// are caught by the per-fetch translation that precedes every block
+// run.
 
 // Superblock is a cached straight-line run of fusible instructions
-// starting at one page offset. enc snapshots the span bytes the run was
-// decoded from: after the page is written, one memcmp of the live span
-// against enc re-proves the whole chain (the instructions are
-// contiguous, so the span covers every byte any of them decoded).
+// starting at one page offset.
 type Superblock struct {
 	insts []*Inst
-	enc   []byte
 }
 
 // SuperblockStats counts superblock activity. Host-side only: the
@@ -67,9 +64,9 @@ type SuperblockStats struct {
 	Hits uint64
 	// Fused counts instructions retired inside fused executions.
 	Fused uint64
-	// Invalidated counts cached superblocks dropped because the bytes
-	// under them actually changed (byte-verified after a page write)
-	// or the cache overflowed.
+	// Invalidated counts cached superblocks dropped: with their page,
+	// when a store to cached code moved the page's write generation, or
+	// on cache overflow.
 	Invalidated uint64
 	// CutPending counts single-steps forced by the binding layer
 	// because an interrupt, recall or injection was already pending.
@@ -122,25 +119,20 @@ func InstFusible(inst *Inst) bool {
 
 // buildSuperblock chains decoded instructions forward from off,
 // stopping at the first non-fusible or page-spilling instruction; a
-// relative branch is included only as the final instruction. On a stale
-// page, cached decodes are byte-verified before being chained (and
-// re-decoded when their bytes changed). Runs shorter than two
-// instructions yield the cache's noBlock sentinel, so StepBlock stops
-// re-probing those entry points.
-func (ip *Interp) buildSuperblock(dp *decodedPage, data []byte, off int, def32, fresh bool) *Superblock {
+// relative branch is included only as the final instruction. Runs
+// shorter than two instructions yield the cache's noBlock sentinel, so
+// StepBlock stops re-probing those entry points.
+func (ip *Interp) buildSuperblock(dp *decodedPage, data []byte, code CodeMap, off int, def32 bool) *Superblock {
 	var insts []*Inst
 	pos := off
 	for pos < codePageSize {
 		inst := dp.insts[pos]
-		if inst != nil && !fresh && !instValid(inst, data, pos) {
-			inst = nil
-		}
 		if inst == nil {
 			in, err := Decode(&pageFetcher{data: data, off: pos}, def32)
 			if err != nil {
 				break // page spill or bad encoding: end the block before it
 			}
-			cacheInst(dp, data, pos, in)
+			cacheInst(dp, code, pos, in)
 			inst = in
 		}
 		if !InstFusible(inst) {
@@ -155,9 +147,7 @@ func (ip *Interp) buildSuperblock(dp *decodedPage, data []byte, off int, def32, 
 	if len(insts) < 2 {
 		return ip.Cache.noBlock
 	}
-	enc := make([]byte, pos-off)
-	copy(enc, data[off:pos])
-	return &Superblock{insts: insts, enc: enc}
+	return &Superblock{insts: insts}
 }
 
 // blockFit is the number of a block's instructions that start within
@@ -199,7 +189,7 @@ func (ip *Interp) StepBlock(window, instCost uint64) error {
 	st.IntShadow = false
 	def32 := st.Seg[CS].Def32
 	va := st.Seg[CS].Base + st.EIP
-	data, page, gen, charged, err := ip.pager.ExecPage(st, va)
+	data, code, page, gen, charged, err := ip.pager.ExecPage(st, va)
 	if err != nil {
 		ip.Cache.SB.CutSlow++
 		return ip.stepDecoded(nil, err, prevShadow)
@@ -213,20 +203,10 @@ func (ip *Interp) StepBlock(window, instCost uint64) error {
 		return ip.stepDecoded(inst, derr, prevShadow)
 	}
 	off := int(va & (codePageSize - 1))
-	dp, fresh := ip.Cache.page(page, def32, gen)
+	dp := ip.Cache.page(page, def32, gen)
 	sb := dp.blocks[off]
-	if sb != nil && sb != ip.Cache.noBlock && !fresh &&
-		!bytesEqual(data[off:off+len(sb.enc)], sb.enc) {
-		// The page was written inside this block's span (guest SMC, DMA):
-		// the chain is stale. Drop it and rebuild from the live bytes.
-		ip.Cache.SB.Invalidated++
-		dp.nblocks--
-		ip.Cache.liveBlocks--
-		dp.blocks[off] = nil
-		sb = nil
-	}
 	if sb == nil {
-		sb = ip.buildSuperblock(dp, data, off, def32, fresh)
+		sb = ip.buildSuperblock(dp, data, code, off, def32)
 		dp.blocks[off] = sb
 		if sb != ip.Cache.noBlock {
 			ip.Cache.SB.Built++
@@ -236,7 +216,7 @@ func (ip *Interp) StepBlock(window, instCost uint64) error {
 	}
 	if sb == ip.Cache.noBlock {
 		ip.Cache.SB.CutShort++
-		inst, derr := ip.decodeFromPage(dp, data, off, def32, fresh)
+		inst, derr := ip.decodeFromPage(dp, data, code, off, def32)
 		return ip.stepDecoded(inst, derr, prevShadow)
 	}
 	n := len(sb.insts)
