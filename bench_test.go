@@ -209,43 +209,22 @@ func BenchmarkInterpreter(b *testing.B) {
 	b.ReportMetric(float64(r.BM.Interp.InstRet-ret0)/float64(b.N), "guest-insts/op")
 }
 
-// BenchmarkStepHotLoop measures the interpreter's single-step loop with
-// the decoded-instruction cache enabled vs disabled (superblock fusion
-// off in both, so the step path itself is what's timed). The two
-// configurations must produce bit-identical simulation results
-// (enforced by TestDecodeCacheABIdentity); only host ns/op may differ.
+// BenchmarkStepHotLoop measures the interpreter's hot loop fused, with
+// the decoded-instruction cache and its fused runs, against bare
+// stepping with the cache off. The two configurations must produce
+// bit-identical simulation results (enforced by
+// TestDecodeCacheABIdentity); only host ns/op may differ.
 func BenchmarkStepHotLoop(b *testing.B) {
 	for _, tc := range []struct {
 		name     string
 		disabled bool
 	}{
-		{"cached", false},
-		{"uncached", true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			benchHotLoop(b, guest.RunnerConfig{
-				Model: hw.BLM, Mode: guest.ModeNative,
-				DisableDecodeCache: tc.disabled, DisableSuperblocks: true,
-			})
-		})
-	}
-}
-
-// BenchmarkSuperblockHotLoop measures fused superblock execution against
-// the plain cached step path on the same hot loop. Both configurations
-// must produce bit-identical simulation results (enforced by
-// TestSuperblockABIdentity); only host ns/op may differ.
-func BenchmarkSuperblockHotLoop(b *testing.B) {
-	for _, tc := range []struct {
-		name     string
-		disabled bool
-	}{
 		{"fused", false},
-		{"stepped", true},
+		{"bare", true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			benchHotLoop(b, guest.RunnerConfig{
-				Model: hw.BLM, Mode: guest.ModeNative, DisableSuperblocks: tc.disabled,
+				Model: hw.BLM, Mode: guest.ModeNative, DisableDecodeCache: tc.disabled,
 			})
 		})
 	}

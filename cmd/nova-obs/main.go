@@ -598,16 +598,16 @@ func profReport(f *obs.File, d *prof.Data, top int) {
 	w.Flush() //nolint:errcheck
 	if codeWeight > 0 {
 		fmt.Printf("\nfusibility: %.1f%% of the sampled weight at hot addresses with captured code\n"+
-			"is superblock-fusible (see `fuse` rows); fusible runs of length >= 2 execute\n"+
-			"as fused blocks, in profiled runs too (a block ends before a sample point)\n",
+			"is fusible (see `fuse` rows); fusible instructions on one code page execute\n"+
+			"as fused runs, in profiled runs too (a run ends before a sample point)\n",
 			100*float64(fuseWeight)/float64(codeWeight))
 	}
 }
 
 // site disassembles the captured instruction bytes at a hot address and
-// classifies them for the superblock layer: "fuse" when the instruction
-// can sit inside a fused superblock (x86.InstFusible), "-" when it
-// forces single-stepping (memory operand, privileged, faulting,
+// classifies them for fused execution: "fuse" when the instruction can
+// run inside a fused run (x86.InstFusible), "-" when it forces
+// single-stepping (memory operand, privileged, faulting,
 // extra-cycle forms). Both are empty when the profile carries no code
 // for the address.
 func site(d *prof.Data, addr uint32, def32 bool) (mark, code string) {

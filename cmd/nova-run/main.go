@@ -44,8 +44,7 @@ func main() {
 	image := flag.String("image", "", "boot-sector binary for -workload boot")
 	maxCycles := flag.Uint64("max-cycles", 1<<34, "run budget in cycles")
 	obsFile := flag.String("obs", "", "attach every observability sink the mode supports and write what they record to this file (read it with nova-obs)")
-	decodeCache := flag.Bool("decode-cache", true, "host-side decoded-instruction cache (results are bit-identical either way)")
-	superblocks := flag.Bool("superblocks", true, "fused superblock execution on top of the decode cache (results are bit-identical either way)")
+	decodeCache := flag.Bool("decode-cache", true, "host-side decoded-instruction cache and its fused runs (results are bit-identical either way)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the host process to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile of the host process to this file")
 	flag.Parse()
@@ -67,7 +66,7 @@ func main() {
 		sinks = obsSinks
 	}
 	if *workload == "boot" {
-		runBoot(model, *image, !*decodeCache, !*superblocks, sinks, *obsFile)
+		runBoot(model, *image, !*decodeCache, sinks, *obsFile)
 		stopProfiles()
 		return
 	}
@@ -93,7 +92,7 @@ func main() {
 
 	img := guest.MustBuild(opts)
 	cfg := guest.RunnerConfig{Model: model, Mode: mode, UseVPID: true, HostLargePages: true,
-		DisableDecodeCache: !*decodeCache, DisableSuperblocks: !*superblocks, Sinks: sinks}
+		DisableDecodeCache: !*decodeCache, Sinks: sinks}
 	if withDisk && (mode == guest.ModeVirtEPT || mode == guest.ModeVirtVTLB) {
 		cfg.WithDiskServer = true
 	}
@@ -145,9 +144,9 @@ func main() {
 		fmt.Printf("console: %q\n", r.VMM.Console())
 	}
 	if v := r.VCPU(); v != nil {
-		fmt.Fprintln(os.Stderr, superblockLine(v.Interp))
+		fmt.Fprintln(os.Stderr, hostLine(v.Interp))
 	} else {
-		fmt.Fprintln(os.Stderr, superblockLine(r.BM.Interp))
+		fmt.Fprintln(os.Stderr, hostLine(r.BM.Interp))
 	}
 	writeObs(*obsFile, r.Obs())
 }
@@ -185,14 +184,14 @@ func writeObs(path string, f *obs.File) {
 	fmt.Println(line + ")")
 }
 
-// superblockLine reports an interpreter's decode-cache and superblock
-// counters, which are host-side facts no sink records.
-func superblockLine(ip *x86.Interp) string {
+// hostLine reports an interpreter's decode-cache counters, which are
+// host-side facts no sink records.
+func hostLine(ip *x86.Interp) string {
 	if ip.Cache == nil {
-		return "host: decode cache off, no superblocks"
+		return "host: decode cache off, nothing fused"
 	}
-	return fmt.Sprintf("host: %d superblocks built, %d of %d instructions fused, %d decoded pages dropped",
-		ip.Cache.SB.Built, ip.Cache.SB.Fused, ip.InstRet, ip.Cache.Dropped)
+	return fmt.Sprintf("host: %d of %d instructions fused, %d decoded pages dropped",
+		ip.Cache.SB.Fused, ip.InstRet, ip.Cache.Dropped)
 }
 
 // startProfiles begins host-side pprof profiling as requested and
@@ -237,7 +236,7 @@ func startProfiles(cpuFile, memFile string) func() {
 
 // runBoot performs the full BIOS boot path on a user-provided boot
 // sector (or a built-in demo that prints via INT 10h).
-func runBoot(model hw.CPUModel, imagePath string, disableDecodeCache, disableSuperblocks bool,
+func runBoot(model hw.CPUModel, imagePath string, disableDecodeCache bool,
 	sinks hypervisor.Sinks, obsFile string) {
 	var sector []byte
 	if imagePath != "" {
@@ -271,8 +270,7 @@ msg:
 	copy(padded, sector)
 
 	plat := hw.MustNewPlatform(hw.Config{Model: model, RAMSize: 128 << 20})
-	k := hypervisor.New(plat, hypervisor.Config{UseVPID: true,
-		DisableDecodeCache: disableDecodeCache, DisableSuperblocks: disableSuperblocks})
+	k := hypervisor.New(plat, hypervisor.Config{UseVPID: true, DisableDecodeCache: disableDecodeCache})
 	root := services.NewRootPM(k)
 	ds, err := root.StartDiskServer()
 	if err != nil {
@@ -305,7 +303,7 @@ msg:
 	if len(k.Killed) > 0 {
 		fmt.Printf("killed: %v\n", k.Killed)
 	}
-	fmt.Fprintln(os.Stderr, superblockLine(m.EC.VCPU.Interp))
+	fmt.Fprintln(os.Stderr, hostLine(m.EC.VCPU.Interp))
 	writeObs(obsFile, k.Obs())
 }
 

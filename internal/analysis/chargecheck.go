@@ -31,11 +31,11 @@ import (
 // construction, test plumbing) carry a `// nocharge: <reason>` comment
 // on the line directly above the declaration.
 //
-// The superblock layer adds a batching rule: StepBlock retires a fused
+// Fused execution adds a batching rule: StepBlock retires a fused
 // run of instructions with no per-instruction charges, so every
 // `.StepBlock(...)` call site must be followed — in a sibling
 // statement, before any statement that steps again — by a charge-sink
-// call that batch-charges the block. Functions named StepBlock must
+// call that batch-charges the run. Functions named StepBlock must
 // additionally never reach a wall-clock read: the fused loop runs
 // between two virtual-time charges and must advance virtual time only.
 var Chargecheck = &Analyzer{
@@ -85,14 +85,14 @@ func runChargecheck(pass *Pass) {
 	reportStepBlockSites(pass)
 }
 
-// reportStepBlockSites enforces the superblock batching contract.
+// reportStepBlockSites enforces the fused-run batching contract.
 // StepBlock retires a whole fused run with no per-instruction charges,
-// so every call site must batch-charge the block before stepping again:
+// so every call site must batch-charge the run before stepping again:
 // some sibling statement after the one containing the `.StepBlock(...)`
 // call — at any enclosing block level — must call a charge sink before
 // any statement that steps again. The rule is deliberately syntactic
 // rather than reachability-based: the batch charge must stay adjacent
-// to the fused call, or a refactor could float it out of the per-block
+// to the fused call, or a refactor could float it out of the per-run
 // loop and the fused path would retire instructions for free.
 //
 // Functions *named* StepBlock are additionally held to the fused
@@ -136,7 +136,7 @@ func reportUnchargedStepBlocks(pass *Pass, pkg *Package, fd *ast.FuncDecl) {
 	markChargedSites(pkg, fd.Body, sites, charged)
 	for _, call := range sites {
 		if !charged[call] {
-			pass.Reportf(call.Pos(), "StepBlock call site has no following batch charge (charge the fused block's cycles before stepping again)")
+			pass.Reportf(call.Pos(), "StepBlock call site has no following batch charge (charge the fused run's cycles before stepping again)")
 		}
 	}
 }

@@ -60,7 +60,7 @@ func (d *Device) internalWrite(v uint32) { d.state = v }
 
 // Interp models x86.Interp's stepping API. Like the real interpreter,
 // its memory-access environment reaches the clock transitively (so the
-// entry-point rule is satisfied); what matters for the superblock rule
+// entry-point rule is satisfied); what matters for the fused-run rule
 // is that StepBlock retires a whole fused run and the *call site* must
 // batch-charge it before stepping again.
 type Interp struct {
@@ -82,7 +82,7 @@ func (i *Interp) StepBlock(max uint64) error {
 	return nil
 }
 
-// goodFusedLoop is the batching idiom: one charge per fused block,
+// goodFusedLoop is the batching idiom: one charge per fused run,
 // adjacent to the StepBlock call in the loop body.
 func goodFusedLoop(clk *Clock, ip *Interp) {
 	for n := 0; n < 4; n++ {
@@ -108,14 +108,14 @@ func goodFusedFallback(clk *Clock, ip *Interp, max uint64) error {
 	return err
 }
 
-// badFusedNoCharge steps a fused block and returns without ever
+// badFusedNoCharge steps a fused run and returns without ever
 // charging the batch.
 func badFusedNoCharge(ip *Interp) error {
 	return ip.StepBlock(8) // want "no following batch charge"
 }
 
-// badFusedStepsAgain steps again before charging the fused block: the
-// eventual charge cannot be attributed to the first block.
+// badFusedStepsAgain steps again before charging the fused run: the
+// eventual charge cannot be attributed to the first run.
 func badFusedStepsAgain(clk *Clock, ip *Interp) {
 	ip.StepBlock(8) // want "no following batch charge"
 	ip.Step()       // a second step before the batch charge

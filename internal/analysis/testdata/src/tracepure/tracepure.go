@@ -1,7 +1,7 @@
 // Package fixture seeds tracepure violations: trace-layer code that
 // perturbs the simulation, and emission call sites whose arguments do
 // work. The analyzer matches the trace layer by receiver-type name
-// (Tracer, Ring, Histogram, ..., DecodeCache, Superblock) and the
+// (Tracer, Ring, Histogram, ..., DecodeCache) and the
 // record path by receiver and method name (Kernel.Record, VMM.record),
 // so this package models it the same way the chargecheck fixture
 // models Clock.
@@ -250,10 +250,10 @@ func (s *Server) BadCountCharging(d *Device) {
 	s.reqs.Add(d.step(), 1) // want "charges simulated cycles"
 }
 
-// DecodeCache mirrors x86.DecodeCache: the decoded-instruction cache
-// and its superblock layer are host-side acceleration state riding the
-// same zero-perturbation contract as the trace layer — a cache fill or
-// invalidation must be invisible to the simulation.
+// DecodeCache mirrors x86.DecodeCache: the decoded-instruction cache is
+// host-side acceleration state riding the same zero-perturbation
+// contract as the trace layer — a cache fill or invalidation must be
+// invisible to the simulation.
 type DecodeCache struct {
 	clk   *Clock
 	mem   *Mem
@@ -288,24 +288,10 @@ func (c *DecodeCache) GoodSweep() []uint64 {
 	return out
 }
 
-// Superblock mirrors x86.Superblock.
-type Superblock struct{ insts []uint64 }
-
-// BadBuild mutates guest-visible state while chaining a block.
-func (s *Superblock) BadBuild(m *Mem) { // want "mutates guest-visible platform state"
-	m.Write32(0, 1)
-	s.insts = append(s.insts, 1)
-}
-
-// GoodVerify re-proves a cached block against live bytes without
-// touching the simulation: fine.
-func (s *Superblock) GoodVerify(live []uint64) bool {
-	for i, v := range s.insts {
-		if i >= len(live) || live[i] != v {
-			return false
-		}
-	}
-	return true
+// BadDecode mutates guest-visible state while filling a decode.
+func (c *DecodeCache) BadDecode(page uint64) { // want "mutates guest-visible platform state"
+	c.mem.Write32(0, 1)
+	c.pages[page] = 1
 }
 
 // Recorder mirrors span.Recorder: the request-span tracer rides the

@@ -13,8 +13,8 @@ import (
 //     "trace", "prof", "stat" or "span", plus methods on the trace types
 //     (Tracer, Ring, Histogram, Profiler, Buf, the
 //     metric registry's Registry/Metric/Counter/Gauge, and the
-//     interpreter's host-side DecodeCache/Superblock acceleration
-//     state) wherever they are declared, and the record path (the
+//     interpreter's host-side DecodeCache acceleration state)
+//     wherever they are declared, and the record path (the
 //     probeFuncs) — must not reach a
 //     cycle-charge sink (Clock.Charge,
 //     Kernel.charge/ChargeUser), a platform mutator (PortWrite,
@@ -49,10 +49,10 @@ var traceTypeNames = map[string]bool{
 	// internal/stat's registry layer rides the same contract: recording
 	// a metric must never charge, mutate, or read the wall clock.
 	"Registry": true, "Metric": true, "Counter": true, "Gauge": true,
-	// The decoded-instruction cache and its superblock layer are
-	// host-side acceleration state: filling or dropping them must be
-	// invisible to the simulation, exactly like emitting a trace record.
-	"DecodeCache": true, "Superblock": true,
+	// The decoded-instruction cache is host-side acceleration state:
+	// filling or dropping it must be invisible to the simulation,
+	// exactly like emitting a trace record.
+	"DecodeCache": true,
 	// internal/span's request recorder rides the same contract: opening,
 	// transitioning, or closing a span must never charge, mutate, or
 	// read the wall clock, and its encoding must not range over a map.

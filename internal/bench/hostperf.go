@@ -11,17 +11,15 @@ import (
 
 // RunHostPerf measures how fast the *simulator itself* executes guest
 // code: retired guest instructions per host wall-clock second (guest
-// MIPS), with the interpreter's host-side fast paths peeled off layer
-// by layer — superblock fusion on top of the decoded-instruction cache
-// ("fused"), the cache alone ("step"), and neither ("bare") — for the
-// compile workload across execution modes.
+// MIPS), with the interpreter's host-side fast path on — the decoded-
+// instruction cache and its fused runs ("fused") — and off ("bare"),
+// for the compile workload across execution modes.
 //
 // This is the one experiment in the suite about the host, not the
 // simulated machine — hence the walltime import. The simulated results
-// of all three settings are bit-identical (enforced by
-// TestDecodeCacheABIdentity, TestSuperblockABIdentity and the CI
-// identity steps); only the host seconds may differ, and the speedup
-// columns quantify by how much.
+// of both settings are bit-identical (enforced by
+// TestDecodeCacheABIdentity and the CI identity step); only the host
+// seconds may differ, and the speedup column quantifies by how much.
 func RunHostPerf(sc Scale) (*Table, error) {
 	type cfgSpec struct {
 		label string
@@ -35,9 +33,8 @@ func RunHostPerf(sc Scale) (*Table, error) {
 
 	var vcycles uint64
 	res := &Resources{}
-	run := func(cfg guest.RunnerConfig, disableCache, disableSB bool) (insts uint64, seconds float64, err error) {
+	run := func(cfg guest.RunnerConfig, disableCache bool) (insts uint64, seconds float64, err error) {
 		cfg.DisableDecodeCache = disableCache
-		cfg.DisableSuperblocks = disableSB
 		img := guest.MustBuild(guest.CompileKernel(667))
 		if cfg.Mode == guest.ModeVirtEPT || cfg.Mode == guest.ModeVirtVTLB {
 			cfg.WithDiskServer = true
@@ -66,23 +63,19 @@ func RunHostPerf(sc Scale) (*Table, error) {
 
 	t := &Table{
 		Title:   "Host performance: guest MIPS (retired guest instructions / host second)",
-		Columns: []string{"mode", "guest insts", "MIPS fused", "MIPS step", "MIPS bare", "fused/bare", "fused/step"},
+		Columns: []string{"mode", "guest insts", "MIPS fused", "MIPS bare", "fused/bare"},
 	}
 	for _, s := range specs {
-		fusedInsts, fusedSec, err := run(s.cfg, false, false)
+		fusedInsts, fusedSec, err := run(s.cfg, false)
 		if err != nil {
 			return nil, fmt.Errorf("hostperf %s (fused): %w", s.label, err)
 		}
-		stepInsts, stepSec, err := run(s.cfg, false, true)
-		if err != nil {
-			return nil, fmt.Errorf("hostperf %s (step): %w", s.label, err)
-		}
-		bareInsts, bareSec, err := run(s.cfg, true, true)
+		bareInsts, bareSec, err := run(s.cfg, true)
 		if err != nil {
 			return nil, fmt.Errorf("hostperf %s (bare): %w", s.label, err)
 		}
-		if fusedInsts != stepInsts || stepInsts != bareInsts {
-			return nil, fmt.Errorf("hostperf %s: retired-instruction counts diverged across fast-path settings (fused %d, step %d, bare %d) — a host-side layer leaked into the simulation", s.label, fusedInsts, stepInsts, bareInsts)
+		if fusedInsts != bareInsts {
+			return nil, fmt.Errorf("hostperf %s: retired-instruction counts diverged across fast-path settings (fused %d, bare %d) — a host-side layer leaked into the simulation", s.label, fusedInsts, bareInsts)
 		}
 		mips := func(insts uint64, sec float64) float64 {
 			if sec <= 0 {
@@ -90,19 +83,16 @@ func RunHostPerf(sc Scale) (*Table, error) {
 			}
 			return float64(insts) / sec / 1e6
 		}
-		fused, step, bare := mips(fusedInsts, fusedSec), mips(stepInsts, stepSec), mips(bareInsts, bareSec)
-		ratio := func(num, den float64) string {
-			if den <= 0 {
-				return "-"
-			}
-			return f2(num / den)
+		fused, bare := mips(fusedInsts, fusedSec), mips(bareInsts, bareSec)
+		ratio := "-"
+		if bare > 0 {
+			ratio = f2(fused / bare)
 		}
-		t.Rows = append(t.Rows, []string{s.label, d(fusedInsts), f1(fused), f1(step), f1(bare),
-			ratio(fused, bare), ratio(fused, step)})
+		t.Rows = append(t.Rows, []string{s.label, d(fusedInsts), f1(fused), f1(bare), ratio})
 	}
 	t.Notes = append(t.Notes,
 		"host-side metric: wall-clock throughput of the simulator process, not a simulated quantity",
-		"fused = decode cache + superblocks, step = decode cache only, bare = neither; all three retire identical instruction streams")
+		"fused = decode cache and its fused runs, bare = neither; both retire identical instruction streams")
 	t.VirtualCycles = vcycles
 	t.Resources = res
 	return t, nil

@@ -53,8 +53,8 @@ func TestCompileWorkloadNative(t *testing.T) {
 func TestCompileKernelDropsNoDecodedPage(t *testing.T) {
 	r, _ := runCompile(t, RunnerConfig{Model: hw.BLM, Mode: ModeVirtEPT, UseVPID: true, HostLargePages: true}, 4, 128, 16, 2000, 1)
 	c := r.VCPU().Interp.Cache
-	if c.SB.Hits == 0 {
-		t.Fatal("the decode cache's superblocks never ran")
+	if c.SB.Fused == 0 {
+		t.Fatal("the decode cache's fused runs never ran")
 	}
 	if c.Dropped != 0 {
 		t.Errorf("%d decoded pages dropped, want 0", c.Dropped)

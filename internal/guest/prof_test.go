@@ -68,7 +68,7 @@ func TestProfileDoubleRunByteIdentity(t *testing.T) {
 }
 
 // fusedInsts returns how many instructions the runner's guest CPU
-// retired inside fused superblocks.
+// retired in fused runs.
 func fusedInsts(r *Runner) uint64 {
 	if r.BM != nil {
 		return r.BM.Interp.Cache.SB.Fused
@@ -78,7 +78,7 @@ func fusedInsts(r *Runner) uint64 {
 
 // TestProfiledRunsFuse: attaching the profiler does not force single
 // stepping. Profiled runs fuse nearly as much as unprofiled ones; the
-// only fused instructions lost are those of blocks cut at a sample
+// only fused instructions lost are those of runs cut at a sample
 // point.
 func TestProfiledRunsFuse(t *testing.T) {
 	for _, tc := range abCases() {
@@ -106,8 +106,9 @@ func TestProfiledRunsFuse(t *testing.T) {
 // TestProfileFusedMatchesStepped: a fused profiled run records exactly
 // the samples of a single-stepped one, at periods down to one cycle,
 // with a base instruction cost above one (StepBlock rounds its window
-// to whole instructions) and with block fetches that charge vTLB fills
-// (vtlb-compute reloads CR3 every pass).
+// to whole instructions) and with run fetches that charge vTLB fills
+// (vtlb-compute reloads CR3 every pass). The stepped run has the decode
+// cache off.
 func TestProfileFusedMatchesStepped(t *testing.T) {
 	for _, tc := range abCases() {
 		if !strings.HasSuffix(tc.name, "-compute") {
@@ -119,7 +120,7 @@ func TestProfileFusedMatchesStepped(t *testing.T) {
 					label := fmt.Sprintf("ic=%d period=%d", ic, period)
 					fusedProf, fusedCycles := profEncodeRun(t, tc, tc.cfg, period, ic)
 					stepped := tc.cfg
-					stepped.DisableSuperblocks = true
+					stepped.DisableDecodeCache = true
 					steppedProf, steppedCycles := profEncodeRun(t, tc, stepped, period, ic)
 					if fusedCycles != steppedCycles {
 						t.Errorf("%s: cycle totals differ: fused %d, stepped %d", label, fusedCycles, steppedCycles)

@@ -77,14 +77,9 @@ type RunnerConfig struct {
 	DisableVTLBTrick    bool
 
 	// DisableDecodeCache turns off the interpreter's host-side
-	// decoded-instruction cache (all modes). Results must be
-	// bit-identical either way; see hypervisor.Config.
+	// decoded-instruction cache and its fused runs (all modes). Results
+	// must be bit-identical either way; see hypervisor.Config.
 	DisableDecodeCache bool
-
-	// DisableSuperblocks turns off fused superblock execution on top
-	// of the decode cache (all modes). Results must be bit-identical
-	// either way; see hypervisor.Config.
-	DisableSuperblocks bool
 
 	// Sinks selects the observability sinks to attach once the stack
 	// is built (so construction is not observed). Zero-perturbation:
@@ -142,7 +137,6 @@ func NewRunner(cfg RunnerConfig, image []byte) (*Runner, error) {
 		if cfg.DisableDecodeCache {
 			r.BM.Interp.Cache = nil
 		}
-		r.BM.DisableSuperblocks = cfg.DisableSuperblocks
 		r.BM.Observe(cfg.Sinks)
 		return r, nil
 	}
@@ -153,7 +147,6 @@ func NewRunner(cfg RunnerConfig, image []byte) (*Runner, error) {
 		DisableDirectSwitch: cfg.DisableDirectSwitch,
 		DisableVTLBTrick:    cfg.DisableVTLBTrick,
 		DisableDecodeCache:  cfg.DisableDecodeCache,
-		DisableSuperblocks:  cfg.DisableSuperblocks,
 	})
 	r.K = k
 	r.Root = services.NewRootPM(k)

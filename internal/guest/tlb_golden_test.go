@@ -127,6 +127,32 @@ func runGolden(t *testing.T, cfg RunnerConfig, image []byte) (tlbGolden, *Runner
 	return g, r
 }
 
+// checkGolden pins one row: a stepped run, with the decode cache off,
+// must reproduce want exactly, and a fused run, the default, must
+// reproduce it in every field but TLB hits. Hits count fetch
+// translations, which a fused run does once per run instead of once
+// per instruction; they are free, so no other field may move (DESIGN
+// §3a). It returns the two runners, stepped first.
+func checkGolden(t *testing.T, cfg RunnerConfig, image []byte, want tlbGolden) [2]*Runner {
+	t.Helper()
+	stepped := cfg
+	stepped.DisableDecodeCache = true
+	gs, rs := runGolden(t, stepped, image)
+	if gs != want {
+		t.Errorf("stepped:\ngot  %+v\nwant %+v", gs, want)
+	}
+	gf, rf := runGolden(t, cfg, image)
+	t.Logf("TLB hits: %d stepped, %d fused", gs.TLB.Hits, gf.TLB.Hits)
+	if gf.TLB.Hits > want.TLB.Hits {
+		t.Errorf("fused: %d TLB hits, more than the stepped run's %d", gf.TLB.Hits, want.TLB.Hits)
+	}
+	gf.TLB.Hits = want.TLB.Hits
+	if gf != want {
+		t.Errorf("fused (hits not compared):\ngot  %+v\nwant %+v", gf, want)
+	}
+	return [2]*Runner{rs, rf}
+}
+
 // TestTLBEvictionGolden pins the virtual cycles, TLB statistics and
 // exits of tlbChurnKernel in every paging mode. Under TLB pressure the
 // victim order feeds every one of them, so a TLB whose eviction order
@@ -134,7 +160,7 @@ func runGolden(t *testing.T, cfg RunnerConfig, image []byte) (tlbGolden, *Runner
 // fill positions of flushed entries) fails here even where the quick
 // benchmark's workloads do not notice. The A/B matrix compares
 // configurations of one commit; these rows pin each mode across
-// commits.
+// commits, stepped and fused (see checkGolden).
 func TestTLBEvictionGolden(t *testing.T) {
 	image := MustBuild(tlbChurnKernel())
 	for _, tc := range []struct {
@@ -144,18 +170,18 @@ func TestTLBEvictionGolden(t *testing.T) {
 	}{
 		{"native", goldenNative, tlbGolden{
 			Cycles: 159_444,
-			TLB: hw.TLBStats{Hits: 5163, Misses: 2578, Fills: 2578, Evictions: 528,
+			TLB: hw.TLBStats{Hits: 38645, Misses: 2578, Fills: 2578, Evictions: 528,
 				FlushAll: 7, FlushVA: 4, FlushedEnt: 1538},
 		}},
 		{"ept", goldenEPT, tlbGolden{
 			Cycles: 992_670,
-			TLB: hw.TLBStats{Hits: 15338, Misses: 2579, Fills: 2579, Evictions: 523,
+			TLB: hw.TLBStats{Hits: 93976, Misses: 2579, Fills: 2579, Evictions: 523,
 				FlushTag: 8, FlushVA: 4, FlushedEnt: 1544},
 			Exits: 11,
 		}},
 		{"ept-novpid-small", goldenEPTSmall, tlbGolden{
 			Cycles: 994_876,
-			TLB: hw.TLBStats{Hits: 15324, Misses: 2593, Fills: 2593, Evictions: 523,
+			TLB: hw.TLBStats{Hits: 93962, Misses: 2593, Fills: 2593, Evictions: 523,
 				FlushAll: 22, FlushTag: 8, FlushVA: 4, FlushedEnt: 2070},
 			Exits: 11,
 		}},
@@ -164,16 +190,14 @@ func TestTLBEvictionGolden(t *testing.T) {
 		// version yet. The EPT rows count that flush too.
 		{"vtlb", goldenVTLB, tlbGolden{
 			Cycles: 3_453_765,
-			TLB: hw.TLBStats{Hits: 5165, Misses: 2576, Fills: 2576, Evictions: 523,
+			TLB: hw.TLBStats{Hits: 38647, Misses: 2576, Fills: 2576, Evictions: 523,
 				FlushTag: 8, FlushVA: 4, FlushedEnt: 1541},
 			Exits:     28,
 			VTLBFills: 2574,
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if got, _ := runGolden(t, tc.cfg, image); got != tc.want {
-				t.Errorf("got  %+v\nwant %+v", got, tc.want)
-			}
+			checkGolden(t, tc.cfg, image, tc.want)
 		})
 	}
 }
@@ -181,7 +205,8 @@ func TestTLBEvictionGolden(t *testing.T) {
 // TestPageCrossGolden pins pageCrossKernel in every paging mode: each
 // access that straddles a page is split into byte accesses, each of
 // which translates (and may miss, walk or fill) on its own page. The
-// checksum shows that every mode reads back what it wrote.
+// checksum shows that every mode reads back what it wrote, stepped and
+// fused (see checkGolden).
 func TestPageCrossGolden(t *testing.T) {
 	image := MustBuild(pageCrossKernel())
 	for _, tc := range []struct {
@@ -191,27 +216,25 @@ func TestPageCrossGolden(t *testing.T) {
 	}{
 		{"native", goldenNative, tlbGolden{
 			Cycles: 22_507,
-			TLB:    hw.TLBStats{Hits: 1290, Misses: 130, Fills: 130, FlushAll: 3},
+			TLB:    hw.TLBStats{Hits: 2613, Misses: 130, Fills: 130, FlushAll: 3},
 		}},
 		{"ept", goldenEPT, tlbGolden{
 			Cycles: 92_685,
-			TLB:    hw.TLBStats{Hits: 11463, Misses: 133, Fills: 133, FlushTag: 4, FlushedEnt: 3},
+			TLB:    hw.TLBStats{Hits: 57942, Misses: 133, Fills: 133, FlushTag: 4, FlushedEnt: 3},
 			Exits:  11,
 		}},
 		{"vtlb", goldenVTLB, tlbGolden{
 			Cycles:    222_048,
-			TLB:       hw.TLBStats{Hits: 1290, Misses: 130, Fills: 130, FlushTag: 4},
+			TLB:       hw.TLBStats{Hits: 2613, Misses: 130, Fills: 130, FlushTag: 4},
 			Exits:     16,
 			VTLBFills: 130,
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, r := runGolden(t, tc.cfg, image)
-			if got != tc.want {
-				t.Errorf("got  %+v\nwant %+v", got, tc.want)
-			}
-			if sum, want := r.ReadGuest32(ProgressAddr), pageCrossSum(); sum != want {
-				t.Errorf("checksum = %#x, want %#x", sum, want)
+			for _, r := range checkGolden(t, tc.cfg, image, tc.want) {
+				if sum, want := r.ReadGuest32(ProgressAddr), pageCrossSum(); sum != want {
+					t.Errorf("checksum = %#x, want %#x", sum, want)
+				}
 			}
 		})
 	}

@@ -28,13 +28,6 @@ type BareMetal struct {
 	// Stat, when set, carries the native run's resource accounting
 	// (instruction and device totals; a native run has no exits or IPC).
 	Stat *stat.Registry
-
-	// DisableSuperblocks turns off fused superblock execution
-	// (x86.StepBlock) and single-steps every instruction. This is NOT
-	// an ablation: superblocks are host-side machinery whose on/off
-	// results are bit-identical; the switch exists for the A/B identity
-	// harness and for debugging.
-	DisableSuperblocks bool
 }
 
 // NewBareMetal prepares a native run of the OS image already loaded in
@@ -74,7 +67,7 @@ func (b *BareMetal) Run(until hw.Cycles) error {
 		if b.Prof != nil {
 			horizon = min(horizon, profSample(b.Prof, 0, clk.Now(), &b.State, b.profRead))
 		}
-		window := fuseLimit(b.Plat, b.Interp, clk.Now(), horizon, b.DisableSuperblocks, pending)
+		window := fuseLimit(b.Plat, clk.Now(), horizon, pending)
 		if err := step(b.Interp, clk, b.Plat.Cost.InstructionCost, window); err != nil {
 			return fmt.Errorf("hypervisor: native execution: %w", err)
 		}

@@ -6,18 +6,18 @@ import (
 	"nova/internal/hw"
 )
 
-// TestFuseWindowCountsTheFetchCharge: a fused block whose fetch misses
+// TestFuseWindowCountsTheFetchCharge: a fused run whose fetch misses
 // the TLB starts its instructions after the walk's charge, so a
 // platform event that falls inside the walk, or just after it, must
-// fire after the same instruction as in a single-stepped run. The
-// first fetch of a nested-paging guest misses and walks the host
-// tables for about a hundred cycles; an event then observes how many
-// instructions have retired.
+// fire after the same instruction as in a single-stepped run (decode
+// cache off). The first fetch of a nested-paging guest misses and
+// walks the host tables for about a hundred cycles; an event then
+// observes how many instructions have retired.
 func TestFuseWindowCountsTheFetchCharge(t *testing.T) {
 	const entry, n = 0x7c00, 600
 	code := straightLine(entry, n)
-	retiredAtEvent := func(offset hw.Cycles, noSB bool) uint64 {
-		k := newTestKernel(t, Config{UseVPID: true, DisableSuperblocks: noSB})
+	retiredAtEvent := func(offset hw.Cycles, stepped bool) uint64 {
+		k := newTestKernel(t, Config{UseVPID: true, DisableDecodeCache: stepped})
 		tv := makeVM(t, k, ModeEPT, 64, code, entry, nil)
 		v := tv.ec.VCPU
 		seen := ^uint64(0)

@@ -68,17 +68,12 @@ type Config struct {
 	// guest level then costs an extra software GPA->HPA translation.
 	DisableVTLBTrick bool
 	// DisableDecodeCache turns off the host-side decoded-instruction
-	// cache of the guest interpreter. This is NOT an ablation: the
-	// cache must not change simulated cycles, traces or guest state by
-	// a single bit (the A/B determinism test runs both settings); the
-	// switch exists for that test and for debugging.
+	// cache of the guest interpreter, and with it fused runs
+	// (x86.StepBlock): every instruction is single-stepped. This is NOT
+	// an ablation: the cache must not change simulated cycles, traces
+	// or guest state by a single bit (the A/B matrix runs both
+	// settings); the switch exists for that harness and for debugging.
 	DisableDecodeCache bool
-	// DisableSuperblocks turns off fused superblock execution
-	// (x86.StepBlock) on top of the decode cache. Like the cache
-	// switch, this is NOT an ablation: fused and single-stepped runs
-	// are bit-identical (the superblock A/B matrix runs both); the
-	// switch exists for that harness and for debugging.
-	DisableSuperblocks bool
 }
 
 // Kernel is the microhypervisor instance for one platform.

@@ -141,7 +141,7 @@ func (k *Kernel) attachProfReader(ec *EC) {
 // step boundary before every step while a profiler is attached: when a
 // sample is due on cpu it takes it, on the address about to run, and it
 // returns cpu's next sample point for the loop to pass to fuseLimit
-// with the deadline. A fused block then holds only instructions that
+// with the deadline. A fused run then holds only instructions that
 // start before that point, where a check before each would have sampled
 // nothing, so fused and single-stepped runs record the same samples.
 func profSample(p *prof.Profiler, cpu int, now hw.Cycles, st *x86.CPUState, read prof.MemReader) hw.Cycles {

@@ -53,14 +53,13 @@ func TestProfSampleHorizon(t *testing.T) {
 		if tc.event != 0 {
 			plat.Queue.At(tc.event, func() {})
 		}
-		ip := &x86.Interp{Cache: x86.NewDecodeCache()}
 		p := prof.New(1, period, 16)
 		if tc.anchor != 0 {
 			p.Tick(0, tc.anchor, prof.ModeGuest, prof.GuestCtx{})
 		}
 		var st x86.CPUState
 		next := profSample(p, 0, tc.now, &st, nil)
-		window := fuseLimit(plat, ip, tc.now, min(tc.deadline, next), false, tc.pending)
+		window := fuseLimit(plat, tc.now, min(tc.deadline, next), tc.pending)
 		if got := p.Data().TotalSamples() > 0; got != tc.sampled {
 			t.Errorf("%s: sampled = %v, want %v", tc.name, got, tc.sampled)
 		}
@@ -77,6 +76,15 @@ func TestProfSampleHorizon(t *testing.T) {
 // instructions followed by HLT: instruction k sits at entry+k.
 func straightLine(entry uint32, n int) []byte {
 	return x86.MustAssemble(fmt.Sprintf("bits 16\norg %#x\n%s\thlt\n", entry, strings.Repeat("\tinc ax\n", n)))
+}
+
+// fusedInsts returns the instructions ip retired in fused runs; with the
+// decode cache off it fuses none.
+func fusedInsts(ip *x86.Interp) uint64 {
+	if ip.Cache == nil {
+		return 0
+	}
+	return ip.Cache.SB.Fused
 }
 
 // wantStraightLineSamples is the closed form of the guest samples of a
@@ -100,23 +108,26 @@ func wantStraightLineSamples(n int, ic, period hw.Cycles) [][2]uint64 {
 }
 
 // TestGuestSamplesLandOnTheInstructionAboutToRun runs a straight line of
-// fusible instructions under both run loops, fused and single-stepped,
-// at several periods and two instruction costs, and checks every guest
-// sample against the closed form. The first instruction runs before the
-// profiler attaches, so its fetch's TLB fill is not in the window and
-// every profiled instruction costs exactly ic.
+// fusible instructions under both run loops, fused and single-stepped
+// (decode cache off), at several periods and two instruction costs, and
+// checks every guest sample against the closed form. The first
+// instruction runs before the profiler attaches, so its fetch's TLB
+// fill is not in the window and every profiled instruction costs
+// exactly ic.
 func TestGuestSamplesLandOnTheInstructionAboutToRun(t *testing.T) {
 	const entry, n = 0x7c00, 600
 	code := straightLine(entry, n)
 	// A run returns the guest samples, the start time of instruction 1
 	// and the instructions retired fused.
-	type run func(ic hw.Cycles, period uint64, noSB bool) ([]prof.Sample, hw.Cycles, uint64)
-	bare := func(ic hw.Cycles, period uint64, noSB bool) ([]prof.Sample, hw.Cycles, uint64) {
+	type run func(ic hw.Cycles, period uint64, stepped bool) ([]prof.Sample, hw.Cycles, uint64)
+	bare := func(ic hw.Cycles, period uint64, stepped bool) ([]prof.Sample, hw.Cycles, uint64) {
 		plat := hw.MustNewPlatform(hw.Config{Model: hw.BLM, RAMSize: 16 << 20})
 		withInstructionCost(plat, ic)
 		plat.Mem.WriteBytes(entry, code)
 		bm := NewBareMetal(plat, entry)
-		bm.DisableSuperblocks = noSB
+		if stepped {
+			bm.Interp.Cache = nil
+		}
 		clk := &plat.BootCPU().Clock
 		if err := bm.Run(clk.Now() + 1); err != nil {
 			t.Fatal(err)
@@ -126,10 +137,10 @@ func TestGuestSamplesLandOnTheInstructionAboutToRun(t *testing.T) {
 		if err := bm.Run(1 << 30); err != nil {
 			t.Fatal(err)
 		}
-		return bm.Obs().Prof.Samples[0], t1, bm.Interp.Cache.SB.Fused
+		return bm.Obs().Prof.Samples[0], t1, fusedInsts(bm.Interp)
 	}
-	virt := func(ic hw.Cycles, period uint64, noSB bool) ([]prof.Sample, hw.Cycles, uint64) {
-		k := newTestKernel(t, Config{UseVPID: true, DisableSuperblocks: noSB})
+	virt := func(ic hw.Cycles, period uint64, stepped bool) ([]prof.Sample, hw.Cycles, uint64) {
+		k := newTestKernel(t, Config{UseVPID: true, DisableDecodeCache: stepped})
 		withInstructionCost(k.Plat, ic)
 		tv := makeVM(t, k, ModeEPT, 64, code, entry, nil)
 		k.Run(k.Now() + 1)
@@ -139,7 +150,7 @@ func TestGuestSamplesLandOnTheInstructionAboutToRun(t *testing.T) {
 		if v := tv.ec.VCPU; !v.State.Halted || v.Interp.InstRet != n {
 			t.Fatalf("guest did not run to its HLT: %d instructions, %v", v.Interp.InstRet, v.State.String())
 		}
-		return k.Obs().Prof.Samples[0], t1, tv.ec.VCPU.Interp.Cache.SB.Fused
+		return k.Obs().Prof.Samples[0], t1, fusedInsts(tv.ec.VCPU.Interp)
 	}
 	for _, loop := range []struct {
 		name string
@@ -148,10 +159,10 @@ func TestGuestSamplesLandOnTheInstructionAboutToRun(t *testing.T) {
 		for _, ic := range []hw.Cycles{1, 3} {
 			for _, period := range []uint64{1, 7, 97} {
 				want := wantStraightLineSamples(n, ic, hw.Cycles(period))
-				for _, noSB := range []bool{false, true} {
-					samples, t1, fused := loop.run(ic, period, noSB)
-					label := fmt.Sprintf("%s ic=%d period=%d superblocks-off=%v", loop.name, ic, period, noSB)
-					if !noSB && hw.Cycles(period) > ic && fused == 0 {
+				for _, stepped := range []bool{false, true} {
+					samples, t1, fused := loop.run(ic, period, stepped)
+					label := fmt.Sprintf("%s ic=%d period=%d stepped=%v", loop.name, ic, period, stepped)
+					if !stepped && hw.Cycles(period) > ic && fused == 0 {
 						t.Errorf("%s: nothing fused; the run does not exercise the horizon", label)
 					}
 					var got [][2]uint64

@@ -241,7 +241,7 @@ func (k *Kernel) runVCPU(ec *EC, deadline hw.Cycles) {
 		if k.Prof != nil {
 			until = min(until, profSample(k.Prof, ec.CPU, clk.Now(), &v.State, v.profRead))
 		}
-		window := fuseLimit(k.Plat, v.Interp, clk.Now(), until, k.Cfg.DisableSuperblocks, pending)
+		window := fuseLimit(k.Plat, clk.Now(), until, pending)
 		if err := step(v.Interp, clk, cost.InstructionCost, window); err != nil {
 			k.handleGuestRunError(ec, err)
 		}
@@ -252,7 +252,7 @@ func (k *Kernel) runVCPU(ec *EC, deadline hw.Cycles) {
 }
 
 // step is the execution core of both run loops: one instruction, or a
-// fused superblock of the instructions that start within window cycles
+// fused run of the instructions that start within window cycles
 // (x86.StepBlock), then one batched charge of the base cost per retired
 // instruction plus the extra latency of slow ones. An instruction that
 // faults into the guest or exits retires nothing but still costs one
@@ -276,27 +276,22 @@ func step(ip *x86.Interp, clk *hw.Clock, instCost, window hw.Cycles) error {
 	return err
 }
 
-// fuseLimit is the window of a fused superblock run: the cycles from now
-// to the nearer of the next platform event and until, which is the run
+// fuseLimit is the window of a fused run: the cycles from now to the
+// nearer of the next platform event and until, which is the run
 // deadline or, with a profiler attached, the next sample point if that
-// comes first. StepBlock runs the block's instructions that start
-// strictly inside it, so the run loops' per-step top-of-loop work
+// comes first. StepBlock runs the instructions that start strictly
+// inside it, so the run loops' per-step top-of-loop work
 // (RunEventsUntil, PIC, recall, injection and halt checks, profSample)
 // is provably a no-op for every instruction but the first, and
-// batching it at the block boundary cannot change simulated behaviour
-// or the samples taken. A window of 0 means single-step: anything
-// already pending forces it, because delivery timing must stay
+// batching it at the run's end cannot change simulated behaviour or
+// the samples taken. A window of 0 means single-step: anything already
+// pending forces it, because delivery timing must stay
 // per-instruction exact (interrupt shadows, halt wake-ups). pending
 // carries the caller's loop-top PIC.HasPending result: nothing between
 // the loop top and the step site can raise a line, so re-querying
-// would only duplicate the hottest check in the run loop. off is the
-// configuration's DisableSuperblocks.
-func fuseLimit(plat *hw.Platform, ip *x86.Interp, now, until hw.Cycles, off, pending bool) hw.Cycles {
-	if off || ip.Cache == nil {
-		return 0
-	}
+// would only duplicate the hottest check in the run loop.
+func fuseLimit(plat *hw.Platform, now, until hw.Cycles, pending bool) hw.Cycles {
 	if pending {
-		ip.Cache.SB.CutPending++
 		return 0
 	}
 	limit := min(until, plat.Queue.Next)

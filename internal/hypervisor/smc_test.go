@@ -66,18 +66,17 @@ org 0x7c00
 //	7e06: 01 d8      add ax, bx
 //	7e08: c3         ret
 //
-// The movs and the add chain into one superblock (RET touches the stack
-// and terminates it), so patching the middle instruction's immediate at
-// 0x7e04 lands strictly inside a cached block's byte span.
+// The movs and the add run as one fused run (RET touches the stack and
+// ends it), so patching the middle instruction's immediate at 0x7e04
+// lands strictly inside the byte span of a run's cached decodes.
 var smcSubroutine = []byte{0xb8, 0x11, 0x11, 0xbb, 0x22, 0x22, 0x01, 0xd8, 0xc3}
 
-// TestSelfModifyingCodeInvalidatesSuperblock warms a multi-instruction
-// subroutine until it is cached as a superblock, then has the guest
-// patch the immediate of the block's *middle* instruction and call it
-// again. The fused path must observe the write and rebuild the block:
-// a stale superblock would replay the old immediate even though the
-// per-instruction decode cache was invalidated correctly.
-func TestSelfModifyingCodeInvalidatesSuperblock(t *testing.T) {
+// TestSelfModifyingCodeInvalidatesFusedRun warms a multi-instruction
+// subroutine until its decodes are cached and it runs fused, then has
+// the guest patch the immediate of the run's *middle* instruction and
+// call it again. The fused path must observe the write and re-decode:
+// a stale decode would replay the old immediate.
+func TestSelfModifyingCodeInvalidatesFusedRun(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		mode PagingMode
@@ -114,23 +113,21 @@ warm:
 				t.Errorf("warm calls: ax = %#x, want 0x3333", got)
 			}
 			if got := tv.readGuest32(0x604) & 0xffff; got != 0x3366 {
-				t.Errorf("after mid-block patch: ax = %#x, want 0x3366 (stale superblock executed?)", got)
+				t.Errorf("after mid-run patch: ax = %#x, want 0x3366 (stale decode executed?)", got)
 			}
-			sb := v.Interp.Cache.SB
-			if sb.Built == 0 || sb.Hits == 0 {
-				t.Errorf("fused path never engaged (built=%d hits=%d); the test did not exercise superblocks", sb.Built, sb.Hits)
+			if c := v.Interp.Cache; c.SB.Fused == 0 || c.Dropped == 0 {
+				t.Errorf("fused %d instructions, dropped %d decoded pages; the test did not exercise fused runs", c.SB.Fused, c.Dropped)
 			}
-			t.Logf("%s: built=%d hits=%d fused=%d invalidated=%d", tc.name, sb.Built, sb.Hits, sb.Fused, sb.Invalidated)
 		})
 	}
 }
 
-// TestDMAIntoCachedCodePage patches the same mid-superblock immediate
-// from *outside* the vCPU — a device bus-master write through the DMA
-// path — while the guest spins on a flag. Device DMA goes through the
-// same page code maps as every other store, so it moves the page's
-// write generation, and the cached decodes and superblock over those
-// bytes are dropped before the guest re-executes them.
+// TestDMAIntoCachedCodePage patches the same mid-run immediate from
+// *outside* the vCPU — a device bus-master write through the DMA path —
+// while the guest spins on a flag. Device DMA goes through the same
+// page code maps as every other store, so it moves the page's write
+// generation, and the cached decodes over those bytes are dropped
+// before the guest re-executes them.
 func TestDMAIntoCachedCodePage(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -164,8 +161,8 @@ wait:
 			}
 			v.State.GPR[x86.ESP] = 0x7000
 
-			// Bounded slice: the guest warms the subroutine (caching the
-			// superblock) and parks in the flag-poll loop.
+			// Bounded slice: the guest warms the subroutine (caching its
+			// decodes) and parks in the flag-poll loop.
 			k.Run(k.Now() + 2_000_000)
 			if v.State.Halted {
 				t.Fatal("guest halted before the DMA patch; poll loop never entered")
@@ -190,21 +187,19 @@ wait:
 				t.Fatalf("guest did not halt after the DMA release: %v", v.State.String())
 			}
 			if got := tv.readGuest32(0x604) & 0xffff; got != 0x3366 {
-				t.Errorf("after DMA patch: ax = %#x, want 0x3366 (stale decode or superblock executed?)", got)
+				t.Errorf("after DMA patch: ax = %#x, want 0x3366 (stale decode executed?)", got)
 			}
-			sb := v.Interp.Cache.SB
-			if sb.Built == 0 || sb.Hits == 0 {
-				t.Errorf("fused path never engaged (built=%d hits=%d); the test did not exercise superblocks", sb.Built, sb.Hits)
+			if c := v.Interp.Cache; c.SB.Fused == 0 || c.Dropped == 0 {
+				t.Errorf("fused %d instructions, dropped %d decoded pages; the test did not exercise fused runs", c.SB.Fused, c.Dropped)
 			}
-			t.Logf("%s: built=%d hits=%d fused=%d invalidated=%d", tc.name, sb.Built, sb.Hits, sb.Fused, sb.Invalidated)
 		})
 	}
 }
 
 // TestStoresIntoCachedCodeAcrossPathsDrop warms smcSubroutine at the
-// start of page 8 until it is a cached superblock, then rewrites its
-// first opcode from MOV AX to MOV CX in two ways that no other test
-// takes. The guest's own store crosses the page boundary: the
+// start of page 8 until it runs fused from cached decodes, then
+// rewrites its first opcode from MOV AX to MOV CX in two ways that no
+// other test takes. The guest's own store crosses the page boundary: the
 // interpreter splits it, and only its high byte lands on cached code.
 // The VMM emulates an OUT as a store into the code while the vCPU is
 // in its exit, with the decode cache's memo still on that page. Either
@@ -255,11 +250,11 @@ warm:
 				}
 				// MOV CX, 0x1111 leaves AX = 0x1000 for the ADD.
 				if got := tv.readGuest32(0x604) & 0xffff; got != 0x3222 {
-					t.Errorf("after the patch: ax = %#x, want 0x3222 (stale decode or superblock executed?)", got)
+					t.Errorf("after the patch: ax = %#x, want 0x3222 (stale decode executed?)", got)
 				}
 				c := v.Interp.Cache
-				if c.SB.Built == 0 || c.SB.Hits == 0 {
-					t.Errorf("fused path never engaged (built=%d hits=%d)", c.SB.Built, c.SB.Hits)
+				if c.SB.Fused == 0 {
+					t.Error("fused path never engaged")
 				}
 				if c.Dropped != 1 {
 					t.Errorf("%d decoded pages dropped, want 1", c.Dropped)

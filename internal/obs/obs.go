@@ -7,8 +7,8 @@
 // a fixed order: a tag byte, a 32-bit length and the body the sink's
 // own package writes (trace, stat, span, prof WriteBody). Every part is
 // deterministic, so two runs of the same workload write byte-identical
-// files, and so do runs that differ only in host-side settings (decode
-// cache, superblocks). Decode accepts exactly what Encode writes: a
+// files, and so do runs that differ only in host-side settings (the
+// decode cache and its fused runs). Decode accepts exactly what Encode writes: a
 // decoded file re-encodes to the same bytes.
 package obs
 

@@ -4,13 +4,15 @@ import "testing"
 
 // pagerEnv extends flatEnv with the ExecPager fast path: identity
 // translation, a write generation and a code map per page that follow
-// hw.Memory's contract, and a way to decline pages (as MMIO-backed
-// pages are declined).
+// hw.Memory's contract, a way to decline pages (as MMIO-backed pages
+// are declined), and a fixed charge per fetch translation, as a TLB
+// miss would charge.
 type pagerEnv struct {
 	*flatEnv
 	gen      []uint64
 	code     []pagerCode
 	declined map[uint32]bool
+	charge   uint64
 	calls    int
 }
 
@@ -70,7 +72,7 @@ func (e *pagerEnv) ExecPage(st *CPUState, va uint32) ([]byte, CodeMap, uint64, u
 	if e.declined[page] {
 		return nil, nil, 0, 0, 0, nil
 	}
-	return e.mem[base : base+4096], &e.code[page], uint64(page), e.gen[page], 0, nil
+	return e.mem[base : base+4096], &e.code[page], uint64(page), e.gen[page], e.charge, nil
 }
 
 // runCached assembles 32-bit code at org, loads it, and returns an
@@ -232,7 +234,9 @@ func TestDecodeCacheOverflowResets(t *testing.T) {
 
 // TestInstNoFaultClassification pins the snapshot-elision classifier:
 // instructions listed safe must be ones whose exec cannot error;
-// faultable or intercept-able forms must stay unsafe.
+// faultable or intercept-able forms must stay unsafe. Every decoded
+// instruction carries the classifier's results, which the interpreter
+// reads instead of classifying again; MUL is no-fault but not fusible.
 func TestInstNoFaultClassification(t *testing.T) {
 	cases := []struct {
 		asm  string
@@ -254,6 +258,7 @@ func TestInstNoFaultClassification(t *testing.T) {
 		{"movzx eax, bl", true},
 		{"bsf eax, ebx", true},
 		{"lea eax, [ebx+4]", true},
+		{"mul ebx", true},
 
 		{"div ebx", false},          // #DE
 		{"idiv ebx", false},         // #DE
@@ -281,6 +286,13 @@ func TestInstNoFaultClassification(t *testing.T) {
 		}
 		if got := instNoFault(inst); got != tc.safe {
 			t.Errorf("instNoFault(%q) = %v, want %v", tc.asm, got, tc.safe)
+		}
+		if inst.noFault != tc.safe || inst.fusible != InstFusible(inst) {
+			t.Errorf("%q decoded with noFault %v, fusible %v; the classifiers say %v, %v",
+				tc.asm, inst.noFault, inst.fusible, tc.safe, InstFusible(inst))
+		}
+		if fusible := tc.safe && tc.asm != "mul ebx"; InstFusible(inst) != fusible {
+			t.Errorf("InstFusible(%q) = %v, want %v", tc.asm, !fusible, fusible)
 		}
 	}
 }

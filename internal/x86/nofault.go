@@ -11,11 +11,12 @@ package x86
 // keeps the snapshot. Listing an instruction that can fail is a
 // simulator bug (Step panics), never a guest-triggerable condition.
 //
-// The superblock layer (superblock.go) builds on this classifier:
-// InstFusible narrows it further (no ExtraCycles producers) to chain
-// no-fault runs into fused blocks. Growing this list therefore also
-// grows superblock coverage — and misclassification is caught by the
-// same panic in both the single-step and fused paths.
+// Fused runs (fuse.go) build on this classifier: InstFusible narrows
+// it further (no ExtraCycles producers) to run no-fault instructions
+// back to back. Growing this list therefore also grows fused coverage —
+// and misclassification is caught by the same panic in both the
+// single-step and fused paths. decodeInto classifies each instruction
+// once; the interpreter reads the stored result.
 func instNoFault(inst *Inst) bool {
 	if inst.TwoByte {
 		return twoByteNoFault(inst)
