@@ -17,11 +17,10 @@
 // points, panic-freedom of shared kernel/device paths, exhaustive
 // dispatch over VM-exit style enums, the guest-taint trust boundary
 // (no guest-controlled value reaching an index, length, shift or
-// physical address unchecked), and machine-state isolation for the
-// parallel multi-VM engine: package-level vars must be init-only or
-// audited (globalstate), the per-machine step path may write only
-// machine-reachable state (isolation), and concurrency primitives are
-// banned outside the // epoch-barrier: gate (concurrency).
+// physical address unchecked), and machine-state isolation:
+// package-level vars must be init-only or audited (globalstate), and
+// concurrency primitives are banned outside the // epoch-barrier: gate
+// (concurrency).
 package main
 
 import (

@@ -54,6 +54,33 @@ func TestLoaderCoversRepo(t *testing.T) {
 	}
 }
 
+// TestSimCriticalPackagesClosed keeps SimCriticalPackages closed under
+// imports. A sim-critical package that imports a program package
+// outside the list could reach, from a machine's step path, globals
+// that globalstate never inspects.
+func TestSimCriticalPackagesClosed(t *testing.T) {
+	l := NewLoader(repoRoot(t))
+	inList := make(map[string]bool)
+	for _, path := range SimCriticalPackages {
+		inList[path] = true
+	}
+	for _, path := range SimCriticalPackages {
+		dir, err := l.dirFor(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp, err := l.ctxt.ImportDir(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range bp.Imports {
+			if strings.HasPrefix(imp, ModulePath+"/") && !inList[imp] {
+				t.Errorf("%s imports %s, which is not in SimCriticalPackages", path, imp)
+			}
+		}
+	}
+}
+
 var wantRe = regexp.MustCompile(`want "([^"]*)"`)
 
 // expectation is one `// want "substring"` comment in a fixture.
@@ -118,7 +145,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{Taint, "taint"},
 		{Tracepure, "tracepure"},
 		{Globalstate, "globalstate"},
-		{Isolation, "isolation"},
 		{Concurrency, "concurrency"},
 	}
 	for _, tc := range cases {

@@ -7,16 +7,13 @@ import (
 	"strings"
 )
 
-// The shared-state analyzers communicate with the code through four
-// comment annotations, each carrying a mandatory rationale:
+// globalstate, concurrency and capflow communicate with the code
+// through three comment annotations, each carrying a mandatory
+// rationale:
 //
 //	// shared-ok: <why>     on a package-level var declaration — this
 //	                        mutable global is audited shared state
-//	                        (globalstate and isolation accept it);
-//	// shared: <why>        on a write site — this store is the audited
-//	                        cross-machine rendezvous (the simulated
-//	                        NIC/disk server channel); isolation accepts
-//	                        the single annotated line;
+//	                        (globalstate accepts it);
 //	// epoch-barrier: <why> on a function declaration — this function is
 //	                        part of the audited parallel-engine gate;
 //	                        concurrency primitives are allowed inside.
@@ -37,63 +34,12 @@ import (
 // records, not switches).
 const (
 	markSharedOK     = "shared-ok:"
-	markSharedWrite  = "shared:"
 	markEpochBarrier = "epoch-barrier:"
 	markCapHold      = "caphold:"
 )
 
-// annotLines caches, per file and marker, the line numbers covered by a
-// matching comment (the comment's own lines, so both trailing and
-// line-above forms attach to the adjacent statement).
-type annotLines struct {
-	fset  *token.FileSet
-	cache map[*ast.File]map[string]map[int]bool
-}
-
-func newAnnotLines(fset *token.FileSet) *annotLines {
-	return &annotLines{fset: fset, cache: make(map[*ast.File]map[string]map[int]bool)}
-}
-
-func (a *annotLines) lines(f *ast.File, marker string) map[int]bool {
-	byMarker, ok := a.cache[f]
-	if !ok {
-		byMarker = make(map[string]map[int]bool)
-		a.cache[f] = byMarker
-	}
-	if lines, ok := byMarker[marker]; ok {
-		return lines
-	}
-	lines := make(map[int]bool)
-	for _, cg := range f.Comments {
-		if !containsMarker(cg.Text(), marker) {
-			continue
-		}
-		start := a.fset.Position(cg.Pos()).Line
-		end := a.fset.Position(cg.End()).Line
-		for l := start; l <= end; l++ {
-			lines[l] = true
-		}
-	}
-	byMarker[marker] = lines
-	return lines
-}
-
-// covers reports whether pos's line (or the line above it) carries the
-// marker in its file.
-func (a *annotLines) covers(pkg *Package, pos token.Pos, marker string) bool {
-	f := fileOf(pkg, pos)
-	if f == nil {
-		return false
-	}
-	lines := a.lines(f, marker)
-	line := a.fset.Position(pos).Line
-	return lines[line] || lines[line-1]
-}
-
-// containsMarker matches the marker anywhere in a comment's text. The
-// three markers are mutually non-overlapping substrings ("shared:"
-// requires the colon directly after "shared", which "shared-ok:" does
-// not have), so plain containment is exact.
+// containsMarker matches the marker anywhere in a comment's text. No
+// marker is a substring of another, so plain containment is exact.
 func containsMarker(text, marker string) bool {
 	return strings.Contains(text, marker)
 }

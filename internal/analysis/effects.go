@@ -10,9 +10,9 @@ import (
 )
 
 // This file is the write-effect summary engine: the region/effect
-// analysis the shared-state analyzers (globalstate, isolation) build
-// on, in the same way taint builds on the call graph. It answers, for
-// every function in the program, "where can a write performed by (or on
+// analysis globalstate (and capflow's write mapping) build on, in the
+// same way taint builds on the call graph. It answers, for every
+// function in the program, "where can a write performed by (or on
 // behalf of) this function land?" over a four-region abstraction:
 //
 //   - receiver-owned state: anything reachable from the method
@@ -32,18 +32,20 @@ import (
 // receiver expression's region; callee writes parameter j → the
 // region of argument j; global writes stay global), and return values
 // carry the regions they may alias, so a write through an accessor
-// result is attributed to the accessor's underlying storage. The whole
+// result is attributed to the accessor's underlying storage. A callee's
+// receiver or parameter write that the call binds to a global is the
+// caller's own write: the call site counts as the writer. The whole
 // program iterates to a fixpoint, like the taint summaries.
 //
 // The abstraction over-approximates in the conservative direction for
 // its consumers: aliases are unioned (a value that may point into the
-// receiver or a global is treated as both), functions without a body in
-// the program (stdlib) are assumed to write through every mutable
-// pointer-like argument (pointer, slice, map, chan — not interfaces or
-// strings, which would drown the analysis in error-wrapping noise), and
-// writes inside function literals are charged to the enclosing
-// declaration. Extra write regions can only make globalstate/isolation
-// report more, never less.
+// receiver or a global is treated as both), every callee without a body
+// in the program (stdlib, or a call through a func value) is assumed to
+// write through every mutable pointer-like argument and its receiver
+// (pointer, slice, map, chan — not interfaces or strings, which would
+// drown the analysis in error-wrapping noise), and writes inside
+// function literals are charged to the enclosing declaration. Extra
+// write regions can only make globalstate report more, never less.
 
 // RegionKind classifies the storage a write may reach.
 type RegionKind uint8
@@ -145,7 +147,8 @@ type WriteEffect struct {
 	Region Region
 	Pos    token.Pos // the store site (stable across the mapping)
 	Path   []string
-	// Direct reports whether the store statement is in this function's
+	// Direct reports whether the store statement, or a call binding a
+	// global to a callee that writes through it, is in this function's
 	// own body (globalstate classifies writers by this).
 	Direct bool
 }
@@ -628,23 +631,54 @@ func (e *Effects) mapCalleeRegions(s *EffectSummary, call *ast.CallExpr, rs regi
 	return out
 }
 
+// evalCallRecv evaluates the receiver a method call binds. A pointer
+// method called on an addressable value takes its address (x.M() is
+// (&x).M()), so a scalar-typed receiver keeps its storage's identity.
 func (e *Effects) evalCallRecv(s *EffectSummary, call *ast.CallExpr) regionSet {
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if selInfo, ok := s.Node.Pkg.Info.Selections[sel]; ok && selInfo.Kind() == types.MethodVal {
+			_, ptrRecv := selInfo.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+			if _, ptrX := selInfo.Recv().Underlying().(*types.Pointer); ptrRecv && !ptrX {
+				return e.evalAddr(s, sel.X)
+			}
 			return e.eval(s, sel.X)
 		}
 	}
 	return regionSet{}
 }
 
+// evalCallArgRegion evaluates the arguments a call binds to the
+// callee's parameter param: every trailing argument for an implicit
+// variadic tail, and the one argument of f(g()) for each parameter.
 func (e *Effects) evalCallArgRegion(s *EffectSummary, call *ast.CallExpr, param int) regionSet {
-	if param >= 0 && param < len(call.Args) {
-		return e.eval(s, call.Args[param])
+	args := call.Args
+	switch _, tail := implicitVariadicElem(s.Node.Pkg.Info, call, param); {
+	case tail:
+		args = args[min(param, len(args)):]
+	case param < len(args):
+		args = args[param : param+1]
+	case len(args) > 0:
+		args = args[len(args)-1:]
 	}
-	if len(call.Args) > 0 && param >= len(call.Args) {
-		return e.eval(s, call.Args[len(call.Args)-1]) // variadic tail
+	out := make(regionSet)
+	for _, a := range args {
+		out.join(e.eval(s, a))
 	}
-	return regionSet{}
+	return out
+}
+
+// implicitVariadicElem reports whether argument (or parameter) i of the
+// call falls in the callee's variadic slice and the call has no `...`,
+// and returns the slice's element type. Such a slice is fresh at the
+// call, so a write through it reaches the caller's arguments only
+// through elements of a mutable reference type: a fmt-style `...any`
+// wrapper writes nothing its caller passed.
+func implicitVariadicElem(info *types.Info, call *ast.CallExpr, i int) (types.Type, bool) {
+	sig, ok := info.TypeOf(call.Fun).Underlying().(*types.Signature)
+	if !ok || !sig.Variadic() || call.Ellipsis.IsValid() || i < sig.Params().Len()-1 {
+		return nil, false
+	}
+	return sig.Params().At(sig.Params().Len() - 1).Type().(*types.Slice).Elem(), true
 }
 
 // --- effect collection ---------------------------------------------------
@@ -702,27 +736,30 @@ func (e *Effects) recordStore(s *EffectSummary, lhs ast.Expr, pos token.Pos) {
 	switch x := ast.Unparen(lhs).(type) {
 	case *ast.Ident:
 		if v, ok := info.ObjectOf(x).(*types.Var); ok && isProgramGlobal(v) {
-			e.addDirectWrite(s, Region{Kind: RegionGlobal, Global: v}, pos, "assignment to "+v.Name())
+			e.addDirectWrite(s, Region{Kind: RegionGlobal, Global: v}, pos)
 		}
 		// A store to a local variable slot is invisible to callers.
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[x]; ok && sel.Kind() == types.FieldVal {
-			e.addWriteSet(s, e.eval(s, x.X), pos, "field write "+x.Sel.Name)
+			e.addWriteSet(s, e.eval(s, x.X), pos)
 			return
 		}
 		if v, ok := info.Uses[x.Sel].(*types.Var); ok && isProgramGlobal(v) {
-			e.addDirectWrite(s, Region{Kind: RegionGlobal, Global: v}, pos, "assignment to "+v.Name())
+			e.addDirectWrite(s, Region{Kind: RegionGlobal, Global: v}, pos)
 		}
 	case *ast.IndexExpr:
-		e.addWriteSet(s, e.eval(s, x.X), pos, "element write")
+		e.addWriteSet(s, e.eval(s, x.X), pos)
 	case *ast.StarExpr:
-		e.addWriteSet(s, e.eval(s, x.X), pos, "pointer write")
+		e.addWriteSet(s, e.eval(s, x.X), pos)
 	}
 }
 
 // recordCallEffects maps a call's write effects into this summary:
 // mutating builtins, known callee summaries, and the conservative model
-// for bodyless functions.
+// for bodyless functions. A callee's write through its receiver or a
+// parameter that this call binds to a program global is recorded as
+// this function's own direct write at the call: the call is where the
+// global is handed to the writer, and the callee alone cannot know it.
 func (e *Effects) recordCallEffects(s *EffectSummary, call *ast.CallExpr) {
 	info := s.Node.Pkg.Info
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
@@ -730,7 +767,7 @@ func (e *Effects) recordCallEffects(s *EffectSummary, call *ast.CallExpr) {
 			switch b.Name() {
 			case "copy", "delete", "clear", "append":
 				if len(call.Args) > 0 {
-					e.addWriteSet(s, e.eval(s, call.Args[0]), call.Pos(), b.Name())
+					e.addWriteSet(s, e.eval(s, call.Args[0]), call.Pos())
 				}
 			}
 			return
@@ -740,75 +777,86 @@ func (e *Effects) recordCallEffects(s *EffectSummary, call *ast.CallExpr) {
 		return // conversion
 	}
 	callees := e.cg.CalleesAt(call)
-	if len(callees) == 0 {
-		// Bodyless (stdlib) function: assume it writes through every
-		// mutable pointer-like argument and the receiver.
-		for _, a := range call.Args {
-			if tv, ok := info.Types[a]; ok && isMutableRef(tv.Type) {
-				e.addWriteSet(s, e.eval(s, a), call.Pos(), "passed to external call")
-			}
-		}
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if selInfo, ok := info.Selections[sel]; ok && selInfo.Kind() == types.MethodVal {
-				// A method may mutate its receiver — unless the receiver
-				// value cannot carry storage: interface method calls with
-				// no in-program implementation (err.Error()) and methods
-				// on scalars are reads as far as this analysis can see.
-				mutable := true
-				if tv, ok := info.Types[sel.X]; ok && tv.Type != nil {
-					switch tv.Type.Underlying().(type) {
-					case *types.Interface, *types.Basic:
-						mutable = false
-					}
-				}
-				if mutable {
-					e.addWriteSet(s, e.eval(s, sel.X), call.Pos(), "external method call")
-				}
-			}
-		}
-		return
-	}
+	bodyless := len(callees) == 0 // a call through a func value
 	for _, callee := range callees {
+		if e.cg.Node(callee) == nil {
+			bodyless = true // stdlib
+			continue
+		}
 		sum := e.Summaries[callee]
 		if sum == nil {
-			continue
+			continue // summarized later this round
 		}
 		for _, w := range sum.Writes {
 			var sites regionSet
 			switch w.Region.Kind {
 			case RegionGlobal:
-				sites = regionSet{w.Region: true}
+				e.addMappedWrite(s, w.Region, w)
+				continue
 			case RegionRecv:
 				sites = e.evalCallRecv(s, call)
 			case RegionParam:
+				if elem, tail := implicitVariadicElem(info, call, w.Region.Param); tail && !isMutableRef(elem) {
+					continue
+				}
 				sites = e.evalCallArgRegion(s, call, w.Region.Param)
 			}
 			for r := range sites {
-				if r.Kind == RegionLocal {
-					continue
+				switch r.Kind {
+				case RegionGlobal:
+					e.addDirectWrite(s, r, call.Pos())
+				case RegionRecv, RegionParam:
+					e.addMappedWrite(s, r, w)
 				}
-				e.addMappedWrite(s, r, w)
+			}
+		}
+	}
+	if bodyless {
+		e.recordBodylessCall(s, call)
+	}
+}
+
+// recordBodylessCall is the write model for a callee without a body in
+// the program: it may write through every mutable pointer-like argument
+// and through its receiver.
+func (e *Effects) recordBodylessCall(s *EffectSummary, call *ast.CallExpr) {
+	info := s.Node.Pkg.Info
+	for i, a := range call.Args {
+		t := info.TypeOf(a)
+		if elem, tail := implicitVariadicElem(info, call, i); tail {
+			t = elem
+		}
+		if t != nil && isMutableRef(t) {
+			e.addWriteSet(s, e.eval(s, a), call.Pos())
+		}
+	}
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if selInfo, ok := info.Selections[sel]; ok && selInfo.Kind() == types.MethodVal {
+			// A method may mutate its receiver — unless the receiver
+			// value cannot carry storage: interface method calls with
+			// no in-program implementation (err.Error()) and methods
+			// on scalars are reads as far as this analysis can see.
+			switch info.TypeOf(sel.X).Underlying().(type) {
+			case *types.Interface, *types.Basic:
+			default:
+				e.addWriteSet(s, e.eval(s, sel.X), call.Pos())
 			}
 		}
 	}
 }
 
-func (e *Effects) addWriteSet(s *EffectSummary, rs regionSet, pos token.Pos, desc string) {
+func (e *Effects) addWriteSet(s *EffectSummary, rs regionSet, pos token.Pos) {
 	for r := range rs {
 		if r.Kind == RegionLocal {
 			continue
 		}
-		e.addDirectWrite(s, r, pos, desc)
+		e.addDirectWrite(s, r, pos)
 	}
 }
 
-func (e *Effects) addDirectWrite(s *EffectSummary, r Region, pos token.Pos, desc string) {
-	if prev, ok := s.Writes[r]; ok {
-		// A direct site beats a mapped one as the representative.
-		if !prev.Direct {
-			s.Writes[r] = &WriteEffect{Region: r, Pos: pos, Direct: true,
-				Path: []string{FuncDisplayName(s.Fn)}}
-		}
+func (e *Effects) addDirectWrite(s *EffectSummary, r Region, pos token.Pos) {
+	// A direct site beats a mapped one as the representative.
+	if prev, ok := s.Writes[r]; ok && prev.Direct {
 		return
 	}
 	s.Writes[r] = &WriteEffect{Region: r, Pos: pos, Direct: true,
@@ -836,9 +884,9 @@ func isPackageLevelVar(v *types.Var) bool {
 
 // isProgramGlobal reports whether v is a package-level var declared by
 // the program under analysis (the repository or a test fixture).
-// Stdlib globals (binary.LittleEndian, os.Stdout) are not regions: the
-// shared-state analyzers govern the program's own globals, and stdlib
-// vars the program merely calls methods on would be pure noise.
+// Stdlib globals (binary.LittleEndian, os.Stdout) are not regions:
+// globalstate governs the program's own globals, and stdlib vars the
+// program merely calls methods on would be pure noise.
 func isProgramGlobal(v *types.Var) bool {
 	if !isPackageLevelVar(v) {
 		return false

@@ -64,7 +64,7 @@ func retStrings(s *EffectSummary) []string {
 
 // TestEffectSummaries pins the engine's output on the mini program:
 // which regions each function writes and what its results alias. This
-// is the contract globalstate and isolation build on.
+// is the contract globalstate builds on.
 func TestEffectSummaries(t *testing.T) {
 	_, eff := loadEffectsFixture(t)
 	cases := []struct {
@@ -84,6 +84,11 @@ func TestEffectSummaries(t *testing.T) {
 		// call site: receiver via SetReg, param#0 via Fill, the global
 		// via Bump.
 		{"Step", []string{"receiver", "param#0", "global Counter"}, nil},
+		{"SortGlobal", []string{"global Sorted"}, nil},
+		{"Logf", []string{"param#1"}, nil},
+		{"LogSentinel", nil, nil},
+		{"BumpAll", []string{"param#0"}, nil},
+		{"BumpCounter", []string{"global Counter"}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.fn, func(t *testing.T) {
@@ -139,5 +144,32 @@ func TestEffectWritePaths(t *testing.T) {
 	}
 	if bw.Pos != w.Pos {
 		t.Error("mapped write should keep the original store site")
+	}
+}
+
+// TestEffectCallSiteWriter checks that a call binding a global to a
+// callee that writes through its argument is the global's direct
+// writer, at the call: the callee cannot know what it was handed.
+func TestEffectCallSiteWriter(t *testing.T) {
+	prog, eff := loadEffectsFixture(t)
+	for _, tc := range []struct{ fn, global string }{
+		{"SortGlobal", "Sorted"},   // a stdlib callee
+		{"BumpCounter", "Counter"}, // a program callee, through ...*int
+	} {
+		s := summaryByName(t, eff, tc.fn)
+		var w *WriteEffect
+		for r, we := range s.Writes {
+			if r.Kind == RegionGlobal && r.Global.Name() == tc.global {
+				w = we
+			}
+		}
+		switch {
+		case w == nil:
+			t.Errorf("%s has no write effect on %s", tc.fn, tc.global)
+		case !w.Direct || len(w.Path) != 1:
+			t.Errorf("%s's %s write: direct=%v path=%v, want direct", tc.fn, tc.global, w.Direct, w.Path)
+		case prog.Fset.Position(w.Pos).Line != prog.Fset.Position(s.Node.Decl.Pos()).Line:
+			t.Errorf("%s's %s write is not at the call in its one-line body", tc.fn, tc.global)
+		}
 	}
 }

@@ -9,22 +9,28 @@ import (
 )
 
 // Globalstate classifies every package-level variable in the
-// sim-critical packages. NOVA's isolation argument — and the planned
-// parallel multi-VM engine — require that all mutable per-machine state
-// live in the machine's own object graph; a package-level var that is
-// written after initialization silently couples every Machine instance
-// in the process. Each var must therefore be one of:
+// sim-critical packages. NOVA's isolation argument requires that all
+// mutable per-machine state live in the machine's own object graph; a
+// package-level var that is written after initialization silently
+// couples every Machine instance in the process. Each var must
+// therefore be one of:
 //
 //   - an init-only table: provably never written after package
 //     initialization (writes in init functions, or in helpers reachable
-//     only from init, are allowed), including writes through aliases
-//     and through slices/maps handed out by accessor functions — the
-//     write-effect summaries (effects.go) track those;
+//     only from init, are allowed), including writes through aliases,
+//     through slices/maps handed out by accessor functions, and through
+//     a callee's receiver or parameter, stdlib callees included — the
+//     write-effect summaries (effects.go) track those, and a call that
+//     hands a global to such a callee counts as the writer;
 //   - a constant in waiting: a never-written var of basic type is
 //     flagged so it becomes a const (a const cannot be aliased or
 //     assigned, making the isolation argument structural);
 //   - audited shared state: annotated `// shared-ok: <why>` on its
 //     declaration. Everything else written at runtime is a finding.
+//
+// SimCriticalPackages is closed under imports
+// (TestSimCriticalPackagesClosed), so these are all the program globals
+// a machine's step path can reach.
 var Globalstate = &Analyzer{
 	Name: "globalstate",
 	Doc:  "package-level vars in sim-critical packages must be init-only tables, consts, or annotated // shared-ok:",
@@ -37,8 +43,9 @@ func runGlobalstate(pass *Pass) {
 	initOnly := initOnlyFuncs(cg)
 
 	// writersOf collects, program-wide, the non-init functions that
-	// store directly into each global (effects attribute alias writes to
-	// the function containing the store).
+	// write each global directly (effects attribute alias writes to the
+	// function containing the store, or the call handing the global to
+	// a callee that writes through it).
 	writersOf := make(map[*types.Var][]*EffectSummary)
 	for _, node := range cg.Ordered {
 		s := eff.Summary(node.Fn)

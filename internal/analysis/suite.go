@@ -12,6 +12,8 @@ import (
 // figures). Determinism and panic-freedom are enforced here; packages
 // outside this set (benchmark drivers, CLI tools, the guest assembler
 // toolchain's build helpers) may use wall-clock time for reporting.
+// The set is closed under imports (TestSimCriticalPackagesClosed), so
+// globalstate inspects every global a machine's step path can reach.
 var SimCriticalPackages = []string{
 	ModulePath + "/internal/hypervisor",
 	ModulePath + "/internal/hw",
@@ -23,6 +25,7 @@ var SimCriticalPackages = []string{
 	ModulePath + "/internal/stat",
 	ModulePath + "/internal/services",
 	ModulePath + "/internal/span",
+	ModulePath + "/internal/obs",
 }
 
 // EntryPointPackages hold the kernel and device-model entry points that
@@ -50,7 +53,6 @@ func DefaultSuite() []SuiteEntry {
 		{Determinism, SimCriticalPackages},
 		{Exhaustive, SimCriticalPackages},
 		{Globalstate, SimCriticalPackages},
-		{Isolation, SimCriticalPackages},
 		{Nopanic, SimCriticalPackages},
 		{Taint, SimCriticalPackages},
 		{Tracepure, nil}, // self-limiting: only fires on trace-shaped code

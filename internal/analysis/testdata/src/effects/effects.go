@@ -4,6 +4,12 @@
 // engine's output.
 package fixture
 
+import (
+	"errors"
+	"fmt"
+	"sort"
+)
+
 // Table is an init-only lookup table; reads copy scalars out of it.
 var Table = map[int]string{1: "a"}
 
@@ -56,3 +62,34 @@ func (m *Machine) Step(scratch []byte) {
 	Fill(4, scratch)
 	Bump()
 }
+
+// Sorted is a mutable global slice.
+var Sorted = []int{3, 1, 2}
+
+// SortGlobal writes the global through a stdlib callee: a function
+// without a body in the program writes through its slice argument.
+func SortGlobal() { sort.Ints(Sorted) }
+
+// ErrSentinel is a global error value.
+var ErrSentinel = errors.New("sentinel")
+
+// Logf may write through its variadic slice (it hands it to the
+// stdlib), so it writes param#1.
+func Logf(format string, args ...any) string { return fmt.Sprintf(format, args...) }
+
+// LogSentinel passes the global to Logf's implicit ...any slice. The
+// slice is fresh at the call and its elements are interfaces, so the
+// call writes nothing of the caller's.
+func LogSentinel() string { return Logf("failed: %v", ErrSentinel) }
+
+// BumpAll writes through every pointer of its variadic slice.
+func BumpAll(ps ...*int) {
+	for _, p := range ps {
+		*p++
+	}
+}
+
+// BumpCounter hands the global's address to BumpAll's implicit ...*int
+// slice, after a local: every trailing argument is bound, and the call
+// writes Counter.
+func BumpCounter() { BumpAll(new(int), &Counter) }

@@ -122,14 +122,14 @@ func requireEqual(t *testing.T, name, schedule string, got, want machineResult) 
 }
 
 // TestTwoMachineInterleavedDeterminism is the runtime counterpart of the
-// isolation analyzer: two complete machine stacks booted in the same
+// globalstate analyzer: two complete machine stacks booted in the same
 // process and stepped in interleaved chunks must produce results
 // bit-identical to each machine running alone — same completion cycles,
 // same encoded-trace hash, same final RAM, same final vCPU state — and
 // the interleaving schedule must not matter. Any shared mutable state
 // between the stacks (a package global written on the step path, a
 // shared table mutated after init) shows up here as a divergence; this
-// is the property the parallel multi-VM engine will rely on.
+// is the property a parallel multi-VM engine would rely on.
 func TestTwoMachineInterleavedDeterminism(t *testing.T) {
 	cfgA := RunnerConfig{Model: hw.BLM, Mode: ModeVirtEPT, UseVPID: true}
 	cfgB := RunnerConfig{Model: hw.BLM, Mode: ModeVirtVTLB}
