@@ -4,7 +4,6 @@
 //
 //	nova-obs timeline [-limit N] run.obs        # trace: event timeline
 //	nova-obs attrib run.obs                     # trace: Figure 8/9 cost attribution
-//	nova-obs metrics run.obs                    # trace: exit counts and histograms, JSON
 //	nova-obs chrome run.obs                     # trace exits and span segments, Chrome JSON
 //	nova-obs stat report [-filter S] run.obs    # stat: summary table with rates
 //	nova-obs stat epochs -metric NAME run.obs   # stat: one metric's virtual-time series
@@ -41,7 +40,7 @@ import (
 )
 
 const usageText = `usage: nova-obs VIEW [flags] FILE
-  timeline [-limit N] | attrib | metrics | chrome
+  timeline [-limit N] | attrib | chrome
   stat report [-filter S] | stat epochs -metric NAME | stat openmetrics | stat json
   span report [-requests N] | span json
   profile report [-top N] | profile folded | profile pprof [-o OUT]`
@@ -86,12 +85,6 @@ func main() {
 		d := need(f.Trace, path, "trace")
 		warnTruncation("trace", &d.Rings)
 		attrib(d)
-	case "metrics":
-		d := need(f.Trace, path, "trace")
-		warnTruncation("trace", &d.Rings)
-		m := d.Metrics
-		m.Rings = d.Status()
-		printJSON(m)
 	case "chrome":
 		if f.Trace == nil && f.Spans == nil {
 			fail("%s: no trace or span section (record one in a virtualized mode)", path)
@@ -154,9 +147,9 @@ func need[T any](section *T, path, name string) *T {
 
 // warnTruncation prints one stderr notice per CPU whose ring wrapped:
 // views built from the ring's records then cover only the tail of the
-// run, though the whole-run aggregates (trace metrics, span counters)
-// still cover everything. Each ring's overwrite count is stored once,
-// in its ring header.
+// run. The whole-run counts are in the stat section and the span
+// section's opened/closed counters. Each ring's overwrite count is
+// stored once, in its ring header.
 func warnTruncation(name string, r *trace.Rings) {
 	for cpu, n := range r.Overwritten {
 		if n > 0 {

@@ -206,6 +206,9 @@ type Effects struct {
 	prog      *Program
 	cg        *CallGraph
 	Summaries map[*types.Func]*EffectSummary
+	// rounds is how many fixpoint rounds ran, counting the last one,
+	// which changed nothing when the fixpoint converged.
+	rounds int
 }
 
 // Summary returns fn's effect summary, or nil for functions without a
@@ -213,24 +216,35 @@ type Effects struct {
 func (e *Effects) Summary(fn *types.Func) *EffectSummary { return e.Summaries[fn] }
 
 // Effects returns the program's write-effect summaries, computing them
-// on first use (shared across analyzers like the call graph).
+// on first use (shared across analyzers like the call graph). If the
+// fixpoint does not converge, the summaries are those of the last
+// round, and p.effErr says so: the suite runner turns it into a load
+// error, because summaries still moving may miss writes.
 func (p *Program) Effects() *Effects {
 	if p.eff == nil {
-		p.eff = computeEffects(p)
+		p.eff, p.effErr = computeEffects(p, maxEffectRounds)
 	}
 	return p.eff
 }
 
+// maxEffectRounds caps the effect fixpoint. The repository converges
+// in 6 rounds (TestEffectsConvergeOnRepo), the last of which changes
+// nothing.
 const maxEffectRounds = 12
 
-func computeEffects(prog *Program) *Effects {
+// computeEffects runs the summary fixpoint for at most maxRounds (>= 1)
+// rounds. It fails, naming a function whose summary moved, if the last
+// round allowed still changed a summary.
+func computeEffects(prog *Program, maxRounds int) (*Effects, error) {
 	e := &Effects{
 		prog:      prog,
 		cg:        prog.CallGraph(),
 		Summaries: make(map[*types.Func]*EffectSummary),
 	}
-	for round := 0; round < maxEffectRounds; round++ {
-		changed := false
+	var moved []*types.Func
+	for e.rounds < maxRounds {
+		e.rounds++
+		moved = moved[:0]
 		for _, node := range e.cg.Ordered {
 			old := ""
 			if prev, ok := e.Summaries[node.Fn]; ok {
@@ -239,14 +253,15 @@ func computeEffects(prog *Program) *Effects {
 			s := e.analyzeFunc(node)
 			e.Summaries[node.Fn] = s
 			if s.signature() != old {
-				changed = true
+				moved = append(moved, node.Fn)
 			}
 		}
-		if !changed {
-			break
+		if len(moved) == 0 {
+			return e, nil
 		}
 	}
-	return e
+	return e, fmt.Errorf("analysis: write effects did not converge in %d round(s): the last moved the summary of %s and %d other(s)",
+		maxRounds, moved[0].FullName(), len(moved)-1)
 }
 
 // analyzeFunc computes one function's summary against the current round

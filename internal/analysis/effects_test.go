@@ -19,7 +19,11 @@ func loadEffectsFixture(t *testing.T) (*Program, *Effects) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prog, prog.Effects()
+	eff := prog.Effects()
+	if prog.effErr != nil {
+		t.Fatal(prog.effErr)
+	}
+	return prog, eff
 }
 
 // summaryByName finds the summary of the (unique) function or method
@@ -172,4 +176,51 @@ func TestEffectCallSiteWriter(t *testing.T) {
 			t.Errorf("%s's %s write is not at the call in its one-line body", tc.fn, tc.global)
 		}
 	}
+}
+
+// TestEffectsFixpointCapFails: a fixpoint cut off while summaries still
+// move is a load error that names a function whose summary moved, not
+// a silent stop on partial summaries. One round cannot converge on the
+// fixture, since the first round moves every summary that is not
+// empty; the suite runner then fails instead of reporting findings.
+func TestEffectsFixpointCapFails(t *testing.T) {
+	prog, full := loadEffectsFixture(t)
+	eff, err := computeEffects(prog, 1)
+	if err == nil {
+		t.Fatalf("a one-round fixpoint converged on the fixture (%d rounds without the cap)", full.rounds)
+	}
+	if eff.rounds != 1 {
+		t.Errorf("ran %d rounds under a cap of 1", eff.rounds)
+	}
+	var named *types.Func
+	for fn := range full.Summaries {
+		if strings.Contains(err.Error(), " summary of "+fn.FullName()+" and ") {
+			named = fn
+		}
+	}
+	switch {
+	case named == nil:
+		t.Errorf("error names no fixture function: %v", err)
+	case full.Summaries[named].signature() == "":
+		t.Errorf("error names %s, whose summary is empty and so never moved", named.FullName())
+	}
+
+	prog.eff, prog.effErr = eff, err
+	if _, _, runErr := RunEntriesOn(prog, []SuiteEntry{{Globalstate, nil}}); runErr != err {
+		t.Errorf("suite run returned %v, want the fixpoint error", runErr)
+	}
+}
+
+// TestEffectsConvergeOnRepo: the repository's effect fixpoint converges
+// under maxEffectRounds.
+func TestEffectsConvergeOnRepo(t *testing.T) {
+	prog, err := LoadRepo(repoRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eff, err := computeEffects(prog, maxEffectRounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("converged in %d of %d rounds", eff.rounds, maxEffectRounds)
 }

@@ -40,6 +40,7 @@ type Program struct {
 	byPath map[string]*Package
 	cg     *CallGraph // built lazily by CallGraph()
 	eff    *Effects   // built lazily by Effects()
+	effErr error      // set by Effects() if its fixpoint did not converge
 }
 
 // Package returns the loaded package with the given import path, or nil.

@@ -139,6 +139,9 @@ func RunEntriesOn(prog *Program, entries []SuiteEntry) ([]Diagnostic, []Timing, 
 		}
 		sw := walltime.Start()
 		diags := e.Analyzer.Run(prog, targets)
+		if prog.effErr != nil {
+			return nil, nil, prog.effErr
+		}
 		timings = append(timings, Timing{Analyzer: e.Analyzer.Name, Seconds: sw.Seconds(), Findings: len(diags)})
 		all = append(all, diags...)
 	}

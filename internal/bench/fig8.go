@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"fmt"
+
 	"nova/internal/cap"
 	"nova/internal/hw"
 	"nova/internal/hypervisor"
+	"nova/internal/trace"
 )
 
 // Fig8Row is one processor's IPC measurement.
@@ -21,6 +24,18 @@ type Fig8Row struct {
 // Figure 8 (ns).
 var paperFig8Ns = map[hw.CPUModel]float64{
 	hw.K8: 164, hw.K10: 152, hw.YNH: 192, hw.CNR: 179, hw.WFD: 131, hw.BLM: 108,
+}
+
+// wholeRun returns an error if a ring of the trace overwrote a record,
+// so a figure computed from the trace covers the whole run, not its
+// tail.
+func wholeRun(d *trace.Data) error {
+	for cpu, n := range d.Overwritten {
+		if n > 0 {
+			return fmt.Errorf("cpu%d trace ring overwrote %d records", cpu, n)
+		}
+	}
+	return nil
 }
 
 // RunFig8 reproduces Figure 8: the IPC microbenchmark across the six
@@ -58,38 +73,28 @@ func RunFig8() (*Table, []Fig8Row, error) {
 			return nil, nil, err
 		}
 
-		// Measurement comes from the tracer's IPC-latency histogram
-		// rather than ad-hoc clock deltas: the kernel records each
-		// call→reply round trip, and the syscall entry (charged before
-		// the portal path begins) is added back to reconstruct the full
-		// call cost. A call is two one-way transfers (call + reply).
-		k.Observe(hypervisor.Sinks{TraceCapacity: 16})
-		tr := k.Tracer
+		// The rows come from the trace through `nova-obs attrib`'s
+		// arithmetic: ComputeIPCBreakdown adds the syscall entry, charged
+		// before the recorded call→reply window opens, to the average
+		// latency and halves it, a call being two one-way transfers. The
+		// ring holds all 2×iters calls, three events each (hypercall,
+		// ipc-call, ipc-reply).
 		const iters = 1000
-		measure := func(sel cap.Selector) (hw.Cycles, error) {
+		k.Observe(hypervisor.Sinks{TraceCapacity: 2 * iters * 3})
+		for _, sel := range []cap.Selector{sameSel, crossSel} {
 			msg := &hypervisor.UTCB{Words: []uint64{1, 2}}
-			before := tr.IPCLatency
 			for i := 0; i < iters; i++ {
 				if err := k.Call(client, sel, msg); err != nil {
-					return 0, err
+					return nil, nil, err
 				}
 			}
-			dSum := tr.IPCLatency.Sum - before.Sum
-			dCount := tr.IPCLatency.Count - before.Count
-			if dCount == 0 {
-				return 0, nil
-			}
-			latency := hw.Cycles(dSum / dCount)
-			return (latency + cm.SyscallEntryExit) / 2, nil
 		}
-		same, err := measure(sameSel)
-		if err != nil {
-			return nil, nil, err
+		tr := k.Tracer.Data()
+		if err := wholeRun(tr); err != nil {
+			return nil, nil, fmt.Errorf("fig8 %s: %w", cm.Model, err)
 		}
-		cross, err := measure(crossSel)
-		if err != nil {
-			return nil, nil, err
-		}
+		ipc := trace.ComputeIPCBreakdown(tr)
+		same, cross := hw.Cycles(ipc.SameOneWay), hw.Cycles(ipc.CrossOneWay)
 		vcycles += uint64(k.Now())
 		rows = append(rows, Fig8Row{
 			Model:      cm.Model,

@@ -8,9 +8,9 @@ import (
 )
 
 // determinismRun boots one workload on a fresh platform and returns the
-// final cycle count plus the FNV hash of the full encoded trace (every
-// event's kind, payload, virtual timestamp and sequence number, plus
-// all counters and histograms).
+// final cycle count, the FNV hash of the full encoded trace (every
+// event's kind, payload, virtual timestamp and sequence number) and the
+// kernel's VM-exit count.
 //
 // This is the property the whole evaluation rests on — same inputs →
 // identical virtual time — and the runtime counterpart of the nova-vet
@@ -32,7 +32,7 @@ func determinismRun(t *testing.T, cfg RunnerConfig, img []byte, params []uint32)
 		t.Fatalf("run: %v", err)
 	}
 	var exits uint64
-	for _, n := range r.K.Tracer.ExitCounts {
+	for _, n := range r.K.Stats.VMExits {
 		exits += n
 	}
 	return cycles, fnvHash(r.Obs().Encode()), exits
@@ -74,7 +74,7 @@ func TestDeterministicBootDoubleRun(t *testing.T) {
 			c1, h1, n1 := determinismRun(t, tc.cfg, tc.img, tc.params)
 			c2, h2, n2 := determinismRun(t, tc.cfg, tc.img, tc.params)
 			if n1 == 0 {
-				t.Fatal("tracer observed no VM exits; the workload did not exercise virtualization")
+				t.Fatal("the run took no VM exits; the workload did not exercise virtualization")
 			}
 			if c1 != c2 {
 				t.Errorf("cycle counts differ between identical runs: %d vs %d (Δ=%d)", c1, c2, int64(c2)-int64(c1))

@@ -11,11 +11,11 @@ import (
 )
 
 // TestViewsAgree runs workloads with every sink attached and checks
-// that the views of the recorded events agree: Kernel.Stats, the
-// tracer's aggregates, the stat registry's metrics and the kind counts
-// of an unwrapped ring, for VM exits by reason, IPC calls, vTLB fills
-// and flushes, injections and emulated instructions. Each view folds
-// the same event, so they agree by construction; the two places where
+// that the views of the recorded events agree: Kernel.Stats, the stat
+// registry's metrics and the kind counts of an unwrapped ring, for VM
+// exits by reason, IPC calls and replies, vTLB fills and flushes,
+// injections and emulated instructions. Each view folds the same
+// event, so they agree by construction; the two places where
 // Kernel.Stats deliberately counts differently are pinned as explicit
 // relations below.
 func TestViewsAgree(t *testing.T) {
@@ -81,8 +81,8 @@ func TestViewsAgree(t *testing.T) {
 // when the sinks attached.
 func checkViews(t *testing.T, r *Runner, base hypervisor.Stats, metric map[string]uint64) {
 	t.Helper()
-	ks, tr, v := r.K.Stats, r.K.Tracer, r.VCPU()
-	d := tr.Data()
+	ks, v := r.K.Stats, r.VCPU()
+	d := r.K.Tracer.Data()
 	for cpu, over := range d.Overwritten {
 		if over != 0 {
 			t.Fatalf("cpu%d ring wrapped; the ring view needs the whole run", cpu)
@@ -126,7 +126,7 @@ func checkViews(t *testing.T, r *Runner, base hypervisor.Stats, metric map[strin
 	names := x86.ExitReasonNames()
 	var total uint64
 	for reason, name := range names {
-		agree("exits "+name, ks.VMExits[reason]-base.VMExits[reason], tr.ExitCounts[reason],
+		agree("exits "+name, ks.VMExits[reason]-base.VMExits[reason],
 			vm("kernel_vmexits", "vcpu", "0", "reason", name), exits[reason])
 		total += exits[reason]
 	}
@@ -143,10 +143,9 @@ func checkViews(t *testing.T, r *Runner, base hypervisor.Stats, metric map[strin
 		metric[stat.Name("kernel_ipc_words", "pd", "vmm-guest")]
 	agree("ipc calls", ks.IPCCalls-base.IPCCalls, ipcCalls, kinds[trace.KindIPCCall])
 	agree("ipc words", ks.IPCWords-base.IPCWords, ipcWords, words)
-	agree("ipc replies", tr.IPCLatency.Count, metric["kernel_ipc_latency_cycles"], kinds[trace.KindIPCReply])
+	agree("ipc replies", metric["kernel_ipc_latency_cycles"], kinds[trace.KindIPCReply])
 
-	agree("vtlb fills", ks.VTLBFills-base.VTLBFills, tr.VTLBMisses, tr.VTLBFill.Count,
-		vm("kernel_vtlb_fills", "vcpu", "0"), kinds[trace.KindVTLBFill])
+	agree("vtlb fills", ks.VTLBFills-base.VTLBFills, vm("kernel_vtlb_fills", "vcpu", "0"), kinds[trace.KindVTLBFill])
 	agree("vtlb flushes", ks.VTLBFlushes-base.VTLBFlushes, vm("kernel_vtlb_flushes", "vcpu", "0"), flushes)
 
 	// Pinned relation: a direct (exit-less) delivery reaches the trace

@@ -362,9 +362,7 @@ func (e *guestEnv) fillShadow(st *x86.CPUState, va uint32, write, paging bool) (
 	// Shadow page-table update (two entries touched).
 	e.k.charge(2 * cost.CacheLineAccess)
 	e.shadow.fill(vpn, shadowEntry{hpaPage: hpa >> 12, guestW: w.Writable, hostW: hostW, memVer: e.memVer})
-	end := e.k.Now()
-	e.k.Record(trace.KindVTLBFill, uint64(va), uint64(end-t0), uint64(e.ec.ID), 0)
-	e.k.profVTLBFill(st, end-t0)
+	e.k.Record(trace.KindVTLBFill, uint64(va), uint64(e.k.Now()-t0), uint64(e.ec.ID), 0)
 	e.tlb.InsertSmall(e.tag, va, hpa>>12, w.Writable && hostW, true, false)
 	return hpa, nil
 }

@@ -252,8 +252,9 @@ func (k *Kernel) CurCPU() int { return k.cpu }
 
 // Record is the one probe of the kernel, the VMMs and the device
 // servers: each observable fact is one call, with the trace.Kind
-// payload layout, at the active CPU's virtual time. Stats, Tracer.Emit
-// and stat.Registry.Fold each fold the event once.
+// payload layout, at the active CPU's virtual time. Stats,
+// stat.Registry.Fold and the profiler's profFold each fold the event
+// once, and Tracer.Emit puts it on the ring.
 //
 // nocharge: observability; recording must not move the clocks.
 func (k *Kernel) Record(kind trace.Kind, a0, a1, a2, a3 uint64) {
@@ -267,6 +268,9 @@ func (k *Kernel) Record(kind trace.Kind, a0, a1, a2, a3 uint64) {
 			ctx = cur.ID
 		}
 		k.Stat.Fold(k.cpu, now, ctx, kind, a0, a1, a2, a3)
+	}
+	if k.Prof != nil {
+		k.profFold(cur, kind, a0, a1, a2)
 	}
 }
 

@@ -215,6 +215,12 @@ type VCPU struct {
 	// stack walker uses for this vCPU (set when a profiler attaches;
 	// never touches guest-visible state).
 	profRead prof.MemReader
+	// exitRIP and exitDef32 locate the instruction that took the VM
+	// exit in flight (CS.Base+EIP and the D bit). The profiler takes
+	// them when the exit is recorded and attributes the exit window to
+	// them at the resume.
+	exitRIP   uint32
+	exitDef32 bool
 }
 
 // vcpuNamed returns ec's vCPU if ec is the EC with the given id.

@@ -11,6 +11,7 @@ package hypervisor
 import (
 	"nova/internal/hw"
 	"nova/internal/prof"
+	"nova/internal/trace"
 	"nova/internal/x86"
 )
 
@@ -153,45 +154,52 @@ func profSample(p *prof.Profiler, cpu int, now hw.Cycles, st *x86.CPUState, read
 	return next
 }
 
-// profExit attributes one VM-exit window (exit to resume, cycles =
-// exact modeled cost) to the guest instruction that took the exit, and
-// gives the sampler a kernel-mode observation point so exit-handling
-// time lands in the profile under the faulting guest stack. The sample
-// context is built only when a sample is due.
-func (k *Kernel) profExit(ec *EC, rip uint32, def32 bool, cycles hw.Cycles) {
-	if k.Prof == nil {
-		return
+// profFold is the profiler's fold of Kernel.Record: it attributes every
+// VM-exit window, vTLB fill and VMM-emulated instruction, with its exact
+// modeled cost, to the guest instruction that caused it, and takes the
+// kernel- and emulation-mode samples those events are observation
+// points for. cur is the EC dispatched on the recording CPU, the vCPU
+// that exited, filled or is being emulated for. A sample context is
+// built only when a sample is due.
+func (k *Kernel) profFold(cur *EC, kind trace.Kind, a0, a1, a2 uint64) {
+	switch kind {
+	case trace.KindVMExit:
+		// Taken here: the VMM's reply may move EIP before the resume.
+		if v := cur.vcpuNamed(a2); v != nil {
+			v.exitRIP = v.State.Seg[x86.CS].Base + v.State.EIP
+			v.exitDef32 = v.State.Seg[x86.CS].Def32
+		}
+	case trace.KindVMResume:
+		v := cur.vcpuNamed(a2)
+		if v == nil {
+			return
+		}
+		k.Prof.Attribute(prof.AttribExit, v.exitRIP, v.exitDef32, a1)
+		if now := k.Now(); now >= k.Prof.Next(k.cpu) {
+			g := profCtx(&v.State, v.profRead)
+			g.RIP, g.Def32 = v.exitRIP, v.exitDef32
+			k.Prof.Tick(k.cpu, now, prof.ModeKernel, g)
+		}
+	case trace.KindVTLBFill:
+		if v := cur.vcpuNamed(a2); v != nil {
+			cs := &v.State.Seg[x86.CS]
+			k.Prof.Attribute(prof.AttribVTLBFill, cs.Base+v.State.EIP, cs.Def32, a1)
+		}
+	case trace.KindEmulate:
+		// Only EPT-violation exits are emulated, and their message
+		// carries the vCPU's whole state, so the vCPU's CS is the
+		// emulated instruction's. The VMM records the event after it
+		// charges the emulation, so the sample time includes the work.
+		if cur == nil || cur.VCPU == nil {
+			return
+		}
+		cs := &cur.VCPU.State.Seg[x86.CS]
+		rip := cs.Base + uint32(a0)
+		k.Prof.Attribute(prof.AttribEmulate, rip, cs.Def32, uint64(k.Plat.Cost.EmulateInstruction))
+		k.Prof.Tick(k.cpu, k.Now(), prof.ModeEmulation, prof.GuestCtx{RIP: rip, Def32: cs.Def32})
+	default:
+		// The other kinds attribute nothing.
 	}
-	k.Prof.Attribute(prof.AttribExit, rip, def32, uint64(cycles))
-	if now := k.Now(); now >= k.Prof.Next(k.cpu) {
-		g := profCtx(&ec.VCPU.State, ec.VCPU.profRead)
-		g.RIP, g.Def32 = rip, def32
-		k.Prof.Tick(k.cpu, now, prof.ModeKernel, g)
-	}
-}
-
-// profVTLBFill attributes one shadow-page-table fill to the guest
-// instruction whose access missed.
-func (k *Kernel) profVTLBFill(st *x86.CPUState, cycles hw.Cycles) {
-	if k.Prof == nil {
-		return
-	}
-	rip := st.Seg[x86.CS].Base + st.EIP
-	k.Prof.Attribute(prof.AttribVTLBFill, rip, st.Seg[x86.CS].Def32, uint64(cycles))
-}
-
-// ProfEmulate records one VMM-emulated instruction: exact-cost
-// attribution at the guest address plus an emulation-mode observation
-// point. Called by the VMM after it charges the emulation cost.
-//
-// nocharge: observability plumbing; the emulation work itself is
-// charged by the VMM through ChargeUser at the call site.
-func (k *Kernel) ProfEmulate(rip uint32, def32 bool, cycles hw.Cycles) {
-	if k.Prof == nil {
-		return
-	}
-	k.Prof.Attribute(prof.AttribEmulate, rip, def32, uint64(cycles))
-	k.Prof.Tick(k.cpu, k.Now(), prof.ModeEmulation, prof.GuestCtx{RIP: rip, Def32: def32})
 }
 
 // profServerTick gives the sampler an observation point after a server

@@ -95,15 +95,11 @@ func (k *Kernel) dispatchExit(ec *EC, exit *x86.VMExit) error {
 	return nil
 }
 
-// exitWindow is one VM exit in flight. rip/def32 locate the exiting
-// instruction, captured before the VMM's reply can rewrite EIP: the
-// profiler attributes the whole window to it.
+// exitWindow is one VM exit in flight.
 type exitWindow struct {
 	ec     *EC
 	reason x86.ExitReason
 	t0     hw.Cycles
-	rip    uint32
-	def32  bool
 }
 
 // exitBegin opens a VM exit on every path (vTLB-consumed, portal, host
@@ -111,13 +107,8 @@ type exitWindow struct {
 // charges the guest→host world switch. The exit runs on ec's dispatch,
 // so recording it also counts it in the vCPU's Exits.
 func (k *Kernel) exitBegin(ec *EC, reason x86.ExitReason, vec uint64) exitWindow {
-	v := ec.VCPU
 	w := exitWindow{ec: ec, reason: reason, t0: k.Now()}
-	if k.Prof != nil {
-		w.rip = v.State.Seg[x86.CS].Base + v.State.EIP
-		w.def32 = v.State.Seg[x86.CS].Def32
-	}
-	k.Record(trace.KindVMExit, uint64(reason), uint64(v.State.EIP), uint64(ec.ID), vec)
+	k.Record(trace.KindVMExit, uint64(reason), uint64(ec.VCPU.State.EIP), uint64(ec.ID), vec)
 	// World switch guest -> host (+ the TLB flush if untagged; the
 	// refill cost then emerges from subsequent misses).
 	k.charge(k.Plat.Cost.VMTransitCost(k.tagged()))
@@ -127,9 +118,7 @@ func (k *Kernel) exitBegin(ec *EC, reason x86.ExitReason, vec uint64) exitWindow
 
 // exitEnd closes a VM exit: the guest resumes.
 func (k *Kernel) exitEnd(w exitWindow) {
-	dur := k.Now() - w.t0
-	k.Record(trace.KindVMResume, uint64(w.reason), uint64(dur), uint64(w.ec.ID), 0)
-	k.profExit(w.ec, w.rip, w.def32, dur)
+	k.Record(trace.KindVMResume, uint64(w.reason), uint64(k.Now()-w.t0), uint64(w.ec.ID), 0)
 }
 
 // handleVTLBExit processes CR accesses and INVLPG for shadow-paging

@@ -43,8 +43,6 @@ type NetServer struct {
 
 	Stats struct {
 		Packets   uint64
-		Bytes     uint64
-		Delivered uint64
 		Dropped   uint64
 		Truncated uint64
 		IRQs      uint64
@@ -186,8 +184,6 @@ func (ns *NetServer) record(kind trace.Kind, a0, a1, a2, a3 uint64) {
 	switch kind {
 	case trace.KindNetRX:
 		ns.Stats.Packets++
-		ns.Stats.Bytes += a0
-		ns.Stats.Delivered += a1
 	case trace.KindNetIRQ:
 		ns.Stats.IRQs++
 	default:

@@ -11,7 +11,9 @@ import (
 // The registry's event fold. Every push metric of the kernel, the VMMs
 // and the device servers is derived here from the one event their probe
 // recorded (trace.Kind payload layout), so the metrics agree with
-// Kernel.Stats and the tracer's aggregates by construction. Handles
+// Kernel.Stats, the other whole-run fold, by construction. The tracer
+// keeps no aggregate; the registry's histograms are the run's only
+// exit, IPC and dispatch-wait latency distributions. Handles
 // live in tables indexed by the dense PD and EC ids the events carry;
 // names are formatted once, when an object is registered.
 

@@ -6,9 +6,10 @@ import "nova/internal/x86"
 // views: a per-exit-reason cost table (where do the cycles of a
 // virtualized run go?) and the Figure 8 / Figure 9 box breakdowns that
 // the evaluation decomposes by hand. Everything here is computed from
-// the event stream and the cost constants recorded in Costs — no access
-// to the live system, so the same numbers come out of a saved trace
-// file.
+// the ring's records and the cost constants recorded in Costs — no
+// access to the live system, so the same numbers come out of a saved
+// trace file, and internal/bench computes Figures 8 and 9 with these
+// same functions.
 
 // ExitRow attributes the cycles of one VM-exit reason. Total is the
 // exit-to-resume time summed over all exits of the reason; Hardware is
@@ -145,22 +146,30 @@ type VTLBBreakdown struct {
 	Fill       uint64
 }
 
-// ComputeVTLBBreakdown reconstructs Figure 9's boxes from the vTLB fill
-// histogram. The guest-visible per-miss cost is the fill duration minus
-// the shadow-table walk a warm access would have paid anyway (two page
-// walk levels), matching the cold-minus-warm methodology of the bench
-// kernel.
+// ComputeVTLBBreakdown reconstructs Figure 9's boxes from the ring's
+// vtlb-fill durations. The guest-visible per-miss cost is the average
+// fill duration minus the shadow-table walk a warm access would have
+// paid anyway (two page walk levels), matching the cold-minus-warm
+// methodology of the bench kernel. Fills a wrapped ring dropped are
+// not in the average.
 func ComputeVTLBBreakdown(d *Data) VTLBBreakdown {
-	h := d.Metrics.VTLBFill
+	var sum uint64
 	b := VTLBBreakdown{
-		Fills:      h.Count,
 		ExitResume: d.Costs.VMTransit,
 		VMReads:    6 * d.Costs.VMRead,
 	}
-	if h.Count == 0 {
+	for _, events := range d.PerCPU {
+		for _, e := range events {
+			if e.Kind == KindVTLBFill {
+				sum += e.A1
+				b.Fills++
+			}
+		}
+	}
+	if b.Fills == 0 {
 		return b
 	}
-	b.AvgFill = h.Sum / h.Count
+	b.AvgFill = sum / b.Fills
 	warm := 2 * d.Costs.PageWalkLevel
 	if b.AvgFill > warm {
 		b.PerMiss = b.AvgFill - warm

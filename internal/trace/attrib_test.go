@@ -91,12 +91,16 @@ func TestComputeIPCBreakdown(t *testing.T) {
 }
 
 func TestComputeVTLBBreakdown(t *testing.T) {
-	// Figure 9 reconstruction: fills averaging 1500 cycles; warm walk
-	// 2*30; per-miss 1440 = transit 1000 + vmreads 240 + fill 200.
-	var h Histogram
-	h.Observe(1400)
-	h.Observe(1600)
-	d := &Data{Costs: synthCosts, Metrics: Metrics{VTLBFill: h.Data()}}
+	// Figure 9 reconstruction: fills averaging 1500 cycles, one on each
+	// CPU; warm walk 2*30; per-miss 1440 = transit 1000 + vmreads 240 +
+	// fill 200. The flush and the exit are not fills.
+	d := &Data{
+		Costs: synthCosts,
+		Rings: Rings{PerCPU: [][]Event{
+			{{Kind: KindVTLBFill, A0: 0x1000, A1: 1400}, {Kind: KindVTLBFlush, A0: 3}},
+			{{Kind: KindVMExit, A0: 1, A1: 900}, {Kind: KindVTLBFill, A0: 0x2000, A1: 1600}},
+		}},
+	}
 	b := ComputeVTLBBreakdown(d)
 	if b.Fills != 2 || b.AvgFill != 1500 || b.PerMiss != 1440 {
 		t.Fatalf("breakdown: %+v", b)

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"nova/internal/hw"
-	"nova/internal/x86"
-)
+import "nova/internal/hw"
 
 // Costs are the cost-model constants, in cycles, that the attribution
 // pass decomposes measured durations with (the paper's Figure 8/9
@@ -17,12 +14,6 @@ type Costs struct {
 	TLBRefill        uint64 `json:"tlb_refill"`
 	PageWalkLevel    uint64 `json:"page_walk_level"`
 	CacheLineAccess  uint64 `json:"cache_line_access"`
-}
-
-// NamedCount is one (name, count) pair in the metrics section.
-type NamedCount struct {
-	Name  string `json:"name"`
-	Count uint64 `json:"count"`
 }
 
 // BucketCount is one non-empty histogram bucket with its value range.
@@ -89,48 +80,6 @@ func (h *Histogram) Data() HistogramData {
 	return d
 }
 
-// RingStatus reports one per-CPU event ring's occupancy, so metrics
-// consumers can tell whether the recorded window covers the whole run
-// or only its tail (a full ring overwrites its oldest events).
-type RingStatus struct {
-	CPU         int    `json:"cpu"`
-	Capacity    int    `json:"capacity"`
-	Live        int    `json:"live"`
-	Overwritten uint64 `json:"overwritten"`
-}
-
-// Metrics are the whole-run aggregates of a trace section, exact even
-// when a ring wraps.
-type Metrics struct {
-	Exits           []NamedCount  `json:"exits,omitempty"` // reason order, non-zero only
-	VTLBMisses      uint64        `json:"vtlb_misses"`
-	Rings           []RingStatus  `json:"rings,omitempty"` // CPU order; views fill it from Data.Status
-	IPCLatency      HistogramData `json:"ipc_latency"`
-	DispatchLatency HistogramData `json:"dispatch_latency"`
-	ExitLatency     HistogramData `json:"exit_latency"`
-	VTLBFill        HistogramData `json:"vtlb_fill"`
-}
-
-// MetricsData snapshots the tracer's counters and histograms.
-func (t *Tracer) MetricsData() Metrics {
-	if t == nil {
-		return Metrics{}
-	}
-	m := Metrics{
-		VTLBMisses:      t.VTLBMisses,
-		IPCLatency:      t.IPCLatency.Data(),
-		DispatchLatency: t.DispatchLatency.Data(),
-		ExitLatency:     t.ExitLatency.Data(),
-		VTLBFill:        t.VTLBFill.Data(),
-	}
-	for r, n := range t.ExitCounts {
-		if n > 0 {
-			m.Exits = append(m.Exits, NamedCount{Name: x86.ExitReason(r).String(), Count: n})
-		}
-	}
-	return m
-}
-
 // Rings is the recorded content of one sink's per-CPU rings (the
 // tracer's, or the span recorder's), the part of its file section both
 // sinks share.
@@ -154,15 +103,6 @@ func SnapshotRings(rings []*Ring) Rings {
 // Events returns all events merged across CPUs in the (time, CPU, seq)
 // order.
 func (d *Rings) Events() []Event { return mergeEvents(d.PerCPU) }
-
-// Status reports each ring's occupancy, in CPU order.
-func (d *Rings) Status() []RingStatus {
-	var out []RingStatus
-	for cpu, events := range d.PerCPU {
-		out = append(out, RingStatus{CPU: cpu, Capacity: d.Capacity, Live: len(events), Overwritten: d.Overwritten[cpu]})
-	}
-	return out
-}
 
 // recordSize is the encoded size of one ring record:
 // time(8) + kind(1) + 4×arg(8). A record's CPU is its ring's, and its
@@ -210,12 +150,10 @@ func ReadRings(d *Dec, cpus int) Rings {
 }
 
 // Data is the trace section of an observability file: the cost
-// constants, the rings and the whole-run aggregates, which stay exact
-// when a ring wraps.
+// constants and the rings.
 type Data struct {
 	Costs Costs
 	Rings
-	Metrics Metrics
 }
 
 // Data snapshots the tracer; nil when tracing is off.
@@ -223,14 +161,13 @@ func (t *Tracer) Data() *Data {
 	if t == nil {
 		return nil
 	}
-	return &Data{Costs: t.Costs, Rings: SnapshotRings(t.rings), Metrics: t.MetricsData()}
+	return &Data{Costs: t.Costs, Rings: SnapshotRings(t.rings)}
 }
 
 // WriteBody appends the trace section body.
 func (d *Data) WriteBody(e *Enc) {
 	e.JSON(d.Costs)
 	d.Rings.WriteBody(e)
-	e.JSON(d.Metrics)
 }
 
 // ReadBody reads a trace section body of cpus rings.
@@ -238,6 +175,5 @@ func ReadBody(dec *Dec, cpus int) *Data {
 	d := &Data{}
 	dec.JSON(&d.Costs)
 	d.Rings = ReadRings(dec, cpus)
-	dec.JSON(&d.Metrics)
 	return d
 }

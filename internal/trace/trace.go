@@ -1,7 +1,11 @@
-// Package trace is the observability layer of the simulation: a
-// deterministic, low-overhead event tracer plus typed counters and
-// log-scaled histograms, threaded through the microhypervisor, the
-// user-level VMMs and the device servers.
+// Package trace is the event layer of the simulation's observability:
+// the event kinds and their payload layout that Kernel.Record takes,
+// the deterministic per-CPU event rings of the tracer, their file
+// codec, and the attribution pass that rebuilds the paper's §8 cost
+// breakdowns from a ring's records. It also holds the log2 histogram
+// the stat registry aggregates latencies with. The tracer itself keeps
+// no aggregate: Kernel.Stats and the stat registry are the whole-run
+// folds of the same events.
 //
 // The design contract is zero perturbation: emitting an event must
 // never charge simulated cycles, mutate guest-visible state, or read
@@ -18,10 +22,7 @@
 // per-event, or fails.
 package trace
 
-import (
-	"nova/internal/hw"
-	"nova/internal/x86"
-)
+import "nova/internal/hw"
 
 // Kind classifies a trace event. The A0..A3 payload layout is fixed per
 // kind and documented on each constant; renderers and the attribution
@@ -90,7 +91,7 @@ const (
 	// A0=guest-physical address, A1=1 if read, A2=value, A3=size.
 	KindMMIO
 	// KindEmulate: the instruction emulator ran one guest instruction
-	// (§7.1). A0=guest EIP.
+	// (§7.1). A0=guest EIP. Recorded once the emulation is charged.
 	KindEmulate
 	// KindBIOSCall: the virtual BIOS served an INT service (§7.4).
 	// A0=interrupt vector, A1=AH function code.
@@ -117,8 +118,8 @@ const (
 	// A0=length in bytes, A1=number of clients it was delivered to.
 	KindNetRX
 
-	// Aggregate-only kinds: facts with no place on the timeline. Every
-	// sink folds them, but no ring stores them.
+	// Aggregate-only kinds: facts with no place on the timeline. The
+	// stat registry folds them, but no ring stores them.
 
 	// KindSchedRan: a dispatched vCPU gave its CPU back to the
 	// scheduler. A0=EC id, A1=cycles it consumed.
@@ -264,25 +265,13 @@ func (r *Ring) Events() []Event {
 	return out
 }
 
-// Tracer is the per-platform trace and metrics sink. All methods are
-// nil-safe so instrumented code needs no enablement checks: a nil
-// *Tracer means tracing is off and every call is a two-instruction
-// no-op. The aggregates below are folded from the emitted events, so
-// they stay exact when a ring wraps.
+// Tracer is the per-platform event sink: the cost constants and one
+// ring per CPU. All methods are nil-safe so instrumented code needs no
+// enablement checks: a nil *Tracer means tracing is off and every call
+// is a two-instruction no-op.
 type Tracer struct {
 	Costs Costs
 	rings []*Ring
-
-	// ExitCounts counts VM exits by reason (indexed by x86.ExitReason).
-	ExitCounts [x86.NumExitReasons]uint64
-	// VTLBMisses counts vTLB misses (shadow fills).
-	VTLBMisses uint64
-
-	// Latency histograms, log2-bucketed, in cycles.
-	IPCLatency      Histogram // portal call to reply
-	DispatchLatency Histogram // runqueue wait before dispatch
-	ExitLatency     Histogram // VM exit to resume
-	VTLBFill        Histogram // vTLB miss to shadow fill
 }
 
 // New creates a tracer with one ring of the given capacity per CPU.
@@ -294,32 +283,13 @@ func New(costs Costs, cpus, capacity int) *Tracer {
 	return t
 }
 
-// Emit folds one event into the tracer's aggregates and, for ring
-// kinds, records it on cpu's ring at virtual time now.
+// Emit records one event of a ring kind on cpu's ring at virtual time
+// now; aggregate-only kinds have no place on a ring and are dropped.
 func (t *Tracer) Emit(cpu int, now hw.Cycles, k Kind, a0, a1, a2, a3 uint64) {
-	if t == nil || cpu < 0 || cpu >= len(t.rings) {
+	if t == nil || cpu < 0 || cpu >= len(t.rings) || int(k) >= NumKinds {
 		return
 	}
-	switch k {
-	case KindVMExit:
-		if a0 < uint64(len(t.ExitCounts)) {
-			t.ExitCounts[a0]++
-		}
-	case KindVMResume:
-		t.ExitLatency.Observe(a1)
-	case KindIPCReply:
-		t.IPCLatency.Observe(a1)
-	case KindSchedDispatch:
-		t.DispatchLatency.Observe(a2)
-	case KindVTLBFill:
-		t.VTLBMisses++
-		t.VTLBFill.Observe(a1)
-	default:
-		// The other kinds feed no tracer aggregate.
-	}
-	if int(k) < NumKinds {
-		t.rings[cpu].Push(now, k, a0, a1, a2, a3)
-	}
+	t.rings[cpu].Push(now, k, a0, a1, a2, a3)
 }
 
 // mergeEvents merges per-CPU, already-ordered event slices into the

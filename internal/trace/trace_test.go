@@ -112,12 +112,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(0, 1, KindVMExit, 1, 2, 3, 4)
 	if tr.Data() != nil {
-		t.Error("nil tracer returned data")
-	}
-	if m := tr.MetricsData(); len(m.Exits) != 0 {
-		t.Error("nil tracer returned metrics")
-	}
-	if tr.Data() != nil {
 		t.Error("nil tracer returned a section")
 	}
 }
@@ -181,17 +175,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(d.PerCPU[0], tr.rings[0].Events()) {
 		t.Errorf("cpu0 events: got %+v want %+v", d.PerCPU[0], tr.rings[0].Events())
 	}
-	// The aggregates fold every emitted event, including the one the
-	// wrapped ring dropped.
-	if d.Metrics.Exits[0].Count != 1 || d.Metrics.ExitLatency.Sum != 200 ||
-		d.Metrics.IPCLatency.Count != 1 || d.Metrics.VTLBFill.Sum != 500 || d.Metrics.VTLBMisses != 1 {
-		t.Errorf("metrics: %+v", d.Metrics)
-	}
 	if !reflect.DeepEqual(d.Events(), tr.Data().Events()) {
 		t.Error("merged events differ after round trip")
-	}
-	if st := d.Status(); st[0] != (RingStatus{CPU: 0, Capacity: 2, Live: 2, Overwritten: 1}) {
-		t.Errorf("ring status %+v", st)
 	}
 
 	// Serialization is deterministic byte for byte, and a decoded

@@ -114,10 +114,10 @@ func (e *emuEnv) InvalidateTLB(st *x86.CPUState, all bool, va uint32) {}
 // disk server, only programs the host controller, whose completion
 // arrives later as an event.
 func (m *VMM) emulate(msg *hypervisor.UTCB) error {
-	m.record(trace.KindEmulate, uint64(msg.State.EIP), 0, 0, 0)
 	m.K.ChargeUser(m.K.Plat.Cost.EmulateInstruction)
-	m.K.ProfEmulate(msg.State.Seg[x86.CS].Base+msg.State.EIP, msg.State.Seg[x86.CS].Def32,
-		m.K.Plat.Cost.EmulateInstruction)
+	// Recorded after the charge: the profiler's emulation sample is
+	// taken at the event's time.
+	m.record(trace.KindEmulate, uint64(msg.State.EIP), 0, 0, 0)
 
 	// Exceptions raised by the emulated instruction are delivered
 	// through the guest's IDT exactly as §7.1's fixup path does.

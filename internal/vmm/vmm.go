@@ -29,9 +29,6 @@ import (
 type Stats struct {
 	Emulated     uint64 // instructions run through the emulator
 	PortIO       uint64
-	MMIO         uint64
-	HLTs         uint64
-	Injected     uint64
 	DiskRequests uint64
 	BIOSCalls    uint64
 }
@@ -128,18 +125,13 @@ func (m *VMM) record(kind trace.Kind, a0, a1, a2, a3 uint64) {
 		s.Emulated++
 	case trace.KindPIO:
 		s.PortIO++
-	case trace.KindMMIO:
-		s.MMIO++
-	case trace.KindHalt:
-		s.HLTs++
-	case trace.KindArmInject:
-		s.Injected++
 	case trace.KindDiskRequest:
 		s.DiskRequests++
 	case trace.KindBIOSCall:
 		s.BIOSCalls++
 	default:
-		// Completions are not VMM activity counted in Stats.
+		// The other kinds have no VMM counter; the stat registry
+		// counts MMIO accesses, HLTs and armed injections.
 	}
 	m.K.Record(kind, a0, a1, a2, a3)
 }
