@@ -576,13 +576,16 @@ func profReport(f *obs.File, d *prof.Data, top int) {
 	fmt.Println("\nhot addresses (sampled + attributed cycles):")
 	w := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
 	fmt.Fprintln(w, "ADDR\tSAMPLES\tEXITS\tFILLS\tEMULS\tCYCLES\tFUSE\tCODE")
-	var fuseWeight, codeWeight uint64
+	var fuseWeight, condWeight, codeWeight uint64
 	for _, h := range hot {
 		mark, code := site(d, h.Addr, h.Def32)
 		if mark != "" {
 			codeWeight += h.Samples
-			if mark == "fuse" {
+			switch mark {
+			case "fuse":
 				fuseWeight += h.Samples
+			case "fuse?":
+				condWeight += h.Samples
 			}
 		}
 		fmt.Fprintf(w, "0x%08x\t%d\t%d\t%d\t%d\t%d\t%s\t%s\n",
@@ -590,19 +593,23 @@ func profReport(f *obs.File, d *prof.Data, top int) {
 	}
 	w.Flush() //nolint:errcheck
 	if codeWeight > 0 {
-		fmt.Printf("\nfusibility: %.1f%% of the sampled weight at hot addresses with captured code\n"+
-			"is fusible (see `fuse` rows); fusible instructions on one code page execute\n"+
-			"as fused runs, in profiled runs too (a run ends before a sample point)\n",
-			100*float64(fuseWeight)/float64(codeWeight))
+		fmt.Printf("\nfusibility: of the sampled weight at hot addresses with captured code,\n"+
+			"%.1f%% is always fusible (see `fuse` rows) and %.1f%% conditionally fusible\n"+
+			"(`fuse?` rows: a memory operand joins a run while its access is a free TLB hit,\n"+
+			"DIV while it cannot raise #DE, and neither starts one); fusible instructions on\n"+
+			"one code page execute as fused runs, in profiled runs too (a run ends before a\n"+
+			"sample point)\n",
+			100*float64(fuseWeight)/float64(codeWeight), 100*float64(condWeight)/float64(codeWeight))
 	}
 }
 
 // site disassembles the captured instruction bytes at a hot address and
-// classifies them for fused execution: "fuse" when the instruction can
-// run inside a fused run (x86.InstFusible), "-" when it forces
-// single-stepping (memory operand, privileged, faulting,
-// extra-cycle forms). Both are empty when the profile carries no code
-// for the address.
+// classifies them for fused execution (x86.InstFusible): "fuse" when
+// the instruction can always run inside a fused run, "fuse?" when it
+// can only where its memory access is free or, for DIV, where it cannot
+// raise #DE, "-" when it forces single-stepping (privileged, faulting,
+// stack and string forms). Both are empty when the profile carries no
+// code for the address.
 func site(d *prof.Data, addr uint32, def32 bool) (mark, code string) {
 	for _, c := range d.Code {
 		if c.Addr != addr || c.Def32 != def32 {
@@ -612,8 +619,11 @@ func site(d *prof.Data, addr uint32, def32 bool) (mark, code string) {
 		if err != nil {
 			return "", fmt.Sprintf("db %02x...", c.Bytes[0])
 		}
-		if x86.InstFusible(inst) {
+		switch fusible, always := x86.InstFusible(inst); {
+		case always:
 			return "fuse", inst.String()
+		case fusible:
+			return "fuse?", inst.String()
 		}
 		return "-", inst.String()
 	}

@@ -218,11 +218,13 @@ func (e *Effects) Summary(fn *types.Func) *EffectSummary { return e.Summaries[fn
 // Effects returns the program's write-effect summaries, computing them
 // on first use (shared across analyzers like the call graph). If the
 // fixpoint does not converge, the summaries are those of the last
-// round, and p.effErr says so: the suite runner turns it into a load
-// error, because summaries still moving may miss writes.
+// round, and the program notes the failure (noteFixpoint), which the
+// suite runner turns into a load error.
 func (p *Program) Effects() *Effects {
 	if p.eff == nil {
-		p.eff, p.effErr = computeEffects(p, maxEffectRounds)
+		var err error
+		p.eff, err = computeEffects(p, maxEffectRounds)
+		p.noteFixpoint(err)
 	}
 	return p.eff
 }

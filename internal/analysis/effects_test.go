@@ -20,8 +20,8 @@ func loadEffectsFixture(t *testing.T) (*Program, *Effects) {
 		t.Fatal(err)
 	}
 	eff := prog.Effects()
-	if prog.effErr != nil {
-		t.Fatal(prog.effErr)
+	if prog.fixErr != nil {
+		t.Fatal(prog.fixErr)
 	}
 	return prog, eff
 }
@@ -205,7 +205,7 @@ func TestEffectsFixpointCapFails(t *testing.T) {
 		t.Errorf("error names %s, whose summary is empty and so never moved", named.FullName())
 	}
 
-	prog.eff, prog.effErr = eff, err
+	prog.eff, prog.fixErr = eff, err
 	if _, _, runErr := RunEntriesOn(prog, []SuiteEntry{{Globalstate, nil}}); runErr != err {
 		t.Errorf("suite run returned %v, want the fixpoint error", runErr)
 	}

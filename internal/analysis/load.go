@@ -40,7 +40,17 @@ type Program struct {
 	byPath map[string]*Package
 	cg     *CallGraph // built lazily by CallGraph()
 	eff    *Effects   // built lazily by Effects()
-	effErr error      // set by Effects() if its fixpoint did not converge
+	fixErr error      // the first summary fixpoint (effects, taint) that did not converge
+}
+
+// noteFixpoint records err, the failure of a summary fixpoint to
+// converge, unless err is nil or one already failed. The suite runner
+// turns it into a load error, because summaries still moving may miss
+// findings.
+func (p *Program) noteFixpoint(err error) {
+	if p.fixErr == nil {
+		p.fixErr = err
+	}
 }
 
 // Package returns the loaded package with the given import path, or nil.

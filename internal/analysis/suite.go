@@ -139,8 +139,8 @@ func RunEntriesOn(prog *Program, entries []SuiteEntry) ([]Diagnostic, []Timing, 
 		}
 		sw := walltime.Start()
 		diags := e.Analyzer.Run(prog, targets)
-		if prog.effErr != nil {
-			return nil, nil, prog.effErr
+		if prog.fixErr != nil {
+			return nil, nil, prog.fixErr
 		}
 		timings = append(timings, Timing{Analyzer: e.Analyzer.Name, Seconds: sw.Seconds(), Findings: len(diags)})
 		all = append(all, diags...)

@@ -125,7 +125,13 @@ func (ts tokSet) sortedKeys() []tokKey {
 			return a.src < b.src
 		}
 		if a.field != nil && b.field != nil && a.field != b.field {
-			return a.field.Pkg().Path()+a.field.Name() < b.field.Pkg().Path()+b.field.Name()
+			// Fields of different types may share a package and a
+			// name; their positions tell them apart, so the order is
+			// total and retsSignature a function of the set.
+			if ka, kb := a.field.Pkg().Path()+a.field.Name(), b.field.Pkg().Path()+b.field.Name(); ka != kb {
+				return ka < kb
+			}
+			return a.field.Pos() < b.field.Pos()
 		}
 		return false
 	})
@@ -201,21 +207,50 @@ type taintFact struct {
 	path []string // human-readable interprocedural steps
 }
 
-const maxSummaryRounds = 10
+// maxSummaryRounds caps the return-taint summary fixpoint. The
+// repository converges in 15 rounds (TestTaintConvergesOnRepo), the
+// last of which changes nothing.
+const maxSummaryRounds = 30
 
-func runTaint(pass *Pass) {
-	t := &taintAnalysis{
+func runTaint(pass *Pass) { runTaintRounds(pass, maxSummaryRounds) }
+
+// runTaintRounds runs the analysis with its summary fixpoint capped at
+// maxRounds. A fixpoint still moving at the cap reports nothing: the
+// program notes the failure, and the suite runner returns it as a load
+// error.
+func runTaintRounds(pass *Pass, maxRounds int) {
+	t := newTaintAnalysis(pass)
+	if _, err := t.summarize(maxRounds); err != nil {
+		pass.Prog.noteFixpoint(err)
+		return
+	}
+	// Phase 2: global fixpoint pushing taint facts through call edges
+	// and struct fields.
+	t.solveFacts()
+	// Phase 3: report unsanitized sinks reached by active taint in the
+	// target packages.
+	t.report()
+}
+
+func newTaintAnalysis(pass *Pass) *taintAnalysis {
+	return &taintAnalysis{
 		pass:      pass,
 		cg:        pass.Prog.CallGraph(),
 		summaries: make(map[*types.Func]*fnSummary),
 		sanitized: make(map[*ast.File]map[int]bool),
 		factFns:   make(map[factKey]*taintFact),
 	}
-	// Phase 1: per-function summaries, iterated until return-taint
-	// signatures stabilize (callees' summaries feed callers' call-result
-	// evaluation).
-	for round := 0; round < maxSummaryRounds; round++ {
-		changed := false
+}
+
+// summarize is phase 1: per-function summaries, iterated until
+// return-taint signatures stabilize (callees' summaries feed callers'
+// call-result evaluation), for at most maxRounds (>= 1) rounds. It
+// returns the rounds it ran, and fails, naming a function whose
+// signature moved, if the last round allowed still moved one.
+func (t *taintAnalysis) summarize(maxRounds int) (int, error) {
+	var moved []*types.Func
+	for round := 1; round <= maxRounds; round++ {
+		moved = moved[:0]
 		for _, node := range t.cg.Ordered {
 			old := ""
 			if prev, ok := t.summaries[node.Fn]; ok {
@@ -224,19 +259,15 @@ func runTaint(pass *Pass) {
 			s := t.analyzeFunc(node)
 			t.summaries[node.Fn] = s
 			if s.retsSignature() != old {
-				changed = true
+				moved = append(moved, node.Fn)
 			}
 		}
-		if !changed {
-			break
+		if len(moved) == 0 {
+			return round, nil
 		}
 	}
-	// Phase 2: global fixpoint pushing taint facts through call edges
-	// and struct fields.
-	t.solveFacts()
-	// Phase 3: report unsanitized sinks reached by active taint in the
-	// target packages.
-	t.report()
+	return maxRounds, fmt.Errorf("analysis: taint summaries did not converge in %d round(s): the last moved the return taint of %s and %d other(s)",
+		maxRounds, moved[0].FullName(), len(moved)-1)
 }
 
 // --- phase 1: intra-function flow --------------------------------------

@@ -153,6 +153,14 @@ func (h Page) Write(off uint32, n int, v uint32) {
 	}
 }
 
+// OverlapsCode reports whether a store of n bytes at page offset off
+// would overlap marked code, and so move the page's write generation;
+// the store must end inside the page. It changes nothing.
+func (h Page) OverlapsCode(off uint32, n int) bool {
+	p := *h.dir
+	return p != nil && p.overlapsCode(off&(PageSize-1), uint32(n))
+}
+
 // View makes the page resident and returns its bytes, its code map, its
 // frame number and its current write generation, for host-side caches
 // of decoded code. The bytes alias RAM, so they show every later store,

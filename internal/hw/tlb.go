@@ -124,6 +124,14 @@ func (t *TLB) Hit(r *TLBRef, write bool) bool {
 	return true
 }
 
+// Peek is Hit without the count: it changes nothing. It repeats Hit's
+// test rather than Hit calling it, which keeps Hit and its callers
+// small enough to inline.
+func (t *TLB) Peek(r *TLBRef, write bool) bool {
+	s := r.slot
+	return s.key == r.key && s.entry.PFN == r.pfn && (!write || s.entry.Writable) && r.entered >= t.large.entered
+}
+
 // insert caches e, overwriting the entry of a present key in place.
 func (t *TLB) insert(a *tlbArray, e TLBEntry) {
 	k := keyOf(e.Tag, e.VPN)

@@ -433,6 +433,24 @@ func (e *guestEnv) ExecPage(st *x86.CPUState, va uint32) ([]byte, x86.CodeMap, u
 	return data, code, frame, gen, uint64(charged), nil
 }
 
+// FreeAccess implements x86.ExecPager: whether MemRead (write false) or
+// MemWrite (write true) of n bytes at va would take its memo-hit branch
+// and, for a store, leave the page's write generation alone. It repeats
+// memoHit's test without counting the TLB hit, which the access itself
+// then counts, and refuses an access that crosses a page end, which
+// the interpreter would split into byte accesses.
+func (e *guestEnv) FreeAccess(st *x86.CPUState, va uint32, n int, write bool) bool {
+	if va&(hw.PageSize-1)+uint32(n) > hw.PageSize {
+		return false
+	}
+	m := e.reads.entry(va)
+	if write {
+		m = e.writes.entry(va)
+	}
+	return m.last == va|0xfff && st.CR0&e.needPG == e.needPG && e.space.Version() == e.memVer &&
+		e.tlb.Peek(&m.ref, write) && !(write && m.page.OverlapsCode(va, n))
+}
+
 // MemRead implements x86.Env. Device windows route to their MMIO
 // handlers, which matters for passthrough mappings.
 func (e *guestEnv) MemRead(st *x86.CPUState, va uint32, size int, kind x86.AccessKind) (uint32, error) {

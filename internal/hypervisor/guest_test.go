@@ -23,7 +23,16 @@ const guestMTD = MTDGPR | MTDEIP | MTDEFLAGS | MTDQual | MTDSTA | MTDInj
 
 var selCounter cap.Selector = 100
 
-func nextSel() cap.Selector { selCounter++; return selCounter }
+// nextSel returns a fresh selector. It wraps long before the 2^20
+// selector limit, which a fuzz target building machines for every
+// input would otherwise reach; selectors only need to be unique within
+// one kernel, and no test's kernel takes anywhere near 2^19 of them.
+func nextSel() cap.Selector {
+	if selCounter++; selCounter >= 1<<19 {
+		selCounter = 101
+	}
+	return selCounter
+}
 
 // makeVM builds a VM with memPages pages of guest-physical memory
 // (backed at host 2 MiB), loads code at guest-physical org, and installs

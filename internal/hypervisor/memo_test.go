@@ -35,7 +35,8 @@ const memoOtherTag hw.TLBTag = 0x7fff
 
 // FuzzGuestEnvMemo operations. Each takes eight bytes: the code, an
 // index into memoPages, a little-endian page offset, a size selector and
-// three operand bytes.
+// three operand bytes. A read or write may cross into the next page; it
+// is then split into byte accesses, as x86.Interp splits it.
 const (
 	memoRead = iota
 	memoWrite
@@ -67,11 +68,18 @@ func decodeMemoOp(b []byte) memoOp {
 	return memoOp{
 		code: w[0] % memoOps,
 		page: memoPages[int(w[1])%len(memoPages)],
-		off:  min((uint32(w[2])|uint32(w[3])<<8)&0xfff, hw.PageSize-uint32(size)),
+		off:  (uint32(w[2]) | uint32(w[3])<<8) & 0xfff,
 		size: size,
 		arg:  uint32(w[5]) | uint32(w[6])<<8 | uint32(w[7])<<16,
 	}
 }
+
+// inPage is op's offset moved back so that its size fits in the page,
+// for the operations that must not cross it.
+func (op memoOp) inPage() uint32 { return min(op.off, hw.PageSize-uint32(op.size)) }
+
+// crosses reports whether op's access crosses the page end.
+func (op memoOp) crosses() bool { return op.off+uint32(op.size) > hw.PageSize }
 
 // memoOpBytes encodes one operation for the seed corpus.
 func memoOpBytes(code byte, page int, off uint16, size byte, arg uint32) []byte {
@@ -84,16 +92,32 @@ func (c envCase) apply(op memoOp) string {
 	va := op.page<<12 | op.off
 	switch op.code {
 	case memoRead:
+		if op.crosses() {
+			var res []any
+			for i := op.size - 1; i >= 0; i-- {
+				v, err := e.MemRead(st, va+uint32(i), 1, x86.AccessRead)
+				res = append(res, v, err)
+			}
+			return fmt.Sprint(res...)
+		}
 		v, err := e.MemRead(st, va, op.size, x86.AccessRead)
 		return fmt.Sprint(v, err)
 	case memoWrite:
-		return fmt.Sprint(e.MemWrite(st, va, op.size, op.arg*0x101))
+		v := op.arg * 0x101
+		if op.crosses() {
+			var res []any
+			for i := range op.size {
+				res = append(res, e.MemWrite(st, va+uint32(i), 1, v>>(8*i)))
+			}
+			return fmt.Sprint(res...)
+		}
+		return fmt.Sprint(e.MemWrite(st, va, op.size, v))
 	case memoExec:
 		// Mark the fetched bytes as cached code, as the decode cache
 		// would, so that later stores to them move the generation.
 		data, code, frame, gen, charged, err := e.ExecPage(st, va)
 		if data != nil {
-			code.Mark(int(op.off), op.size)
+			code.Mark(int(op.inPage()), op.size)
 		}
 		return fmt.Sprint(data != nil, frame, gen, charged, err)
 	case memoInvlpg:
@@ -131,7 +155,7 @@ func (c envCase) apply(op memoOp) string {
 		}
 	case memoDMA:
 		b := []byte{byte(op.arg), byte(op.arg >> 8), byte(op.arg >> 16)}
-		e.mem.WriteBytes(c.hostAddr(uint64(va)), b[:op.size%3+1])
+		e.mem.WriteBytes(c.hostAddr(uint64(op.page<<12|op.inPage())), b[:op.size%3+1])
 	}
 	return ""
 }
@@ -163,9 +187,38 @@ func diffMemo(a, b envCase) string {
 	return ""
 }
 
+// freeState is what an access FreeAccess admits may not change, but
+// for the TLB's hit count: the clock, the TLB statistics, the shadow
+// table, the device's accesses and the write generations of the
+// memoRAM pages.
+type freeState struct {
+	clock                  hw.Cycles
+	tlb                    hw.TLBStats
+	fills, flushes, shadow uint64
+	dev                    envMMIO
+	gens                   [len(memoRAM)]uint64
+}
+
+func (c envCase) freeState() freeState {
+	e := c.env
+	s := freeState{clock: e.clk.Now(), tlb: e.tlb.Stats, dev: *c.dev}
+	if e.shadow != nil {
+		s.fills, s.flushes, s.shadow = e.shadow.Fills, e.shadow.Flushes, uint64(e.shadow.Len())
+	}
+	for i, page := range memoRAM {
+		if p, ok := e.mem.Page(c.hostAddr(uint64(page) << 12)); ok {
+			_, _, _, s.gens[i] = p.View()
+		}
+	}
+	return s
+}
+
 // runMemoOps drives two identical machines per paging mode through the
 // operations encoded in ops, clearing the memo of one before every
-// operation, and fails at the first difference.
+// operation, and fails at the first difference. Before each read and
+// write it asks the machine with the memo whether the access is free
+// (FreeAccess); if so, the access must count one TLB hit and change
+// nothing else freeState holds.
 func runMemoOps(t *testing.T, ops []byte) {
 	with, without := envCases(t, memoConfig), envCases(t, memoConfig)
 	for i := range with {
@@ -173,6 +226,12 @@ func runMemoOps(t *testing.T, ops []byte) {
 		for n := 0; n*8 < len(ops); n++ {
 			op := decodeMemoOp(ops[n*8:])
 			b.env.reads, b.env.writes = memo{}, memo{}
+			access := op.code == memoRead || op.code == memoWrite
+			free := access && a.env.FreeAccess(a.st, op.page<<12|op.off, op.size, op.code == memoWrite)
+			var before freeState
+			if free {
+				before = a.freeState()
+			}
 			got, want := a.apply(op), b.apply(op)
 			if got != want {
 				t.Fatalf("%s: op %d %+v returned %q, without memo %q", a.name, n, op, got, want)
@@ -180,14 +239,23 @@ func runMemoOps(t *testing.T, ops []byte) {
 			if diff := diffMemo(a, b); diff != "" {
 				t.Fatalf("%s: after op %d %+v: %s", a.name, n, op, diff)
 			}
+			if free {
+				want := before
+				want.tlb.Hits++
+				if after := a.freeState(); after != want {
+					t.Fatalf("%s: op %d %+v was free, but moved\n %+v\nto\n %+v", a.name, n, op, before, after)
+				}
+			}
 		}
 	}
 }
 
 // FuzzGuestEnvMemo checks the front end's memo of TLB hits against the
 // same machine without it: in every paging mode, after every operation,
-// results, TLB statistics, cycles, device accesses and RAM agree. The
-// seeds hold one case per hazard the memo must notice.
+// results, TLB statistics, cycles, device accesses and RAM agree. It
+// checks the FreeAccess query against the real access too (runMemoOps).
+// The seeds hold one case per hazard the memo must notice, and one per
+// reason FreeAccess must refuse an access whose page is warm.
 func FuzzGuestEnvMemo(f *testing.F) {
 	op := memoOpBytes
 	seq := func(ops ...[]byte) []byte { return bytes.Join(ops, nil) }
@@ -230,6 +298,25 @@ func FuzzGuestEnvMemo(f *testing.F) {
 		// A never-written page, read first, then written.
 		seq(op(memoRead, 2, 0x20, 2, 0), op(memoRead, 2, 0x20, 2, 0), op(memoExec, 2, 0x20, 0, 0),
 			op(memoWrite, 2, 0x20, 2, 0x55), op(memoRead, 2, 0x20, 2, 0)),
+
+		// Refusals of FreeAccess, each after warming both pages the
+		// access touches. An access crossing from page 5 into page 6:
+		seq(warm(0), warm(1), op(memoRead, 0, 0xffe, 2, 0), op(memoWrite, 0, 0xfff, 1, 0x77),
+			op(memoRead, 0, 0xffc, 2, 0)),
+		// The device page:
+		seq(warm(4), warm(4), op(memoRead, 4, 0x10, 2, 0), op(memoWrite, 4, 0x10, 2, 3)),
+		// A store over code marked by memoExec, and one next to it:
+		seq(warm(0), op(memoExec, 0, 0x10, 1, 0), op(memoWrite, 0, 0x12, 0, 1), op(memoWrite, 0, 0x11, 0, 1),
+			op(memoRead, 0, 0x10, 2, 0), op(memoWrite, 0, 0x14, 2, 9)),
+		// A read-only mapping through the PTE, then through a large entry:
+		seq(warm(1), op(memoRemap, 1, 0, 0, 0x101), op(memoRead, 1, 0x10, 2, 0), op(memoWrite, 1, 0x10, 2, 9)),
+		seq(warm(1), op(memoLarge, 1, 0, 0, 0x100), op(memoRead, 1, 0x10, 2, 0), op(memoWrite, 1, 0x10, 2, 9)),
+		// Paging toggled off:
+		seq(warm(0), op(memoPaging, 0, 0, 0, 0), op(memoRead, 0, 0x10, 2, 0), op(memoWrite, 0, 0x10, 2, 9)),
+		// A revoked frame:
+		seq(warm(0), op(memoRevoke, 0, 0, 0, 0), op(memoRead, 0, 0x10, 2, 0), op(memoWrite, 0, 0x10, 2, 9)),
+		// An evicted entry:
+		seq(warm(0), op(memoEvict, 0, 0, 0, 0), op(memoRead, 0, 0x10, 2, 0), op(memoWrite, 0, 0x10, 2, 9)),
 	} {
 		f.Add(s)
 	}

@@ -23,8 +23,8 @@ func withInstructionCost(plat *hw.Platform, ic hw.Cycles) {
 // profiler attached: profSample takes the sample when one is due and
 // returns the next sample point, and fuseLimit, given the nearer of
 // that point and the deadline, returns the window up to the nearest of
-// the sample point, the next event and the deadline (x86's blockFit
-// turns it into instructions).
+// the sample point, the next event and the deadline (x86's StepBlock
+// runs the instructions that start inside it).
 func TestProfSampleHorizon(t *testing.T) {
 	const period = 100
 	for _, tc := range []struct {

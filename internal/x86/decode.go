@@ -17,10 +17,11 @@ type Inst struct {
 	Rep, RepNE bool
 	Lock       bool
 
-	// noFault and fusible hold instNoFault and InstFusible of the
-	// decode, classified once by decodeInto; no code changes an Inst
-	// after decode.
-	noFault, fusible bool
+	// fuse and accessSize hold the decode's fuse class and the size of
+	// its memory access (classify), set once by decodeInto; no code
+	// changes an Inst after decode.
+	fuse       fuseClass
+	accessSize uint8
 
 	HasModRM       bool
 	Mod, RegOp, RM int
@@ -313,8 +314,7 @@ prefixes:
 		return d.err
 	}
 	inst.Len = d.n
-	inst.noFault = instNoFault(inst)
-	inst.fusible = inst.noFault && !extraCycles(inst)
+	classify(inst)
 	return nil
 }
 

@@ -27,8 +27,16 @@ const codePageSize = 4096
 // MMIO-backed or otherwise not plain RAM); the interpreter then falls
 // back to fetching through MemRead, which is free of double charging
 // because the translation just performed is hit in the TLB.
+//
+// FreeAccess reports whether MemRead (write false) or MemWrite (write
+// true) of n bytes at va would right now be free: it stays inside one
+// page, costs no cycles, records nothing, changes nothing but the TLB's
+// hit count and, for a write, leaves every page's write generation
+// alone. It is a query, and itself counts and changes nothing. A fused
+// run asks it before each memory access it executes.
 type ExecPager interface {
 	ExecPage(st *CPUState, va uint32) (data []byte, code CodeMap, page, gen, charged uint64, err error)
+	FreeAccess(st *CPUState, va uint32, n int, write bool) bool
 }
 
 // CodeMap is the code map of the page ExecPage returned. Mark records

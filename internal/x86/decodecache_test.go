@@ -5,8 +5,8 @@ import "testing"
 // pagerEnv extends flatEnv with the ExecPager fast path: identity
 // translation, a write generation and a code map per page that follow
 // hw.Memory's contract, a way to decline pages (as MMIO-backed pages
-// are declined), and a fixed charge per fetch translation, as a TLB
-// miss would charge.
+// are declined), a fixed charge per fetch translation, as a TLB miss
+// would charge, and the FreeAccess query under the same contract.
 type pagerEnv struct {
 	*flatEnv
 	gen      []uint64
@@ -73,6 +73,23 @@ func (e *pagerEnv) ExecPage(st *CPUState, va uint32) ([]byte, CodeMap, uint64, u
 		return nil, nil, 0, 0, 0, nil
 	}
 	return e.mem[base : base+4096], &e.code[page], uint64(page), e.gen[page], e.charge, nil
+}
+
+// FreeAccess implements ExecPager as hw.Memory and the guest front end
+// would: an access is free when it stays inside one page of memory
+// that the pager does not decline and, for a write, overlaps no marked
+// code, so that it cannot move a generation.
+func (e *pagerEnv) FreeAccess(st *CPUState, va uint32, n int, write bool) bool {
+	page := va >> 12
+	if va&0xfff+uint32(n) > 4096 || int(va)+n > len(e.mem) || e.declined[page] {
+		return false
+	}
+	for a := va; write && a < va+uint32(n); a++ {
+		if e.code[page][a&0xfff] {
+			return false
+		}
+	}
+	return true
 }
 
 // runCached assembles 32-bit code at org, loads it, and returns an
@@ -232,51 +249,79 @@ func TestDecodeCacheOverflowResets(t *testing.T) {
 	}
 }
 
-// TestInstNoFaultClassification pins the snapshot-elision classifier:
-// instructions listed safe must be ones whose exec cannot error;
-// faultable or intercept-able forms must stay unsafe. Every decoded
-// instruction carries the classifier's results, which the interpreter
-// reads instead of classifying again; MUL is no-fault but not fusible.
+// TestInstNoFaultClassification pins the fuse classes: instructions
+// classed fuseAlways must be ones whose exec cannot error, and faultable
+// or intercept-able forms must stay out of it. The memory forms whose
+// only fault source is their r/m access carry its direction and size;
+// register-form DIV is its own class. Every decoded instruction carries
+// its class, which the interpreter reads instead of classifying again,
+// and InstFusible reports it.
 func TestInstNoFaultClassification(t *testing.T) {
 	cases := []struct {
-		asm  string
-		safe bool
+		asm   string
+		class fuseClass
+		size  uint8 // of the memory access
 	}{
-		{"inc eax", true},
-		{"mov eax, 42", true},
-		{"add eax, ebx", true},
-		{"add eax, 5", true},
-		{"test al, 1", true},
-		{"shl eax, 3", true},
-		{"jz .x\n.x: nop", true},
-		{"jmp .x\n.x: nop", true},
-		{"xchg eax, ebx", true},
-		{"cmc", true},
-		{"sti", true},
-		{"not edx", true},
-		{"imul eax, ebx", true},
-		{"movzx eax, bl", true},
-		{"bsf eax, ebx", true},
-		{"lea eax, [ebx+4]", true},
-		{"mul ebx", true},
+		{"inc eax", fuseAlways, 0},
+		{"mov eax, 42", fuseAlways, 0},
+		{"add eax, ebx", fuseAlways, 0},
+		{"add eax, 5", fuseAlways, 0},
+		{"test al, 1", fuseAlways, 0},
+		{"shl eax, 3", fuseAlways, 0},
+		{"jz .x\n.x: nop", fuseAlways, 0},
+		{"jmp .x\n.x: nop", fuseAlways, 0},
+		{"xchg eax, ebx", fuseAlways, 0},
+		{"cmc", fuseAlways, 0},
+		{"sti", fuseAlways, 0},
+		{"not edx", fuseAlways, 0},
+		{"imul eax, ebx", fuseAlways, 0},
+		{"movzx eax, bl", fuseAlways, 0},
+		{"bsf eax, ebx", fuseAlways, 0},
+		{"lea eax, [ebx+4]", fuseAlways, 0},
+		{"mul ebx", fuseAlways, 0}, // adds ExtraCycles, which a run counts
+		{"imul cl", fuseAlways, 0},
 
-		{"div ebx", false},          // #DE
-		{"idiv ebx", false},         // #DE
-		{"mov eax, [ebx]", false},   // memory operand
-		{"add [ebx], eax", false},   // memory operand
-		{"push eax", false},         // stack write
-		{"pop eax", false},          // stack read
-		{"hlt", false},              // intercept-able
-		{"cpuid", false},            // intercept-able
-		{"rdtsc", false},            // intercept-able
-		{"in al, 0x60", false},      // intercept-able
-		{"out 0x80, al", false},     // intercept-able
-		{"mov cr3, eax", false},     // sensitive
-		{"invlpg [eax]", false},     // sensitive
-		{"int 0x10", false},         // event delivery
-		{"rep movsd", false},        // string/memory
-		{"call .x\n.x: nop", false}, // stack write
-		{"ret", false},              // stack read
+		{"mov eax, [ebx]", fuseLoad, 4},
+		{"mov al, [ebx]", fuseLoad, 1},
+		{"mov ax, [ebx+2]", fuseLoad, 2},
+		{"add eax, [ebx]", fuseLoad, 4},
+		{"cmp [ebx], eax", fuseLoad, 4},
+		{"cmp byte [ebx], 7", fuseLoad, 1},
+		{"cmp dword [ebx], 7", fuseLoad, 4},
+		{"test [ebx], eax", fuseLoad, 4},
+		{"movzx eax, byte [ebx]", fuseLoad, 1},
+		{"movsx eax, word [ebx]", fuseLoad, 2},
+		{"mov [ebx], eax", fuseStore, 4},
+		{"mov [ebx], al", fuseStore, 1},
+		{"mov dword [ebx], 9", fuseStore, 4},
+		{"mov byte [ebx], 9", fuseStore, 1},
+		{"add [ebx], eax", fuseRMW, 4},
+		{"xor [ebx], al", fuseRMW, 1},
+		{"add dword [ebx], 300", fuseRMW, 4},
+		{"sub dword [ebx], 3", fuseRMW, 4},
+		{"inc dword [ebx]", fuseRMW, 4},
+		{"dec byte [ebx]", fuseRMW, 1},
+		{"div ebx", fuseDiv, 0},
+		{"div bl", fuseDiv, 0},
+
+		{"idiv ebx", fuseNever, 0},         // #DE on overflow either sign
+		{"div dword [ebx]", fuseNever, 0},  // memory-operand DIV
+		{"mul dword [ebx]", fuseNever, 0},  // memory-operand MUL
+		{"push eax", fuseNever, 0},         // stack write
+		{"pop eax", fuseNever, 0},          // stack read
+		{"hlt", fuseNever, 0},              // intercept-able
+		{"cpuid", fuseNever, 0},            // intercept-able
+		{"rdtsc", fuseNever, 0},            // intercept-able
+		{"in al, 0x60", fuseNever, 0},      // intercept-able
+		{"out 0x80, al", fuseNever, 0},     // intercept-able
+		{"mov cr3, eax", fuseNever, 0},     // sensitive
+		{"invlpg [eax]", fuseNever, 0},     // sensitive
+		{"int 0x10", fuseNever, 0},         // event delivery
+		{"rep movsd", fuseNever, 0},        // string/memory
+		{"call .x\n.x: nop", fuseNever, 0}, // stack write
+		{"ret", fuseNever, 0},              // stack read
+		{"push dword [ebx]", fuseNever, 0}, // a load and a stack write
+		{"call [ebx]", fuseNever, 0},       // a load and a stack write
 	}
 	for _, tc := range cases {
 		code := MustAssemble("bits 32\n" + tc.asm)
@@ -284,50 +329,16 @@ func TestInstNoFaultClassification(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: decode: %v", tc.asm, err)
 		}
-		if got := instNoFault(inst); got != tc.safe {
-			t.Errorf("instNoFault(%q) = %v, want %v", tc.asm, got, tc.safe)
+		if got := instNoFault(inst); got != (tc.class == fuseAlways) {
+			t.Errorf("instNoFault(%q) = %v, want %v", tc.asm, got, !got)
 		}
-		if inst.noFault != tc.safe || inst.fusible != InstFusible(inst) {
-			t.Errorf("%q decoded with noFault %v, fusible %v; the classifiers say %v, %v",
-				tc.asm, inst.noFault, inst.fusible, tc.safe, InstFusible(inst))
+		if inst.fuse != tc.class || inst.accessSize != tc.size {
+			t.Errorf("%q decoded with fuse class %d, access size %d; want %d, %d",
+				tc.asm, inst.fuse, inst.accessSize, tc.class, tc.size)
 		}
-		if fusible := tc.safe && tc.asm != "mul ebx"; InstFusible(inst) != fusible {
-			t.Errorf("InstFusible(%q) = %v, want %v", tc.asm, !fusible, fusible)
-		}
-	}
-}
-
-// TestBlockFit pins how a fuse window becomes a fused run's length:
-// instruction i starts charged+i·instCost cycles into the step, and
-// the run admits exactly those that start inside the window, always
-// including the first.
-func TestBlockFit(t *testing.T) {
-	for _, tc := range []struct {
-		window, charged, instCost, want uint64
-	}{
-		{50, 0, 1, 50},
-		{50, 0, 3, 17}, // instruction 16 starts at 48, 17 at 51
-		{51, 0, 3, 17},
-		{52, 0, 3, 18},
-		{2, 0, 1, 2},
-		{4, 0, 3, 2},
-		{100, 30, 1, 70},
-		{100, 30, 3, 24}, // instruction 23 starts at 99
-		{100, 31, 3, 23},
-		{100, 100, 1, 1}, // the fetch alone fills the window
-		{100, 250, 3, 1},
-	} {
-		got := blockFit(tc.window, tc.charged, tc.instCost)
-		if got != tc.want {
-			t.Errorf("blockFit(%d, %d, %d) = %d, want %d", tc.window, tc.charged, tc.instCost, got, tc.want)
-		}
-		if last := tc.charged + (got-1)*tc.instCost; got > 1 && last >= tc.window {
-			t.Errorf("blockFit(%d, %d, %d): instruction %d starts at %d, outside the window",
-				tc.window, tc.charged, tc.instCost, got-1, last)
-		}
-		if next := tc.charged + got*tc.instCost; next < tc.window {
-			t.Errorf("blockFit(%d, %d, %d): instruction %d starts at %d, inside the window, but is refused",
-				tc.window, tc.charged, tc.instCost, got, next)
+		fusible, always := InstFusible(inst)
+		if fusible != (tc.class != fuseNever) || always != (tc.class == fuseAlways) {
+			t.Errorf("InstFusible(%q) = %v, %v for class %d", tc.asm, fusible, always, tc.class)
 		}
 	}
 }

@@ -159,7 +159,7 @@ func (ip *Interp) Step() error {
 // interpreter without re-translating the fetch address.
 func (ip *Interp) stepDecoded(inst *Inst, err error, prevShadow bool) error {
 	st := ip.St
-	if err == nil && inst.noFault {
+	if err == nil && inst.fuse == fuseAlways {
 		// The instruction provably cannot fault, exit or error, so the
 		// rollback snapshot below is dead weight; skip the copy.
 		st.EIP += uint32(inst.Len)

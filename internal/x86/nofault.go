@@ -1,5 +1,43 @@
 package x86
 
+// fuseClass says when an instruction may run inside a fused run
+// (fuse.go). decodeInto classifies each instruction once (classify) and
+// stores the class and its memory access's size on the Inst; the
+// interpreter reads them instead of classifying again.
+type fuseClass uint8
+
+const (
+	// fuseNever ends a run: it may fault, exit, charge cycles or record
+	// an event whatever the state.
+	fuseNever fuseClass = iota
+	// fuseAlways provably cannot fault (instNoFault). Step skips its
+	// rollback snapshot, and a fused run may start with it.
+	fuseAlways
+	// fuseLoad, fuseStore and fuseRMW fault only through their one r/m
+	// memory access, a read, a write, or a read then a write of the
+	// same bytes. They join a run only while that access is a free hit
+	// (ExecPager.FreeAccess), both halves for fuseRMW.
+	fuseLoad
+	fuseStore
+	fuseRMW
+	// fuseDiv is register-form DIV. It joins a run only while it cannot
+	// raise #DE: the divisor is above the dividend's high half.
+	fuseDiv
+)
+
+// classify stores inst's fuse class and, for the memory classes, the
+// size of its access.
+func classify(inst *Inst) {
+	switch {
+	case instNoFault(inst):
+		inst.fuse = fuseAlways
+	case !inst.TwoByte && (inst.Op == 0xf6 || inst.Op == 0xf7) && inst.Mod == 3 && inst.RegOp == 6:
+		inst.fuse = fuseDiv
+	case inst.Mod != 3:
+		inst.fuse, inst.accessSize = memFuseClass(inst)
+	}
+}
+
 // instNoFault reports whether inst provably cannot make exec return a
 // non-nil error: no memory operand (so no translation fault or exit), no
 // #UD/#DE-capable form, no intercepted or sensitive operation. For such
@@ -11,12 +49,11 @@ package x86
 // keeps the snapshot. Listing an instruction that can fail is a
 // simulator bug (Step panics), never a guest-triggerable condition.
 //
-// Fused runs (fuse.go) build on this classifier: InstFusible narrows
-// it further (no ExtraCycles producers) to run no-fault instructions
-// back to back. Growing this list therefore also grows fused coverage —
+// These are the instructions a fused run may start with (fuseAlways);
+// MUL and IMUL among them add ExtraCycles, which the run counts against
+// its window. Growing this list therefore also grows fused coverage —
 // and misclassification is caught by the same panic in both the
-// single-step and fused paths. decodeInto classifies each instruction
-// once; the interpreter reads the stored result.
+// single-step and fused paths.
 func instNoFault(inst *Inst) bool {
 	if inst.TwoByte {
 		return twoByteNoFault(inst)
@@ -112,4 +149,54 @@ func twoByteNoFault(inst *Inst) bool {
 		return inst.Mod == 3
 	}
 	return false
+}
+
+// memFuseClass classifies the memory forms of the instructions whose
+// only fault source is their r/m access, and returns the access's size
+// in bytes. Everything else with a memory operand is fuseNever: IDIV,
+// memory-operand MUL and DIV, the stack, string and segment forms.
+func memFuseClass(inst *Inst) (fuseClass, uint8) {
+	op := inst.Op
+	size := uint8(inst.OpSize)
+	if op&1 == 0 {
+		size = 1 // the byte forms below sit at even opcodes
+	}
+	if inst.TwoByte {
+		switch op {
+		case 0xb6, 0xbe: // MOVZX/MOVSX r, r/m8
+			return fuseLoad, 1
+		case 0xb7, 0xbf: // MOVZX/MOVSX r, r/m16
+			return fuseLoad, 2
+		}
+		return fuseNever, 0
+	}
+	switch {
+	case op < 0x40 && op&7 <= 1: // ALU r/m, r; CMP only reads
+		if op>>3&7 == aluCMP {
+			return fuseLoad, size
+		}
+		return fuseRMW, size
+	case op < 0x40 && op&7 <= 3: // ALU r, r/m
+		return fuseLoad, size
+	}
+	switch op {
+	case 0x80, 0x81, 0x82, 0x83: // group 1: ALU r/m, imm; CMP only reads
+		if inst.RegOp == aluCMP {
+			return fuseLoad, size
+		}
+		return fuseRMW, size
+	case 0x84, 0x85, 0x8a, 0x8b: // TEST r/m, r; MOV r, r/m
+		return fuseLoad, size
+	case 0x88, 0x89: // MOV r/m, r
+		return fuseStore, size
+	case 0xc6, 0xc7: // MOV r/m, imm
+		if inst.RegOp == 0 {
+			return fuseStore, size
+		}
+	case 0xfe, 0xff: // INC/DEC r/m
+		if inst.RegOp <= 1 {
+			return fuseRMW, size
+		}
+	}
+	return fuseNever, 0
 }
