@@ -5,9 +5,11 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"nova/internal/cap"
+	"nova/internal/walltime"
 )
 
 // repoRoot locates the repository root (the directory with go.mod).
@@ -23,27 +25,90 @@ func repoRoot(t *testing.T) string {
 	return root
 }
 
-// TestRepoInvariants is the tier-1 gate: the whole repository must pass
-// every analyzer of the default suite. There is no baseline: a finding
-// fails `go test ./...`, not just the optional nova-vet run, and gets
-// fixed.
-func TestRepoInvariants(t *testing.T) {
-	diags, err := RunSuite(repoRoot(t))
-	if err != nil {
-		t.Fatal(err)
+// suiteBudgetSeconds bounds the full-repository load and suite run.
+// The gate runs on every test invocation and before every commit; if it
+// cannot stay fast it will be bypassed. The run (load + type-check +
+// call graph + three summary fixpoints + ten analyzers) takes a few
+// seconds; the bound leaves an order of magnitude of headroom for slow
+// CI machines while still catching a fixpoint that stops converging.
+const suiteBudgetSeconds = 60.0
+
+// repoRun is the one load of the repository and one run of the default
+// suite that the whole-repository tests share. Loading and
+// type-checking the repository is most of each such test's cost, so
+// the test binary pays it once; each test checks its own part.
+type repoRun struct {
+	prog    *Program
+	loadErr error // LoadRepo's error; prog is nil with it
+	diags   []Diagnostic
+	runErr  error   // RunSuiteOn's error, a fixpoint still moving at its cap included
+	seconds float64 // the load and the run
+}
+
+var (
+	repoRunOnce sync.Once
+	sharedRun   repoRun
+)
+
+// loadRepoRun returns the shared run, making it on first use. It stops
+// the test if the repository did not load, or, unless loadOnly, if the
+// suite returned an error.
+func loadRepoRun(t *testing.T, loadOnly bool) *repoRun {
+	t.Helper()
+	root := repoRoot(t)
+	repoRunOnce.Do(func() {
+		r := &sharedRun
+		sw := walltime.Start()
+		if r.prog, r.loadErr = LoadRepo(root); r.loadErr == nil {
+			r.diags, r.runErr = RunSuiteOn(r.prog)
+		}
+		r.seconds = sw.Seconds()
+	})
+	if sharedRun.loadErr != nil {
+		t.Fatal(sharedRun.loadErr)
 	}
-	for _, d := range diags {
+	if !loadOnly && sharedRun.runErr != nil {
+		t.Fatal(sharedRun.runErr)
+	}
+	return &sharedRun
+}
+
+// converged fails the test unless the whole-program fixpoint named what
+// ran to convergence under its cap, and logs its rounds.
+func (r *repoRun) converged(t *testing.T, what string) {
+	t.Helper()
+	for _, f := range r.prog.fixRuns {
+		if f.what == what {
+			t.Logf("%s converged in %d of %d rounds", f.what, f.rounds, f.cap)
+			return
+		}
+	}
+	t.Errorf("the %s fixpoint did not run", what)
+}
+
+// TestRepoInvariants is the tier-1 gate: the whole repository must pass
+// every analyzer of the default suite, and the three whole-program
+// fixpoints must have run. There is no baseline: a finding fails
+// `go test ./...`, not just the optional nova-vet run, and gets fixed.
+func TestRepoInvariants(t *testing.T) {
+	r := loadRepoRun(t, false)
+	for _, d := range r.diags {
 		t.Errorf("invariant violation: %s", d)
+	}
+	var engines []string
+	for _, f := range r.prog.fixRuns {
+		t.Logf("%s converged in %d of %d rounds", f.what, f.rounds, f.cap)
+		engines = append(engines, f.what)
+	}
+	if got := strings.Join(engines, ", "); got != "write effects, capflow, taint" {
+		t.Errorf("fixpoints run: %s, want write effects, capflow, taint", got)
 	}
 }
 
 // TestLoaderCoversRepo sanity-checks the source loader: every package
 // the analyzers depend on must load and type-check.
 func TestLoaderCoversRepo(t *testing.T) {
-	prog, err := LoadRepo(repoRoot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := loadRepoRun(t, true).prog
 	for _, path := range append(append([]string{}, SimCriticalPackages...), EntryPointPackages...) {
 		if prog.Package(path) == nil {
 			t.Errorf("suite package %s not loaded", path)
@@ -52,6 +117,28 @@ func TestLoaderCoversRepo(t *testing.T) {
 	if len(prog.Pkgs) < 15 {
 		t.Errorf("suspiciously few packages loaded: %d", len(prog.Pkgs))
 	}
+}
+
+// TestSuiteRuntimeBudget asserts the analyzer gate stays affordable:
+// the shared load and suite run stay inside suiteBudgetSeconds.
+func TestSuiteRuntimeBudget(t *testing.T) {
+	r := loadRepoRun(t, false)
+	t.Logf("suite: %d finding(s) in %.2fs", len(r.diags), r.seconds)
+	if r.seconds > suiteBudgetSeconds {
+		t.Errorf("load and suite took %.1fs, budget is %.0fs — an analyzer fixpoint is likely diverging", r.seconds, suiteBudgetSeconds)
+	}
+}
+
+// TestEffectsConvergeOnRepo: the repository's effect fixpoint converges
+// under maxEffectRounds (a load error otherwise).
+func TestEffectsConvergeOnRepo(t *testing.T) {
+	loadRepoRun(t, false).converged(t, "write effects")
+}
+
+// TestTaintConvergesOnRepo: the repository's taint fixpoint converges
+// under maxSummaryRounds (a load error otherwise).
+func TestTaintConvergesOnRepo(t *testing.T) {
+	loadRepoRun(t, false).converged(t, "taint")
 }
 
 // TestSimCriticalPackagesClosed keeps SimCriticalPackages closed under
@@ -124,6 +211,10 @@ var capflowFixtureRights = map[string][]DeclaredLookup{
 	"FixDrift":           {{Param: 1, Type: cap.ObjEC, Need: cap.RightCtrl}},
 	"FixCallPortal":      {{Param: -1, Type: cap.ObjPortal, Need: cap.RightCall}},
 	"FixCallBadRights":   {{Param: -1, Type: cap.ObjPortal, Need: cap.RightRead}},
+	"FixRecurseDirect":   {{Param: 1, Type: cap.ObjEC, Need: cap.RightCtrl}},
+	"FixRecurse":         {{Param: 1, Type: cap.ObjEC, Need: cap.RightCtrl}},
+	"FixVariadic":        {{Param: 1, Type: cap.ObjEC, Need: cap.RightCtrl}},
+	"FixHoldTwice":       {{Param: 1, Type: cap.ObjEC, Need: cap.RightCtrl}},
 }
 
 // TestAnalyzersOnFixtures runs each analyzer over its testdata fixture

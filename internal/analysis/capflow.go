@@ -39,13 +39,16 @@ import (
 // validation the body performs) and flags direct capability-space
 // mutations outside the Kernel/cap layer as hypercall bypasses.
 //
-// Dataflow model, shared with the effects engine's philosophy: values
-// are tracked at levels — direct (the object itself), capResult (a
-// Capability struct whose .Obj is the object), carrier (a struct or
-// slice holding the object), graph (storage merely reachable from the
-// object) — and call sites compose per-function flow summaries
-// (escapes, invocations, result flows) built on the shared call graph,
-// while state writes are mapped through the shared write-effect
+// Dataflow model: values are tracked at levels — direct (the object
+// itself), capResult (a Capability struct whose .Obj is the object),
+// carrier (a struct or slice holding the object), graph (storage merely
+// reachable from the object) — and call sites compose per-function flow
+// summaries (escapes, invocations, result flows). Call binding,
+// assignment propagation and the round-robin summary fixpoint are the
+// dataflow skeleton shared with the effects and taint engines
+// (dataflow.go); a summary's escapes and invocations are sets, one
+// representative path per escape (input, target, store site) and per
+// invoked input. State writes are mapped through the shared write-effect
 // summaries. Function literals are skipped (closures are not tracked);
 // cap-package functions and Space/MemSpace/IOSpace methods record no
 // escapes (the mapping database is the revocation-tracked holder of
@@ -80,13 +83,9 @@ func minLvl(a, b trackLevel) trackLevel {
 	return b
 }
 
-// flowInput identifies a function's receiver or parameter in a flow
-// summary; parameters are indexed like effects regions (receiver
-// excluded, unnamed params counted).
-type flowInput struct {
-	recv  bool
-	param int
-}
+// flowInput identifies a function's receiver (-1) or parameter in a
+// flow summary, indexed like the skeleton's parameters (newFrame).
+type flowInput int
 
 // capRoot is one tracked origin inside a hypercall frame: a capability
 // lookup or an object creation.
@@ -145,21 +144,21 @@ func (vs valSet) join(other valSet) bool {
 
 // flow summaries -----------------------------------------------------------
 
-type escTargetKind uint8
-
-const (
-	escRecv escTargetKind = iota
-	escGlobal
-	escParam
-)
-
-// flowEsc: input `in` is stored into state that outlives the function.
-type flowEsc struct {
+// escKey is one escape in a flow summary: input `in` is stored, at pos,
+// into a package-level variable (global) or into storage reachable
+// from input `to`. The store site is part of the key because the
+// lifetime rule reads the caphold annotation there.
+type escKey struct {
 	in     flowInput
-	tkind  escTargetKind
-	tparam int
+	global bool
+	to     flowInput
 	pos    token.Pos
-	path   []string
+}
+
+// flowEsc is an escape with the call chain of its representative path.
+type flowEsc struct {
+	escKey
+	path []string
 }
 
 // flowInv: the function calls through input `in` (method or func field).
@@ -171,20 +170,51 @@ type flowInv struct {
 
 // flowSummary is the capflow-side per-function summary, complementing
 // the write-effect summary: where may inputs escape to, which inputs
-// are invoked through, and which inputs flow into each result.
+// are invoked through, and which inputs flow into each result. Escapes
+// and invocations are sets, each entry with one representative path,
+// as the effects engine keeps one WriteEffect per region: an escape per
+// (input, target, store site), an invocation per input.
 type flowSummary struct {
 	escapes []flowEsc
 	invokes []flowInv
 	results []map[flowInput]trackLevel
 }
 
-const maxFlowPath = 12
-
-func appendPath(path []string, name string) []string {
-	if len(path) >= maxFlowPath {
-		return path
+func (s *flowSummary) addEscape(e flowEsc) {
+	for _, have := range s.escapes {
+		if have.escKey == e.escKey {
+			return
+		}
 	}
-	return append(append([]string{}, path...), name)
+	s.escapes = append(s.escapes, e)
+}
+
+func (s *flowSummary) addInvoke(v flowInv) {
+	for _, have := range s.invokes {
+		if have.in == v.in {
+			return
+		}
+	}
+	s.invokes = append(s.invokes, v)
+}
+
+// signature renders the escapes, invocations and result flows for the
+// summary fixpoint.
+func (s *flowSummary) signature() string {
+	var parts []string
+	for _, e := range s.escapes {
+		parts = append(parts, fmt.Sprintf("e%+v", e.escKey))
+	}
+	for _, v := range s.invokes {
+		parts = append(parts, fmt.Sprintf("i%d", v.in))
+	}
+	for i, res := range s.results {
+		for in, l := range res {
+			parts = append(parts, fmt.Sprintf("r%d:%d=%d", i, in, l))
+		}
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, "|")
 }
 
 // chainSuffix renders an innermost-first call chain outermost-first for
@@ -203,21 +233,46 @@ func chainSuffix(path []string) string {
 // analyzer state -----------------------------------------------------------
 
 type capflowState struct {
-	prog  *Program
-	cg    *CallGraph
-	eff   *Effects
-	sums  map[*types.Func]*flowSummary
-	busy  map[*types.Func]bool
-	reach map[*types.Func]bool // functions reachable from a destruction root
+	prog   *Program
+	cg     *CallGraph
+	eff    *Effects
+	sums   map[*types.Func]*flowSummary
+	reach  map[*types.Func]bool // functions reachable from a destruction root
+	passes int                  // the walker's local cap
 }
 
-func runCapflow(pass *Pass) {
+// maxFlowRounds caps the flow-summary fixpoint. The repository
+// converges in 10 rounds (logged by TestRepoInvariants), the last of
+// which changes nothing: result flows climb the interpreter's call
+// chains one caller per round.
+const maxFlowRounds = 20
+
+func runCapflow(pass *Pass) { runCapflowCapped(pass, fixCaps{maxFlowRounds, maxLocalPasses}) }
+
+// runCapflowCapped runs the analyzer with its fixpoints capped. A
+// fixpoint still moving at its cap reports nothing: the program notes
+// the failure, and the suite runner returns it as a load error.
+func runCapflowCapped(pass *Pass, c fixCaps) {
 	st := &capflowState{
-		prog: pass.Prog,
-		cg:   pass.Prog.CallGraph(),
-		eff:  pass.Prog.Effects(),
-		sums: make(map[*types.Func]*flowSummary),
-		busy: make(map[*types.Func]bool),
+		prog:   pass.Prog,
+		cg:     pass.Prog.CallGraph(),
+		eff:    pass.Prog.Effects(),
+		sums:   make(map[*types.Func]*flowSummary),
+		passes: c.passes,
+	}
+	err := solve(pass.Prog, "capflow", c.rounds, st.sums, func(node *FuncNode) (*flowSummary, error) {
+		if summaryExempt(node.Fn) {
+			return &flowSummary{}, nil
+		}
+		fr := st.frameFor(node, false)
+		if err := fr.run(); err != nil {
+			return nil, err
+		}
+		return fr.sum, nil
+	})
+	if err != nil {
+		pass.Prog.noteFixpoint(err)
+		return
 	}
 	st.computeDestroyReach()
 	for _, pkg := range pass.Targets {
@@ -227,10 +282,11 @@ func runCapflow(pass *Pass) {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				if isHypercallMethod(pkg, fd) {
-					st.checkHypercall(pass, pkg, fd)
-				} else {
+				if !isHypercallMethod(pkg, fd) {
 					st.checkDirectMutation(pass, pkg, fd)
+				} else if err := st.checkHypercall(pass, pkg, fd); err != nil {
+					pass.Prog.noteFixpoint(err)
+					return
 				}
 			}
 		}
@@ -372,40 +428,18 @@ func summaryExempt(fn *types.Func) bool {
 	return false
 }
 
-func (st *capflowState) summaryOf(fn *types.Func) *flowSummary {
-	if s, ok := st.sums[fn]; ok {
-		return s
-	}
-	if st.busy[fn] {
-		return &flowSummary{} // recursion: one empty round, callers re-run never
-	}
-	node := st.cg.Node(fn)
-	if node == nil || summaryExempt(fn) {
-		s := &flowSummary{}
-		st.sums[fn] = s
-		return s
-	}
-	st.busy[fn] = true
-	fr := st.newFrame(node, false)
-	fr.propagate()
-	fr.collect()
-	delete(st.busy, fn)
-	st.sums[fn] = fr.sum
-	return fr.sum
-}
-
 // frames -------------------------------------------------------------------
 
+// flowFrame is one function's analysis: a hypercall frame tracks the
+// roots of its lookups and creations, a summary frame the function's
+// own inputs. Function literals are skipped: closures are not tracked
+// (stores inside them are charged to nothing), which is conservative in
+// neither direction but keeps the model small; the kernel stores
+// closures only as handlers, never capability refs.
 type flowFrame struct {
+	frame[valSet]
 	st    *capflowState
-	node  *FuncNode
-	pkg   *Package
-	info  *types.Info
 	hyper bool
-
-	env       map[types.Object]valSet
-	recvVar   types.Object
-	paramVars []types.Object
 
 	lookups   map[*ast.CallExpr]*capRoot
 	creations map[*ast.CompositeLit]*capRoot
@@ -414,35 +448,17 @@ type flowFrame struct {
 	sum *flowSummary // summary mode
 }
 
-func (st *capflowState) newFrame(node *FuncNode, hyper bool) *flowFrame {
+func (st *capflowState) frameFor(node *FuncNode, hyper bool) *flowFrame {
 	fr := &flowFrame{
 		st:        st,
-		node:      node,
-		pkg:       node.Pkg,
-		info:      node.Pkg.Info,
 		hyper:     hyper,
-		env:       make(map[types.Object]valSet),
 		lookups:   make(map[*ast.CallExpr]*capRoot),
 		creations: make(map[*ast.CompositeLit]*capRoot),
 	}
-	fd := node.Decl
-	if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
-		fr.recvVar = fr.info.Defs[fd.Recv.List[0].Names[0]]
-	}
-	idx := 0
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			for len(fr.paramVars) <= idx {
-				fr.paramVars = append(fr.paramVars, nil)
-			}
-			fr.paramVars[idx] = fr.info.Defs[name]
-			idx++
-		}
-		if len(field.Names) == 0 {
-			idx++
-		}
-	}
-	if !hyper {
+	if hyper {
+		fr.frame = newFrame[valSet](node, nil)
+	} else {
+		fr.frame = newFrame(node, func(i int) valSet { return valSet{flowInput(i): lvlDirect} })
 		fr.sum = &flowSummary{}
 		if sig, ok := node.Fn.Type().(*types.Signature); ok {
 			fr.sum.results = make([]map[flowInput]trackLevel, sig.Results().Len())
@@ -450,20 +466,26 @@ func (st *capflowState) newFrame(node *FuncNode, hyper bool) *flowFrame {
 				fr.sum.results[i] = make(map[flowInput]trackLevel)
 			}
 		}
-		if fr.recvVar != nil {
-			fr.env[fr.recvVar] = valSet{flowInput{recv: true}: lvlDirect}
-		}
-		for i, p := range fr.paramVars {
-			if p != nil {
-				fr.env[p] = valSet{flowInput{param: i}: lvlDirect}
-			}
-		}
 	}
+	fr.skipLits = true
 	return fr
 }
 
+// run analyzes the frame: a hypercall's lookups, local propagation to a
+// fixpoint, then collection against the stabilized environment.
+func (fr *flowFrame) run() error {
+	if fr.hyper {
+		fr.scanLookups()
+	}
+	if err := fr.propagate(fr, fr.st.passes); err != nil {
+		return err
+	}
+	fr.collect()
+	return nil
+}
+
 func (fr *flowFrame) paramIndex(obj types.Object) int {
-	for i, p := range fr.paramVars {
+	for i, p := range fr.params {
 		if p != nil && obj == p {
 			return i
 		}
@@ -471,25 +493,12 @@ func (fr *flowFrame) paramIndex(obj types.Object) int {
 	return -1
 }
 
-// inspectBody walks the function body, skipping function literals:
-// closures are not tracked (stores inside them are charged to nothing),
-// which is conservative in neither direction but keeps the model small;
-// the kernel stores closures only as handlers, never capability refs.
-func (fr *flowFrame) inspectBody(visit func(ast.Node) bool) {
-	ast.Inspect(fr.node.Decl.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		return visit(n)
-	})
-}
-
 // scanLookups finds the hypercall's capability validations: Lookup /
 // LookupTyped / LookupObj calls on a Space reached from the calling
 // PD's own fields. Each becomes a tracked root.
 func (fr *flowFrame) scanLookups() {
-	callerVar := fr.paramVars[0]
-	fr.inspectBody(func(n ast.Node) bool {
+	callerVar := fr.params[0]
+	fr.inspect(func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -505,7 +514,7 @@ func (fr *flowFrame) scanLookups() {
 		if typeNameOf(fr.info, sel.X) != "Space" {
 			return true
 		}
-		if baseIdentObj(fr.info, sel.X) != callerVar || callerVar == nil {
+		if root, _ := fr.target(sel.X, true); root != callerVar || callerVar == nil {
 			return true
 		}
 		switch op {
@@ -630,16 +639,7 @@ func (fr *flowFrame) eval(expr ast.Expr) valSet {
 		}
 		return out
 	case *ast.IndexExpr:
-		inner := fr.eval(e.X)
-		out := make(valSet)
-		for k, l := range inner {
-			if l == lvlCarrier {
-				out.add(k, lvlCarrier) // element of a holding container
-			} else {
-				out.add(k, lvlGraph)
-			}
-		}
-		return out
+		return elemOf(fr.eval(e.X))
 	case *ast.CompositeLit:
 		out := make(valSet)
 		if root := fr.creationRoot(e); root != nil {
@@ -661,10 +661,21 @@ func (fr *flowFrame) eval(expr ast.Expr) valSet {
 	return nil
 }
 
-func (fr *flowFrame) evalCall(call *ast.CallExpr) valSet {
-	if root, ok := fr.lookups[call]; ok {
-		return valSet{root: lvlCapResult}
+// elemOf tracks an element of a container: an element of a holding
+// container carries what it holds, anything else is graph-level.
+func elemOf(inner valSet) valSet {
+	out := make(valSet)
+	for k, l := range inner {
+		if l == lvlCarrier {
+			out.add(k, lvlCarrier)
+		} else {
+			out.add(k, lvlGraph)
+		}
 	}
+	return out
+}
+
+func (fr *flowFrame) evalCall(call *ast.CallExpr) valSet {
 	if tv, ok := fr.info.Types[call.Fun]; ok && tv.IsType() {
 		if len(call.Args) == 1 {
 			return fr.eval(call.Args[0]) // conversion
@@ -683,210 +694,104 @@ func (fr *flowFrame) evalCall(call *ast.CallExpr) valSet {
 			return nil
 		}
 	}
+	if res := fr.callResults(call, numResults(fr.info, call)); len(res) > 0 {
+		return res[0]
+	}
+	return nil
+}
+
+// callResults tracks each of a call's n results: a lookup's first
+// result is its capability, a program callee maps its result flows
+// through the call site, and a call with no known callee may return
+// anything its arguments or receiver carry.
+func (fr *flowFrame) callResults(call *ast.CallExpr, n int) []valSet {
+	out := make([]valSet, n)
+	for i := range out {
+		out[i] = make(valSet)
+	}
+	if root, ok := fr.lookups[call]; ok {
+		if n > 0 {
+			out[0].add(root, lvlCapResult) // the error slot is untracked
+		}
+		return out
+	}
 	callees := fr.st.cg.CalleesAt(call)
+	for _, callee := range callees {
+		if sum := fr.st.sums[callee]; sum != nil && len(sum.results) == n {
+			for i, res := range sum.results {
+				out[i].join(fr.mapResult(call, res))
+			}
+		}
+	}
 	if len(callees) == 0 {
-		// Unknown callee: the result may carry any argument/receiver.
-		out := make(valSet)
+		through := make(valSet)
 		for _, a := range call.Args {
 			for k, l := range fr.eval(a) {
-				out.add(k, minLvl(l, lvlCarrier))
+				through.add(k, minLvl(l, lvlCarrier))
 			}
 		}
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 			for k, l := range fr.eval(sel.X) {
-				out.add(k, minLvl(l, lvlCarrier))
+				through.add(k, minLvl(l, lvlCarrier))
 			}
 		}
-		return out
-	}
-	out := make(valSet)
-	for _, callee := range callees {
-		sum := fr.st.summaryOf(callee)
-		if sum == nil || len(sum.results) == 0 {
-			continue
-		}
-		out.join(fr.mapResult(call, callee, sum.results[0]))
+		joinEach(out, through)
 	}
 	return out
 }
 
-func (fr *flowFrame) mapResult(call *ast.CallExpr, callee *types.Func, res map[flowInput]trackLevel) valSet {
+func (fr *flowFrame) mapResult(call *ast.CallExpr, res map[flowInput]trackLevel) valSet {
 	out := make(valSet)
 	for in, lvl := range res {
-		for k, al := range fr.inputValue(call, in) {
+		for k, al := range fr.evalBound(call, in) {
 			out.add(k, minLvl(al, lvl))
 		}
 	}
 	return out
 }
 
-// inputValue evaluates the caller-side expression feeding a callee
-// input: the method receiver or the positional argument (with the
-// variadic tail collapsing onto the last argument, like the effects
-// engine).
-func (fr *flowFrame) inputValue(call *ast.CallExpr, in flowInput) valSet {
-	if in.recv {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			return fr.eval(sel.X)
-		}
-		return nil
-	}
-	if in.param >= 0 && in.param < len(call.Args) {
-		return fr.eval(call.Args[in.param])
-	}
-	if len(call.Args) > 0 && in.param >= len(call.Args) {
-		return fr.eval(call.Args[len(call.Args)-1])
-	}
-	return nil
-}
-
-// propagation --------------------------------------------------------------
-
-const maxFlowRounds = 30
-
-func (fr *flowFrame) propagate() {
-	if fr.hyper {
-		fr.scanLookups()
-	}
-	for round := 0; round < maxFlowRounds; round++ {
-		if !fr.propagateOnce() {
-			break
-		}
-	}
-}
-
-func (fr *flowFrame) propagateOnce() bool {
-	changed := false
-	fr.inspectBody(func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			sets := fr.evalRHSList(n.Lhs, n.Rhs)
-			for i, lhs := range n.Lhs {
-				if fr.bindLHS(lhs, sets[i]) {
-					changed = true
-				}
-			}
-		case *ast.GenDecl:
-			for _, spec := range n.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || len(vs.Values) == 0 {
-					continue
-				}
-				lhs := make([]ast.Expr, len(vs.Names))
-				for i, name := range vs.Names {
-					lhs[i] = name
-				}
-				sets := fr.evalRHSList(lhs, vs.Values)
-				for i, name := range vs.Names {
-					if fr.bindLHS(name, sets[i]) {
-						changed = true
-					}
-				}
-			}
-		case *ast.RangeStmt:
-			if n.Value != nil {
-				inner := fr.eval(n.X)
-				out := make(valSet)
-				for k, l := range inner {
-					if l == lvlCarrier {
-						out.add(k, lvlCarrier)
-					} else {
-						out.add(k, lvlGraph)
-					}
-				}
-				if fr.bindLHS(n.Value, out) {
-					changed = true
-				}
-			}
-		}
-		return true
-	})
-	return changed
-}
-
-func (fr *flowFrame) evalRHSList(lhs, rhs []ast.Expr) []valSet {
-	out := make([]valSet, len(lhs))
-	if len(rhs) == 1 && len(lhs) > 1 {
-		call, ok := ast.Unparen(rhs[0]).(*ast.CallExpr)
-		if !ok {
-			out[0] = fr.eval(rhs[0]) // v, ok := x.(T) / m[k]
-			return out
-		}
-		if root, ok := fr.lookups[call]; ok {
-			out[0] = valSet{root: lvlCapResult} // Capability result; error slot untracked
-			return out
-		}
-		for _, callee := range fr.st.cg.CalleesAt(call) {
-			sum := fr.st.summaryOf(callee)
-			if sum == nil || len(sum.results) != len(lhs) {
-				continue
-			}
-			for i := range out {
-				mapped := fr.mapResult(call, callee, sum.results[i])
-				if out[i] == nil {
-					out[i] = mapped
-				} else {
-					out[i].join(mapped)
-				}
-			}
-		}
-		return out
-	}
-	for i := range lhs {
-		if i < len(rhs) {
-			out[i] = fr.eval(rhs[i])
-		}
+// evalBound tracks what a call binds to the callee's input in
+// (boundExprs).
+func (fr *flowFrame) evalBound(call *ast.CallExpr, in flowInput) valSet {
+	exprs, _ := boundExprs(fr.info, call, int(in))
+	out := make(valSet)
+	for _, x := range exprs {
+		out.join(fr.eval(x))
 	}
 	return out
 }
 
-// bindLHS merges a value's tracking into an assignment target. A plain
+// propagation --------------------------------------------------------------
+
+// rangeValues: a range value is an element of the ranged-over container.
+func (fr *flowFrame) rangeValues(x ast.Expr) (key, val valSet) {
+	return nil, elemOf(fr.eval(x))
+}
+
+// bind merges a value's tracking into an assignment target. A plain
 // local identifier takes the set directly; a store through a local's
 // field makes that local a carrier of the stored roots (stashing an EC
 // in a local struct keeps the EC tracked when the struct later
 // escapes). Stores through the receiver or globals are not bindings —
 // they are escapes, handled by collect.
-func (fr *flowFrame) bindLHS(lhs ast.Expr, set valSet) bool {
-	if len(set) == 0 {
+func (fr *flowFrame) bind(lhs ast.Expr, set valSet) bool {
+	obj, chained := fr.target(lhs, true)
+	if v, ok := obj.(*types.Var); len(set) == 0 || obj == nil || obj == fr.recv || ok && isPackageLevelVar(v) {
 		return false
 	}
-	chained := false
-	e := lhs
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			obj := fr.info.ObjectOf(x)
-			if obj == nil || x.Name == "_" || obj == fr.recvVar {
-				return false
-			}
-			if v, ok := obj.(*types.Var); ok && isPackageLevelVar(v) {
-				return false
-			}
-			cur, ok := fr.env[obj]
-			if !ok {
-				cur = make(valSet)
-				fr.env[obj] = cur
-			}
-			if !chained {
-				return cur.join(set)
-			}
-			capped := make(valSet)
-			for k, l := range set {
-				capped.add(k, minLvl(l, lvlCarrier))
-			}
-			return cur.join(capped)
-		case *ast.SelectorExpr:
-			e, chained = x.X, true
-		case *ast.IndexExpr:
-			e, chained = x.X, true
-		case *ast.StarExpr:
-			e, chained = x.X, true
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return false
-		}
+	cur, ok := fr.env[obj]
+	if !ok {
+		cur = make(valSet)
+		fr.env[obj] = cur
 	}
+	if !chained {
+		return cur.join(set)
+	}
+	capped := make(valSet)
+	for k, l := range set {
+		capped.add(k, minLvl(l, lvlCarrier))
+	}
+	return cur.join(capped)
 }
 
 // collection ---------------------------------------------------------------
@@ -909,60 +814,39 @@ type storeTarget struct {
 }
 
 func (fr *flowFrame) classifyTarget(expr ast.Expr) storeTarget {
-	e := ast.Unparen(expr)
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			obj := fr.info.ObjectOf(x)
-			if obj == nil {
-				return storeTarget{kind: tgtNone}
-			}
-			if obj == fr.recvVar {
-				return storeTarget{kind: tgtRecv}
-			}
-			if v, ok := obj.(*types.Var); ok && isPackageLevelVar(v) {
-				return storeTarget{kind: tgtGlobal}
-			}
-			if !fr.hyper {
-				if idx := fr.paramIndex(obj); idx >= 0 {
-					return storeTarget{kind: tgtParam, param: idx}
-				}
-			}
-			if set, ok := fr.env[obj]; ok {
-				for _, l := range set {
-					if l == lvlDirect {
-						return storeTarget{kind: tgtTracked}
-					}
-				}
-			}
-			if fr.hyper {
-				if idx := fr.paramIndex(obj); idx >= 0 {
-					return storeTarget{kind: tgtParam, param: idx}
-				}
-			}
-			return storeTarget{kind: tgtLocal}
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return storeTarget{kind: tgtNone}
+	obj, _ := fr.target(expr, true)
+	v, isVar := obj.(*types.Var)
+	switch {
+	case obj == nil:
+		return storeTarget{kind: tgtNone}
+	case obj == fr.recv:
+		return storeTarget{kind: tgtRecv}
+	case isVar && isPackageLevelVar(v):
+		return storeTarget{kind: tgtGlobal}
+	}
+	idx := fr.paramIndex(obj)
+	if idx >= 0 && !fr.hyper {
+		return storeTarget{kind: tgtParam, param: idx}
+	}
+	for _, l := range fr.env[obj] {
+		if l == lvlDirect {
+			return storeTarget{kind: tgtTracked}
 		}
 	}
+	if idx >= 0 {
+		return storeTarget{kind: tgtParam, param: idx}
+	}
+	return storeTarget{kind: tgtLocal}
 }
 
 func (fr *flowFrame) collect() {
-	fr.inspectBody(func(n ast.Node) bool {
+	fr.inspect(func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			if n.Tok != token.DEFINE {
-				for i, lhs := range n.Lhs {
-					fr.collectWrite(lhs)
-					fr.collectEscape(lhs, fr.rhsFor(n, i), n.Pos())
+				for i, rhs := range fr.values(fr, len(n.Lhs), n.Rhs) {
+					fr.collectWrite(n.Lhs[i])
+					fr.collectEscape(n.Lhs[i], rhs, n.Pos())
 				}
 			}
 		case *ast.IncDecStmt:
@@ -974,17 +858,6 @@ func (fr *flowFrame) collect() {
 		}
 		return true
 	})
-}
-
-func (fr *flowFrame) rhsFor(n *ast.AssignStmt, i int) valSet {
-	if len(n.Rhs) == 1 && len(n.Lhs) > 1 {
-		sets := fr.evalRHSList(n.Lhs, n.Rhs)
-		return sets[i]
-	}
-	if i < len(n.Rhs) {
-		return fr.eval(n.Rhs[i])
-	}
-	return nil
 }
 
 // collectWrite records a state write through a tracked value: the
@@ -1036,13 +909,15 @@ func (fr *flowFrame) collectEscape(lhs ast.Expr, rhs valSet, pos token.Pos) {
 // path is the call chain for escapes mapped from callee summaries (nil
 // for stores in this frame's own body).
 func (fr *flowFrame) escapeTo(tgt storeTarget, roots valSet, pos token.Pos, path []string) {
+	key := escKey{pos: pos}
+	var dest string
 	switch tgt.kind {
 	case tgtRecv:
-		fr.onEscape(roots, escRecv, 0, pos, path, "kernel state")
+		key.to, dest = -1, "kernel state"
 	case tgtGlobal:
-		fr.onEscape(roots, escGlobal, 0, pos, path, "a package-level variable")
+		key.global, dest = true, "a package-level variable"
 	case tgtParam:
-		fr.onEscape(roots, escParam, tgt.param, pos, path, "caller-visible storage")
+		key.to, dest = flowInput(tgt.param), "caller-visible storage"
 	case tgtTracked:
 		// Storing a tracked reference into another validated object
 		// (ec.SC = sc) is a state write on the stored object, not a
@@ -1050,10 +925,10 @@ func (fr *flowFrame) escapeTo(tgt storeTarget, roots valSet, pos token.Pos, path
 		for k := range roots {
 			fr.onWrite(k, pos, path)
 		}
+		return
+	default:
+		return
 	}
-}
-
-func (fr *flowFrame) onEscape(roots valSet, tkind escTargetKind, tparam int, pos token.Pos, path []string, dest string) {
 	if fr.hyper {
 		for k := range roots {
 			if root, ok := k.(*capRoot); ok {
@@ -1062,12 +937,11 @@ func (fr *flowFrame) onEscape(roots valSet, tkind escTargetKind, tparam int, pos
 		}
 		return
 	}
-	self := FuncDisplayName(fr.node.Fn)
+	path = appendPath(path, FuncDisplayName(fr.node.Fn))
 	for k := range roots {
 		if in, ok := k.(flowInput); ok {
-			fr.sum.escapes = append(fr.sum.escapes, flowEsc{
-				in: in, tkind: tkind, tparam: tparam, pos: pos, path: appendPath(path, self),
-			})
+			key.in = in
+			fr.sum.addEscape(flowEsc{key, path})
 		}
 	}
 }
@@ -1089,7 +963,7 @@ func (fr *flowFrame) onInvoke(key any, pos token.Pos, path []string) {
 		return
 	}
 	if in, ok := key.(flowInput); ok {
-		fr.sum.invokes = append(fr.sum.invokes, flowInv{in: in, pos: pos, path: appendPath(path, FuncDisplayName(fr.node.Fn))})
+		fr.sum.addInvoke(flowInv{in: in, pos: pos, path: appendPath(path, FuncDisplayName(fr.node.Fn))})
 	}
 }
 
@@ -1115,14 +989,15 @@ func (fr *flowFrame) collectCall(call *ast.CallExpr) {
 		}
 	}
 	for _, callee := range fr.st.cg.CalleesAt(call) {
-		sum := fr.st.summaryOf(callee)
-		for _, esc := range sum.escapes {
-			fr.mapEscape(call, esc)
-		}
-		for _, inv := range sum.invokes {
-			for k, l := range fr.inputValue(call, inv.in) {
-				if l == lvlDirect {
-					fr.onInvoke(k, inv.pos, fr.mappedPath(inv.path))
+		if sum := fr.st.sums[callee]; sum != nil {
+			for _, esc := range sum.escapes {
+				fr.mapEscape(call, esc)
+			}
+			for _, inv := range sum.invokes {
+				for k, l := range fr.evalBound(call, inv.in) {
+					if l == lvlDirect {
+						fr.onInvoke(k, inv.pos, fr.mappedPath(inv.path))
+					}
 				}
 			}
 		}
@@ -1161,11 +1036,11 @@ func (fr *flowFrame) mappedPath(path []string) []string {
 
 // mapEscape maps one callee escape through a call site: if a tracked
 // reference feeds the escaping input, the store target is resolved in
-// this frame (the callee's receiver/argument expression) and the escape
-// re-classified here.
+// this frame (what the call binds to the receiving input) and the
+// escape re-classified here.
 func (fr *flowFrame) mapEscape(call *ast.CallExpr, esc flowEsc) {
 	feeding := make(valSet)
-	for k, l := range fr.inputValue(call, esc.in) {
+	for k, l := range fr.evalBound(call, esc.in) {
 		if l >= lvlCarrier {
 			feeding.add(k, l)
 		}
@@ -1174,24 +1049,14 @@ func (fr *flowFrame) mapEscape(call *ast.CallExpr, esc flowEsc) {
 		return
 	}
 	path := fr.mappedPath(esc.path)
-	if esc.tkind == escGlobal {
+	if esc.global {
 		fr.escapeTo(storeTarget{kind: tgtGlobal}, feeding, esc.pos, path)
 		return
 	}
-	var target ast.Expr
-	if esc.tkind == escRecv {
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return
-		}
-		target = sel.X
-	} else {
-		if esc.tparam < 0 || esc.tparam >= len(call.Args) {
-			return
-		}
-		target = call.Args[esc.tparam]
+	targets, _ := boundExprs(fr.info, call, int(esc.to))
+	for _, target := range targets {
+		fr.escapeTo(fr.classifyTarget(target), feeding, esc.pos, path)
 	}
-	fr.escapeTo(fr.classifyTarget(target), feeding, esc.pos, path)
 }
 
 // mapWriteEffects turns the callee's write-effect summary into
@@ -1204,18 +1069,18 @@ func (fr *flowFrame) mapWriteEffects(call *ast.CallExpr, callee *types.Func) {
 		return
 	}
 	for _, w := range es.Writes {
-		var site valSet
+		in := flowInput(-1) // RegionRecv
 		switch w.Region.Kind {
 		case RegionRecv:
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				site = fr.eval(sel.X)
-			}
 		case RegionParam:
-			site = fr.inputValue(call, flowInput{param: w.Region.Param})
+			if freshTail(fr.info, call, w.Region.Param) {
+				continue
+			}
+			in = flowInput(w.Region.Param)
 		default:
 			continue
 		}
-		for k, l := range site {
+		for k, l := range fr.evalBound(call, in) {
 			if l == lvlDirect || l == lvlGraph {
 				fr.onWrite(k, w.Pos, w.Path)
 			}
@@ -1224,11 +1089,11 @@ func (fr *flowFrame) mapWriteEffects(call *ast.CallExpr, callee *types.Func) {
 }
 
 func (fr *flowFrame) collectReturn(n *ast.ReturnStmt) {
-	if fr.hyper || fr.sum == nil || len(n.Results) != len(fr.sum.results) {
+	if fr.hyper {
 		return
 	}
-	for i, r := range n.Results {
-		for k, l := range fr.eval(r) {
+	for i, set := range fr.returned(fr, n, len(fr.sum.results)) {
+		for k, l := range set {
 			if in, ok := k.(flowInput); ok {
 				if cur, exists := fr.sum.results[i][in]; !exists || l > cur {
 					fr.sum.results[i][in] = l
@@ -1240,18 +1105,22 @@ func (fr *flowFrame) collectReturn(n *ast.ReturnStmt) {
 
 // hypercall verification ---------------------------------------------------
 
-func (st *capflowState) checkHypercall(pass *Pass, pkg *Package, fd *ast.FuncDecl) {
+// checkHypercall verifies one hypercall against its table row and the
+// three rules. It fails if the frame's local propagation does not
+// converge.
+func (st *capflowState) checkHypercall(pass *Pass, pkg *Package, fd *ast.FuncDecl) error {
 	fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
 	if !ok {
-		return
+		return nil
 	}
 	node := st.cg.Node(fn)
 	if node == nil {
-		return
+		return nil
 	}
-	fr := st.newFrame(node, true)
-	fr.propagate()
-	fr.collect()
+	fr := st.frameFor(node, true)
+	if err := fr.run(); err != nil {
+		return err
+	}
 
 	name := fd.Name.Name
 	rows, hasRow := HypercallRights[name]
@@ -1269,6 +1138,7 @@ func (st *capflowState) checkHypercall(pass *Pass, pkg *Package, fd *ast.FuncDec
 	for _, root := range fr.roots {
 		st.checkRights(pass, root, name)
 	}
+	return nil
 }
 
 // checkTable cross-checks the declared rows against the lookups the
@@ -1429,28 +1299,6 @@ func typeNameOf(info *types.Info, expr ast.Expr) string {
 		return n.Obj().Name()
 	}
 	return ""
-}
-
-// baseIdentObj resolves the base identifier of a selector chain
-// (caller.Caps -> caller) to its object.
-func baseIdentObj(info *types.Info, expr ast.Expr) types.Object {
-	e := ast.Unparen(expr)
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return info.ObjectOf(x)
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
 }
 
 // foldInt extracts a compile-time integer constant (the type and rights

@@ -30,12 +30,15 @@ import (
 // Summaries are interprocedural: a call maps the callee's write regions
 // through the call site (callee writes its receiver → the caller's
 // receiver expression's region; callee writes parameter j → the
-// region of argument j; global writes stay global), and return values
-// carry the regions they may alias, so a write through an accessor
-// result is attributed to the accessor's underlying storage. A callee's
-// receiver or parameter write that the call binds to a global is the
-// caller's own write: the call site counts as the writer. The whole
-// program iterates to a fixpoint, like the taint summaries.
+// regions of what the call binds to it; global writes stay global), and
+// return values carry the regions they may alias, so a write through an
+// accessor result is attributed to the accessor's underlying storage. A
+// callee's receiver or parameter write that the call binds to a global
+// is the caller's own write: the call site counts as the writer. Call
+// binding, alias propagation through assignments and the whole-program
+// fixpoint are the dataflow skeleton shared with taint and capflow
+// (dataflow.go); this file is the region lattice, its evaluator and the
+// effect collection.
 //
 // The abstraction over-approximates in the conservative direction for
 // its consumers: aliases are unioned (a value that may point into the
@@ -156,8 +159,7 @@ type WriteEffect struct {
 // EffectSummary is the per-function result: the write regions and the
 // regions each return value may alias.
 type EffectSummary struct {
-	Fn   *types.Func
-	Node *FuncNode
+	Fn *types.Func
 
 	// Writes holds one representative effect per written region.
 	Writes map[Region]*WriteEffect
@@ -166,9 +168,8 @@ type EffectSummary struct {
 	// reaches by writing through the returned value.
 	Rets []regionSet
 
-	env    map[types.Object]regionSet
-	recv   *types.Var
-	params []*types.Var
+	frame[regionSet]
+	e *Effects
 }
 
 // WriteRegions lists the written regions in deterministic order.
@@ -203,12 +204,8 @@ func (s *EffectSummary) signature() string {
 
 // Effects is the program-wide effect-summary table.
 type Effects struct {
-	prog      *Program
 	cg        *CallGraph
 	Summaries map[*types.Func]*EffectSummary
-	// rounds is how many fixpoint rounds ran, counting the last one,
-	// which changed nothing when the fixpoint converged.
-	rounds int
 }
 
 // Summary returns fn's effect summary, or nil for functions without a
@@ -216,188 +213,71 @@ type Effects struct {
 func (e *Effects) Summary(fn *types.Func) *EffectSummary { return e.Summaries[fn] }
 
 // Effects returns the program's write-effect summaries, computing them
-// on first use (shared across analyzers like the call graph). If the
-// fixpoint does not converge, the summaries are those of the last
-// round, and the program notes the failure (noteFixpoint), which the
-// suite runner turns into a load error.
+// on first use (shared across analyzers like the call graph). If a
+// fixpoint does not converge, the summaries are those reached so far,
+// and the program notes the failure (noteFixpoint), which the suite
+// runner turns into a load error.
 func (p *Program) Effects() *Effects {
 	if p.eff == nil {
 		var err error
-		p.eff, err = computeEffects(p, maxEffectRounds)
+		p.eff, err = computeEffects(p, fixCaps{maxEffectRounds, maxLocalPasses})
 		p.noteFixpoint(err)
 	}
 	return p.eff
 }
 
 // maxEffectRounds caps the effect fixpoint. The repository converges
-// in 6 rounds (TestEffectsConvergeOnRepo), the last of which changes
+// in 6 rounds (logged by TestRepoInvariants), the last of which changes
 // nothing.
 const maxEffectRounds = 12
 
-// computeEffects runs the summary fixpoint for at most maxRounds (>= 1)
-// rounds. It fails, naming a function whose summary moved, if the last
-// round allowed still changed a summary.
-func computeEffects(prog *Program, maxRounds int) (*Effects, error) {
-	e := &Effects{
-		prog:      prog,
-		cg:        prog.CallGraph(),
-		Summaries: make(map[*types.Func]*EffectSummary),
-	}
-	var moved []*types.Func
-	for e.rounds < maxRounds {
-		e.rounds++
-		moved = moved[:0]
-		for _, node := range e.cg.Ordered {
-			old := ""
-			if prev, ok := e.Summaries[node.Fn]; ok {
-				old = prev.signature()
-			}
-			s := e.analyzeFunc(node)
-			e.Summaries[node.Fn] = s
-			if s.signature() != old {
-				moved = append(moved, node.Fn)
-			}
-		}
-		if len(moved) == 0 {
-			return e, nil
-		}
-	}
-	return e, fmt.Errorf("analysis: write effects did not converge in %d round(s): the last moved the summary of %s and %d other(s)",
-		maxRounds, moved[0].FullName(), len(moved)-1)
+// computeEffects runs the summary fixpoint (solve) under the given caps.
+func computeEffects(prog *Program, c fixCaps) (*Effects, error) {
+	e := &Effects{cg: prog.CallGraph(), Summaries: make(map[*types.Func]*EffectSummary)}
+	err := solve(prog, "write effects", c.rounds, e.Summaries, func(node *FuncNode) (*EffectSummary, error) {
+		return e.analyzeFunc(node, c.passes)
+	})
+	return e, err
 }
 
 // analyzeFunc computes one function's summary against the current round
-// of callee summaries.
-func (e *Effects) analyzeFunc(node *FuncNode) *EffectSummary {
+// of callee summaries: local alias propagation to a fixpoint, then
+// effect collection against the stabilized environment.
+func (e *Effects) analyzeFunc(node *FuncNode, passes int) (*EffectSummary, error) {
 	s := &EffectSummary{
 		Fn:     node.Fn,
-		Node:   node,
 		Writes: make(map[Region]*WriteEffect),
-		env:    make(map[types.Object]regionSet),
+		frame: newFrame(node, func(i int) regionSet {
+			if i < 0 {
+				return regionSet{Region{Kind: RegionRecv}: true}
+			}
+			return regionSet{Region{Kind: RegionParam, Param: i}: true}
+		}),
+		e: e,
 	}
-	info := node.Pkg.Info
-	fd := node.Decl
 	if sig, ok := node.Fn.Type().(*types.Signature); ok {
 		s.Rets = make([]regionSet, sig.Results().Len())
 		for i := range s.Rets {
 			s.Rets[i] = make(regionSet)
 		}
 	}
-
-	if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
-		if v, ok := info.Defs[fd.Recv.List[0].Names[0]].(*types.Var); ok {
-			s.recv = v
-			s.env[v] = regionSet{Region{Kind: RegionRecv}: true}
-		}
+	if err := s.propagate(s, passes); err != nil {
+		return nil, err
 	}
-	idx := 0
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			if v, ok := info.Defs[name].(*types.Var); ok {
-				s.params = append(s.params, v)
-				s.env[v] = regionSet{Region{Kind: RegionParam, Param: idx}: true}
-			}
-			idx++
-		}
-		if len(field.Names) == 0 {
-			idx++
-		}
-	}
-
-	// Local alias propagation to a fixpoint, then effect collection
-	// against the stabilized environment.
-	for iter := 0; iter < 30; iter++ {
-		if !e.propagateOnce(s) {
-			break
-		}
-	}
-	e.collectEffects(s)
-	return s
+	s.collectEffects()
+	return s, nil
 }
 
-// propagateOnce runs one pass of alias propagation through assignments;
-// reports whether the environment changed.
-func (e *Effects) propagateOnce(s *EffectSummary) bool {
-	changed := false
-	info := s.Node.Pkg.Info
-	ast.Inspect(s.Node.Decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			sets := e.assignRHS(s, n)
-			for i, lhs := range n.Lhs {
-				if e.bindLHS(s, lhs, sets[i]) {
-					changed = true
-				}
-			}
-		case *ast.GenDecl:
-			for _, spec := range n.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || len(vs.Values) == 0 {
-					continue
-				}
-				for i, name := range vs.Names {
-					var set regionSet
-					if len(vs.Values) == len(vs.Names) {
-						set = e.eval(s, vs.Values[i])
-					} else if sets := e.evalMulti(s, vs.Values[0], len(vs.Names)); i < len(sets) {
-						set = sets[i]
-					}
-					if obj := info.Defs[name]; obj != nil && len(set) > 0 {
-						if e.bindObj(s, obj, set) {
-							changed = true
-						}
-					}
-				}
-			}
-		case *ast.RangeStmt:
-			if n.Value != nil {
-				if e.bindLHS(s, n.Value, e.eval(s, n.X)) {
-					changed = true
-				}
-			}
-		}
-		return true
-	})
-	return changed
-}
-
-// bindLHS merges an alias set into an assignment target. A plain local
+// bind merges an alias set into an assignment target. A plain local
 // identifier takes the regions directly; a write through a local's
 // field/element also smears the stored regions onto the local, so that
 // a global pointer stashed in a local struct keeps its global identity
 // when later written through (`x.f = globalPtr; x.f.y = 1`).
-func (e *Effects) bindLHS(s *EffectSummary, lhs ast.Expr, set regionSet) bool {
-	if len(set) == 0 {
-		return false
+func (s *EffectSummary) bind(lhs ast.Expr, set regionSet) bool {
+	obj, _ := s.target(lhs, true)
+	if v, ok := obj.(*types.Var); len(set) == 0 || obj == nil || ok && isPackageLevelVar(v) {
+		return false // global targets are write effects, not bindings
 	}
-	info := s.Node.Pkg.Info
-	e2 := lhs
-	for {
-		switch x := e2.(type) {
-		case *ast.Ident:
-			obj := info.ObjectOf(x)
-			if obj == nil || x.Name == "_" {
-				return false
-			}
-			if v, ok := obj.(*types.Var); ok && isPackageLevelVar(v) {
-				return false // global targets are write effects, not bindings
-			}
-			return e.bindObj(s, obj, set)
-		case *ast.SelectorExpr:
-			e2 = x.X
-		case *ast.IndexExpr:
-			e2 = x.X
-		case *ast.StarExpr:
-			e2 = x.X
-		case *ast.ParenExpr:
-			e2 = x.X
-		default:
-			return false
-		}
-	}
-}
-
-func (e *Effects) bindObj(s *EffectSummary, obj types.Object, set regionSet) bool {
 	cur, ok := s.env[obj]
 	if !ok {
 		cur = make(regionSet)
@@ -406,62 +286,15 @@ func (e *Effects) bindObj(s *EffectSummary, obj types.Object, set regionSet) boo
 	return cur.join(set)
 }
 
-// assignRHS evaluates the right-hand sides, expanding a single
-// multi-value expression per result position.
-func (e *Effects) assignRHS(s *EffectSummary, n *ast.AssignStmt) []regionSet {
-	out := make([]regionSet, len(n.Lhs))
-	if len(n.Rhs) == 1 && len(n.Lhs) > 1 {
-		return e.evalMulti(s, n.Rhs[0], len(n.Lhs))
-	}
-	for i := range n.Lhs {
-		if i < len(n.Rhs) {
-			out[i] = e.eval(s, n.Rhs[i])
-		} else {
-			out[i] = regionSet{}
-		}
-	}
-	return out
-}
-
-// evalMulti evaluates a multi-valued expression into n per-position
-// alias sets.
-func (e *Effects) evalMulti(s *EffectSummary, expr ast.Expr, n int) []regionSet {
-	out := make([]regionSet, n)
-	for i := range out {
-		out[i] = regionSet{}
-	}
-	call, ok := ast.Unparen(expr).(*ast.CallExpr)
-	if !ok {
-		// v, ok := m[k] / x.(T) / <-ch: the value slot aliases the operand.
-		out[0] = e.eval(s, expr)
-		return out
-	}
-	for _, callee := range e.cg.CalleesAt(call) {
-		sum := e.Summaries[callee]
-		if sum == nil || len(sum.Rets) != n {
-			set := e.passThroughArgs(s, call)
-			for i := range out {
-				out[i].join(set)
-			}
-			continue
-		}
-		for i, rset := range sum.Rets {
-			out[i].join(e.mapCalleeRegions(s, call, rset))
-		}
-	}
-	if len(e.cg.CalleesAt(call)) == 0 {
-		set := e.passThroughArgs(s, call)
-		for i := range out {
-			out[i].join(set)
-		}
-	}
-	return out
+// rangeValues: a range value aliases the ranged-over container.
+func (s *EffectSummary) rangeValues(x ast.Expr) (key, val regionSet) {
+	return nil, s.eval(x)
 }
 
 // eval computes the alias set of an expression under the current
 // environment.
-func (e *Effects) eval(s *EffectSummary, expr ast.Expr) regionSet {
-	info := s.Node.Pkg.Info
+func (s *EffectSummary) eval(expr ast.Expr) regionSet {
+	info := s.info
 	// A value of basic type (number, string, bool) is a copy: holding
 	// it cannot reach anyone else's storage, so it severs aliasing. An
 	// int looked up from a global table is just an int. Only the
@@ -482,23 +315,23 @@ func (e *Effects) eval(s *EffectSummary, expr ast.Expr) regionSet {
 			return set
 		}
 	case *ast.ParenExpr:
-		return e.eval(s, expr.X)
+		return s.eval(expr.X)
 	case *ast.StarExpr:
-		return e.eval(s, expr.X)
+		return s.eval(expr.X)
 	case *ast.UnaryExpr:
 		if expr.Op == token.AND {
-			return e.evalAddr(s, expr.X)
+			return s.evalAddr(expr.X)
 		}
-		return e.eval(s, expr.X)
+		return s.eval(expr.X)
 	case *ast.TypeAssertExpr:
-		return e.eval(s, expr.X)
+		return s.eval(expr.X)
 	case *ast.IndexExpr:
-		return e.eval(s, expr.X)
+		return s.eval(expr.X)
 	case *ast.SliceExpr:
-		return e.eval(s, expr.X)
+		return s.eval(expr.X)
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[expr]; ok && sel.Kind() == types.FieldVal {
-			return e.eval(s, expr.X)
+			return s.eval(expr.X)
 		}
 		// Package-qualified reference (pkg.Var) or method value.
 		if v, ok := info.Uses[expr.Sel].(*types.Var); ok && isProgramGlobal(v) {
@@ -506,7 +339,7 @@ func (e *Effects) eval(s *EffectSummary, expr ast.Expr) regionSet {
 		}
 		return regionSet{}
 	case *ast.CallExpr:
-		return e.evalCall(s, expr)
+		return s.evalCall(expr)
 	case *ast.CompositeLit:
 		// Fresh storage, but pointers stored in the literal keep their
 		// identity: writing through lit.f must still reach what f points
@@ -514,9 +347,9 @@ func (e *Effects) eval(s *EffectSummary, expr ast.Expr) regionSet {
 		out := make(regionSet)
 		for _, el := range expr.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				out.join(e.eval(s, kv.Value))
+				out.join(s.eval(kv.Value))
 			} else {
-				out.join(e.eval(s, el))
+				out.join(s.eval(el))
 			}
 		}
 		return out
@@ -532,8 +365,8 @@ func (e *Effects) eval(s *EffectSummary, expr ast.Expr) regionSet {
 // the meaning of &expr. This is the one place a basic-typed variable
 // re-enters the analysis: copying a scalar severs aliasing (see eval),
 // but taking its address shares the variable itself.
-func (e *Effects) evalAddr(s *EffectSummary, expr ast.Expr) regionSet {
-	info := s.Node.Pkg.Info
+func (s *EffectSummary) evalAddr(expr ast.Expr) regionSet {
+	info := s.info
 	switch x := expr.(type) {
 	case *ast.Ident:
 		obj := info.ObjectOf(x)
@@ -545,13 +378,13 @@ func (e *Effects) evalAddr(s *EffectSummary, expr ast.Expr) regionSet {
 		}
 		return regionSet{}
 	case *ast.ParenExpr:
-		return e.evalAddr(s, x.X)
+		return s.evalAddr(x.X)
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[x]; ok && sel.Kind() == types.FieldVal {
 			// &x.f lives inside x's own storage (value base) or inside
 			// whatever x points to (pointer base); cover both.
-			out := e.evalAddr(s, x.X).clone()
-			out.join(e.eval(s, x.X))
+			out := s.evalAddr(x.X).clone()
+			out.join(s.eval(x.X))
 			return out
 		}
 		if v, ok := info.Uses[x.Sel].(*types.Var); ok && isProgramGlobal(v) {
@@ -559,24 +392,23 @@ func (e *Effects) evalAddr(s *EffectSummary, expr ast.Expr) regionSet {
 		}
 		return regionSet{}
 	case *ast.IndexExpr:
-		out := e.evalAddr(s, x.X).clone()
-		out.join(e.eval(s, x.X))
+		out := s.evalAddr(x.X).clone()
+		out.join(s.eval(x.X))
 		return out
 	case *ast.StarExpr:
-		return e.eval(s, x.X) // &*p is p's pointee
+		return s.eval(x.X) // &*p is p's pointee
 	}
-	return e.eval(s, expr)
+	return s.eval(expr)
 }
 
 // evalCall models a call's result aliasing: conversions pass through,
-// allocating builtins are fresh, known callees map their return alias
-// sets through the site, unknown callees conservatively pass their
-// arguments through.
-func (e *Effects) evalCall(s *EffectSummary, call *ast.CallExpr) regionSet {
-	info := s.Node.Pkg.Info
+// allocating builtins are fresh, and the results of any other call
+// union in (callResults).
+func (s *EffectSummary) evalCall(call *ast.CallExpr) regionSet {
+	info := s.info
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		if len(call.Args) == 1 {
-			return e.eval(s, call.Args[0]) // conversion
+			return s.eval(call.Args[0]) // conversion
 		}
 		return regionSet{}
 	}
@@ -589,7 +421,7 @@ func (e *Effects) evalCall(s *EffectSummary, call *ast.CallExpr) regionSet {
 				// append may return the original backing store or a
 				// fresh one; assume the original.
 				if len(call.Args) > 0 {
-					return e.eval(s, call.Args[0])
+					return s.eval(call.Args[0])
 				}
 				return regionSet{}
 			default:
@@ -597,105 +429,92 @@ func (e *Effects) evalCall(s *EffectSummary, call *ast.CallExpr) regionSet {
 			}
 		}
 	}
-	callees := e.cg.CalleesAt(call)
-	if len(callees) == 0 {
-		return e.passThroughArgs(s, call)
-	}
 	out := make(regionSet)
+	for _, set := range s.callResults(call, numResults(info, call)) {
+		out.join(set)
+	}
+	return out
+}
+
+// callResults is the alias set of each of a call's n results: a known
+// callee maps its return alias sets through the call site; a callee
+// without a summary, or a call with no known callee, conservatively
+// passes its arguments through.
+func (s *EffectSummary) callResults(call *ast.CallExpr, n int) []regionSet {
+	out := make([]regionSet, n)
+	for i := range out {
+		out[i] = regionSet{}
+	}
+	callees := s.e.cg.CalleesAt(call)
 	for _, callee := range callees {
-		sum := e.Summaries[callee]
-		if sum == nil {
-			out.join(e.passThroughArgs(s, call))
+		if sum := s.e.Summaries[callee]; sum != nil && len(sum.Rets) == n {
+			for i, rset := range sum.Rets {
+				out[i].join(s.mapCalleeRegions(call, rset))
+			}
 			continue
 		}
-		for _, rset := range sum.Rets {
-			out.join(e.mapCalleeRegions(s, call, rset))
-		}
+		joinEach(out, s.passThroughArgs(call))
+	}
+	if len(callees) == 0 {
+		joinEach(out, s.passThroughArgs(call))
 	}
 	return out
 }
 
 // passThroughArgs is the aliasing model for functions without a body in
 // the program: the result may alias any argument (and the receiver).
-func (e *Effects) passThroughArgs(s *EffectSummary, call *ast.CallExpr) regionSet {
+func (s *EffectSummary) passThroughArgs(call *ast.CallExpr) regionSet {
 	out := make(regionSet)
-	for _, a := range call.Args {
-		out.join(e.eval(s, a))
-	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if selInfo, ok := s.Node.Pkg.Info.Selections[sel]; ok && selInfo.Kind() == types.MethodVal {
-			out.join(e.eval(s, sel.X))
-		}
+	recv, _ := boundExprs(s.info, call, -1)
+	for _, x := range append(recv, call.Args...) {
+		out.join(s.eval(x))
 	}
 	return out
 }
 
 // mapCalleeRegions translates a callee-side region set into the
-// caller's frame: globals stay, receiver/params resolve to the call
-// site's receiver/argument expressions.
-func (e *Effects) mapCalleeRegions(s *EffectSummary, call *ast.CallExpr, rs regionSet) regionSet {
+// caller's frame: globals stay, receiver/params resolve to what the
+// call binds to them.
+func (s *EffectSummary) mapCalleeRegions(call *ast.CallExpr, rs regionSet) regionSet {
 	out := make(regionSet)
 	for r := range rs {
 		switch r.Kind {
 		case RegionGlobal:
 			out[r] = true
 		case RegionRecv:
-			out.join(e.evalCallRecv(s, call))
+			out.join(s.evalBound(call, -1))
 		case RegionParam:
-			out.join(e.evalCallArgRegion(s, call, r.Param))
+			out.join(s.evalBound(call, r.Param))
 		}
 	}
 	return out
 }
 
-// evalCallRecv evaluates the receiver a method call binds. A pointer
-// method called on an addressable value takes its address (x.M() is
-// (&x).M()), so a scalar-typed receiver keeps its storage's identity.
-func (e *Effects) evalCallRecv(s *EffectSummary, call *ast.CallExpr) regionSet {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if selInfo, ok := s.Node.Pkg.Info.Selections[sel]; ok && selInfo.Kind() == types.MethodVal {
-			_, ptrRecv := selInfo.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
-			if _, ptrX := selInfo.Recv().Underlying().(*types.Pointer); ptrRecv && !ptrX {
-				return e.evalAddr(s, sel.X)
-			}
-			return e.eval(s, sel.X)
-		}
-	}
-	return regionSet{}
-}
-
-// evalCallArgRegion evaluates the arguments a call binds to the
-// callee's parameter param: every trailing argument for an implicit
-// variadic tail, and the one argument of f(g()) for each parameter.
-func (e *Effects) evalCallArgRegion(s *EffectSummary, call *ast.CallExpr, param int) regionSet {
-	args := call.Args
-	switch _, tail := implicitVariadicElem(s.Node.Pkg.Info, call, param); {
-	case tail:
-		args = args[min(param, len(args)):]
-	case param < len(args):
-		args = args[param : param+1]
-	case len(args) > 0:
-		args = args[len(args)-1:]
-	}
+// evalBound evaluates what a call binds to the callee's receiver (param
+// -1) or parameter param (boundExprs). A pointer method called on an
+// addressable value takes its address, so a scalar-typed receiver keeps
+// its storage's identity.
+func (s *EffectSummary) evalBound(call *ast.CallExpr, param int) regionSet {
+	exprs, addr := boundExprs(s.info, call, param)
 	out := make(regionSet)
-	for _, a := range args {
-		out.join(e.eval(s, a))
+	for _, x := range exprs {
+		if addr {
+			out.join(s.evalAddr(x))
+		} else {
+			out.join(s.eval(x))
+		}
 	}
 	return out
 }
 
-// implicitVariadicElem reports whether argument (or parameter) i of the
-// call falls in the callee's variadic slice and the call has no `...`,
-// and returns the slice's element type. Such a slice is fresh at the
-// call, so a write through it reaches the caller's arguments only
-// through elements of a mutable reference type: a fmt-style `...any`
-// wrapper writes nothing its caller passed.
-func implicitVariadicElem(info *types.Info, call *ast.CallExpr, i int) (types.Type, bool) {
-	sig, ok := info.TypeOf(call.Fun).Underlying().(*types.Signature)
-	if !ok || !sig.Variadic() || call.Ellipsis.IsValid() || i < sig.Params().Len()-1 {
-		return nil, false
-	}
-	return sig.Params().At(sig.Params().Len() - 1).Type().(*types.Slice).Elem(), true
+// freshTail reports whether parameter param of the callee is an
+// implicit variadic slice whose elements are not mutable references.
+// The slice is fresh at the call, so a write through it reaches
+// nothing the caller passed: a fmt-style `...any` wrapper writes
+// nothing its caller passed.
+func freshTail(info *types.Info, call *ast.CallExpr, param int) bool {
+	elem, tail := implicitVariadicElem(info, call, param)
+	return tail && !isMutableRef(elem)
 }
 
 // --- effect collection ---------------------------------------------------
@@ -703,44 +522,23 @@ func implicitVariadicElem(info *types.Info, call *ast.CallExpr, i int) (types.Ty
 // collectEffects records, against the stabilized environment: store
 // effects, callee effects mapped through call sites, and return-value
 // alias sets.
-func (e *Effects) collectEffects(s *EffectSummary) {
-	info := s.Node.Pkg.Info
-	ast.Inspect(s.Node.Decl.Body, func(n ast.Node) bool {
+func (s *EffectSummary) collectEffects() {
+	s.inspect(func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			if n.Tok == token.DEFINE {
 				break
 			}
 			for _, lhs := range n.Lhs {
-				e.recordStore(s, lhs, n.Pos())
+				s.recordStore(lhs, n.Pos())
 			}
 		case *ast.IncDecStmt:
-			e.recordStore(s, n.X, n.Pos())
+			s.recordStore(n.X, n.Pos())
 		case *ast.CallExpr:
-			e.recordCallEffects(s, n)
+			s.recordCallEffects(n)
 		case *ast.ReturnStmt:
-			switch {
-			case len(n.Results) == len(s.Rets):
-				for i, r := range n.Results {
-					s.Rets[i].join(e.eval(s, r))
-				}
-			case len(n.Results) == 1 && len(s.Rets) > 1:
-				for i, set := range e.evalMulti(s, n.Results[0], len(s.Rets)) {
-					s.Rets[i].join(set)
-				}
-			case len(n.Results) == 0 && s.Node.Decl.Type.Results != nil:
-				i := 0
-				for _, field := range s.Node.Decl.Type.Results.List {
-					for _, name := range field.Names {
-						if set, ok := s.env[info.Defs[name]]; ok && i < len(s.Rets) {
-							s.Rets[i].join(set)
-						}
-						i++
-					}
-					if len(field.Names) == 0 {
-						i++
-					}
-				}
+			for i, set := range s.returned(s, n, len(s.Rets)) {
+				s.Rets[i].join(set)
 			}
 		}
 		return true
@@ -748,26 +546,26 @@ func (e *Effects) collectEffects(s *EffectSummary) {
 }
 
 // recordStore attributes one store statement's target to its regions.
-func (e *Effects) recordStore(s *EffectSummary, lhs ast.Expr, pos token.Pos) {
-	info := s.Node.Pkg.Info
+func (s *EffectSummary) recordStore(lhs ast.Expr, pos token.Pos) {
+	info := s.info
 	switch x := ast.Unparen(lhs).(type) {
 	case *ast.Ident:
 		if v, ok := info.ObjectOf(x).(*types.Var); ok && isProgramGlobal(v) {
-			e.addDirectWrite(s, Region{Kind: RegionGlobal, Global: v}, pos)
+			s.addDirectWrite(Region{Kind: RegionGlobal, Global: v}, pos)
 		}
 		// A store to a local variable slot is invisible to callers.
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[x]; ok && sel.Kind() == types.FieldVal {
-			e.addWriteSet(s, e.eval(s, x.X), pos)
+			s.addWriteSet(s.eval(x.X), pos)
 			return
 		}
 		if v, ok := info.Uses[x.Sel].(*types.Var); ok && isProgramGlobal(v) {
-			e.addDirectWrite(s, Region{Kind: RegionGlobal, Global: v}, pos)
+			s.addDirectWrite(Region{Kind: RegionGlobal, Global: v}, pos)
 		}
 	case *ast.IndexExpr:
-		e.addWriteSet(s, e.eval(s, x.X), pos)
+		s.addWriteSet(s.eval(x.X), pos)
 	case *ast.StarExpr:
-		e.addWriteSet(s, e.eval(s, x.X), pos)
+		s.addWriteSet(s.eval(x.X), pos)
 	}
 }
 
@@ -777,14 +575,14 @@ func (e *Effects) recordStore(s *EffectSummary, lhs ast.Expr, pos token.Pos) {
 // parameter that this call binds to a program global is recorded as
 // this function's own direct write at the call: the call is where the
 // global is handed to the writer, and the callee alone cannot know it.
-func (e *Effects) recordCallEffects(s *EffectSummary, call *ast.CallExpr) {
-	info := s.Node.Pkg.Info
+func (s *EffectSummary) recordCallEffects(call *ast.CallExpr) {
+	info := s.info
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := info.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
 			case "copy", "delete", "clear", "append":
 				if len(call.Args) > 0 {
-					e.addWriteSet(s, e.eval(s, call.Args[0]), call.Pos())
+					s.addWriteSet(s.eval(call.Args[0]), call.Pos())
 				}
 			}
 			return
@@ -793,58 +591,57 @@ func (e *Effects) recordCallEffects(s *EffectSummary, call *ast.CallExpr) {
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		return // conversion
 	}
-	callees := e.cg.CalleesAt(call)
+	cg := s.e.cg
+	callees := cg.CalleesAt(call)
 	bodyless := len(callees) == 0 // a call through a func value
 	for _, callee := range callees {
-		if e.cg.Node(callee) == nil {
+		if cg.Node(callee) == nil {
 			bodyless = true // stdlib
 			continue
 		}
-		sum := e.Summaries[callee]
+		sum := s.e.Summaries[callee]
 		if sum == nil {
 			continue // summarized later this round
 		}
 		for _, w := range sum.Writes {
-			var sites regionSet
+			param := -1 // RegionRecv
 			switch w.Region.Kind {
 			case RegionGlobal:
-				e.addMappedWrite(s, w.Region, w)
+				s.addMappedWrite(w.Region, w)
 				continue
-			case RegionRecv:
-				sites = e.evalCallRecv(s, call)
 			case RegionParam:
-				if elem, tail := implicitVariadicElem(info, call, w.Region.Param); tail && !isMutableRef(elem) {
+				if freshTail(info, call, w.Region.Param) {
 					continue
 				}
-				sites = e.evalCallArgRegion(s, call, w.Region.Param)
+				param = w.Region.Param
 			}
-			for r := range sites {
+			for r := range s.evalBound(call, param) {
 				switch r.Kind {
 				case RegionGlobal:
-					e.addDirectWrite(s, r, call.Pos())
+					s.addDirectWrite(r, call.Pos())
 				case RegionRecv, RegionParam:
-					e.addMappedWrite(s, r, w)
+					s.addMappedWrite(r, w)
 				}
 			}
 		}
 	}
 	if bodyless {
-		e.recordBodylessCall(s, call)
+		s.recordBodylessCall(call)
 	}
 }
 
 // recordBodylessCall is the write model for a callee without a body in
 // the program: it may write through every mutable pointer-like argument
 // and through its receiver.
-func (e *Effects) recordBodylessCall(s *EffectSummary, call *ast.CallExpr) {
-	info := s.Node.Pkg.Info
+func (s *EffectSummary) recordBodylessCall(call *ast.CallExpr) {
+	info := s.info
 	for i, a := range call.Args {
 		t := info.TypeOf(a)
 		if elem, tail := implicitVariadicElem(info, call, i); tail {
 			t = elem
 		}
 		if t != nil && isMutableRef(t) {
-			e.addWriteSet(s, e.eval(s, a), call.Pos())
+			s.addWriteSet(s.eval(a), call.Pos())
 		}
 	}
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
@@ -856,22 +653,22 @@ func (e *Effects) recordBodylessCall(s *EffectSummary, call *ast.CallExpr) {
 			switch info.TypeOf(sel.X).Underlying().(type) {
 			case *types.Interface, *types.Basic:
 			default:
-				e.addWriteSet(s, e.eval(s, sel.X), call.Pos())
+				s.addWriteSet(s.eval(sel.X), call.Pos())
 			}
 		}
 	}
 }
 
-func (e *Effects) addWriteSet(s *EffectSummary, rs regionSet, pos token.Pos) {
+func (s *EffectSummary) addWriteSet(rs regionSet, pos token.Pos) {
 	for r := range rs {
 		if r.Kind == RegionLocal {
 			continue
 		}
-		e.addDirectWrite(s, r, pos)
+		s.addDirectWrite(r, pos)
 	}
 }
 
-func (e *Effects) addDirectWrite(s *EffectSummary, r Region, pos token.Pos) {
+func (s *EffectSummary) addDirectWrite(r Region, pos token.Pos) {
 	// A direct site beats a mapped one as the representative.
 	if prev, ok := s.Writes[r]; ok && prev.Direct {
 		return
@@ -880,17 +677,11 @@ func (e *Effects) addDirectWrite(s *EffectSummary, r Region, pos token.Pos) {
 		Path: []string{FuncDisplayName(s.Fn)}}
 }
 
-const maxEffectPath = 12
-
-func (e *Effects) addMappedWrite(s *EffectSummary, r Region, from *WriteEffect) {
+func (s *EffectSummary) addMappedWrite(r Region, from *WriteEffect) {
 	if _, ok := s.Writes[r]; ok {
 		return
 	}
-	if len(from.Path) >= maxEffectPath {
-		return
-	}
-	s.Writes[r] = &WriteEffect{Region: r, Pos: from.Pos,
-		Path: append(append([]string{}, from.Path...), FuncDisplayName(s.Fn))}
+	s.Writes[r] = &WriteEffect{Region: r, Pos: from.Pos, Path: appendPath(from.Path, FuncDisplayName(s.Fn))}
 }
 
 // isPackageLevelVar reports whether v is a package-scope variable (not

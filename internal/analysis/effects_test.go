@@ -172,7 +172,7 @@ func TestEffectCallSiteWriter(t *testing.T) {
 			t.Errorf("%s has no write effect on %s", tc.fn, tc.global)
 		case !w.Direct || len(w.Path) != 1:
 			t.Errorf("%s's %s write: direct=%v path=%v, want direct", tc.fn, tc.global, w.Direct, w.Path)
-		case prog.Fset.Position(w.Pos).Line != prog.Fset.Position(s.Node.Decl.Pos()).Line:
+		case prog.Fset.Position(w.Pos).Line != prog.Fset.Position(s.node.Decl.Pos()).Line:
 			t.Errorf("%s's %s write is not at the call in its one-line body", tc.fn, tc.global)
 		}
 	}
@@ -185,12 +185,12 @@ func TestEffectCallSiteWriter(t *testing.T) {
 // empty; the suite runner then fails instead of reporting findings.
 func TestEffectsFixpointCapFails(t *testing.T) {
 	prog, full := loadEffectsFixture(t)
-	eff, err := computeEffects(prog, 1)
+	eff, err := computeEffects(prog, fixCaps{1, maxLocalPasses})
 	if err == nil {
-		t.Fatalf("a one-round fixpoint converged on the fixture (%d rounds without the cap)", full.rounds)
+		t.Fatal("a one-round fixpoint converged on the fixture")
 	}
-	if eff.rounds != 1 {
-		t.Errorf("ran %d rounds under a cap of 1", eff.rounds)
+	if !strings.Contains(err.Error(), " in 1 round(s)") {
+		t.Errorf("error does not name the cap of 1: %v", err)
 	}
 	var named *types.Func
 	for fn := range full.Summaries {
@@ -211,16 +211,32 @@ func TestEffectsFixpointCapFails(t *testing.T) {
 	}
 }
 
-// TestEffectsConvergeOnRepo: the repository's effect fixpoint converges
-// under maxEffectRounds.
-func TestEffectsConvergeOnRepo(t *testing.T) {
-	prog, err := LoadRepo(repoRoot(t))
-	if err != nil {
-		t.Fatal(err)
+// TestEffectsLocalCapFails: the walker's local fixpoint cut off while a
+// function's environment still changes is a load error too. One pass
+// cannot converge on a function whose assignments bind anything, since
+// that pass changes its environment.
+func TestEffectsLocalCapFails(t *testing.T) {
+	prog, full := loadEffectsFixture(t)
+	eff, err := computeEffects(prog, fixCaps{maxEffectRounds, 1})
+	if named := localCapNamed(err, full.Summaries); named == nil {
+		t.Fatalf("a one-pass local fixpoint did not fail naming a fixture function: %v", err)
 	}
-	eff, err := computeEffects(prog, maxEffectRounds)
-	if err != nil {
-		t.Fatal(err)
+	prog.eff, prog.fixErr = eff, err
+	if _, _, runErr := RunEntriesOn(prog, []SuiteEntry{{Globalstate, nil}}); runErr != err {
+		t.Errorf("suite run returned %v, want the fixpoint error", runErr)
 	}
-	t.Logf("converged in %d of %d rounds", eff.rounds, maxEffectRounds)
+}
+
+// localCapNamed returns the function of fns that a local-cap error
+// names, or nil.
+func localCapNamed[S any](err error, fns map[*types.Func]S) *types.Func {
+	if err == nil {
+		return nil
+	}
+	for fn := range fns {
+		if strings.Contains(err.Error(), "propagation in "+fn.FullName()+" did not converge in 1 pass(es)") {
+			return fn
+		}
+	}
+	return nil
 }

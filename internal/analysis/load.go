@@ -37,16 +37,23 @@ type Program struct {
 	Fset *token.FileSet
 	Pkgs []*Package
 
-	byPath map[string]*Package
-	cg     *CallGraph // built lazily by CallGraph()
-	eff    *Effects   // built lazily by Effects()
-	fixErr error      // the first summary fixpoint (effects, taint) that did not converge
+	byPath  map[string]*Package
+	cg      *CallGraph // built lazily by CallGraph()
+	eff     *Effects   // built lazily by Effects()
+	fixErr  error      // the first fixpoint (dataflow.go) that did not converge
+	fixRuns []fixRun   // the whole-program fixpoints that converged, in order
 }
 
-// noteFixpoint records err, the failure of a summary fixpoint to
-// converge, unless err is nil or one already failed. The suite runner
-// turns it into a load error, because summaries still moving may miss
-// findings.
+// fixRun is one engine's whole-program fixpoint that converged.
+type fixRun struct {
+	what        string
+	rounds, cap int
+}
+
+// noteFixpoint records err, the failure of a whole-program or local
+// fixpoint to converge, unless err is nil or one already failed. The
+// suite runner turns it into a load error, because summaries still
+// moving may miss findings.
 func (p *Program) noteFixpoint(err error) {
 	if p.fixErr == nil {
 		p.fixErr = err

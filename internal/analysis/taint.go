@@ -37,8 +37,11 @@ import (
 // fixpoint then pushes taint from the sources through call edges
 // (including interface calls and method values) and through struct
 // fields (field-based, receiver-insensitive — a guest value stored in
-// VAHCI.clb taints every later read of .clb). Diagnostics print the
-// full interprocedural path in function-name form.
+// VAHCI.clb taints every later read of .clb), however many steps away.
+// Call binding, assignment propagation and the return-taint summary
+// fixpoint are the dataflow skeleton shared with the write-effect
+// engine and capflow (dataflow.go). Diagnostics print the
+// interprocedural path in function-name form, its first maxPath steps.
 var Taint = &Analyzer{
 	Name: "taint",
 	Doc:  "guest-controlled values must not reach indices, lengths, shifts or host memory addresses unchecked",
@@ -148,7 +151,7 @@ type sinkRec struct {
 
 type argFlow struct {
 	callee *types.Func
-	param  int // -1 = receiver
+	param  int
 	toks   tokSet
 	pos    token.Pos
 }
@@ -160,10 +163,8 @@ type fieldFlow struct {
 }
 
 type fnSummary struct {
-	node   *FuncNode
-	params []*types.Var // in signature order; receiver handled separately
-	recv   *types.Var
-	env    map[types.Object]tokSet
+	frame[tokSet]
+	t *taintAnalysis
 	// rets tracks return taint per result position, so a tuple like
 	// (off, seg) where only off is guest-derived does not smear the
 	// second result.
@@ -174,9 +175,9 @@ type fnSummary struct {
 	checked map[string]bool // expr strings bounds-checked in this function
 }
 
-// retsSignature is the part of a summary other functions' analyses
-// depend on; the whole-program pass iterates until it stabilizes.
-func (s *fnSummary) retsSignature() string {
+// signature is the part of a summary other functions' analyses depend
+// on: the return taint.
+func (s *fnSummary) signature() string {
 	var parts []string
 	for i, set := range s.rets {
 		for _, k := range set.sortedKeys() {
@@ -193,7 +194,6 @@ type taintAnalysis struct {
 	cg        *CallGraph
 	summaries map[*types.Func]*fnSummary
 	sanitized map[*ast.File]map[int]bool // lines covered by // sanitized:
-	facts     map[tokKey]*taintFact      // param/field facts, keyed with fn below
 	factFns   map[factKey]*taintFact
 }
 
@@ -208,19 +208,18 @@ type taintFact struct {
 }
 
 // maxSummaryRounds caps the return-taint summary fixpoint. The
-// repository converges in 15 rounds (TestTaintConvergesOnRepo), the
+// repository converges in 15 rounds (logged by TestRepoInvariants), the
 // last of which changes nothing.
 const maxSummaryRounds = 30
 
-func runTaint(pass *Pass) { runTaintRounds(pass, maxSummaryRounds) }
+func runTaint(pass *Pass) { runTaintCapped(pass, fixCaps{maxSummaryRounds, maxLocalPasses}) }
 
-// runTaintRounds runs the analysis with its summary fixpoint capped at
-// maxRounds. A fixpoint still moving at the cap reports nothing: the
-// program notes the failure, and the suite runner returns it as a load
-// error.
-func runTaintRounds(pass *Pass, maxRounds int) {
+// runTaintCapped runs the analysis with its fixpoints capped. A
+// fixpoint still moving at its cap reports nothing: the program notes
+// the failure, and the suite runner returns it as a load error.
+func runTaintCapped(pass *Pass, c fixCaps) {
 	t := newTaintAnalysis(pass)
-	if _, err := t.summarize(maxRounds); err != nil {
+	if err := t.summarize(c); err != nil {
 		pass.Prog.noteFixpoint(err)
 		return
 	}
@@ -242,40 +241,24 @@ func newTaintAnalysis(pass *Pass) *taintAnalysis {
 	}
 }
 
-// summarize is phase 1: per-function summaries, iterated until
-// return-taint signatures stabilize (callees' summaries feed callers'
-// call-result evaluation), for at most maxRounds (>= 1) rounds. It
-// returns the rounds it ran, and fails, naming a function whose
-// signature moved, if the last round allowed still moved one.
-func (t *taintAnalysis) summarize(maxRounds int) (int, error) {
-	var moved []*types.Func
-	for round := 1; round <= maxRounds; round++ {
-		moved = moved[:0]
-		for _, node := range t.cg.Ordered {
-			old := ""
-			if prev, ok := t.summaries[node.Fn]; ok {
-				old = prev.retsSignature()
-			}
-			s := t.analyzeFunc(node)
-			t.summaries[node.Fn] = s
-			if s.retsSignature() != old {
-				moved = append(moved, node.Fn)
-			}
-		}
-		if len(moved) == 0 {
-			return round, nil
-		}
-	}
-	return maxRounds, fmt.Errorf("analysis: taint summaries did not converge in %d round(s): the last moved the return taint of %s and %d other(s)",
-		maxRounds, moved[0].FullName(), len(moved)-1)
+// summarize is phase 1: per-function summaries, solved until return
+// taint stabilizes (callees' summaries feed callers' call-result
+// evaluation).
+func (t *taintAnalysis) summarize(c fixCaps) error {
+	return solve(t.pass.Prog, "taint", c.rounds, t.summaries, func(node *FuncNode) (*fnSummary, error) {
+		return t.analyzeFunc(node, c.passes)
+	})
 }
 
 // --- phase 1: intra-function flow --------------------------------------
 
-func (t *taintAnalysis) analyzeFunc(node *FuncNode) *fnSummary {
+func (t *taintAnalysis) analyzeFunc(node *FuncNode, passes int) (*fnSummary, error) {
 	s := &fnSummary{
-		node:    node,
-		env:     make(map[types.Object]tokSet),
+		// Parameters (and the receiver) start as their symbolic tokens.
+		frame: newFrame(node, func(i int) tokSet {
+			return tokSet{tokKey{kind: tokParam, param: i}: {}}
+		}),
+		t:       t,
 		checked: make(map[string]bool),
 	}
 	if sig, ok := node.Fn.Type().(*types.Signature); ok {
@@ -284,50 +267,22 @@ func (t *taintAnalysis) analyzeFunc(node *FuncNode) *fnSummary {
 			s.rets[i] = make(tokSet)
 		}
 	}
-	info := node.Pkg.Info
-	fd := node.Decl
-
-	// Seed parameters (and receiver) with their symbolic tokens.
-	if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
-		if v, ok := info.Defs[fd.Recv.List[0].Names[0]].(*types.Var); ok {
-			s.recv = v
-			s.env[v] = tokSet{tokKey{kind: tokParam, param: -1}: {pos: fd.Pos()}}
-		}
-	}
-	idx := 0
-	for _, field := range fd.Type.Params.List {
-		for _, name := range field.Names {
-			if v, ok := info.Defs[name].(*types.Var); ok {
-				s.params = append(s.params, v)
-				s.env[v] = tokSet{tokKey{kind: tokParam, param: idx}: {pos: name.Pos()}}
-			}
-			idx++
-		}
-		if len(field.Names) == 0 {
-			idx++
-		}
-	}
-
-	t.collectChecked(s)
-
-	// Local dataflow fixpoint over assignments.
-	for iter := 0; iter < 30; iter++ {
-		if !t.propagateOnce(s) {
-			break
-		}
+	s.collectChecked()
+	if err := s.propagate(s, passes); err != nil {
+		return nil, err
 	}
 	// Final pass: record sinks, call-argument flows, field writes and
 	// return taint against the stabilized environment.
-	t.collectFlows(s)
-	return s
+	s.collectFlows()
+	return s, nil
 }
 
 // collectChecked gathers the canonical strings of expressions that
 // appear under a comparison or as a switch tag — the bounds-check
 // sanitizer set.
-func (t *taintAnalysis) collectChecked(s *fnSummary) {
-	info := s.node.Pkg.Info
-	ast.Inspect(s.node.Decl.Body, func(n ast.Node) bool {
+func (s *fnSummary) collectChecked() {
+	info := s.info
+	s.inspect(func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.BinaryExpr:
 			switch n.Op {
@@ -396,68 +351,6 @@ func chainString(e ast.Expr) string {
 	return ""
 }
 
-// propagateOnce runs one pass of assignment propagation; reports
-// whether the environment changed.
-func (t *taintAnalysis) propagateOnce(s *fnSummary) bool {
-	changed := false
-	info := s.node.Pkg.Info
-	ast.Inspect(s.node.Decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			toks := t.assignRHS(s, n)
-			for i, lhs := range n.Lhs {
-				set := toks[i]
-				if n.Tok != token.DEFINE && n.Tok != token.ASSIGN {
-					// Compound assignment keeps existing taint too.
-					set = set.clone()
-					set.join(t.eval(s, lhs))
-				}
-				if t.joinLHS(s, lhs, set) {
-					changed = true
-				}
-			}
-		case *ast.GenDecl:
-			for _, spec := range n.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || len(vs.Values) == 0 {
-					continue
-				}
-				for i, name := range vs.Names {
-					var set tokSet
-					if len(vs.Values) == len(vs.Names) {
-						set = t.eval(s, vs.Values[i])
-					} else {
-						set = t.eval(s, vs.Values[0]) // tuple from call
-					}
-					if obj := info.Defs[name]; obj != nil && len(set) > 0 {
-						if t.joinObj(s, obj, set) {
-							changed = true
-						}
-					}
-				}
-			}
-		case *ast.RangeStmt:
-			xt := t.eval(s, n.X)
-			if len(xt) > 0 && n.Value != nil {
-				if t.joinLHS(s, n.Value, xt) {
-					changed = true
-				}
-			}
-			if len(xt) > 0 && n.Key != nil {
-				if tv, ok := info.Types[n.X]; ok {
-					if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-						if t.joinLHS(s, n.Key, xt) {
-							changed = true
-						}
-					}
-				}
-			}
-		}
-		return true
-	})
-	return changed
-}
-
 func (ts tokSet) clone() tokSet {
 	out := make(tokSet, len(ts))
 	for k, o := range ts {
@@ -466,120 +359,33 @@ func (ts tokSet) clone() tokSet {
 	return out
 }
 
-// assignRHS evaluates the right-hand sides of an assignment, expanding
-// a single multi-value expression across the LHS slots per result
-// position, so `off, seg := f()` taints each variable only with its
-// own result's taint.
-func (t *taintAnalysis) assignRHS(s *fnSummary, n *ast.AssignStmt) []tokSet {
-	out := make([]tokSet, len(n.Lhs))
-	if len(n.Rhs) == 1 && len(n.Lhs) > 1 {
-		return t.evalMulti(s, n.Rhs[0], len(n.Lhs))
-	}
-	for i := range n.Lhs {
-		if i < len(n.Rhs) {
-			out[i] = t.eval(s, n.Rhs[i])
-		} else {
-			out[i] = tokSet{}
-		}
-	}
-	return out
-}
-
-// evalMulti evaluates a multi-valued expression (tuple-returning call,
-// `v, ok` map/assert/receive forms) into n per-position token sets.
-func (t *taintAnalysis) evalMulti(s *fnSummary, e ast.Expr, n int) []tokSet {
-	out := make([]tokSet, n)
-	for i := range out {
-		out[i] = tokSet{}
-	}
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		// v, ok := m[k] / x.(T) / <-ch: the value slot carries the
-		// operand's taint, the bool is clean.
-		out[0] = t.eval(s, e)
-		return out
-	}
-	callees := t.cg.CalleesAt(call)
-	if len(callees) == 0 {
-		// Unknown tuple call: pass-through into the value slots.
-		set := t.passThrough(s, call)
-		for i := range out {
-			out[i] = set
-		}
-		return out
-	}
-	for _, callee := range callees {
-		if guestReadFuncs[callee.Name()] {
-			desc := "guest memory via " + callee.Name()
-			out[0][tokKey{kind: tokSrc, src: desc}] = origin{pos: call.Pos(), desc: desc}
-			continue
-		}
-		sum := t.summaries[callee]
-		if sum == nil || len(sum.rets) != n {
-			set := t.passThrough(s, call)
-			for i := range out {
-				out[i].join(set)
-			}
-			continue
-		}
-		for i, rset := range sum.rets {
-			out[i].join(t.mapCalleeToks(s, call, rset))
-		}
-	}
-	return out
-}
-
 // mapCalleeToks translates a callee summary's token set into the
 // caller's context: sources and field tokens are global, parameter
 // tokens resolve to the call-site argument expressions.
-func (t *taintAnalysis) mapCalleeToks(s *fnSummary, call *ast.CallExpr, toks tokSet) tokSet {
+func (s *fnSummary) mapCalleeToks(call *ast.CallExpr, toks tokSet) tokSet {
 	out := make(tokSet)
 	for k, o := range toks {
 		switch k.kind {
 		case tokSrc, tokField:
 			out[k] = o
 		case tokParam:
-			out.join(t.evalCallArg(s, call, k.param))
+			out.join(s.evalBound(call, k.param))
 		}
 	}
 	return out
 }
 
-// joinLHS merges taint into an assignment target: the local variable it
+// bind merges taint into an assignment target: the local variable it
 // is rooted at (writing a tainted element taints the whole slice).
 // Writes through a struct field are deliberately NOT smeared onto the
 // base object — the field-based global facts (recordFieldWrites) track
 // that channel precisely; smearing the receiver would flag every later
 // access through the object.
-func (t *taintAnalysis) joinLHS(s *fnSummary, lhs ast.Expr, toks tokSet) bool {
-	if len(toks) == 0 {
+func (s *fnSummary) bind(lhs ast.Expr, toks tokSet) bool {
+	obj, _ := s.target(lhs, false)
+	if len(toks) == 0 || obj == nil {
 		return false
 	}
-	info := s.node.Pkg.Info
-	e := lhs
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			obj := info.ObjectOf(x)
-			if obj == nil || x.Name == "_" {
-				return false
-			}
-			return t.joinObj(s, obj, toks)
-		case *ast.SelectorExpr:
-			return false // field write: handled field-based
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return false
-		}
-	}
-}
-
-func (t *taintAnalysis) joinObj(s *fnSummary, obj types.Object, toks tokSet) bool {
 	set, ok := s.env[obj]
 	if !ok {
 		set = make(tokSet)
@@ -588,33 +394,45 @@ func (t *taintAnalysis) joinObj(s *fnSummary, obj types.Object, toks tokSet) boo
 	return set.join(toks)
 }
 
+// rangeValues: a range value carries the container's taint, and so
+// does a map key.
+func (s *fnSummary) rangeValues(x ast.Expr) (key, val tokSet) {
+	val = s.eval(x)
+	if tv, ok := s.info.Types[x]; ok {
+		if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+			key = val
+		}
+	}
+	return key, val
+}
+
 // eval computes the taint token set of an expression under the current
 // environment.
-func (t *taintAnalysis) eval(s *fnSummary, e ast.Expr) tokSet {
-	info := s.node.Pkg.Info
+func (s *fnSummary) eval(e ast.Expr) tokSet {
+	info := s.info
 	switch e := e.(type) {
 	case *ast.Ident:
 		if set, ok := s.env[info.ObjectOf(e)]; ok {
 			return set
 		}
 	case *ast.ParenExpr:
-		return t.eval(s, e.X)
+		return s.eval(e.X)
 	case *ast.StarExpr:
-		return t.eval(s, e.X)
+		return s.eval(e.X)
 	case *ast.UnaryExpr:
-		return t.eval(s, e.X)
+		return s.eval(e.X)
 	case *ast.TypeAssertExpr:
-		return t.eval(s, e.X)
+		return s.eval(e.X)
 	case *ast.IndexExpr:
-		return t.eval(s, e.X) // element of a tainted container
+		return s.eval(e.X) // element of a tainted container
 	case *ast.SliceExpr:
-		return t.eval(s, e.X)
+		return s.eval(e.X)
 	case *ast.SelectorExpr:
-		return t.evalSelector(s, e)
+		return s.evalSelector(e)
 	case *ast.BinaryExpr:
-		return t.evalBinary(s, e)
+		return s.evalBinary(e)
 	case *ast.CallExpr:
-		return t.evalCall(s, e)
+		return s.evalCall(e)
 	case *ast.CompositeLit:
 		// Struct values carry taint only through their fields, which
 		// recordLitFieldWrites tracks globally; unioning the element
@@ -633,9 +451,9 @@ func (t *taintAnalysis) eval(s *fnSummary, e ast.Expr) tokSet {
 		out := make(tokSet)
 		for _, el := range e.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				out.join(t.eval(s, kv.Value))
+				out.join(s.eval(kv.Value))
 			} else {
-				out.join(t.eval(s, el))
+				out.join(s.eval(el))
 			}
 		}
 		return out
@@ -646,8 +464,8 @@ func (t *taintAnalysis) eval(s *fnSummary, e ast.Expr) tokSet {
 // evalSelector handles field reads: the base's taint carries through,
 // a read off a guest-state struct is an intrinsic source, and a read of
 // a program-declared field picks up that field's global taint.
-func (t *taintAnalysis) evalSelector(s *fnSummary, e *ast.SelectorExpr) tokSet {
-	info := s.node.Pkg.Info
+func (s *fnSummary) evalSelector(e *ast.SelectorExpr) tokSet {
+	info := s.info
 	sel, ok := info.Selections[e]
 	if !ok || sel.Kind() != types.FieldVal {
 		// Package-qualified name or method value.
@@ -658,7 +476,7 @@ func (t *taintAnalysis) evalSelector(s *fnSummary, e *ast.SelectorExpr) tokSet {
 		}
 		return tokSet{}
 	}
-	out := t.eval(s, e.X).clone()
+	out := s.eval(e.X).clone()
 	fieldVar, _ := sel.Obj().(*types.Var)
 	if tn := sourceTypeName(info, e.X); tn != "" {
 		desc := fmt.Sprintf("guest-state field %s.%s", tn, e.Sel.Name)
@@ -702,8 +520,8 @@ func fieldDesc(f *types.Var) string {
 	return "field " + f.Name()
 }
 
-func (t *taintAnalysis) evalBinary(s *fnSummary, e *ast.BinaryExpr) tokSet {
-	info := s.node.Pkg.Info
+func (s *fnSummary) evalBinary(e *ast.BinaryExpr) tokSet {
+	info := s.info
 	switch e.Op {
 	case token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ,
 		token.LAND, token.LOR:
@@ -715,10 +533,10 @@ func (t *taintAnalysis) evalBinary(s *fnSummary, e *ast.BinaryExpr) tokSet {
 		}
 	case token.REM:
 		// x % y is bounded by y; taint follows the modulus only.
-		return t.eval(s, e.Y)
+		return s.eval(e.Y)
 	}
-	out := t.eval(s, e.X).clone()
-	out.join(t.eval(s, e.Y))
+	out := s.eval(e.X).clone()
+	out.join(s.eval(e.Y))
 	return out
 }
 
@@ -730,11 +548,11 @@ func isConstExpr(info *types.Info, e ast.Expr) bool {
 // evalCall models calls: conversions and builtins inline, guest-memory
 // readers as sources, program functions through their return summaries,
 // and unknown (stdlib) functions as taint-preserving pass-through.
-func (t *taintAnalysis) evalCall(s *fnSummary, call *ast.CallExpr) tokSet {
-	info := s.node.Pkg.Info
+func (s *fnSummary) evalCall(call *ast.CallExpr) tokSet {
+	info := s.info
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		if len(call.Args) == 1 {
-			return t.eval(s, call.Args[0]) // conversion
+			return s.eval(call.Args[0]) // conversion
 		}
 		return tokSet{}
 	}
@@ -747,7 +565,7 @@ func (t *taintAnalysis) evalCall(s *fnSummary, call *ast.CallExpr) tokSet {
 				// min() with any untainted operand clamps the result.
 				out := make(tokSet)
 				for _, a := range call.Args {
-					at := t.eval(s, a)
+					at := s.eval(a)
 					if len(at) == 0 {
 						return tokSet{}
 					}
@@ -757,7 +575,7 @@ func (t *taintAnalysis) evalCall(s *fnSummary, call *ast.CallExpr) tokSet {
 			case "append", "max":
 				out := make(tokSet)
 				for _, a := range call.Args {
-					out.join(t.eval(s, a))
+					out.join(s.eval(a))
 				}
 				return out
 			default:
@@ -766,62 +584,64 @@ func (t *taintAnalysis) evalCall(s *fnSummary, call *ast.CallExpr) tokSet {
 		}
 	}
 
-	callees := t.cg.CalleesAt(call)
-	if len(callees) == 0 {
-		return t.passThrough(s, call)
-	}
 	out := make(tokSet)
+	for _, set := range s.callResults(call, numResults(info, call)) {
+		out.join(set)
+	}
+	return out
+}
+
+// callResults is the taint of each of a call's n results: a guest-memory
+// reader's first result is a source, a program function maps its return
+// summary through the call site, and anything else (stdlib, a call
+// through a func value) passes its arguments' taint through.
+func (s *fnSummary) callResults(call *ast.CallExpr, n int) []tokSet {
+	out := make([]tokSet, n)
+	for i := range out {
+		out[i] = tokSet{}
+	}
+	callees := s.t.cg.CalleesAt(call)
 	for _, callee := range callees {
-		if guestReadFuncs[callee.Name()] {
-			desc := "guest memory via " + callee.Name()
-			out[tokKey{kind: tokSrc, src: desc}] = origin{pos: call.Pos(), desc: desc}
-			continue
+		switch sum := s.t.summaries[callee]; {
+		case guestReadFuncs[callee.Name()]:
+			if n > 0 {
+				desc := "guest memory via " + callee.Name()
+				out[0][tokKey{kind: tokSrc, src: desc}] = origin{pos: call.Pos(), desc: desc}
+			}
+		case sum != nil && len(sum.rets) == n:
+			for i, rset := range sum.rets {
+				out[i].join(s.mapCalleeToks(call, rset))
+			}
+		default:
+			joinEach(out, s.passThrough(call))
 		}
-		sum := t.summaries[callee]
-		if sum == nil {
-			out.join(t.passThrough(s, call))
-			continue
-		}
-		for _, rset := range sum.rets {
-			out.join(t.mapCalleeToks(s, call, rset))
-		}
+	}
+	if len(callees) == 0 {
+		joinEach(out, s.passThrough(call))
 	}
 	return out
 }
 
 // passThrough is the model for functions without a body in the program
 // (stdlib): taint in, taint out.
-func (t *taintAnalysis) passThrough(s *fnSummary, call *ast.CallExpr) tokSet {
+func (s *fnSummary) passThrough(call *ast.CallExpr) tokSet {
 	out := make(tokSet)
-	for _, a := range call.Args {
-		out.join(t.eval(s, a))
-	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if selInfo, ok := s.node.Pkg.Info.Selections[sel]; ok && selInfo.Kind() == types.MethodVal {
-			out.join(t.eval(s, sel.X))
-		}
+	recv, _ := boundExprs(s.info, call, -1)
+	for _, x := range append(recv, call.Args...) {
+		out.join(s.eval(x))
 	}
 	return out
 }
 
-// evalCallArg returns the taint of the expression bound to a callee
-// parameter (-1 = receiver) at this call site.
-func (t *taintAnalysis) evalCallArg(s *fnSummary, call *ast.CallExpr, param int) tokSet {
-	if param == -1 {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if selInfo, ok := s.node.Pkg.Info.Selections[sel]; ok && selInfo.Kind() == types.MethodVal {
-				return t.eval(s, sel.X)
-			}
-		}
-		return tokSet{}
+// evalBound is the taint of what a call binds to the callee's receiver
+// (param -1) or parameter param (boundExprs).
+func (s *fnSummary) evalBound(call *ast.CallExpr, param int) tokSet {
+	exprs, _ := boundExprs(s.info, call, param)
+	out := make(tokSet)
+	for _, x := range exprs {
+		out.join(s.eval(x))
 	}
-	if param >= 0 && param < len(call.Args) {
-		return t.eval(s, call.Args[param])
-	}
-	if len(call.Args) > 0 && param >= len(call.Args) {
-		return t.eval(s, call.Args[len(call.Args)-1]) // variadic tail
-	}
-	return tokSet{}
+	return out
 }
 
 // --- flows and sinks ----------------------------------------------------
@@ -829,9 +649,9 @@ func (t *taintAnalysis) evalCallArg(s *fnSummary, call *ast.CallExpr, param int)
 // collectFlows records, against the stabilized environment: sink hits,
 // taint entering call arguments, taint stored into fields, and taint
 // reaching return values.
-func (t *taintAnalysis) collectFlows(s *fnSummary) {
-	info := s.node.Pkg.Info
-	ast.Inspect(s.node.Decl.Body, func(n ast.Node) bool {
+func (s *fnSummary) collectFlows() {
+	info := s.info
+	s.inspect(func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.IndexExpr:
 			tv, ok := info.Types[n.X]
@@ -840,60 +660,39 @@ func (t *taintAnalysis) collectFlows(s *fnSummary) {
 			}
 			switch tv.Type.Underlying().(type) {
 			case *types.Slice, *types.Array:
-				t.checkSink(s, n.Index, n.Pos(), "slice/array index")
+				s.checkSink(n.Index, n.Pos(), "slice/array index")
 			case *types.Pointer: // *[N]T indexing
-				t.checkSink(s, n.Index, n.Pos(), "slice/array index")
+				s.checkSink(n.Index, n.Pos(), "slice/array index")
 			}
 		case *ast.SliceExpr:
 			for _, bound := range []ast.Expr{n.Low, n.High, n.Max} {
 				if bound != nil {
-					t.checkSink(s, bound, n.Pos(), "slice bound")
+					s.checkSink(bound, n.Pos(), "slice bound")
 				}
 			}
 		case *ast.BinaryExpr:
 			if n.Op == token.SHL || n.Op == token.SHR {
-				t.checkSink(s, n.Y, n.Pos(), "shift amount")
+				s.checkSink(n.Y, n.Pos(), "shift amount")
 			}
 		case *ast.AssignStmt:
 			if n.Tok == token.SHL_ASSIGN || n.Tok == token.SHR_ASSIGN {
-				t.checkSink(s, n.Rhs[0], n.Pos(), "shift amount")
+				s.checkSink(n.Rhs[0], n.Pos(), "shift amount")
 			}
-			t.recordFieldWrites(s, n)
+			s.recordFieldWrites(n)
 		case *ast.CompositeLit:
-			t.recordLitFieldWrites(s, n)
+			s.recordLitFieldWrites(n)
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
 				if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "make" {
 					for _, a := range n.Args[1:] {
-						t.checkSink(s, a, n.Pos(), "make length")
+						s.checkSink(a, n.Pos(), "make length")
 					}
 				}
 			}
-			t.recordCallFlows(s, n)
+			s.recordCallFlows(n)
 		case *ast.ReturnStmt:
-			switch {
-			case len(n.Results) == len(s.rets):
-				for i, r := range n.Results {
-					s.rets[i].join(t.eval(s, r))
-				}
-			case len(n.Results) == 1 && len(s.rets) > 1:
-				// return f() forwarding a tuple
-				for i, set := range t.evalMulti(s, n.Results[0], len(s.rets)) {
-					s.rets[i].join(set)
-				}
-			case len(n.Results) == 0 && s.node.Decl.Type.Results != nil:
-				i := 0
-				for _, field := range s.node.Decl.Type.Results.List {
-					for _, name := range field.Names {
-						if set, ok := s.env[info.Defs[name]]; ok && i < len(s.rets) {
-							s.rets[i].join(set)
-						}
-						i++
-					}
-					if len(field.Names) == 0 {
-						i++
-					}
-				}
+			for i, set := range s.returned(s, n, len(s.rets)) {
+				s.rets[i].join(set)
 			}
 		}
 		return true
@@ -902,16 +701,15 @@ func (t *taintAnalysis) collectFlows(s *fnSummary) {
 
 // checkSink records a sink hit unless the value is constant or
 // sanitized.
-func (t *taintAnalysis) checkSink(s *fnSummary, e ast.Expr, pos token.Pos, what string) {
-	info := s.node.Pkg.Info
-	if isConstExpr(info, e) {
+func (s *fnSummary) checkSink(e ast.Expr, pos token.Pos, what string) {
+	if isConstExpr(s.info, e) {
 		return
 	}
-	toks := t.eval(s, e)
+	toks := s.eval(e)
 	if len(toks) == 0 {
 		return
 	}
-	if t.isSanitized(s, e, pos) {
+	if s.isSanitized(e, pos) {
 		return
 	}
 	s.sinks = append(s.sinks, sinkRec{pos: pos, what: what, toks: toks.clone()})
@@ -921,9 +719,9 @@ func (t *taintAnalysis) checkSink(s *fnSummary, e ast.Expr, pos token.Pos, what 
 // root of the expression appears under a comparison or switch in this
 // function) or carries a `// sanitized:` annotation on its line or the
 // line above.
-func (t *taintAnalysis) isSanitized(s *fnSummary, e ast.Expr, pos token.Pos) bool {
+func (s *fnSummary) isSanitized(e ast.Expr, pos token.Pos) bool {
 	roots := make(map[string]bool)
-	addRootStrings(s.node.Pkg.Info, roots, e)
+	addRootStrings(s.info, roots, e)
 	for r := range roots {
 		if s.checked[r] {
 			return true
@@ -933,8 +731,8 @@ func (t *taintAnalysis) isSanitized(s *fnSummary, e ast.Expr, pos token.Pos) boo
 	if file == nil {
 		return false
 	}
-	lines := t.sanitizedLinesFor(file)
-	line := t.pass.Prog.Fset.Position(pos).Line
+	lines := s.t.sanitizedLinesFor(file)
+	line := s.t.pass.Prog.Fset.Position(pos).Line
 	return lines[line] || lines[line-1]
 }
 
@@ -971,14 +769,14 @@ func (t *taintAnalysis) sanitizedLinesFor(f *ast.File) map[int]bool {
 
 // recordFieldWrites captures taint stored into struct fields through
 // assignment statements.
-func (t *taintAnalysis) recordFieldWrites(s *fnSummary, n *ast.AssignStmt) {
-	info := s.node.Pkg.Info
-	toks := t.assignRHS(s, n)
-	for i, lhs := range n.Lhs {
-		set := toks[i]
+func (s *fnSummary) recordFieldWrites(n *ast.AssignStmt) {
+	info := s.info
+	for i, set := range s.values(s, len(n.Lhs), n.Rhs) {
+		lhs := n.Lhs[i]
 		if n.Tok != token.DEFINE && n.Tok != token.ASSIGN {
+			// Compound assignment keeps existing taint too.
 			set = set.clone()
-			set.join(t.eval(s, lhs))
+			set.join(s.eval(lhs))
 		}
 		if len(set) == 0 {
 			continue
@@ -1007,7 +805,7 @@ func (t *taintAnalysis) recordFieldWrites(s *fnSummary, n *ast.AssignStmt) {
 		if !ok || !isProgramField(f) {
 			continue
 		}
-		if t.isSanitized(s, n.Rhs[min(i, len(n.Rhs)-1)], n.Pos()) {
+		if s.isSanitized(n.Rhs[min(i, len(n.Rhs)-1)], n.Pos()) {
 			continue
 		}
 		s.fields = append(s.fields, fieldFlow{field: f, toks: set.clone(), pos: n.Pos()})
@@ -1016,9 +814,8 @@ func (t *taintAnalysis) recordFieldWrites(s *fnSummary, n *ast.AssignStmt) {
 
 // recordLitFieldWrites captures taint stored into fields via composite
 // literals (DiskRequest{LBA: guestLBA, ...}).
-func (t *taintAnalysis) recordLitFieldWrites(s *fnSummary, n *ast.CompositeLit) {
-	info := s.node.Pkg.Info
-	tv, ok := info.Types[n]
+func (s *fnSummary) recordLitFieldWrites(n *ast.CompositeLit) {
+	tv, ok := s.info.Types[n]
 	if !ok {
 		return
 	}
@@ -1039,14 +836,14 @@ func (t *taintAnalysis) recordLitFieldWrites(s *fnSummary, n *ast.CompositeLit) 
 		if !ok {
 			continue
 		}
-		set := t.eval(s, kv.Value)
+		set := s.eval(kv.Value)
 		if len(set) == 0 {
 			continue
 		}
 		for i := 0; i < st.NumFields(); i++ {
 			f := st.Field(i)
 			if f.Name() == key.Name && isProgramField(f) {
-				if !t.isSanitized(s, kv.Value, kv.Pos()) {
+				if !s.isSanitized(kv.Value, kv.Pos()) {
 					s.fields = append(s.fields, fieldFlow{field: f, toks: set.clone(), pos: kv.Pos()})
 				}
 				break
@@ -1056,26 +853,28 @@ func (t *taintAnalysis) recordLitFieldWrites(s *fnSummary, n *ast.CompositeLit) 
 }
 
 // recordCallFlows captures taint entering callee parameters, for the
-// interprocedural fixpoint.
-func (t *taintAnalysis) recordCallFlows(s *fnSummary, call *ast.CallExpr) {
-	callees := t.cg.CalleesAt(call)
-	if len(callees) == 0 {
-		return
-	}
-	for _, callee := range callees {
-		if t.cg.Node(callee) == nil {
+// interprocedural fixpoint: each parameter takes the unsanitized taint
+// of every argument the call binds to it (boundExprs).
+func (s *fnSummary) recordCallFlows(call *ast.CallExpr) {
+	for _, callee := range s.t.cg.CalleesAt(call) {
+		if s.t.cg.Node(callee) == nil {
 			continue // no body: nothing to propagate into
-		}
-		for j, a := range call.Args {
-			set := t.eval(s, a)
-			if len(set) == 0 || t.isSanitized(s, a, a.Pos()) {
-				continue
-			}
-			s.args = append(s.args, argFlow{callee: callee, param: j, toks: set.clone(), pos: call.Pos()})
 		}
 		// Receiver taint is deliberately not propagated as a fact: an
 		// object is "tainted" only through specific fields, and those
 		// travel via the field-based channel.
+		for i := range callee.Type().(*types.Signature).Params().Len() {
+			set := make(tokSet)
+			exprs, _ := boundExprs(s.info, call, i)
+			for _, a := range exprs {
+				if at := s.eval(a); len(at) > 0 && !s.isSanitized(a, a.Pos()) {
+					set.join(at)
+				}
+			}
+			if len(set) > 0 {
+				s.args = append(s.args, argFlow{callee: callee, param: i, toks: set, pos: call.Pos()})
+			}
+		}
 	}
 }
 
@@ -1097,8 +896,10 @@ func (t *taintAnalysis) tokenFact(fn *types.Func, k tokKey, o origin) (*taintFac
 	return nil, false
 }
 
-const maxPathSteps = 12
-
+// solveFacts pushes taint facts through call edges and struct fields
+// until none is added. Every reachable parameter and field gets its
+// fact, however far from the source; only its rendered path stops
+// growing at maxPath steps (appendPath).
 func (t *taintAnalysis) solveFacts() {
 	for changed := true; changed; {
 		changed = false
@@ -1117,15 +918,8 @@ func (t *taintAnalysis) solveFacts() {
 					if _, exists := t.factFns[key]; exists {
 						continue
 					}
-					if len(base.path) >= maxPathSteps {
-						continue
-					}
-					what := "receiver"
-					if af.param >= 0 {
-						what = fmt.Sprintf("parameter %s", calleeParamName(t.cg, af.callee, af.param))
-					}
-					t.factFns[key] = &taintFact{path: append(append([]string{}, base.path...),
-						fmt.Sprintf("passed to %s of %s", what, FuncDisplayName(af.callee)))}
+					t.factFns[key] = &taintFact{path: appendPath(base.path,
+						fmt.Sprintf("passed to parameter %s of %s", paramName(af.callee, af.param), FuncDisplayName(af.callee)))}
 					changed = true
 				}
 			}
@@ -1139,10 +933,7 @@ func (t *taintAnalysis) solveFacts() {
 					if _, exists := t.factFns[key]; exists {
 						continue
 					}
-					if len(base.path) >= maxPathSteps {
-						continue
-					}
-					t.factFns[key] = &taintFact{path: append(append([]string{}, base.path...),
+					t.factFns[key] = &taintFact{path: appendPath(base.path,
 						fmt.Sprintf("stored into field %s (in %s)", fieldQualName(ff.field), FuncDisplayName(node.Fn)))}
 					changed = true
 				}
@@ -1151,13 +942,9 @@ func (t *taintAnalysis) solveFacts() {
 	}
 }
 
-// calleeParamName names a callee parameter for path rendering.
-func calleeParamName(cg *CallGraph, fn *types.Func, idx int) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || idx >= sig.Params().Len() {
-		return fmt.Sprintf("#%d", idx)
-	}
-	if name := sig.Params().At(min(idx, sig.Params().Len()-1)).Name(); name != "" {
+// paramName names parameter idx of fn for path rendering.
+func paramName(fn *types.Func, idx int) string {
+	if name := fn.Type().(*types.Signature).Params().At(idx).Name(); name != "" {
 		return name
 	}
 	return fmt.Sprintf("#%d", idx)

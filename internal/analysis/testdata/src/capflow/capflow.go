@@ -101,8 +101,9 @@ type Portal struct {
 }
 
 type Kernel struct {
-	sems  []*Semaphore
-	stash *EC
+	sems   []*Semaphore
+	stash  *EC
+	parked []*EC
 }
 
 // FixSignalBadRights demands read rights but then mutates the
@@ -165,6 +166,7 @@ func (k *Kernel) DestroyPD(caller *PD, pd *PD) error {
 	pd.dead = true
 	k.sems = nil
 	k.stash = nil
+	k.parked = nil
 	return nil
 }
 
@@ -198,6 +200,79 @@ func (k *Kernel) FixChain(caller *PD, ec *EC) error {
 
 func (k *Kernel) park(ec *EC) {
 	k.stash = ec
+}
+
+// FixRecurseDirect stores what relayC, one of a mutually recursive
+// pair, returns: the EC escapes through the pair's base case.
+func (k *Kernel) FixRecurseDirect(caller *PD, ec *EC) error {
+	if _, err := caller.Caps.LookupObj(ec, ObjEC, RightCtrl); err != nil { // want "without a caphold annotation"
+		return err
+	}
+	k.stash = k.relayC(ec, 2)
+	return nil
+}
+
+func (k *Kernel) relayC(ec *EC, n int) *EC { return k.relayD(ec, n) }
+
+func (k *Kernel) relayD(ec *EC, n int) *EC {
+	if n == 0 {
+		return ec
+	}
+	return k.relayC(ec, n-1)
+}
+
+// FixRecurse is FixRecurseDirect after a first call to relayB, the
+// other half of its pair: the escape must not depend on which call
+// reaches the pair first.
+func (k *Kernel) FixRecurse(caller *PD, ec *EC) error {
+	if _, err := caller.Caps.LookupObj(ec, ObjEC, RightCtrl); err != nil { // want "without a caphold annotation"
+		return err
+	}
+	if prev := k.relayB(ec, 1); prev == nil {
+		return errLookup
+	}
+	k.stash = k.relayA(ec, 2)
+	return nil
+}
+
+func (k *Kernel) relayA(ec *EC, n int) *EC { return k.relayB(ec, n) }
+
+func (k *Kernel) relayB(ec *EC, n int) *EC {
+	if n == 0 {
+		return ec
+	}
+	return k.relayA(ec, n-1)
+}
+
+// FixVariadic leaks the EC as the second element of a variadic tail,
+// whose slice parkAll keeps in kernel state.
+func (k *Kernel) FixVariadic(caller *PD, ec *EC) error {
+	if _, err := caller.Caps.LookupObj(ec, ObjEC, RightCtrl); err != nil { // want "without a caphold annotation"
+		return err
+	}
+	k.parkAll(k.stash, ec)
+	return nil
+}
+
+func (k *Kernel) parkAll(ecs ...*EC) {
+	k.parked = ecs
+}
+
+// FixHoldTwice leaks through a helper that keeps the EC twice, once
+// audited and once not: a flow summary keeps each store site of an
+// escape, so the unaudited one still fires.
+func (k *Kernel) FixHoldTwice(caller *PD, ec *EC) error {
+	if _, err := caller.Caps.LookupObj(ec, ObjEC, RightCtrl); err != nil { // want "without a caphold annotation"
+		return err
+	}
+	k.keepTwice(ec)
+	return nil
+}
+
+func (k *Kernel) keepTwice(ec *EC) {
+	// caphold: audited fixture stash, emptied on domain destruction; teardown=DestroyPD
+	k.stash = ec
+	k.parked = append(k.parked, ec)
 }
 
 // FixDrift has a table row declaring an EC validation, but the body

@@ -109,3 +109,59 @@ func switched(e *VMExit, tbl []byte) byte {
 	}
 	return 0
 }
+
+// variadicTail passes a guest value as the second element of a
+// variadic tail: the parameter takes every trailing argument.
+func variadicTail(e *VMExit, tbl []byte) byte {
+	return pick(tbl, 0, int(e.Reason))
+}
+
+func pick(tbl []byte, idx ...int) byte {
+	return tbl[idx[1]] // want "passed to parameter idx of taint.pick"
+}
+
+// splitGuest returns a guest-derived offset and a clean segment.
+func splitGuest(e *VMExit) (int, int) {
+	return int(e.Reason), 3
+}
+
+// splitVar is clean: a var declaration from a tuple binds each name to
+// its own result, like the := form in splitDefine.
+func splitVar(e *VMExit, tbl []byte) byte {
+	var off, seg = splitGuest(e)
+	return tbl[seg] + byte(off&1)
+}
+
+func splitDefine(e *VMExit, tbl []byte) byte {
+	off, seg := splitGuest(e)
+	return tbl[seg] + byte(off&1)
+}
+
+// chain0 hands a guest value down twelve calls before it reaches the
+// sink: a fact is kept however far it travels, and only the rendered
+// path is cut.
+func chain0(e *VMExit, tbl []byte) byte { return chain1(tbl, int(e.Reason)) }
+func chain1(tbl []byte, i int) byte     { return chain2(tbl, i) }
+func chain2(tbl []byte, i int) byte     { return chain3(tbl, i) }
+func chain3(tbl []byte, i int) byte     { return chain4(tbl, i) }
+func chain4(tbl []byte, i int) byte     { return chain5(tbl, i) }
+func chain5(tbl []byte, i int) byte     { return chain6(tbl, i) }
+func chain6(tbl []byte, i int) byte     { return chain7(tbl, i) }
+func chain7(tbl []byte, i int) byte     { return chain8(tbl, i) }
+func chain8(tbl []byte, i int) byte     { return chain9(tbl, i) }
+func chain9(tbl []byte, i int) byte     { return chain10(tbl, i) }
+func chain10(tbl []byte, i int) byte    { return chain11(tbl, i) }
+func chain11(tbl []byte, i int) byte    { return chain12(tbl, i) }
+func chain12(tbl []byte, i int) byte {
+	return tbl[i] // want "reaches slice/array index in taint.chain12"
+}
+
+// constIndex is clean: zeroOf, declared after it, returns no guest
+// data. The first round models the not yet summarized callee as
+// passing its argument through, and that stand-in must not outlive
+// zeroOf's summary.
+func constIndex(e *VMExit, tbl []byte) byte {
+	return tbl[zeroOf(int(e.Reason))]
+}
+
+func zeroOf(int) int { return 0 }
